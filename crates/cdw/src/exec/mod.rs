@@ -4,26 +4,25 @@
 //! allows it, so work spreads across the persistent process-wide worker
 //! pool (the `parallelism` knob the scalability experiment E8 sweeps,
 //! clamped to the pool's execution budget — see [`scheduler`]).
-//! Work distribution is morsel-driven by default: Filter/Project chains
-//! and the partial half of two-phase aggregation stream fixed-size
-//! morsels through fused per-morsel pipelines scheduled by an LPT-seeded
-//! work-stealing queue (see [`pipeline`] and [`scheduler`]); setting
-//! `morsel_rows = None` falls back to the static partition-at-a-time
-//! split, which the equivalence suites pin the morsel path against
-//! byte-for-byte:
+//! There is one work-distribution engine: every operator cuts its input
+//! into morsels, runs them on an LPT-seeded work-stealing queue, and
+//! regroups the outputs per partition in morsel order (see [`pipeline`]
+//! and [`scheduler`]). How tall a morsel is comes from one function,
+//! [`pipeline::morsel_height`]; at an effective width of one worker it
+//! is the whole partition, so serial execution is the same code with
+//! every split, regroup and steal degenerate — not a second executor:
 //!
-//! * Scan → Filter → Project chains map over partition morsels.
+//! * Scan → Filter → Project chains fuse into one pipeline per morsel.
 //! * `UnionAll` concatenates its inputs' partitions without collapsing.
 //! * Aggregation and DISTINCT run two-phase when the optimizer placed a
 //!   `Partial`/`Final` split (see [`crate::plan::AggMode`]): per-partition
 //!   partial states build in parallel and merge associatively, in
 //!   partition-index order, on the coordinating thread — so results are
-//!   bit-identical at any parallelism.
-//! * Hash joins build the right side once, share it (`Arc`) across probe
-//!   units running in parallel — whole partitions on the static path,
-//!   per-partition morsels (every join kind, LEFT/FULL tails regrouped
-//!   per partition) on the morsel path — and emit one output part per
-//!   probe partition either way.
+//!   bit-identical at any parallelism and morsel height.
+//! * Hash joins build the right side once and share it across
+//!   per-partition probe morsels running in parallel (every join kind,
+//!   LEFT/FULL tails regrouped per partition), emitting one output part
+//!   per probe partition.
 //! * Sort generates sorted runs per morsel in parallel and k-way merges
 //!   them by `(keys, row id)`; windows evaluate their expressions per
 //!   morsel and sort/compute partitions in parallel, scattering values
@@ -44,28 +43,24 @@
 //! format:
 //!
 //! * **Aggregate** hash-partitions input rows by group key into spilled
-//!   bucket files, aggregates bucket by bucket (rebuilding the exact
-//!   per-partition partial/merge structure of the in-memory path inside
-//!   each bucket), and interleaves the per-bucket groups back into global
-//!   first-seen order by each group's first `(partition, row)`.
+//!   bucket files per morsel, aggregates bucket by bucket (rebuilding the
+//!   exact per-partition partial/merge structure of the in-memory fold
+//!   inside each bucket), and interleaves the per-bucket groups back into
+//!   global first-seen order by each group's first `(partition, row)`
+//!   ([`pipeline::morsel_spilled_aggregate`]).
 //! * **Sort** spills sorted runs (key columns + original row ids) in
-//!   pages and k-way merges them by `(keys, row id)` — exactly the total
-//!   order a stable in-memory sort produces.
+//!   pages from parallel workers and k-way merges them by `(keys, row
+//!   id)` — exactly the total order a stable in-memory sort produces.
 //! * **Join** Grace-partitions the build side's key material into bucket
-//!   files, builds one bucket's hash table at a time, probes every left
-//!   partition against it, then restores the in-memory output order by
-//!   sorting each partition's matches by `(left row, right row)`.
+//!   files, builds one bucket's hash table at a time (bucket passes run
+//!   on the scheduler), probes every left partition against it, then
+//!   restores the in-memory output order by sorting each partition's
+//!   matches by `(left row, right row)`.
 //!
 //! Because every spilled variant performs the *same floating-point
 //! operations in the same order* as its in-memory counterpart and only
-//! reorders bookkeeping, results are **bit-identical** at any budget and
-//! any parallelism (pinned by `tests/spill_oracle.rs`). Under morsel
-//! mode the budget compounds with streaming: spilling aggregation
-//! consumes morsels directly ([`pipeline::morsel_spilled_aggregate`]),
-//! sort runs spill from parallel workers, and the Grace join's key
-//! evaluation and bucket passes run on the work-stealing scheduler —
-//! same group states, permutations, and pairs, spilled per pipeline
-//! instead of per materialized operator.
+//! reorders bookkeeping, results are **bit-identical** at any budget,
+//! parallelism and morsel height (pinned by `tests/spill_oracle.rs`).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -80,12 +75,11 @@ use crate::error::CdwError;
 use crate::eval::{eval_sel, CompiledExpr, EvalCtx, PhysExpr};
 use crate::plan::{AggCall, AggFunc, AggMode, Plan};
 use crate::storage::{SpillHandle, SpillReader, SpillWriter};
-use crate::window::compute_window;
 
 pub(crate) mod pipeline;
 pub mod scheduler;
 
-pub use pipeline::DEFAULT_MORSEL_ROWS;
+pub use pipeline::MorselSizing;
 
 /// One partition flowing between operators: a batch plus an optional
 /// **selection vector** — the surviving row indices, ascending. Filters
@@ -149,15 +143,9 @@ pub struct ExecCtx<'a> {
     pub eval: EvalCtx,
     /// Worker threads for partition-parallel stages (1 = serial).
     pub parallelism: usize,
-    /// Morsel height for pipelined stages; `None` disables morsel-driven
-    /// execution and runs the static partition-at-a-time split (the
-    /// oracle baseline the morsel path is pinned against).
-    pub morsel_rows: Option<usize>,
-    /// Derive each pipeline's morsel height from its input shape
-    /// ([`pipeline::adaptive_morsel_rows`]) instead of the fixed
-    /// `morsel_rows` value. Ignored when `morsel_rows` is `None`; the
-    /// equivalence oracles sweep explicit fixed sizes with this off.
-    pub adaptive_morsels: bool,
+    /// How pipelines cut their input into morsels. Read only through
+    /// [`ExecCtx::morsel_height`].
+    pub morsel_sizing: MorselSizing,
     /// Per-operator memory budget and spill accounting.
     pub memory: ExecMemoryTracker,
     /// Per-query scheduler counters (tasks, own-queue hits, steals,
@@ -172,17 +160,10 @@ impl ExecCtx<'_> {
         scheduler::effective_workers(self.parallelism)
     }
 
-    /// Morsel height for pipelined stages, or `None` when execution is
-    /// effectively serial. With one worker slot the morsel lane would run
-    /// the exact same code as the static split plus queue overhead, so
-    /// every morsel entry point gates through this instead of reading
-    /// `morsel_rows` directly.
-    pub fn morsel_exec(&self) -> Option<usize> {
-        if self.effective_parallelism() > 1 {
-            self.morsel_rows
-        } else {
-            None
-        }
+    /// Morsel height for a pipeline over an input of `shape` — every
+    /// operator asks here, nothing else looks at `morsel_sizing`.
+    pub(crate) fn morsel_height(&self, shape: impl FnOnce() -> pipeline::InputShape) -> usize {
+        pipeline::morsel_height(self.morsel_sizing, self.effective_parallelism(), shape)
     }
 }
 
@@ -277,7 +258,10 @@ pub struct OpStats {
     pub rows_out: usize,
     /// Output partitions (1 for collapsing operators).
     pub partitions: usize,
-    /// Wall-clock time inclusive of children.
+    /// Wall-clock time inclusive of children. A node inside a fused
+    /// Filter/Project chain has no wall clock of its own: it reports its
+    /// source's elapsed plus the time morsels spent in it and the stages
+    /// below it (summed across workers, like `eval_ns`).
     pub elapsed: Duration,
     /// Cumulative nanoseconds this operator spent evaluating scalar
     /// expressions (filter predicates, projections, group/join/sort keys,
@@ -285,8 +269,9 @@ pub struct OpStats {
     /// exceed `elapsed` under parallelism. This is the counter the
     /// vectorized-expression win shows up in per query.
     pub eval_ns: u64,
-    /// Morsels this operator processed as part of a fused pipeline
-    /// (0 for operators executed outside the morsel path).
+    /// Morsels this operator cut its input into (an uncut partition
+    /// counts as one; 0 for operators that take no morsels — scans,
+    /// limits, unions, distinct).
     pub morsels: usize,
 }
 
@@ -528,63 +513,10 @@ fn execute_node(
             Ok(vec![Part::new(batch.clone())])
         }
         Plan::Values { batch } => Ok(vec![Part::new(batch.clone())]),
-        Plan::Filter { input, predicate } => {
-            // Morsel mode fuses the whole Filter/Project chain below this
-            // node into one pipeline (the chain's inner nodes never reach
-            // execute_node).
-            if ctx.morsel_exec().is_some() {
-                return pipeline::execute_chain(plan, ctx, stats, depth, eval_ns, morsels);
-            }
-            let parts = execute_parts(input, ctx, stats, depth + 1)?;
-            // Compile once per operator; partitions share the schema.
-            let compiled = CompiledExpr::compile(predicate, &input_types(input))?;
-            let compiled = &compiled;
-            par_map(
-                ctx,
-                parts,
-                |p| p.est_bytes(),
-                |p| {
-                    let mask = timed(eval_ns, || compiled.eval(&p.batch, p.sel(), &ctx.eval))?;
-                    // Refine the selection — no materialization.
-                    let keep = truthy_indices(&mask, p.sel());
-                    Ok(Part {
-                        batch: p.batch,
-                        sel: Some(keep),
-                    })
-                },
-            )
-        }
-        Plan::Project {
-            input,
-            exprs,
-            schema,
-        } => {
-            if ctx.morsel_exec().is_some() {
-                return pipeline::execute_chain(plan, ctx, stats, depth, eval_ns, morsels);
-            }
-            let parts = execute_parts(input, ctx, stats, depth + 1)?;
-            let types = input_types(input);
-            let compiled: Vec<CompiledExpr> = exprs
-                .iter()
-                .map(|e| CompiledExpr::compile(e, &types))
-                .collect::<Result<_, _>>()?;
-            let (compiled, schema) = (&compiled, schema.clone());
-            par_map(
-                ctx,
-                parts,
-                |p| p.est_bytes(),
-                move |p| {
-                    let cols: Vec<Column> = compiled
-                        .iter()
-                        .zip(schema.fields())
-                        .map(|(e, f)| {
-                            let col = timed(eval_ns, || e.eval(&p.batch, p.sel(), &ctx.eval))?;
-                            coerce_column(col, f.dtype)
-                        })
-                        .collect::<Result<_, _>>()?;
-                    Ok(Part::new(Batch::new(schema.clone(), cols)?))
-                },
-            )
+        // The whole Filter/Project chain below this node fuses into one
+        // pipeline (the chain's inner nodes never reach execute_node).
+        Plan::Filter { .. } | Plan::Project { .. } => {
+            pipeline::execute_chain(plan, ctx, stats, depth, eval_ns, morsels)
         }
         Plan::Aggregate {
             input,
@@ -612,17 +544,16 @@ fn execute_node(
                         .push(OpStats::started(op_label(input), depth + 1));
                     let pstarted = Instant::now();
                     let peval_ns = AtomicU64::new(0);
-                    // Unbudgeted morsel mode: fuse the Partial with the
-                    // streaming chain below it — group/argument expressions
-                    // evaluate per morsel, each partition folds its morsels
-                    // sequentially (identical FP sequence to one
-                    // whole-partition pass), partials merge in partition
-                    // order as always. Budgeted queries fall through to the
-                    // partition-granular path so the spill estimate and the
-                    // out-of-core arithmetic stay byte-identical.
-                    if ctx.morsel_exec().is_some() && ctx.memory.budget().is_none() {
-                        let cagg = compile_agg_exprs(pgroups, paggs, &input_types(pinput))?;
-                        let fused = pipeline::execute_fused_partial(
+                    let pmorsels = AtomicUsize::new(0);
+                    let cagg = compile_agg_exprs(pgroups, paggs, &input_types(pinput))?;
+                    let global = pgroups.is_empty();
+                    // Unbudgeted, the Partial fuses with the streaming
+                    // chain below it. A budget needs that chain's output
+                    // first: the partial tables hold keys and values
+                    // derived from every input row, so total input bytes
+                    // is the deterministic upper-bound state estimate.
+                    let (batch, partial_rows, nparts) = if ctx.memory.budget().is_none() {
+                        let tables = pipeline::execute_fused_partial(
                             pinput,
                             &cagg,
                             paggs,
@@ -630,100 +561,66 @@ fn execute_node(
                             stats,
                             depth + 2,
                             &peval_ns,
+                            &pmorsels,
                         )?;
-                        {
-                            let op = &mut stats.operators[pslot];
-                            op.elapsed = pstarted.elapsed();
-                            op.rows_out = fused.tables.iter().map(|t| t.entries.len()).sum();
-                            op.partitions = fused.partitions;
-                            op.eval_ns = peval_ns.into_inner();
-                            op.morsels = fused.morsels;
-                        }
-                        let merged = merge_group_tables(fused.tables, pgroups.is_empty(), paggs);
-                        return Ok(vec![Part::new(finish_groups(merged, schema)?)]);
-                    }
-                    let parts = execute_parts(pinput, ctx, stats, depth + 2)?;
-                    let cagg = compile_agg_exprs(pgroups, paggs, &input_types(pinput))?;
-                    // State estimate: the partial tables hold keys and
-                    // values derived from every input row, so total input
-                    // bytes is the deterministic upper-bound proxy.
-                    let est: usize = parts.iter().map(Part::est_bytes).sum();
-                    if !pgroups.is_empty() && ctx.memory.should_spill(est) {
-                        // Morsel mode spills per pipeline: group/argument
-                        // expressions evaluate and route to buckets per
-                        // morsel in parallel (bit-identical group states —
-                        // see `morsel_spilled_aggregate`).
-                        let pmorsels = AtomicUsize::new(0);
-                        let (batch, partial_rows) = if ctx.morsel_exec().is_some() {
+                        let nparts = tables.len();
+                        let (batch, rows) = merge_partials(tables, global, paggs, schema)?;
+                        (batch, rows, nparts)
+                    } else {
+                        let parts = execute_parts(pinput, ctx, stats, depth + 2)?;
+                        let est: usize = parts.iter().map(Part::est_bytes).sum();
+                        let (batch, rows) = if !global && ctx.memory.should_spill(est) {
                             pipeline::morsel_spilled_aggregate(
                                 &parts, &cagg, paggs, schema, ctx, est, &peval_ns, &pmorsels,
                             )?
                         } else {
-                            spilled_aggregate(&parts, &cagg, paggs, schema, ctx, est, &peval_ns)?
+                            let tables = pipeline::fold_partial(
+                                &parts,
+                                &Default::default(),
+                                &cagg,
+                                paggs,
+                                ctx,
+                                &peval_ns,
+                                &pmorsels,
+                            )?;
+                            merge_partials(tables, global, paggs, schema)?
                         };
-                        let op = &mut stats.operators[pslot];
-                        op.elapsed = pstarted.elapsed();
-                        op.rows_out = partial_rows;
-                        op.partitions = parts.len();
-                        op.eval_ns = peval_ns.into_inner();
-                        op.morsels = pmorsels.into_inner();
-                        return Ok(vec![Part::new(batch)]);
-                    }
-                    let cagg = &cagg;
-                    let tables = par_map(
-                        ctx,
-                        parts,
-                        |p| p.est_bytes(),
-                        |p| accumulate_groups(&p, cagg, paggs, &ctx.eval, &peval_ns),
-                    )?;
-                    {
-                        let op = &mut stats.operators[pslot];
-                        op.elapsed = pstarted.elapsed();
-                        op.rows_out = tables.iter().map(|t| t.entries.len()).sum();
-                        op.partitions = tables.len();
-                        op.eval_ns = peval_ns.into_inner();
-                    }
-                    let merged = merge_group_tables(tables, pgroups.is_empty(), paggs);
-                    return Ok(vec![Part::new(finish_groups(merged, schema)?)]);
+                        (batch, rows, parts.len())
+                    };
+                    let op = &mut stats.operators[pslot];
+                    op.elapsed = pstarted.elapsed();
+                    op.rows_out = partial_rows;
+                    op.partitions = nparts;
+                    op.eval_ns = peval_ns.into_inner();
+                    op.morsels = pmorsels.into_inner();
+                    return Ok(vec![Part::new(batch)]);
                 }
             }
             // Single placement (or a Partial/Final the optimizer did not
-            // pair): one-shot aggregation over the concatenated input.
+            // pair): one-shot aggregation over the concatenated input. One
+            // logical partition means continuous per-group accumulation
+            // with no partial merge, at every morsel height.
             let parts = execute_parts(input, ctx, stats, depth + 1)?;
             let cagg = compile_agg_exprs(groups, aggs, &input_types(input))?;
             let est: usize = parts.iter().map(Part::est_bytes).sum();
-            let part = Part::new(concat_parts(parts, input.schema())?);
-            if !groups.is_empty() && ctx.memory.should_spill(est) {
-                // One logical partition preserves Single-mode arithmetic
-                // (continuous per-group accumulation, no partial merge);
-                // morsel mode splits it into morsels whose per-bucket
-                // records fold back in morsel order — the same sequence.
-                let (batch, _) = if ctx.morsel_exec().is_some() {
-                    pipeline::morsel_spilled_aggregate(
-                        std::slice::from_ref(&part),
-                        &cagg,
-                        aggs,
-                        schema,
-                        ctx,
-                        est,
-                        eval_ns,
-                        morsels,
-                    )?
-                } else {
-                    spilled_aggregate(
-                        std::slice::from_ref(&part),
-                        &cagg,
-                        aggs,
-                        schema,
-                        ctx,
-                        est,
-                        eval_ns,
-                    )?
-                };
-                return Ok(vec![Part::new(batch)]);
-            }
-            let table = accumulate_groups(&part, &cagg, aggs, &ctx.eval, eval_ns)?;
-            Ok(vec![Part::new(finish_groups(table, schema)?)])
+            let part = [Part::new(concat_parts(parts, input.schema())?)];
+            let (batch, _) = if !groups.is_empty() && ctx.memory.should_spill(est) {
+                pipeline::morsel_spilled_aggregate(
+                    &part, &cagg, aggs, schema, ctx, est, eval_ns, morsels,
+                )?
+            } else {
+                let tables = pipeline::fold_partial(
+                    &part,
+                    &Default::default(),
+                    &cagg,
+                    aggs,
+                    ctx,
+                    eval_ns,
+                    morsels,
+                )?;
+                merge_partials(tables, groups.is_empty(), aggs, schema)?
+            };
+            Ok(vec![Part::new(batch)])
         }
         Plan::Window {
             input,
@@ -734,16 +631,8 @@ fn execute_node(
             let mut cols: Vec<Column> = batch.columns().to_vec();
             for (i, call) in calls.iter().enumerate() {
                 let out_type = schema.field(batch.num_columns() + i).dtype;
-                // Morsel mode parallelizes both hot phases (expression
-                // eval per morsel, sort+compute per partition) and is
-                // pinned bit-identical to the static path.
-                let col = if ctx.morsel_exec().is_some() && batch.num_rows() > 0 {
-                    crate::window::compute_window_morsel(
-                        call, &batch, out_type, ctx, eval_ns, morsels,
-                    )?
-                } else {
-                    compute_window(call, &batch, out_type, &ctx.eval, eval_ns)?
-                };
+                let col =
+                    crate::window::compute_window(call, &batch, out_type, ctx, eval_ns, morsels)?;
                 cols.push(col);
             }
             Ok(vec![Part::new(Batch::new(schema.clone(), cols)?)])
@@ -758,11 +647,9 @@ fn execute_node(
             schema,
         } => {
             // Build side: materialized once, hash table shared across
-            // probe partitions.
-            let right_batch = Arc::new(concat_parts(
-                execute_parts(right, ctx, stats, depth + 1)?,
-                right.schema(),
-            )?);
+            // probe morsels.
+            let right_batch =
+                concat_parts(execute_parts(right, ctx, stats, depth + 1)?, right.schema())?;
             // Probe partitions materialize here: the probe needs every
             // left column for output assembly anyway. Key expressions
             // still evaluate through the vectorized kernels.
@@ -812,49 +699,19 @@ fn execute_node(
                     morsels,
                 )?
             } else {
-                let build = Arc::new(build_join_table(right_batch.num_rows(), &rcols, keyed));
-                let (lkeys, cresidual) = (&lkeys, cresidual.as_ref());
-                // All probe kinds morselize: matched pairs come back in
-                // left-row order, so per-partition morsel outputs
-                // re-concatenate to the whole-partition result exactly.
-                // LEFT/FULL keep each morsel's null-extended unmatched
-                // tail separate and regroup it after all of the
-                // partition's matches (see `probe_morsel_split`), and
-                // FULL's matched-right sets union across morsels before
-                // the unmatched-right sweep below.
-                if ctx.morsel_exec().is_some() {
-                    pipeline::morsel_probe(
-                        &lparts,
-                        &right_batch,
-                        &build,
-                        *kind,
-                        lkeys,
-                        cresidual,
-                        schema,
-                        ctx,
-                        eval_ns,
-                        morsels,
-                    )?
-                } else {
-                    par_map(
-                        ctx,
-                        lparts,
-                        |lb| lb.byte_size(),
-                        |lb| {
-                            probe_partition(
-                                &lb,
-                                &right_batch,
-                                &build,
-                                *kind,
-                                lkeys,
-                                cresidual,
-                                schema,
-                                &ctx.eval,
-                                eval_ns,
-                            )
-                        },
-                    )?
-                }
+                let build = build_join_table(right_batch.num_rows(), &rcols, keyed);
+                pipeline::morsel_probe(
+                    &lparts,
+                    &right_batch,
+                    &build,
+                    *kind,
+                    &lkeys,
+                    cresidual.as_ref(),
+                    schema,
+                    ctx,
+                    eval_ns,
+                    morsels,
+                )?
             };
             let mut parts = Vec::with_capacity(probes.len() + 1);
             let mut matched_right = if *kind == JoinKind::Full {
@@ -900,32 +757,9 @@ fn execute_node(
                     nulls_last: k.nulls_last.unwrap_or(k.descending),
                 })
                 .collect();
-            // Morsel mode parallelizes run generation (key eval + local
-            // sorts) and k-way merges by (keys, row id) — the unique total
-            // order a stable whole-input sort produces, so the permutation
-            // is identical to the static path below.
-            if ctx.morsel_exec().is_some() && batch.num_rows() > 1 {
-                return Ok(vec![Part::new(pipeline::morsel_sort(
-                    &batch, &compiled, &sort_keys, ctx, eval_ns, morsels,
-                )?)]);
-            }
-            let key_cols: Vec<Column> = timed(eval_ns, || {
-                compiled
-                    .iter()
-                    .map(|k| k.eval(&batch, None, &ctx.eval))
-                    .collect::<Result<_, _>>()
-            })?;
-            // Sort-state estimate: key columns plus the 8-byte index per
-            // row the permutation holds.
-            let est = key_cols.iter().map(Column::byte_size).sum::<usize>() + 8 * batch.num_rows();
-            if batch.num_rows() > 1 && ctx.memory.should_spill(est) {
-                return Ok(vec![Part::new(spilled_sort(
-                    &batch, &key_cols, &sort_keys, ctx, est,
-                )?)]);
-            }
-            let refs: Vec<&Column> = key_cols.iter().collect();
-            let idx = sort::sort_indices(&refs, &sort_keys);
-            Ok(vec![Part::new(batch.take(&idx))])
+            Ok(vec![Part::new(pipeline::morsel_sort(
+                &batch, &compiled, &sort_keys, ctx, eval_ns, morsels,
+            )?)])
         }
         Plan::Limit {
             input,
@@ -1036,7 +870,7 @@ pub(crate) fn coerce_column(col: Column, target: DataType) -> Result<Column, Cdw
 /// (bytes, rows) used to seed the LPT assignment; work stealing absorbs
 /// whatever the estimate gets wrong. Output order always matches input
 /// order — which worker ran an item can never change the result.
-fn par_map<I, T, F>(
+pub(crate) fn par_map<I, T, F>(
     ctx: &ExecCtx,
     parts: Vec<I>,
     cost: impl Fn(&I) -> usize,
@@ -1468,36 +1302,10 @@ fn compile_agg_exprs(
     })
 }
 
-/// Build a group table over one partition (the partial phase; also the
-/// whole job for `AggMode::Single`). Group and argument expressions
-/// evaluate through the selection vector — a filtered partition never
-/// materializes. A global aggregate (no GROUP BY) always yields exactly
-/// one entry, even over zero rows.
-fn accumulate_groups(
-    part: &Part,
-    compiled: &CompiledAggExprs,
-    aggs: &[AggCall],
-    ctx: &EvalCtx,
-    eval_ns: &AtomicU64,
-) -> Result<GroupTable, CdwError> {
-    let (group_cols, arg_cols) = timed(eval_ns, || eval_group_args(part, compiled, ctx))?;
-    let global = compiled.groups.is_empty();
-    Ok(accumulate_pre(&group_cols, &arg_cols, aggs, part.rows(), global).0)
-}
-
 /// Evaluate the compiled GROUP BY expressions and aggregate arguments
-/// over one partition's surviving rows (dense output columns).
-#[allow(clippy::type_complexity)]
-fn eval_group_args(
-    part: &Part,
-    compiled: &CompiledAggExprs,
-    ctx: &EvalCtx,
-) -> Result<(Vec<Column>, Vec<Option<Column>>), CdwError> {
-    eval_group_arg_cols(&part.batch, part.sel(), compiled, ctx)
-}
-
-/// [`eval_group_args`] over an explicit batch/selection — the unit the
-/// morsel pipeline evaluates (one morsel's surviving rows).
+/// over one morsel's surviving rows (dense output columns). Expressions
+/// evaluate through the selection vector — a filtered partition never
+/// materializes.
 #[allow(clippy::type_complexity)]
 fn eval_group_arg_cols(
     batch: &Batch,
@@ -1518,42 +1326,17 @@ fn eval_group_arg_cols(
     Ok((group_cols, arg_cols))
 }
 
-/// The shared accumulation loop over pre-evaluated columns. `global`
-/// forces the single no-GROUP-BY entry (even over zero rows).
+/// Fold one chunk of pre-evaluated rows into an existing table — the
+/// **only** accumulation loop in the executor, so spilled and in-memory
+/// aggregation perform identical floating-point operations. Called once
+/// per morsel of a partition, in morsel order, with `row_base` tracking
+/// the partition-relative row offset: the per-row update sequence is the
+/// same however the partition was cut. `global` forces the single
+/// no-GROUP-BY entry (even over zero rows).
 ///
-/// Also returns, per entry, the row at which that group first appeared —
-/// the spilled path uses it to interleave per-bucket groups back into the
-/// in-memory path's first-seen output order. The state-update sequence
-/// here is the **only** accumulation loop in the executor, so spilled and
-/// in-memory aggregation perform identical floating-point operations.
-fn accumulate_pre(
-    group_cols: &[Column],
-    arg_cols: &[Option<Column>],
-    aggs: &[AggCall],
-    rows: usize,
-    global: bool,
-) -> (GroupTable, Vec<usize>) {
-    let mut table = GroupTable::new();
-    let mut firsts: Vec<usize> = Vec::new();
-    accumulate_into(
-        &mut table,
-        &mut firsts,
-        0,
-        group_cols,
-        arg_cols,
-        aggs,
-        rows,
-        global,
-    );
-    (table, firsts)
-}
-
-/// Fold one chunk of pre-evaluated rows into an existing table. The
-/// morsel pipeline calls this once per morsel of a partition, in morsel
-/// order, with `row_base` tracking the partition-relative row offset so
-/// `firsts` stays in partition coordinates. Because the per-row update
-/// sequence is byte-identical to one whole-partition call, the morsel
-/// path's aggregation arithmetic matches the materializing path's.
+/// `firsts` records, per entry, the partition row at which that group
+/// first appeared — the spilled path uses it to interleave per-bucket
+/// groups back into the in-memory first-seen output order.
 #[allow(clippy::too_many_arguments)]
 fn accumulate_into(
     table: &mut GroupTable,
@@ -1681,8 +1464,22 @@ fn finish_groups(table: GroupTable, schema: &Arc<Schema>) -> Result<Batch, CdwEr
     .map_err(CdwError::from)
 }
 
+/// Merge per-partition partial tables and finish them. Returns the
+/// batch plus the total partial-group count (the Partial operator's
+/// `rows_out`) — the same pair the spilling aggregate returns.
+fn merge_partials(
+    tables: Vec<GroupTable>,
+    global: bool,
+    aggs: &[AggCall],
+    schema: &Arc<Schema>,
+) -> Result<(Batch, usize), CdwError> {
+    let partial_rows = tables.iter().map(|t| t.entries.len()).sum();
+    let merged = merge_group_tables(tables, global, aggs);
+    Ok((finish_groups(merged, schema)?, partial_rows))
+}
+
 // ---------------------------------------------------------------------
-// spilling aggregation
+// spilling
 // ---------------------------------------------------------------------
 
 /// FNV-1a over an encoded group/join key, reduced to a bucket index. The
@@ -1696,153 +1493,6 @@ fn key_bucket(key: &[u8], nbuckets: usize) -> usize {
     }
     (h % nbuckets as u64) as usize
 }
-
-/// Memory-budgeted aggregation: hash-partition input rows by group key
-/// into spilled bucket files, aggregate one bucket at a time, and
-/// interleave the per-bucket groups back into first-seen order.
-///
-/// `parts` carries the same partition structure the in-memory path would
-/// aggregate (the caller passes the concatenated input as one "partition"
-/// for `AggMode::Single`, and the storage partitions for a fused
-/// `Final`-over-`Partial` pair). Inside each bucket, a fresh partial
-/// table is accumulated per partition and merged in partition-index order
-/// — the identical arithmetic structure of the in-memory path restricted
-/// to the bucket's groups, so every group's final state is bit-identical.
-/// Output order is restored by sorting groups on their first occurrence
-/// `(partition, row)`, which is exactly the order the in-memory merge
-/// emits.
-///
-/// Returns the finished batch plus the total partial-group count (the
-/// `rows_out` of the Partial operator in two-phase stats).
-#[allow(clippy::too_many_arguments)]
-fn spilled_aggregate(
-    parts: &[Part],
-    compiled: &CompiledAggExprs,
-    aggs: &[AggCall],
-    schema: &Arc<Schema>,
-    ctx: &ExecCtx,
-    estimate: usize,
-    eval_ns: &AtomicU64,
-) -> Result<(Batch, usize), CdwError> {
-    let nbuckets = ctx.memory.bucket_count(estimate);
-    ctx.memory.record_rounds(nbuckets);
-    let gw = compiled.groups.len();
-    // Spill-record column layout: group cols, present agg args, row id.
-    let mut arg_slots: Vec<Option<usize>> = Vec::with_capacity(aggs.len());
-    let mut next_slot = gw;
-    for a in aggs {
-        if a.arg.is_some() {
-            arg_slots.push(Some(next_slot));
-            next_slot += 1;
-        } else {
-            arg_slots.push(None);
-        }
-    }
-    let row_slot = next_slot;
-
-    // Phase 1: evaluate each partition, route rows to buckets, spill one
-    // record per (bucket, partition) — empty records keep the partition
-    // alignment the per-bucket merge relies on.
-    let mut writers: Vec<SpillWriter> = (0..nbuckets)
-        .map(|_| SpillWriter::create())
-        .collect::<Result<_, _>>()?;
-    for part in parts {
-        let (group_cols, arg_cols) = timed(eval_ns, || eval_group_args(part, compiled, &ctx.eval))?;
-        let mut fields: Vec<Field> = group_cols
-            .iter()
-            .enumerate()
-            .map(|(i, c)| Field::new(format!("g{i}"), c.dtype()))
-            .collect();
-        let mut spill_cols: Vec<Column> = group_cols.clone();
-        for (j, c) in arg_cols.iter().enumerate() {
-            if let Some(c) = c {
-                fields.push(Field::new(format!("a{j}"), c.dtype()));
-                spill_cols.push(c.clone());
-            }
-        }
-        fields.push(Field::new("__row", DataType::Int));
-        let spill_schema = Arc::new(Schema::new(fields));
-
-        let refs: Vec<&Column> = group_cols.iter().collect();
-        let mut route: Vec<Vec<usize>> = vec![Vec::new(); nbuckets];
-        let mut key = Vec::new();
-        for row in 0..part.rows() {
-            key.clear();
-            hash::encode_key(&refs, row, &mut key);
-            route[key_bucket(&key, nbuckets)].push(row);
-        }
-        for (b, rows) in route.iter().enumerate() {
-            let mut cols: Vec<Column> = spill_cols.iter().map(|c| c.take(rows)).collect();
-            cols.push(Column::from_ints(rows.iter().map(|&r| r as i64).collect()));
-            let bytes = writers[b].append(&Batch::new(spill_schema.clone(), cols)?)?;
-            ctx.memory.record_spill(bytes);
-        }
-    }
-    let handles: Vec<SpillHandle> = writers
-        .into_iter()
-        .map(SpillWriter::finish)
-        .collect::<Result<_, _>>()?;
-
-    // Phase 2 (parallel across buckets): per bucket, rebuild the
-    // per-partition partial tables and merge them in partition order,
-    // remembering each group's first (partition, row).
-    type BucketGroups = (Vec<(u64, i64, GroupEntry)>, usize);
-    let arg_slots = &arg_slots;
-    let per_bucket: Vec<BucketGroups> = par_map(
-        ctx,
-        handles,
-        |h| h.bytes() as usize,
-        |handle| {
-            let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-            let mut acc: Vec<(u64, i64, GroupEntry)> = Vec::new();
-            let mut partial_rows = 0usize;
-            for (p, rec) in handle.read_all()?.into_iter().enumerate() {
-                let group_cols = rec.columns()[..gw].to_vec();
-                let arg_cols: Vec<Option<Column>> = arg_slots
-                    .iter()
-                    .map(|s| s.map(|i| rec.column(i).clone()))
-                    .collect();
-                let (table, firsts) =
-                    accumulate_pre(&group_cols, &arg_cols, aggs, rec.num_rows(), false);
-                let row_ids = rec.column(row_slot).ints().expect("row-id column");
-                partial_rows += table.entries.len();
-                for (i, entry) in table.entries.into_iter().enumerate() {
-                    match index.get(&entry.key) {
-                        Some(&j) => {
-                            for (d, s) in acc[j].2.states.iter_mut().zip(entry.states) {
-                                d.merge(s);
-                            }
-                        }
-                        None => {
-                            index.insert(entry.key.clone(), acc.len());
-                            acc.push((p as u64, row_ids[firsts[i]], entry));
-                        }
-                    }
-                }
-            }
-            Ok((acc, partial_rows))
-        },
-    )?;
-
-    // Interleave buckets back into global first-seen order.
-    let partial_rows = per_bucket.iter().map(|(_, n)| n).sum();
-    let mut flat: Vec<(u64, i64, GroupEntry)> =
-        per_bucket.into_iter().flat_map(|(acc, _)| acc).collect();
-    flat.sort_by_key(|&(p, r, _)| (p, r));
-    let entries: Vec<GroupEntry> = flat.into_iter().map(|(_, _, e)| e).collect();
-    let batch = finish_groups(
-        GroupTable {
-            index: HashMap::new(),
-            entries,
-        },
-        schema,
-    )?;
-    Ok((batch, partial_rows))
-}
-
-// ---------------------------------------------------------------------
-// external (spilling) sort
-// ---------------------------------------------------------------------
 
 /// One run's read state during the k-way merge: a streaming reader plus
 /// the current page. Only one page per run is resident at a time.
@@ -1920,58 +1570,9 @@ fn cursor_cmp(
     a.row_id(kw).cmp(&b.row_id(kw))
 }
 
-/// Memory-budgeted sort: spill sorted runs of (key columns, row id) in
-/// pages, then k-way merge the runs into a global row permutation and
-/// gather the input through it.
-fn spilled_sort(
-    batch: &Batch,
-    key_cols: &[Column],
-    sort_keys: &[sort::SortKey],
-    ctx: &ExecCtx,
-    estimate: usize,
-) -> Result<Batch, CdwError> {
-    let rows = batch.num_rows();
-    let nruns = ctx.memory.run_count(estimate, rows);
-    let run_len = rows.div_ceil(nruns);
-    let page_rows = run_len.div_ceil(4).max(1);
-    let kw = key_cols.len();
-
-    let mut fields: Vec<Field> = key_cols
-        .iter()
-        .enumerate()
-        .map(|(i, c)| Field::new(format!("k{i}"), c.dtype()))
-        .collect();
-    fields.push(Field::new("__row", DataType::Int));
-    let spill_schema = Arc::new(Schema::new(fields));
-
-    let refs: Vec<&Column> = key_cols.iter().collect();
-    let mut handles: Vec<SpillHandle> = Vec::with_capacity(nruns);
-    let mut start = 0;
-    while start < rows {
-        let end = (start + run_len).min(rows);
-        let mut idx: Vec<usize> = (start..end).collect();
-        // Stable within the run; runs are disjoint ascending ranges.
-        sort::sort_subset(&refs, sort_keys, &mut idx);
-        let mut writer = SpillWriter::create()?;
-        for chunk in idx.chunks(page_rows) {
-            let mut cols: Vec<Column> = key_cols.iter().map(|c| c.take(chunk)).collect();
-            cols.push(Column::from_ints(chunk.iter().map(|&r| r as i64).collect()));
-            let bytes = writer.append(&Batch::new(spill_schema.clone(), cols)?)?;
-            ctx.memory.record_spill(bytes);
-        }
-        handles.push(writer.finish()?);
-        ctx.memory.record_rounds(1);
-        start = end;
-    }
-
-    let merged = merge_spilled_runs(&handles, kw, sort_keys, rows)?;
-    Ok(batch.take(&merged))
-}
-
-/// K-way merge spilled sorted runs into the output permutation. Shared by
-/// the static spilled sort and the morselized one: identical run order
-/// and the identical `(keys, row id)` comparator produce the identical
-/// permutation, however the runs were generated.
+/// K-way merge spilled sorted runs into the output permutation: run
+/// order and the `(keys, row id)` comparator fix the permutation,
+/// whichever worker generated which run.
 fn merge_spilled_runs(
     handles: &[SpillHandle],
     kw: usize,
@@ -2015,7 +1616,7 @@ fn merge_spilled_runs(
 // ---------------------------------------------------------------------
 
 /// The shared build side of a hash join: constructed once over the whole
-/// right input, then probed concurrently by left partitions (via `Arc`).
+/// right input, then probed concurrently by left morsels.
 struct JoinBuild {
     /// key -> right-row indices; `None` for cross/keyless joins, which
     /// probe the full right batch per left row.
@@ -2155,88 +1756,21 @@ fn assemble_join_columns(
     Batch::new(schema.clone(), columns).map_err(CdwError::from)
 }
 
-/// Join one left partition against the shared build side. Returns the
-/// output part (matched pairs in left-row order, then — for LEFT/FULL —
-/// this partition's null-extended unmatched left rows) and the right rows
-/// it matched (consumed by FULL's unmatched-right sweep).
+/// Turn one probe unit's candidate `(left, right)` pairs (ascending left
+/// row) into output: residual filtering, LEFT/FULL null-extension of
+/// unmatched left rows, and column assembly. Returns the matches, the
+/// null-extended unmatched-left tail, and the matched right rows (FULL's
+/// unmatched-right sweep needs only their union across units).
+///
+/// An uncut partition emits all matches followed by all unmatched lefts
+/// (both ascending). A unit that is the `lone` one of its partition
+/// gathers exactly that in one batch (no tail). Otherwise the tail stays
+/// **separate**, so the per-partition regroup — every morsel's matches
+/// in morsel order, then every morsel's tail in morsel order —
+/// concatenates to the same bytes. The Grace join feeds whole-partition
+/// pairs sorted into probe order through the `lone` form.
 #[allow(clippy::too_many_arguments)]
-fn probe_partition(
-    left: &Batch,
-    right: &Batch,
-    build: &JoinBuild,
-    kind: JoinKind,
-    left_keys: &[CompiledExpr],
-    residual: Option<&CompiledExpr>,
-    schema: &Arc<Schema>,
-    ctx: &EvalCtx,
-    eval_ns: &AtomicU64,
-) -> Result<(Batch, Vec<usize>), CdwError> {
-    let pairs = probe_pairs(left, right.num_rows(), build, left_keys, ctx, eval_ns)?;
-    assemble_join_output(left, right, pairs, kind, residual, schema, ctx, eval_ns)
-}
-
-/// Probe one left **morsel**, keeping the LEFT/FULL null-extended tail
-/// separate from the matches. A whole-partition probe emits all matches
-/// (ascending left row) followed by all unmatched lefts (ascending), so
-/// per-partition regrouping — every morsel's matches in morsel order,
-/// then every morsel's tail in morsel order — concatenates to exactly
-/// that order. Matched right rows come back per morsel; FULL's
-/// unmatched-right sweep only needs their union across morsels.
-#[allow(clippy::too_many_arguments)]
-fn probe_morsel_split(
-    left: &Batch,
-    right: &Batch,
-    build: &JoinBuild,
-    kind: JoinKind,
-    left_keys: &[CompiledExpr],
-    residual: Option<&CompiledExpr>,
-    schema: &Arc<Schema>,
-    ctx: &EvalCtx,
-    eval_ns: &AtomicU64,
-) -> Result<(Batch, Option<Batch>, Vec<usize>), CdwError> {
-    let pairs = probe_pairs(left, right.num_rows(), build, left_keys, ctx, eval_ns)?;
-    let pairs = filter_residual_pairs(pairs, left, right, residual, schema, ctx, eval_ns)?;
-    let matched_right: Vec<usize> = if kind == JoinKind::Full {
-        pairs.iter().map(|p| p.1).collect()
-    } else {
-        Vec::new()
-    };
-    let tail = if matches!(kind, JoinKind::Left | JoinKind::Full) {
-        let mut matched_left = vec![false; left.num_rows()];
-        for &(li, _) in &pairs {
-            matched_left[li] = true;
-        }
-        let t_lidx: Vec<usize> = matched_left
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| !**m)
-            .map(|(li, _)| li)
-            .collect();
-        if t_lidx.is_empty() {
-            None
-        } else {
-            let t_ridx: Vec<Option<usize>> = vec![None; t_lidx.len()];
-            Some(assemble_join_columns(
-                left, right, &t_lidx, &t_ridx, schema,
-            )?)
-        }
-    } else {
-        None
-    };
-    let lidx: Vec<usize> = pairs.iter().map(|p| p.0).collect();
-    let ridx: Vec<Option<usize>> = pairs.iter().map(|p| Some(p.1)).collect();
-    let matches = assemble_join_columns(left, right, &lidx, &ridx, schema)?;
-    Ok((matches, tail, matched_right))
-}
-
-/// Turn candidate `(left, right)` pairs into this partition's output
-/// batch: residual filtering, LEFT/FULL null-extension of unmatched left
-/// rows, and column assembly. Shared by the in-memory probe and the
-/// Grace-spilled join (which feeds pairs sorted into the same
-/// `(left row, right row)` order the in-memory probe emits), so both
-/// paths produce byte-identical partition outputs.
-#[allow(clippy::too_many_arguments)]
-fn assemble_join_output(
+fn assemble_probe_output(
     left: &Batch,
     right: &Batch,
     pairs: Vec<(usize, usize)>,
@@ -2245,31 +1779,38 @@ fn assemble_join_output(
     schema: &Arc<Schema>,
     ctx: &EvalCtx,
     eval_ns: &AtomicU64,
-) -> Result<(Batch, Vec<usize>), CdwError> {
+    lone: bool,
+) -> Result<(Batch, Option<Batch>, Vec<usize>), CdwError> {
     let pairs = filter_residual_pairs(pairs, left, right, residual, schema, ctx, eval_ns)?;
-
     let matched_right: Vec<usize> = if kind == JoinKind::Full {
         pairs.iter().map(|p| p.1).collect()
     } else {
         Vec::new()
     };
-
     let mut lidx: Vec<usize> = pairs.iter().map(|p| p.0).collect();
     let mut ridx: Vec<Option<usize>> = pairs.iter().map(|p| Some(p.1)).collect();
+    let mut tail = None;
     if matches!(kind, JoinKind::Left | JoinKind::Full) {
         let mut matched_left = vec![false; left.num_rows()];
         for &(li, _) in &pairs {
             matched_left[li] = true;
         }
-        for (li, m) in matched_left.iter().enumerate() {
-            if !m {
-                lidx.push(li);
-                ridx.push(None);
+        let unmatched = (0..left.num_rows()).filter(|&li| !matched_left[li]);
+        if lone {
+            lidx.extend(unmatched);
+            ridx.resize(lidx.len(), None);
+        } else {
+            let t_lidx: Vec<usize> = unmatched.collect();
+            if !t_lidx.is_empty() {
+                let t_ridx = vec![None; t_lidx.len()];
+                tail = Some(assemble_join_columns(
+                    left, right, &t_lidx, &t_ridx, schema,
+                )?);
             }
         }
     }
-    let batch = assemble_join_columns(left, right, &lidx, &ridx, schema)?;
-    Ok((batch, matched_right))
+    let matches = assemble_join_columns(left, right, &lidx, &ridx, schema)?;
+    Ok((matches, tail, matched_right))
 }
 
 /// FULL OUTER tail: right rows no probe partition matched, null-extended
@@ -2400,20 +1941,19 @@ fn grace_bucket_pairs(
 /// sorting each probe partition's pairs by `(left row, right row)`
 /// restores exactly the order the in-memory probe emits (per-key right
 /// matches accumulate in ascending right-row order on both paths), and
-/// the shared [`assemble_join_output`] does the rest. Returns one
+/// the shared [`assemble_probe_output`] does the rest. Returns one
 /// `(batch, matched right rows)` per left partition, like the in-memory
 /// probe fan-out.
 ///
-/// Morsel mode parallelizes the two hot phases without touching the
-/// spilled layout: probe-side key expressions evaluate per morsel (the
-/// concatenated columns — and therefore the bucket files — are identical
-/// to one whole-partition pass), and bucket passes run on the
-/// work-stealing scheduler (byte-seeded), commuting as documented on
-/// [`grace_bucket_pairs`].
+/// The two hot phases parallelize without touching the spilled layout:
+/// probe-side key expressions evaluate per morsel (the concatenated
+/// columns — and therefore the bucket files — are the same at every
+/// morsel height), and bucket passes run on the work-stealing scheduler
+/// (byte-seeded), commuting as documented on [`grace_bucket_pairs`].
 #[allow(clippy::too_many_arguments)]
 fn spilled_join(
     lparts: &[Batch],
-    right: &Arc<Batch>,
+    right: &Batch,
     rcols: &[Column],
     kind: JoinKind,
     left_keys: &[CompiledExpr],
@@ -2451,16 +1991,7 @@ fn spilled_join(
         .map(|_| SpillWriter::create())
         .collect::<Result<_, _>>()?;
     for (p, left) in lparts.iter().enumerate() {
-        let lcols: Vec<Column> = if ctx.morsel_exec().is_some() {
-            pipeline::morsel_eval_columns(left, left_keys, ctx, eval_ns, morsels)?
-        } else {
-            timed(eval_ns, || {
-                left_keys
-                    .iter()
-                    .map(|k| k.eval(left, None, &ctx.eval))
-                    .collect::<Result<_, _>>()
-            })?
-        };
+        let lcols = pipeline::morsel_eval_columns(left, left_keys, ctx, eval_ns, morsels)?;
         let mut pfields: Vec<Field> = lcols
             .iter()
             .enumerate()
@@ -2485,25 +2016,13 @@ fn spilled_join(
 
     // Bucket passes: rebuild one bucket's hash table, probe its spilled
     // probe rows, collect global (left, right) pairs per partition.
-    // Morsel mode runs buckets on the work-stealing scheduler; the
-    // static oracle keeps the sequential one-bucket-at-a-time loop.
     let nparts = lparts.len();
-    let per_bucket: Vec<Vec<Vec<(usize, usize)>>> = if ctx.morsel_exec().is_some() {
-        let items: Vec<(&SpillHandle, &SpillHandle)> =
-            bhandles.iter().zip(phandles.iter()).collect();
-        par_map(
-            ctx,
-            items,
-            |(bh, ph)| (bh.bytes() + ph.bytes()) as usize,
-            |(bh, ph)| grace_bucket_pairs(bh, ph, kw, nparts),
-        )?
-    } else {
-        bhandles
-            .iter()
-            .zip(&phandles)
-            .map(|(bh, ph)| grace_bucket_pairs(bh, ph, kw, nparts))
-            .collect::<Result<_, _>>()?
-    };
+    let per_bucket: Vec<Vec<Vec<(usize, usize)>>> = par_map(
+        ctx,
+        bhandles.iter().zip(&phandles).collect(),
+        |(bh, ph)| (bh.bytes() + ph.bytes()) as usize,
+        |(bh, ph)| grace_bucket_pairs(bh, ph, kw, nparts),
+    )?;
     let mut pairs_per_part: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nparts];
     for bucket in per_bucket {
         for (p, pairs) in bucket.into_iter().enumerate() {
@@ -2526,9 +2045,10 @@ fn spilled_join(
         items,
         |(left, pairs)| left.byte_size() + 16 * pairs.len(),
         |(left, pairs)| {
-            assemble_join_output(
-                &left, right, pairs, kind, residual, schema, &ctx.eval, eval_ns,
-            )
+            let (batch, _, matched_right) = assemble_probe_output(
+                &left, right, pairs, kind, residual, schema, &ctx.eval, eval_ns, true,
+            )?;
+            Ok((batch, matched_right))
         },
     )
 }
@@ -2561,8 +2081,7 @@ mod tests {
             results: &results,
             eval: EvalCtx::default(),
             parallelism: 4,
-            morsel_rows: Some(DEFAULT_MORSEL_ROWS),
-            adaptive_morsels: false,
+            morsel_sizing: MorselSizing::Derived,
             memory: ExecMemoryTracker::new(None),
             sched: scheduler::SchedCounters::default(),
         };
@@ -2595,8 +2114,7 @@ mod tests {
             results: &results,
             eval: EvalCtx::default(),
             parallelism: 1,
-            morsel_rows: Some(DEFAULT_MORSEL_ROWS),
-            adaptive_morsels: false,
+            morsel_sizing: MorselSizing::Derived,
             memory: ExecMemoryTracker::new(None),
             sched: scheduler::SchedCounters::default(),
         };
@@ -2623,8 +2141,7 @@ mod tests {
             results,
             eval: EvalCtx::default(),
             parallelism,
-            morsel_rows: Some(DEFAULT_MORSEL_ROWS),
-            adaptive_morsels: false,
+            morsel_sizing: MorselSizing::Derived,
             memory: ExecMemoryTracker::new(None),
             sched: scheduler::SchedCounters::default(),
         }

@@ -1,19 +1,39 @@
-//! Push-based morsel pipelines over the selection-vector kernels.
+//! Push-based morsel pipelines over the selection-vector kernels — the
+//! executor's only work-distribution engine.
 //!
 //! A physical plan decomposes into pipelines broken only at the operators
 //! that must see their whole input (sort, merging aggregate/distinct,
 //! window, limit, and a join's build side — see
 //! [`Plan::is_pipeline_breaker`]). Inside a pipeline, the maximal
 //! Filter/Project chain ([`Plan::stream_chain`]) compiles once and runs
-//! **fused per morsel**: each fixed-size slice of a source partition
-//! flows through every stage while hot, filters refining a selection
-//! vector over the shared partition batch without copying.
+//! **fused per morsel**: each slice of a source partition flows through
+//! every stage while hot, filters refining a selection vector over the
+//! shared partition batch without copying.
+//!
+//! ## One engine, one height function
+//!
+//! How tall a morsel is — and therefore whether a partition is cut at
+//! all — is decided in exactly one place, [`morsel_height`], from the
+//! configured [`MorselSizing`], the *effective* worker width (the
+//! per-query `parallelism` clamped to the pool budget) and the
+//! pipeline's input shape. No operator branches on a mode:
+//!
+//! * At effective width 1 the height is "whole partition" for every
+//!   sizing: with nobody to steal, cutting is pure overhead. Each
+//!   partition is then one whole-batch morsel ([`Morsel::initial_sel`]
+//!   is `None`, so the kernels take their no-selection path), every
+//!   regroup is the identity ([`merge_partition`] returns a lone output
+//!   untouched) and [`scheduler::run_stealing`] runs inline on the
+//!   caller. This is what every default-configured warehouse executes.
+//! * Wider, `Derived` cuts by byte target and stealable-unit count,
+//!   `Fixed(n)` cuts every `n` rows (the oracle sweeps force 3-row
+//!   morsels), and `WholePartition` never cuts.
 //!
 //! Morsels are distributed by the LPT-seeded work-stealing scheduler
-//! ([`super::scheduler`]), so one oversized partition no longer serializes
+//! ([`super::scheduler`]), so one oversized partition does not serialize
 //! a query: its morsels spread across all workers.
 //!
-//! ## Why stealing can't change results
+//! ## Why cutting and stealing can't change results
 //!
 //! Execution order is free; *merge* order is pinned. Every morsel is
 //! tagged by `(partition, morsel index)` at creation, results land in
@@ -26,113 +46,148 @@
 //!   concatenating the (disjoint, ascending) per-morsel selections over
 //!   the original batch, projected chains by concatenating the dense
 //!   morsel batches. Downstream operators therefore see the *identical
-//!   partition structure* the materializing executor produces, which the
-//!   two-phase aggregate merge relies on for bit-identical floats.
-//! * **Fused partial aggregation**: group/argument expressions evaluate
-//!   per morsel in parallel, but each partition's pre-evaluated morsels
-//!   fold *sequentially in morsel order* into one group table — the same
+//!   partition structure* at every height, which the two-phase aggregate
+//!   merge relies on for bit-identical floats.
+//! * **Partial aggregation**: group/argument expressions evaluate per
+//!   morsel in parallel, but each partition's pre-evaluated morsels fold
+//!   *sequentially in morsel order* into one group table — the same
 //!   row-visit order (and therefore the same FP accumulation sequence)
 //!   as one whole-partition pass. Partials still merge in
 //!   partition-index order.
 //! * **Join probe** (every kind): left-partition morsels probe the
 //!   shared build table independently; per-partition outputs
 //!   re-concatenate in morsel order, exactly the left-row-ascending
-//!   order a whole-partition probe emits. LEFT/FULL morsels keep their
+//!   order an uncut probe emits. LEFT/FULL morsels keep their
 //!   null-extended unmatched tails separate so the regroup emits all of
 //!   a partition's matches first, then its tails, both in morsel order
 //!   (see [`morsel_probe`]).
 //!
-//! Sort and window morselize through [`morsel_sort`] and
-//! [`crate::window::compute_window_morsel`]: per-morsel key/expression
+//! Sort and window run through [`morsel_sort`] and
+//! [`crate::window::compute_window`]: per-morsel key/expression
 //! evaluation in parallel, then stable k-way merges / partition-parallel
-//! compute pinned to the static path's `(keys, row id)` total order.
+//! compute pinned to the `(keys, row id)` total order.
 //!
-//! Under a memory budget the sinks spill **per pipeline** instead of
-//! regrouping to partition-granular operators: budgeted aggregation
-//! routes and spills bucket records per morsel
+//! Under a memory budget the sinks spill **per pipeline**: budgeted
+//! aggregation routes and spills bucket records per morsel
 //! ([`morsel_spilled_aggregate`]), budgeted sorts generate their
 //! budget-derived runs on parallel workers, and the Grace join's key
-//! evaluation and bucket passes distribute via the same scheduler — all
-//! bit-identical to the static out-of-core code.
+//! evaluation and bucket passes distribute via the same scheduler.
+//!
+//! The equivalence oracles compare a cut schedule against the uncut one
+//! (`parallelism = 1`, [`MorselSizing::WholePartition`]): same engine,
+//! every split/regroup/steal step degenerate. What they pin is that
+//! cutting, regrouping, stealing, pooling and spilling never change a
+//! byte; what a query *means* is pinned independently by `sql_exec`,
+//! `eval_oracle`, the scenario suites and sigma-e2e's flattened-SQL check.
 
-use super::scheduler::run_stealing;
+use std::cell::LazyCell;
+
 use super::*;
 
-/// Default morsel height. Big enough to amortize per-morsel dispatch and
-/// keep the vectorized kernels in their efficient range, small enough
-/// that a skewed partition splits into many stealable units (a 4 MB
-/// partition of 64-bit values yields ~128 morsels).
-pub const DEFAULT_MORSEL_ROWS: usize = 4096;
-
-/// Floor for adaptively derived morsel heights: below this the
-/// per-morsel dispatch and selection bookkeeping dominate the kernel
-/// work.
-pub const MIN_MORSEL_ROWS: usize = 256;
-/// Ceiling for adaptively derived morsel heights: above this a skewed
-/// partition yields too few stealable units to balance.
-pub const MAX_MORSEL_ROWS: usize = 64 * 1024;
-/// Bytes one adaptive morsel should cover — roughly cache-resident for
-/// a handful of columns, amortizing dispatch without evicting the
-/// working set between fused stages.
-pub const MORSEL_TARGET_BYTES: usize = 256 * 1024;
-
-/// Fixed morsel height from the context (the `morsel_rows = Some(n)`
-/// oracle-sweep setting, or the default).
-fn fixed_morsel_rows(ctx: &ExecCtx) -> usize {
-    ctx.morsel_rows.unwrap_or(DEFAULT_MORSEL_ROWS).max(1)
+/// How a pipeline's input is cut into morsels. A test/bench pin, not a
+/// product knob: results are bit-identical at every value, and no
+/// product caller sets it. The oracles need `Fixed(3)` to force
+/// multi-morsel regrouping on tiny inputs and `WholePartition` for the
+/// uncut reference lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum MorselSizing {
+    /// Derive each pipeline's height from its input shape and the
+    /// effective worker width (see [`morsel_height`]).
+    #[default]
+    Derived,
+    /// Cut every `n` rows (clamped to at least 1).
+    Fixed(usize),
+    /// Never split a partition: one morsel per partition.
+    WholePartition,
 }
 
-/// Derive a morsel height for one pipeline from its input shape: small
-/// enough that [`MORSEL_TARGET_BYTES`] of input fit in one morsel *and*
-/// that the largest partition splits into at least four stealable units
-/// per worker (so one oversized partition cannot serialize the tail of
-/// a query), clamped to `[MIN_MORSEL_ROWS, MAX_MORSEL_ROWS]`. Purely a
-/// scheduling choice: every sink merges per-morsel outputs in morsel
-/// order, so results are bit-identical at any height (the equivalence
-/// oracles sweep explicit sizes to prove it).
-pub(crate) fn adaptive_morsel_rows(
-    parallelism: usize,
-    total_rows: usize,
-    total_bytes: usize,
-    largest_rows: usize,
+/// Floor for derived morsel heights: below this the per-morsel dispatch
+/// and selection bookkeeping dominate the kernel work.
+const MIN_MORSEL_ROWS: usize = 256;
+/// Ceiling for derived morsel heights: above this a skewed partition
+/// yields too few stealable units to balance.
+const MAX_MORSEL_ROWS: usize = 64 * 1024;
+/// Bytes one derived morsel should cover — roughly cache-resident for a
+/// handful of columns, amortizing dispatch without evicting the working
+/// set between fused stages.
+const MORSEL_TARGET_BYTES: usize = 256 * 1024;
+
+/// A morsel height no partition exceeds: one morsel per partition.
+const WHOLE_PARTITION: usize = usize::MAX;
+
+/// What [`morsel_height`] derives from: a pipeline input's surviving
+/// rows, byte estimate, and largest partition.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct InputShape {
+    pub rows: usize,
+    pub bytes: usize,
+    pub largest: usize,
+}
+
+impl InputShape {
+    fn add(&mut self, rows: usize, bytes: usize) {
+        self.rows += rows;
+        self.bytes += bytes;
+        self.largest = self.largest.max(rows);
+    }
+
+    fn of_parts(parts: &[Part]) -> InputShape {
+        let mut shape = InputShape::default();
+        for p in parts {
+            shape.add(p.rows(), p.est_bytes());
+        }
+        shape
+    }
+
+    /// Shape of whole-batch partitions (probe sides, sort/window inputs).
+    pub(crate) fn of_batches<'a>(batches: impl IntoIterator<Item = &'a Batch>) -> InputShape {
+        let mut shape = InputShape::default();
+        for b in batches {
+            shape.add(b.num_rows(), b.byte_size());
+        }
+        shape
+    }
+}
+
+/// The one place morsel height is decided, and the only interpreter of
+/// [`MorselSizing`]. `workers` is the **effective** width — the
+/// per-query `parallelism` clamped to the pool budget
+/// ([`ExecCtx::effective_parallelism`]), never the requested one.
+///
+/// At width 1 the answer is [`WHOLE_PARTITION`] for every sizing — with
+/// nobody to steal, cutting buys nothing. `shape` is only measured when
+/// deriving (sizing a Text column walks every string, which the serial
+/// path must not pay per pipeline).
+///
+/// `Derived` picks a height small enough that [`MORSEL_TARGET_BYTES`] of
+/// input fit in one morsel *and* that the largest partition splits into
+/// at least four stealable units per worker (so one oversized partition
+/// cannot serialize the tail of a query), clamped to
+/// `[MIN_MORSEL_ROWS, MAX_MORSEL_ROWS]`. Purely a scheduling choice:
+/// every sink merges per-morsel outputs in morsel order, so results are
+/// bit-identical at any height (the equivalence oracles sweep explicit
+/// sizes to prove it).
+pub(crate) fn morsel_height(
+    sizing: MorselSizing,
+    workers: usize,
+    shape: impl FnOnce() -> InputShape,
 ) -> usize {
-    let bytes_per_row = (total_bytes / total_rows.max(1)).max(1);
-    let by_bytes = (MORSEL_TARGET_BYTES / bytes_per_row).max(1);
-    let by_split = largest_rows.div_ceil(4 * parallelism.max(1)).max(1);
-    by_bytes
-        .min(by_split)
-        .clamp(MIN_MORSEL_ROWS, MAX_MORSEL_ROWS)
-}
-
-/// Morsel height for a pipeline whose source is `parts` (surviving rows
-/// and byte estimates per partition).
-fn morsel_rows_for_parts(ctx: &ExecCtx, parts: &[Part]) -> usize {
-    if !ctx.adaptive_morsels {
-        return fixed_morsel_rows(ctx);
+    if workers <= 1 {
+        return WHOLE_PARTITION;
     }
-    let total_rows: usize = parts.iter().map(Part::rows).sum();
-    let total_bytes: usize = parts.iter().map(Part::est_bytes).sum();
-    let largest = parts.iter().map(Part::rows).max().unwrap_or(0);
-    adaptive_morsel_rows(ctx.parallelism, total_rows, total_bytes, largest)
-}
-
-/// Morsel height for a pipeline over whole-batch partitions (probe
-/// sides, sort/window inputs).
-pub(crate) fn morsel_rows_for_batches<'a>(
-    ctx: &ExecCtx,
-    batches: impl IntoIterator<Item = &'a Batch>,
-) -> usize {
-    if !ctx.adaptive_morsels {
-        return fixed_morsel_rows(ctx);
+    match sizing {
+        MorselSizing::WholePartition => WHOLE_PARTITION,
+        MorselSizing::Fixed(n) => n.max(1),
+        MorselSizing::Derived => {
+            let shape = shape();
+            let bytes_per_row = (shape.bytes / shape.rows.max(1)).max(1);
+            let by_bytes = (MORSEL_TARGET_BYTES / bytes_per_row).max(1);
+            let by_split = shape.largest.div_ceil(4 * workers).max(1);
+            by_bytes
+                .min(by_split)
+                .clamp(MIN_MORSEL_ROWS, MAX_MORSEL_ROWS)
+        }
     }
-    let (mut rows, mut bytes, mut largest) = (0usize, 0usize, 0usize);
-    for b in batches {
-        let r = b.num_rows();
-        rows += r;
-        bytes += b.byte_size();
-        largest = largest.max(r);
-    }
-    adaptive_morsel_rows(ctx.parallelism, rows, bytes, largest)
 }
 
 /// Per-item cost for LPT seeding: `rows`' share of an input of
@@ -146,12 +201,12 @@ pub(crate) fn byte_cost(rows: usize, total_bytes: usize, total_rows: usize) -> u
 
 /// Split `0..rows` into ranges of at most `chunk` rows (at least one
 /// range, even for zero rows).
-fn range_chunks(rows: usize, chunk: usize) -> Vec<std::ops::Range<usize>> {
+pub(crate) fn range_chunks(rows: usize, chunk: usize) -> Vec<std::ops::Range<usize>> {
     let chunk = chunk.max(1);
     let mut out = Vec::with_capacity(rows.div_ceil(chunk).max(1));
     let mut start = 0;
     loop {
-        let end = (start + chunk).min(rows);
+        let end = chunk.saturating_add(start).min(rows);
         out.push(start..end);
         start = end;
         if start >= rows {
@@ -161,9 +216,10 @@ fn range_chunks(rows: usize, chunk: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// One fixed-size unit of pipeline work: a slice of one source
-/// partition's surviving rows, borrowing the partition batch from the
-/// coordinator (no per-morsel copy).
+/// One unit of pipeline work: a slice of one source partition's
+/// surviving rows (all of them when the partition fits the morsel
+/// height), borrowing the partition batch from the coordinator (no
+/// per-morsel copy).
 struct Morsel<'a> {
     batch: &'a Batch,
     rows: MorselRows<'a>,
@@ -186,8 +242,8 @@ impl Morsel<'_> {
     }
 
     /// Initial selection state: `None` iff the morsel covers the whole
-    /// batch densely, so single-morsel partitions take the same
-    /// no-selection kernel path as the materializing executor.
+    /// batch densely, so an uncut partition takes the kernels'
+    /// no-selection path.
     fn initial_sel(&self) -> Option<Vec<usize>> {
         match &self.rows {
             MorselRows::Range(r) if r.start == 0 && r.end == self.batch.num_rows() => None,
@@ -221,18 +277,11 @@ fn morselize(parts: &[Part], morsel_rows: usize) -> (Vec<Morsel<'_>>, Vec<usize>
                 }
             }
             None => {
-                let rows = part.batch.num_rows();
-                let mut start = 0;
-                loop {
-                    let end = (start + morsel_rows).min(rows);
+                for range in range_chunks(part.batch.num_rows(), morsel_rows) {
                     morsels.push(Morsel {
                         batch: &part.batch,
-                        rows: MorselRows::Range(start..end),
+                        rows: MorselRows::Range(range),
                     });
-                    start = end;
-                    if start >= rows {
-                        break;
-                    }
                 }
             }
         }
@@ -255,12 +304,18 @@ enum Stage {
 struct StageCounters {
     rows_out: AtomicUsize,
     eval_ns: AtomicU64,
+    /// Time morsels spent inside this stage (evaluation plus selection /
+    /// batch assembly) — what the fused chain's nodes report as their
+    /// own share of `elapsed`.
+    wall_ns: AtomicU64,
 }
 
 /// A Filter/Project chain compiled once for fused per-morsel execution.
 /// `stages` is in execution order — source side first, the reverse of
-/// the top-down plan order `Plan::stream_chain` returns.
-struct CompiledChain {
+/// the top-down plan order `Plan::stream_chain` returns. The default
+/// (empty) chain passes morsels through unchanged.
+#[derive(Default)]
+pub(super) struct CompiledChain {
     stages: Vec<Stage>,
     counters: Vec<StageCounters>,
 }
@@ -335,6 +390,7 @@ fn apply_stages<'a>(
         sel: m.initial_sel(),
     };
     for (stage, counters) in chain.stages.iter().zip(&chain.counters) {
+        let entered = Instant::now();
         state = match stage {
             Stage::Filter(pred) => {
                 let keep = {
@@ -369,6 +425,8 @@ fn apply_stages<'a>(
                 MorselState::Owned(out)
             }
         };
+        let ns = entered.elapsed().as_nanos() as u64;
+        counters.wall_ns.fetch_add(ns, Ordering::Relaxed);
     }
     Ok(state)
 }
@@ -382,9 +440,10 @@ enum OutData {
 }
 
 /// Merge one partition's morsel outputs (in morsel order) back into one
-/// part with the same shape the materializing executor produces:
-/// filter-only chains keep the original batch plus the concatenated
-/// selection, projected chains concatenate the dense morsel batches.
+/// part, the same shape at every morsel height: filter-only chains keep
+/// the original batch plus the concatenated selection, projected chains
+/// concatenate the dense morsel batches. A lone output (an uncut
+/// partition) passes through untouched.
 fn merge_partition(source: Part, mut outs: Vec<OutData>) -> Result<Part, CdwError> {
     if outs.len() == 1 {
         return Ok(match outs.pop().expect("one output") {
@@ -431,8 +490,8 @@ fn merge_partition(source: Part, mut outs: Vec<OutData>) -> Result<Part, CdwErro
 /// Called from the executor's Filter/Project arm: the caller's wrapper
 /// already pushed `plan`'s own stats entry (fed through `eval_ns` /
 /// `morsels_out`); entries for the deeper chain nodes are pushed here in
-/// pre-order, then the source executes below them — the identical stats
-/// tree the operator-at-a-time executor records.
+/// pre-order, then the source executes below them, so the stats tree
+/// mirrors the plan tree.
 pub(super) fn execute_chain(
     plan: &Plan,
     ctx: &ExecCtx,
@@ -442,45 +501,29 @@ pub(super) fn execute_chain(
     morsels_out: &AtomicUsize,
 ) -> Result<Vec<Part>, CdwError> {
     let (chain, source) = plan.stream_chain();
-    let inner_slots: Vec<usize> = chain[1..]
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            let slot = stats.operators.len();
-            stats
-                .operators
-                .push(OpStats::started(op_label(node), depth + 1 + i));
-            slot
-        })
-        .collect();
-    let started = Instant::now();
+    let inner_slots = push_chain_stats(&chain[1..], stats, depth + 1);
     let parts = execute_parts(source, ctx, stats, depth + chain.len())?;
     let nparts = parts.len();
     let compiled = compile_chain(&chain)?;
 
-    let outs: Vec<OutData> = {
-        let (morsels, counts) = morselize(&parts, morsel_rows_for_parts(ctx, &parts));
-        morsels_out.fetch_add(morsels.len(), Ordering::Relaxed);
-        debug_assert_eq!(counts.len(), nparts);
-        run_stealing(
-            ctx.parallelism,
-            morsels,
-            |m| m.len().max(1),
-            |m| apply_stages(&compiled, &m, ctx),
-            &ctx.sched,
-        )?
-        .into_iter()
-        .map(|state| match state {
-            MorselState::Source { batch, sel } => {
-                OutData::Sel(sel.unwrap_or_else(|| (0..batch.num_rows()).collect()))
-            }
-            MorselState::Owned(p) => OutData::Part(p),
-        })
-        .collect()
-    };
+    let (morsels, counts) = morselize(&parts, ctx.morsel_height(|| InputShape::of_parts(&parts)));
+    let outs: Vec<OutData> = par_map(
+        ctx,
+        morsels,
+        |m| m.len().max(1),
+        |m| apply_stages(&compiled, &m, ctx),
+    )?
+    .into_iter()
+    .map(|state| match state {
+        MorselState::Source { batch, sel } => {
+            OutData::Sel(sel.unwrap_or_else(|| (0..batch.num_rows()).collect()))
+        }
+        MorselState::Owned(p) => OutData::Part(p),
+    })
+    .collect();
+    let nmorsels = outs.len();
+    morsels_out.fetch_add(nmorsels, Ordering::Relaxed);
 
-    let (_, counts) = morselize(&parts, morsel_rows_for_parts(ctx, &parts));
-    let nmorsels: usize = counts.iter().sum();
     let mut out_parts = Vec::with_capacity(nparts);
     let mut it = outs.into_iter();
     for (part, count) in parts.into_iter().zip(counts) {
@@ -488,46 +531,63 @@ pub(super) fn execute_chain(
         out_parts.push(merge_partition(part, group)?);
     }
 
-    // Inner chain nodes' stats. Stage `s` (execution order) is chain node
-    // `k-1-s` (top-down order); the top node's counters feed the caller's
-    // entry via `eval_ns`.
-    let k = compiled.stages.len();
-    let elapsed = started.elapsed();
-    for (j, slot) in inner_slots.iter().enumerate() {
-        let c = &compiled.counters[k - 2 - j];
-        let op = &mut stats.operators[*slot];
-        op.rows_out = c.rows_out.load(Ordering::Relaxed);
-        op.partitions = nparts;
-        op.elapsed = elapsed;
-        op.eval_ns = c.eval_ns.load(Ordering::Relaxed);
-        op.morsels = nmorsels;
-    }
-    eval_ns.fetch_add(
-        compiled.counters[k - 1].eval_ns.load(Ordering::Relaxed),
-        Ordering::Relaxed,
-    );
+    // The top node (the last stage) feeds the caller's entry.
+    compiled.record_stats(inner_slots, stats, nparts, nmorsels);
+    let top = compiled.counters.last().expect("chain has a top node");
+    eval_ns.fetch_add(top.eval_ns.load(Ordering::Relaxed), Ordering::Relaxed);
     Ok(out_parts)
 }
 
-/// Result of the fused Partial half of a two-phase aggregate.
-pub(super) struct FusedPartial {
-    /// One group table per source partition (merge in index order).
-    pub tables: Vec<GroupTable>,
-    pub partitions: usize,
-    pub morsels: usize,
+/// Push one pending stats entry per chain node (top-down, pre-order) and
+/// return their slots; the chain's source lands in the slot after them.
+fn push_chain_stats(
+    chain: &[&Plan],
+    stats: &mut ExecStats,
+    depth: usize,
+) -> std::ops::Range<usize> {
+    let first = stats.operators.len();
+    for (i, node) in chain.iter().enumerate() {
+        stats
+            .operators
+            .push(OpStats::started(op_label(node), depth + i));
+    }
+    first..stats.operators.len()
 }
 
-/// Run the Partial half of a fused two-phase aggregate as a morsel
-/// pipeline: the chain stages *and* the group/argument expressions — the
-/// expensive vectorized work — evaluate per morsel in parallel, then each
-/// partition's pre-evaluated morsels fold sequentially in morsel order
-/// into one group table. The fold visits rows in exactly the order one
-/// whole-partition pass would, so every FP accumulation (`AVG` partial
-/// sums, Welford updates) is the same operation sequence the
-/// materializing executor performs; partitions fold in parallel and merge
-/// in partition-index order as before. Only reached without a memory
-/// budget — budgeted aggregation regroups to partition parts and takes
-/// the (possibly spilling) legacy path byte-for-byte.
+impl CompiledChain {
+    /// Fill the stats entries at `slots` — the chain's deepest
+    /// `slots.len()` nodes, top-down, the source's entry right after
+    /// them — from the per-stage counters. A fused node has no wall
+    /// clock of its own: its `elapsed` is the source's plus the time
+    /// morsels spent in it and the stages below it, so each node's own
+    /// share (elapsed minus child) is its stage time.
+    fn record_stats(
+        &self,
+        slots: std::ops::Range<usize>,
+        stats: &mut ExecStats,
+        nparts: usize,
+        nmorsels: usize,
+    ) {
+        let mut elapsed = stats.operators[slots.end].elapsed;
+        for (slot, c) in slots.rev().zip(&self.counters) {
+            elapsed += Duration::from_nanos(c.wall_ns.load(Ordering::Relaxed));
+            let op = &mut stats.operators[slot];
+            op.rows_out = c.rows_out.load(Ordering::Relaxed);
+            op.partitions = nparts;
+            op.elapsed = elapsed;
+            op.eval_ns = c.eval_ns.load(Ordering::Relaxed);
+            op.morsels = nmorsels;
+        }
+    }
+}
+
+/// Run the Partial half of a two-phase aggregate fused with the
+/// streaming chain below it (`pinput`): one pipeline from the chain's
+/// source to the per-partition group tables, no materialized chain
+/// output. Only usable without a memory budget — a budgeted aggregate
+/// needs the chain's output first to estimate its state, then calls
+/// [`fold_partial`] (or spills) over those parts.
+#[allow(clippy::too_many_arguments)]
 pub(super) fn execute_fused_partial(
     pinput: &Plan,
     cagg: &CompiledAggExprs,
@@ -536,71 +596,71 @@ pub(super) fn execute_fused_partial(
     stats: &mut ExecStats,
     depth: usize,
     eval_ns: &AtomicU64,
-) -> Result<FusedPartial, CdwError> {
+    morsels_out: &AtomicUsize,
+) -> Result<Vec<GroupTable>, CdwError> {
     let (chain, source) = pinput.stream_chain();
-    let inner_slots: Vec<usize> = chain
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            let slot = stats.operators.len();
-            stats
-                .operators
-                .push(OpStats::started(op_label(node), depth + i));
-            slot
-        })
-        .collect();
-    let started = Instant::now();
+    // Chain node stats are all pushed here — the Partial's own entry is
+    // the caller's.
+    let slots = push_chain_stats(&chain, stats, depth);
     let parts = execute_parts(source, ctx, stats, depth + chain.len())?;
-    let nparts = parts.len();
     let compiled = compile_chain(&chain)?;
+    let before = morsels_out.load(Ordering::Relaxed);
+    let tables = fold_partial(&parts, &compiled, cagg, aggs, ctx, eval_ns, morsels_out)?;
+    let nmorsels = morsels_out.load(Ordering::Relaxed) - before;
+    compiled.record_stats(slots, stats, parts.len(), nmorsels);
+    Ok(tables)
+}
 
+/// Aggregate `parts` into one group table per partition: the chain
+/// stages *and* the group/argument expressions — the expensive
+/// vectorized work — evaluate per morsel in parallel, then each
+/// partition's pre-evaluated morsels fold sequentially in morsel order
+/// into one table. The fold visits rows in exactly the order one
+/// whole-partition pass would, so every FP accumulation (`AVG` partial
+/// sums, Welford updates) is the same operation sequence at every morsel
+/// height; partitions fold in parallel and the caller merges them in
+/// partition-index order.
+pub(super) fn fold_partial(
+    parts: &[Part],
+    chain: &CompiledChain,
+    cagg: &CompiledAggExprs,
+    aggs: &[AggCall],
+    ctx: &ExecCtx,
+    eval_ns: &AtomicU64,
+    morsels_out: &AtomicUsize,
+) -> Result<Vec<GroupTable>, CdwError> {
     /// One morsel's pre-evaluated aggregation inputs.
     struct EvaledMorsel {
         groups: Vec<Column>,
         args: Vec<Option<Column>>,
         rows: usize,
     }
-    let (morsels, counts) = morselize(&parts, morsel_rows_for_parts(ctx, &parts));
-    let nmorsels = morsels.len();
-    let evaled: Vec<EvaledMorsel> = run_stealing(
-        ctx.parallelism,
+    let (morsels, counts) = morselize(parts, ctx.morsel_height(|| InputShape::of_parts(parts)));
+    morsels_out.fetch_add(morsels.len(), Ordering::Relaxed);
+    let evaled: Vec<EvaledMorsel> = par_map(
+        ctx,
         morsels,
         |m| m.len().max(1),
         |m| {
-            let state = apply_stages(&compiled, &m, ctx)?;
+            let state = apply_stages(chain, &m, ctx)?;
             let rows = state.rows();
             let (batch, sel) = state.batch_and_sel();
             let (groups, args) =
                 timed(eval_ns, || eval_group_arg_cols(batch, sel, cagg, &ctx.eval))?;
             Ok(EvaledMorsel { groups, args, rows })
         },
-        &ctx.sched,
     )?;
-    let chain_elapsed = started.elapsed();
-
-    // Chain node stats (all pushed here — the Partial's own entry is the
-    // caller's).
-    let k = compiled.stages.len();
-    for (j, slot) in inner_slots.iter().enumerate() {
-        let c = &compiled.counters[k - 1 - j];
-        let op = &mut stats.operators[*slot];
-        op.rows_out = c.rows_out.load(Ordering::Relaxed);
-        op.partitions = nparts;
-        op.elapsed = chain_elapsed;
-        op.eval_ns = c.eval_ns.load(Ordering::Relaxed);
-        op.morsels = nmorsels;
-    }
 
     // Sequential per-partition fold in morsel order, partitions in
     // parallel.
-    let mut grouped: Vec<Vec<EvaledMorsel>> = Vec::with_capacity(nparts);
+    let mut grouped: Vec<Vec<EvaledMorsel>> = Vec::with_capacity(parts.len());
     let mut it = evaled.into_iter();
     for count in counts {
         grouped.push(it.by_ref().take(count).collect());
     }
     let global = cagg.groups.is_empty();
-    let tables: Vec<GroupTable> = run_stealing(
-        ctx.parallelism,
+    par_map(
+        ctx,
         grouped,
         |ms| ms.iter().map(|m| m.rows).sum::<usize>().max(1),
         |ms| {
@@ -622,31 +682,25 @@ pub(super) fn execute_fused_partial(
             }
             Ok(table)
         },
-        &ctx.sched,
-    )?;
-    Ok(FusedPartial {
-        tables,
-        partitions: nparts,
-        morsels: nmorsels,
-    })
+    )
 }
 
-/// Morselized probe for hash joins of every kind: each left partition
-/// splits into dense row-range morsels probed independently (stealing
-/// absorbs a skewed build of probe work), and per-partition outputs
-/// re-concatenate in morsel order — exactly the left-row-ascending order
-/// a whole-partition probe emits, so downstream operators see the same
-/// one-output-part-per-left-partition structure.
+/// Probe for hash joins of every kind: each left partition splits into
+/// dense row-range morsels probed independently (stealing absorbs a
+/// skewed build of probe work), and per-partition outputs re-concatenate
+/// in morsel order — exactly the left-row-ascending order an uncut probe
+/// emits, so downstream operators see one output part per left partition
+/// at every morsel height.
 ///
-/// LEFT/FULL: a whole-partition probe emits all matches (ascending left
-/// row) then the partition's null-extended unmatched lefts (ascending).
-/// Each morsel therefore keeps its unmatched tail **separate** from its
-/// matches ([`probe_morsel_split`]); regrouping concatenates every
-/// morsel's matches first, then every morsel's tail, both in morsel
-/// order — reproducing the whole-partition order exactly. FULL's
-/// matched-right sets union across a partition's morsels, so the
-/// caller's unmatched-right sweep sees the same flags as the static
-/// path.
+/// LEFT/FULL: an uncut probe emits all matches (ascending left row) then
+/// the partition's null-extended unmatched lefts (ascending). A morsel
+/// that is only part of its partition therefore keeps its unmatched tail
+/// **separate** from its matches ([`assemble_probe_output`]); regrouping
+/// concatenates every morsel's matches first, then every morsel's tail,
+/// both in morsel order — reproducing the uncut order exactly. A morsel
+/// covering its whole partition assembles matches and tail in one gather
+/// and skips the regroup. FULL's matched-right sets union across a
+/// partition's morsels for the caller's unmatched-right sweep.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn morsel_probe(
     lparts: &[Batch],
@@ -660,7 +714,7 @@ pub(super) fn morsel_probe(
     eval_ns: &AtomicU64,
     morsels_out: &AtomicUsize,
 ) -> Result<Vec<(Batch, Vec<usize>)>, CdwError> {
-    let mrows = morsel_rows_for_batches(ctx, lparts);
+    let mrows = ctx.morsel_height(|| InputShape::of_batches(lparts));
     struct ProbeMorsel<'a> {
         batch: &'a Batch,
         /// `None` = probe the whole partition batch (no slice copy).
@@ -677,22 +731,19 @@ pub(super) fn morsel_probe(
                 range: None,
             });
         } else {
-            let mut start = 0;
-            while start < rows {
-                let end = (start + mrows).min(rows);
+            for range in range_chunks(rows, mrows) {
                 morsels.push(ProbeMorsel {
                     batch: lb,
-                    range: Some(start..end),
+                    range: Some(range),
                 });
-                start = end;
             }
         }
         counts.push(morsels.len() - before);
     }
     morsels_out.fetch_add(morsels.len(), Ordering::Relaxed);
 
-    let probes = run_stealing(
-        ctx.parallelism,
+    let probes = par_map(
+        ctx,
         morsels,
         // Byte-seeded LPT: probe work scales with the morsel's share of
         // its partition's bytes, not just its row count.
@@ -710,31 +761,36 @@ pub(super) fn morsel_probe(
                 }
                 None => m.batch,
             };
-            // Morsel-local row offset: right-row indices are global, but
-            // unmatched-left indices are slice-local and never escape
-            // (the tail batch is assembled inside the split).
-            probe_morsel_split(
-                lb, right, build, kind, left_keys, residual, schema, &ctx.eval, eval_ns,
+            // Right-row indices are global, but unmatched-left indices
+            // are slice-local and never escape (the tail batch is
+            // assembled here).
+            let pairs = probe_pairs(lb, right.num_rows(), build, left_keys, &ctx.eval, eval_ns)?;
+            let lone = m.range.is_none();
+            assemble_probe_output(
+                lb, right, pairs, kind, residual, schema, &ctx.eval, eval_ns, lone,
             )
         },
-        &ctx.sched,
     )?;
 
     let mut out = Vec::with_capacity(lparts.len());
     let mut it = probes.into_iter();
     for count in counts {
-        let group: Vec<(Batch, Option<Batch>, Vec<usize>)> = it.by_ref().take(count).collect();
+        let mut group = it.by_ref().take(count);
+        if count == 1 {
+            // An uncut partition: its tail is already inside the batch.
+            let (batch, _, matched) = group.next().expect("one probe per morsel");
+            out.push((batch, matched));
+            continue;
+        }
         let mut matched = Vec::new();
-        let mut batches: Vec<Batch> = Vec::with_capacity(group.len());
+        let mut batches: Vec<Batch> = Vec::with_capacity(count);
         let mut tails: Vec<Batch> = Vec::new();
         for (b, tail, m) in group {
             matched.extend(m);
             batches.push(b);
-            if let Some(t) = tail {
-                tails.push(t);
-            }
+            tails.extend(tail);
         }
-        // Whole-partition order: all matches (morsel order), then all
+        // Uncut order: all matches (morsel order), then all
         // null-extended unmatched-left tails (morsel order).
         batches.extend(tails);
         let refs: Vec<&Batch> = batches.iter().collect();
@@ -744,27 +800,36 @@ pub(super) fn morsel_probe(
 }
 
 // ---------------------------------------------------------------------
-// morselized spilling aggregation
+// spilling aggregation
 // ---------------------------------------------------------------------
 
-/// Memory-budgeted aggregation consuming morsels directly: the spilling
-/// sink of a budgeted pipeline. Phase 1 — the hot phase — runs per morsel
-/// on the work-stealing scheduler: each morsel evaluates its group and
-/// argument expressions, routes its rows to buckets by group-key hash,
-/// and builds its per-bucket spill records (tagged with the
-/// partition-relative row id and the partition index); only the file
-/// appends run sequentially, in `(partition, morsel)` order. Phase 2
-/// aggregates buckets in parallel like the static [`spilled_aggregate`]:
-/// inside a bucket, each partition's records fold **in morsel order into
-/// one continuing group table** — the identical row-visit (and FP
-/// accumulation) sequence the static path's one-record-per-partition
-/// layout produces — then partition tables merge in partition order and
-/// buckets interleave back into first-seen order by each group's first
-/// `(partition, row)`.
+/// Memory-budgeted aggregation: hash-partition input rows by group key
+/// into spilled bucket files, aggregate one bucket at a time, and
+/// interleave the per-bucket groups back into first-seen order.
 ///
-/// Spilled byte/record totals differ from the static layout (records are
-/// per morsel and carry a `__part` column); group values and output order
-/// are bit-identical, which is what `spill_oracle` pins.
+/// `parts` carries the partition structure the in-memory fold would
+/// aggregate (the caller passes the concatenated input as one
+/// "partition" for `AggMode::Single`, and the chain's output parts for a
+/// `Final`-over-`Partial` pair). Phase 1 — the hot phase — runs per
+/// morsel on the work-stealing scheduler: each morsel evaluates its
+/// group and argument expressions, routes its rows to buckets by
+/// group-key hash, and builds its per-bucket spill records (tagged with
+/// the partition-relative row id and the partition index); only the file
+/// appends run sequentially, in `(partition, morsel)` order. Phase 2
+/// aggregates buckets in parallel: inside a bucket, each partition's
+/// records fold **in morsel order into one continuing group table** —
+/// the identical row-visit (and FP accumulation) sequence of the
+/// in-memory fold restricted to the bucket's groups — then partition
+/// tables merge in partition order and buckets interleave back into
+/// first-seen order by each group's first `(partition, row)`, which is
+/// exactly the order the in-memory merge emits.
+///
+/// Spilled byte/record totals depend on the morsel height (records are
+/// per morsel); group values and output order do not, which is what
+/// `spill_oracle` pins.
+///
+/// Returns the finished batch plus the total partial-group count (the
+/// `rows_out` of the Partial operator in two-phase stats).
 #[allow(clippy::too_many_arguments)]
 pub(super) fn morsel_spilled_aggregate(
     parts: &[Part],
@@ -795,9 +860,8 @@ pub(super) fn morsel_spilled_aggregate(
     let part_slot = row_slot + 1;
 
     // Tag every morsel with its partition index and its dense row offset
-    // within that partition's surviving rows (the coordinates the static
-    // path's `__row` column uses).
-    let (morsels, counts) = morselize(parts, morsel_rows_for_parts(ctx, parts));
+    // within that partition's surviving rows (the `__row` coordinates).
+    let (morsels, counts) = morselize(parts, ctx.morsel_height(|| InputShape::of_parts(parts)));
     morsels_out.fetch_add(morsels.len(), Ordering::Relaxed);
     let mut meta: Vec<(usize, usize)> = Vec::with_capacity(morsels.len());
     {
@@ -814,8 +878,8 @@ pub(super) fn morsel_spilled_aggregate(
     let items: Vec<(Morsel<'_>, (usize, usize))> = morsels.into_iter().zip(meta).collect();
 
     // Phase 1 (parallel per morsel): evaluate, route, build records.
-    let routed: Vec<Vec<Option<Batch>>> = run_stealing(
-        ctx.parallelism,
+    let routed: Vec<Vec<Option<Batch>>> = par_map(
+        ctx,
         items,
         |(m, _)| byte_cost(m.len(), m.batch.byte_size(), m.batch.num_rows()),
         |(m, (pidx, base))| {
@@ -862,7 +926,6 @@ pub(super) fn morsel_spilled_aggregate(
             }
             Ok(per_bucket)
         },
-        &ctx.sched,
     )?;
 
     // Sequential appends in (partition, morsel) order, so each bucket
@@ -885,7 +948,7 @@ pub(super) fn morsel_spilled_aggregate(
 
     // Phase 2 (parallel across buckets): fold each partition's records in
     // morsel order into one continuing table, then merge partitions in
-    // partition order — the static path's exact arithmetic structure.
+    // partition order — the in-memory fold's exact arithmetic structure.
     type BucketGroups = (Vec<(u64, i64, GroupEntry)>, usize);
     let arg_slots = &arg_slots;
     let nparts = parts.len();
@@ -960,13 +1023,13 @@ pub(super) fn morsel_spilled_aggregate(
 }
 
 // ---------------------------------------------------------------------
-// morselized sort
+// sort
 // ---------------------------------------------------------------------
 
 /// Evaluate `compiled` expressions over `batch` per morsel in parallel
 /// and concatenate to whole-batch columns — identical to one whole-batch
 /// evaluation pass (the kernels are elementwise). The shared first phase
-/// of the morselized sort and the Grace join's probe-side key spill.
+/// of the sort and the Grace join's probe-side key spill.
 pub(crate) fn morsel_eval_columns(
     batch: &Batch,
     compiled: &[CompiledExpr],
@@ -975,13 +1038,13 @@ pub(crate) fn morsel_eval_columns(
     morsels_out: &AtomicUsize,
 ) -> Result<Vec<Column>, CdwError> {
     let rows = batch.num_rows();
-    let chunks = range_chunks(rows, morsel_rows_for_batches(ctx, std::iter::once(batch)));
+    let chunks = range_chunks(rows, ctx.morsel_height(|| InputShape::of_batches([batch])));
     morsels_out.fetch_add(chunks.len(), Ordering::Relaxed);
-    let total_bytes = batch.byte_size();
-    let per_chunk: Vec<Vec<Column>> = run_stealing(
-        ctx.parallelism,
+    let total_bytes = LazyCell::new(|| batch.byte_size());
+    let per_chunk: Vec<Vec<Column>> = par_map(
+        ctx,
         chunks,
-        |r| byte_cost(r.len(), total_bytes, rows),
+        |r| byte_cost(r.len(), *total_bytes, rows),
         |r| {
             let sel: Option<Vec<usize>> = if r.start == 0 && r.end == rows {
                 None
@@ -995,21 +1058,30 @@ pub(crate) fn morsel_eval_columns(
                     .collect::<Result<Vec<_>, _>>()
             })
         },
-        &ctx.sched,
     )?;
-    if per_chunk.len() == 1 {
-        return Ok(per_chunk.into_iter().next().expect("one chunk"));
+    concat_morsel_columns(per_chunk)
+}
+
+/// Concatenate per-morsel column sets (one `Vec<Column>` per morsel, in
+/// morsel order) into whole-input columns. A lone morsel's columns pass
+/// through uncopied.
+pub(crate) fn concat_morsel_columns(
+    mut per_morsel: Vec<Vec<Column>>,
+) -> Result<Vec<Column>, CdwError> {
+    if per_morsel.len() == 1 {
+        return Ok(per_morsel.pop().expect("one morsel"));
     }
-    (0..compiled.len())
+    let width = per_morsel.first().map_or(0, Vec::len);
+    (0..width)
         .map(|k| {
-            let refs: Vec<&Column> = per_chunk.iter().map(|c| &c[k]).collect();
+            let refs: Vec<&Column> = per_morsel.iter().map(|c| &c[k]).collect();
             Column::concat(&refs).map_err(CdwError::from)
         })
         .collect()
 }
 
-/// Morsel-driven sort over the concatenated input. Run generation — the
-/// hot phase — spreads across workers:
+/// Sort over the concatenated input. Run generation — the hot phase —
+/// spreads across workers:
 ///
 /// * **Key evaluation** happens per morsel in parallel; the per-morsel
 ///   key columns concatenate to the same whole-input columns (and the
@@ -1017,13 +1089,13 @@ pub(crate) fn morsel_eval_columns(
 ///   kernels are elementwise.
 /// * **In memory**: each morsel-sized run sorts stably in parallel, then
 ///   a k-way heap merge by `(keys, row id)` — a *unique* total order, so
-///   the merged permutation equals what `sort::sort_indices` (stable,
-///   ties keep ascending row id) produces over the whole input.
-/// * **Budgeted**: run boundaries come from `run_count` exactly as in the
-///   static [`spilled_sort`] — *not* from the morsel height, so the
-///   spilled run/page layout is byte-identical — but the runs sort and
-///   spill in parallel, then the shared [`merge_spilled_runs`] cursor
-///   merge finishes the job.
+///   the merged permutation equals the stable whole-input sort (ties
+///   keep ascending row id) however the input was cut. A single run *is*
+///   that sort and skips the merge.
+/// * **Budgeted**: run boundaries come from `run_count` — *not* from the
+///   morsel height, so the spilled run/page layout is the same at every
+///   height — the runs sort and spill in parallel, then the
+///   [`merge_spilled_runs`] cursor merge finishes the job.
 pub(super) fn morsel_sort(
     batch: &Batch,
     compiled_keys: &[CompiledExpr],
@@ -1033,15 +1105,15 @@ pub(super) fn morsel_sort(
     morsels_out: &AtomicUsize,
 ) -> Result<Batch, CdwError> {
     let rows = batch.num_rows();
-    // Parallel per-morsel key evaluation.
     let key_cols = morsel_eval_columns(batch, compiled_keys, ctx, eval_ns, morsels_out)?;
+    // Sort-state estimate: key columns plus the 8-byte index per row the
+    // permutation holds.
     let est = key_cols.iter().map(Column::byte_size).sum::<usize>() + 8 * rows;
     let refs: Vec<&Column> = key_cols.iter().collect();
 
-    if ctx.memory.should_spill(est) {
-        // Budget-derived runs, identical boundaries and page layout to
-        // the static spilled sort; each run sorts and spills itself on a
-        // worker.
+    if rows > 1 && ctx.memory.should_spill(est) {
+        // Spill sorted runs of (key columns, row id) in pages; each run
+        // sorts and spills itself on a worker.
         let nruns = ctx.memory.run_count(est, rows);
         let run_len = rows.div_ceil(nruns);
         let page_rows = run_len.div_ceil(4).max(1);
@@ -1053,8 +1125,8 @@ pub(super) fn morsel_sort(
         fields.push(Field::new("__row", DataType::Int));
         let spill_schema = Arc::new(Schema::new(fields));
 
-        let handles: Vec<SpillHandle> = run_stealing(
-            ctx.parallelism,
+        let handles: Vec<SpillHandle> = par_map(
+            ctx,
             range_chunks(rows, run_len),
             |r| byte_cost(r.len(), est, rows),
             |r| {
@@ -1072,25 +1144,27 @@ pub(super) fn morsel_sort(
                 ctx.memory.record_rounds(1);
                 writer.finish()
             },
-            &ctx.sched,
         )?;
         let merged = merge_spilled_runs(&handles, key_cols.len(), sort_keys, rows)?;
         return Ok(batch.take(&merged));
     }
 
     // In-memory: sort each morsel-run in parallel, then heap-merge.
-    let runs: Vec<Vec<usize>> = run_stealing(
-        ctx.parallelism,
-        range_chunks(rows, morsel_rows_for_batches(ctx, std::iter::once(batch))),
+    let mut runs: Vec<Vec<usize>> = par_map(
+        ctx,
+        range_chunks(rows, ctx.morsel_height(|| InputShape::of_batches([batch]))),
         |r| byte_cost(r.len(), est, rows),
         |r| {
             let mut idx: Vec<usize> = r.collect();
             sort::sort_subset(&refs, sort_keys, &mut idx);
             Ok(idx)
         },
-        &ctx.sched,
     )?;
-    let merged = kway_merge_runs(&runs, &refs, sort_keys, rows);
+    let merged = if runs.len() == 1 {
+        runs.pop().expect("one run")
+    } else {
+        kway_merge_runs(&runs, &refs, sort_keys, rows)
+    };
     Ok(batch.take(&merged))
 }
 
@@ -1162,36 +1236,98 @@ fn kway_merge_runs(
 mod tests {
     use super::*;
 
-    /// Adaptive sizing derives from input shape: wide rows shrink the
-    /// morsel toward the byte target, a dominant partition shrinks it so
-    /// every worker sees at least four stealable units of it, and the
-    /// result always lands inside the `[MIN, MAX]` clamp.
+    fn shape(rows: usize, bytes: usize, largest: usize) -> InputShape {
+        InputShape {
+            rows,
+            bytes,
+            largest,
+        }
+    }
+
+    /// Derived sizing tracks input shape: wide rows shrink the morsel
+    /// toward the byte target, a dominant partition shrinks it so every
+    /// worker sees at least four stealable units of it, and the result
+    /// always lands inside the `[MIN, MAX]` clamp. Width 1 never cuts,
+    /// whatever the sizing.
     #[test]
     fn adaptive_morsel_rows_tracks_input_shape() {
+        let derived = |workers, rows, bytes, largest| {
+            morsel_height(MorselSizing::Derived, workers, || {
+                shape(rows, bytes, largest)
+            })
+        };
         // 8-byte rows, 1M rows in one partition, 4 workers: the byte
         // target (256 KiB / 8 B = 32K rows) beats the split bound
         // (1M / 16 = 64K rows).
-        assert_eq!(adaptive_morsel_rows(4, 1 << 20, 8 << 20, 1 << 20), 32_768);
+        assert_eq!(derived(4, 1 << 20, 8 << 20, 1 << 20), 32_768);
         // Narrow 1-byte rows push the byte bound past MAX — the clamp
         // wins.
-        assert_eq!(
-            adaptive_morsel_rows(1, 1 << 20, 1 << 20, 1 << 20),
-            MAX_MORSEL_ROWS
-        );
+        assert_eq!(derived(2, 1 << 20, 1 << 20, 1 << 20), MAX_MORSEL_ROWS);
         // 1 KiB rows: the byte target caps at 256 rows (== MIN clamp).
         assert_eq!(
-            adaptive_morsel_rows(4, 100_000, 100_000 * 1024, 100_000),
+            derived(4, 100_000, 100_000 * 1024, 100_000),
             MIN_MORSEL_ROWS
         );
         // 16-byte rows, largest partition 40_000 rows, 4 workers: the
         // split bound 40_000 / 16 = 2_500 beats the 16K byte bound.
-        assert_eq!(adaptive_morsel_rows(4, 100_000, 1_600_000, 40_000), 2_500);
+        assert_eq!(derived(4, 100_000, 1_600_000, 40_000), 2_500);
         // Tiny inputs clamp up to MIN (one morsel per partition).
-        assert_eq!(adaptive_morsel_rows(4, 10, 80, 10), MIN_MORSEL_ROWS);
-        // Degenerate zero-row / zero-byte inputs never panic and stay
-        // within the clamp.
-        let z = adaptive_morsel_rows(1, 0, 0, 0);
-        assert!((MIN_MORSEL_ROWS..=MAX_MORSEL_ROWS).contains(&z));
+        assert_eq!(derived(4, 10, 80, 10), MIN_MORSEL_ROWS);
+        // Degenerate zero-row / zero-byte inputs never panic and yield a
+        // usable (nonzero) height at every width and sizing.
+        for workers in [1, 4] {
+            for sizing in [
+                MorselSizing::Derived,
+                MorselSizing::Fixed(0),
+                MorselSizing::WholePartition,
+            ] {
+                assert!(morsel_height(sizing, workers, || shape(0, 0, 0)) >= 1);
+            }
+        }
+
+        // Width 1 never cuts — and never pays for measuring the input;
+        // wider, the explicit sizings mean what they say.
+        let skewed = || shape(100_000, 1_600_000, 40_000);
+        for sizing in [
+            MorselSizing::Derived,
+            MorselSizing::Fixed(3),
+            MorselSizing::WholePartition,
+        ] {
+            let unmeasured = || -> InputShape { panic!("width 1 measured its input") };
+            assert_eq!(morsel_height(sizing, 1, unmeasured), WHOLE_PARTITION);
+        }
+        assert_eq!(morsel_height(MorselSizing::Fixed(3), 4, skewed), 3);
+        assert_eq!(
+            morsel_height(MorselSizing::WholePartition, 4, skewed),
+            WHOLE_PARTITION
+        );
+
+        // The width is the *effective* one: `parallelism = 16` on a
+        // 4-slot pool must size like 4 workers (2_500 rows, four
+        // stealable units each), not like 16 (625). Asking for more
+        // threads than any pool has resolves to the pool target.
+        assert_eq!(derived(16, 100_000, 1_600_000, 40_000), 625);
+        let catalog = Catalog::new();
+        let results = HashMap::new();
+        let ctx = ExecCtx {
+            catalog: &catalog,
+            results: &results,
+            eval: EvalCtx::default(),
+            parallelism: usize::MAX,
+            morsel_sizing: MorselSizing::Derived,
+            memory: ExecMemoryTracker::new(None),
+            sched: scheduler::SchedCounters::default(),
+        };
+        loop {
+            // Other tests in this binary may grow the pool target
+            // concurrently; compare against a target that held still.
+            let target = scheduler::worker_pool_target();
+            let got = ctx.morsel_height(skewed);
+            if scheduler::worker_pool_target() == target {
+                assert_eq!(got, morsel_height(MorselSizing::Derived, target, skewed));
+                break;
+            }
+        }
     }
 
     /// The scheduler cost-seeding satellite: a run covering most of the

@@ -39,9 +39,10 @@
 //! independent of completion order. A panicking task poisons the job
 //! (every unclaimed item's state drops, releasing spill files) and
 //! surfaces as one executor error. When the pool budget caps a call to a
-//! single participant, it runs inline on the submitter — morsel sinks use
-//! [`effective_workers`] to fall back to the bit-identical static path
-//! instead of paying scheduling overhead no hardware will repay.
+//! single participant, it runs inline on the submitter — and the morsel
+//! height function ([`super::pipeline::morsel_height`]) sees the same
+//! [`effective_workers`] width and stops cutting partitions, instead of
+//! paying scheduling overhead no hardware will repay.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -239,8 +240,8 @@ pub fn worker_pool_stats() -> WorkerPoolStats {
 
 /// How many participants a stage asking for `requested` threads actually
 /// gets: the request clamped to the pool budget. `1` means "run inline,
-/// don't schedule" — morsel sinks use that to pick the bit-identical
-/// static path when parallel scheduling cannot pay for itself.
+/// don't schedule" — and "don't cut": the morsel height function keys
+/// off this width, never the requested one.
 pub(crate) fn effective_workers(requested: usize) -> usize {
     requested.min(worker_pool_target()).max(1)
 }

@@ -17,14 +17,19 @@
 //!   operands kept scalar, LIKE patterns and IN-lists pre-compiled), with
 //!   the boxed-`Value` row interpreter retained as the semantic oracle
 //!   (`tests/eval_oracle.rs` pins them bit-identical),
-//! * a vectorized, partition-parallel executor: scans, filters, projections,
-//!   unions, partial aggregation/dedup, and hash-join probes all run one
-//!   task per partition on a persistent, locality-aware work-stealing
-//!   worker pool shared by every query in the process (the `parallelism`
-//!   knob requests threads per query; `set_worker_pool_target` caps the
-//!   process), with partial aggregate states merged associatively in
-//!   partition order so results are bit-identical at any parallelism —
-//!   this is the stand-in for the CDW elasticity the paper leans on;
+//! * a vectorized, morsel-driven executor — one engine at every setting:
+//!   filter/project chains, partial aggregation, hash-join probes, sort
+//!   runs and window evaluation cut their input partitions into morsels
+//!   and run them on a persistent, locality-aware work-stealing worker
+//!   pool shared by every query in the process (the `parallelism` knob
+//!   requests threads per query; `set_worker_pool_target` caps the
+//!   process). One function decides morsel height; at an effective width
+//!   of one worker it is the whole partition, so serial execution is the
+//!   same code, uncut and inline. Outputs regroup in (partition, morsel)
+//!   order and partial aggregate states merge associatively in partition
+//!   order, so results are bit-identical at any parallelism and morsel
+//!   height — this is the stand-in for the CDW elasticity the paper
+//!   leans on;
 //!   filters emit **selection vectors** instead of materializing, so
 //!   filter→project→filter chains and aggregation inputs evaluate only
 //!   over surviving row indices,
@@ -61,5 +66,5 @@ pub use exec::scheduler::{
     grow_worker_pool_target, set_worker_pool_target, worker_pool_stats, worker_pool_target,
     SchedCounters, WorkerPoolStats,
 };
-pub use exec::{ExecMemoryTracker, ExecStats, OpStats};
+pub use exec::{ExecMemoryTracker, ExecStats, MorselSizing, OpStats};
 pub use session::{ResultSet, Warehouse, WarehouseConfig};

@@ -1019,7 +1019,7 @@ fn split_two_phase(plan: Plan) -> Plan {
 /// Filter/Project chains fuse into per-morsel pipelines, where each
 /// pipeline's source and sink sit, and which operators break the flow
 /// (see [`Plan::is_pipeline_breaker`]). This mirrors exactly what the
-/// executor's morsel path does — the text is derived from the same
+/// executor does at every setting — the text is derived from the same
 /// `stream_chain` decomposition it executes.
 pub fn explain_pipelines(plan: &Plan) -> String {
     let mut out = String::new();
@@ -1027,32 +1027,19 @@ pub fn explain_pipelines(plan: &Plan) -> String {
     out
 }
 
-/// Execution granularity annotation: operators the executor's morsel
-/// path processes morsel-at-a-time (probes of every join kind, sort run
-/// generation, window partitions, fused/spilling two-phase aggregation)
-/// vs the ones that still work partition-at-a-time or on one collapsed
-/// batch (limit, distinct, single-phase aggregation).
+/// Execution granularity annotation: operators the executor feeds
+/// morsels (stream chains, probes of every join kind, sort run
+/// generation, window evaluation, aggregation in every mode, spilling or
+/// not) vs the ones that work partition-at-a-time or on one collapsed
+/// batch (limit, distinct, union, scans).
 fn granularity(plan: &Plan) -> &'static str {
     match plan {
         Plan::Filter { .. }
         | Plan::Project { .. }
         | Plan::Join { .. }
         | Plan::Sort { .. }
-        | Plan::Window { .. } => "morsel",
-        Plan::Aggregate {
-            mode: AggMode::Final,
-            input,
-            ..
-        } if matches!(
-            input.as_ref(),
-            Plan::Aggregate {
-                mode: AggMode::Partial,
-                ..
-            }
-        ) =>
-        {
-            "morsel"
-        }
+        | Plan::Window { .. }
+        | Plan::Aggregate { .. } => "morsel",
         _ => "partition",
     }
 }

@@ -12,7 +12,7 @@ use sigma_value::{Batch, Value};
 use crate::catalog::{Catalog, TableStats};
 use crate::error::CdwError;
 use crate::eval::{self, EvalCtx, PhysExpr};
-use crate::exec::{execute, ExecCtx, ExecStats, OpStats};
+use crate::exec::{execute, ExecCtx, ExecStats, MorselSizing, OpStats};
 use crate::optimizer::optimize;
 use crate::plan::Plan;
 use crate::planner::Planner;
@@ -36,17 +36,13 @@ pub struct WarehouseConfig {
     /// spill files — with bit-identical results (see
     /// [`crate::exec::ExecMemoryTracker`]).
     pub memory_budget: Option<usize>,
-    /// Morsel height for pipelined execution (`None` = the static
-    /// partition-at-a-time executor, the oracle baseline). Results are
-    /// bit-identical either way; the morsel path only changes how work
-    /// is scheduled.
-    pub morsel_rows: Option<usize>,
-    /// Derive each pipeline's morsel height from its input shape (bytes
-    /// per row, thread count, largest partition) instead of the fixed
-    /// `morsel_rows` value. On by default; calling
-    /// [`Warehouse::set_morsel_rows`] switches to the explicit setting so
-    /// the equivalence and spill oracles can sweep fixed sizes.
-    pub adaptive_morsels: bool,
+    /// How pipelines cut their input into morsels. The default derives
+    /// each pipeline's height from its input shape and the effective
+    /// worker width (whole partitions when execution is serial). Results
+    /// are bit-identical at every value — this only changes how work is
+    /// scheduled, and exists so the equivalence oracles and the scaling
+    /// bench can pin a fixed height or the uncut reference.
+    pub morsel_sizing: MorselSizing,
 }
 
 impl Default for WarehouseConfig {
@@ -57,8 +53,7 @@ impl Default for WarehouseConfig {
             now_micros: EvalCtx::default().now_micros,
             max_persisted_results: 256,
             memory_budget: None,
-            morsel_rows: Some(crate::exec::DEFAULT_MORSEL_ROWS),
-            adaptive_morsels: true,
+            morsel_sizing: MorselSizing::Derived,
         }
     }
 }
@@ -143,25 +138,10 @@ impl Warehouse {
         self.config.read().memory_budget
     }
 
-    /// Set the morsel height for pipelined execution (`None` switches to
-    /// the static partition-at-a-time executor). Results are bit-identical
-    /// either way.
-    pub fn set_morsel_rows(&self, morsel_rows: Option<usize>) {
-        let mut config = self.config.write();
-        config.morsel_rows = morsel_rows.map(|m| m.max(1));
-        // An explicit height (or the static executor) is a request for
-        // exactly that schedule — stop deriving per-pipeline sizes.
-        config.adaptive_morsels = false;
-    }
-
-    /// Re-enable (or disable) per-pipeline adaptive morsel sizing.
-    pub fn set_adaptive_morsels(&self, adaptive: bool) {
-        self.config.write().adaptive_morsels = adaptive;
-    }
-
-    /// The configured morsel height (`None` = static execution).
-    pub fn morsel_rows(&self) -> Option<usize> {
-        self.config.read().morsel_rows
+    /// Pin how pipelines cut their input into morsels (tests and
+    /// benches; results are bit-identical at every value).
+    pub fn set_morsel_sizing(&self, sizing: MorselSizing) {
+        self.config.write().morsel_sizing = sizing;
     }
 
     pub fn set_query_overhead(&self, overhead: Duration) {
@@ -419,8 +399,7 @@ impl Warehouse {
             results: &results,
             eval: self.eval_ctx(),
             parallelism: config.parallelism,
-            morsel_rows: config.morsel_rows,
-            adaptive_morsels: config.adaptive_morsels,
+            morsel_sizing: config.morsel_sizing,
             memory: crate::exec::ExecMemoryTracker::new(config.memory_budget),
             sched: crate::exec::scheduler::SchedCounters::default(),
         };

@@ -193,7 +193,15 @@ impl SpillWriter {
         // own file then keeps alive.
         let mut attempts = 0;
         let file = loop {
-            std::fs::create_dir_all(&dir).map_err(|e| io_err("mkdir", e))?;
+            match std::fs::create_dir_all(&dir) {
+                // Reported when the directory this call lost the mkdir
+                // race for is reclaimed before its is-a-directory check;
+                // the create below decides whether to go around again.
+                Err(e) if e.kind() != std::io::ErrorKind::AlreadyExists => {
+                    return Err(io_err("mkdir", e));
+                }
+                _ => {}
+            }
             match File::create(&path) {
                 Ok(f) => break f,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound && attempts < 16 => {

@@ -4,7 +4,14 @@
 //! then every call produces one value per row (placed back at the original
 //! row positions). `IGNORE NULLS` is supported for the navigation functions
 //! — the engine feature behind the paper's `FillDown` formula.
+//!
+//! [`compute_window`] is the one entry point: expressions evaluate per
+//! morsel and partitions sort/compute in parallel on the executor's
+//! work-stealing scheduler, with the morsel height decided by
+//! [`crate::exec::ExecCtx::morsel_height`] like every other operator (one
+//! whole-batch morsel when execution is serial).
 
+use std::cell::LazyCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -12,99 +19,14 @@ use sigma_sql::{FrameBound, WindowFrame};
 use sigma_value::{hash, sort, Batch, Column, ColumnBuilder, DataType, Value};
 
 use crate::error::CdwError;
-use crate::eval::{eval, CompiledExpr, EvalCtx};
-use crate::exec::scheduler::run_stealing;
-use crate::exec::{timed, ExecCtx};
+use crate::eval::CompiledExpr;
+use crate::exec::pipeline::{byte_cost, concat_morsel_columns, range_chunks, InputShape};
+use crate::exec::{par_map, timed, ExecCtx};
 use crate::plan::{AggFunc, WinFunc, WindowCall};
 
 /// Compute one window call over a batch, returning the appended column.
 /// `eval_ns` accumulates the nanoseconds spent evaluating the call's
 /// partition / order / argument expressions (per-operator stats).
-pub fn compute_window(
-    call: &WindowCall,
-    batch: &Batch,
-    out_type: DataType,
-    ctx: &EvalCtx,
-    eval_ns: &AtomicU64,
-) -> Result<Column, CdwError> {
-    let rows = batch.num_rows();
-    // Evaluate partition / order / argument expressions once.
-    type Cols = (Vec<Column>, Vec<Column>, Vec<Column>);
-    let (part_cols, order_cols, arg_cols): Cols = timed(eval_ns, || {
-        let part_cols: Vec<Column> = call
-            .partition
-            .iter()
-            .map(|p| eval(p, batch, ctx))
-            .collect::<Result<_, _>>()?;
-        let order_cols: Vec<Column> = call
-            .order
-            .iter()
-            .map(|o| eval(&o.expr, batch, ctx))
-            .collect::<Result<_, _>>()?;
-        let arg_cols: Vec<Column> = call
-            .args
-            .iter()
-            .map(|a| eval(a, batch, ctx))
-            .collect::<Result<_, _>>()?;
-        Ok::<_, CdwError>((part_cols, order_cols, arg_cols))
-    })?;
-
-    // Build partitions preserving first-seen order.
-    let mut partitions: Vec<Vec<usize>> = Vec::new();
-    if part_cols.is_empty() {
-        partitions.push((0..rows).collect());
-    } else {
-        let refs: Vec<&Column> = part_cols.iter().collect();
-        let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-        let mut key = Vec::new();
-        for row in 0..rows {
-            key.clear();
-            hash::encode_key(&refs, row, &mut key);
-            let next = partitions.len();
-            let slot = *index.entry(key.clone()).or_insert(next);
-            if slot == partitions.len() {
-                partitions.push(Vec::new());
-            }
-            partitions[slot].push(row);
-        }
-    }
-
-    // Sort rows within each partition by the window ordering.
-    let sort_keys: Vec<sort::SortKey> = call
-        .order
-        .iter()
-        .map(|o| sort::SortKey {
-            descending: o.descending,
-            nulls_last: o.nulls_last.unwrap_or(o.descending),
-        })
-        .collect();
-    let order_refs: Vec<&Column> = order_cols.iter().collect();
-    for p in &mut partitions {
-        if !order_refs.is_empty() {
-            sort::sort_subset(&order_refs, &sort_keys, p);
-        }
-    }
-
-    let mut out: Vec<Value> = vec![Value::Null; rows];
-    for part in &partitions {
-        compute_partition(
-            call,
-            part,
-            &arg_cols,
-            &order_refs,
-            &sort_keys,
-            &mut |row, v| out[row] = v,
-        )?;
-    }
-    let mut b = ColumnBuilder::new(out_type, rows);
-    for v in out {
-        b.push(v).map_err(CdwError::from)?;
-    }
-    Ok(b.finish())
-}
-
-/// Morsel-driven [`compute_window`]: the same partition semantics, with
-/// both hot phases parallelized.
 ///
 /// * **Expression evaluation** (partition / order / argument columns)
 ///   runs per morsel on the work-stealing scheduler; the per-morsel
@@ -118,9 +40,9 @@ pub fn compute_window(
 ///   by each partition's byte share so the one giant partition of a
 ///   skewed input starts first. Workers return `(row, value)` pairs that
 ///   scatter into disjoint row sets, so write order is irrelevant; every
-///   value is produced by the identical [`compute_partition`] sequence
-///   the static path runs.
-pub fn compute_window_morsel(
+///   value comes from the same [`compute_partition`] sequence however
+///   the batch was cut.
+pub fn compute_window(
     call: &WindowCall,
     batch: &Batch,
     out_type: DataType,
@@ -129,7 +51,11 @@ pub fn compute_window_morsel(
     morsels_out: &AtomicUsize,
 ) -> Result<Column, CdwError> {
     let rows = batch.num_rows();
-    let mrows = crate::exec::pipeline::morsel_rows_for_batches(ctx, std::iter::once(batch));
+    if rows == 0 {
+        // No rows, no partitions (the navigation functions read their
+        // constant arguments off a partition's first row).
+        return Ok(ColumnBuilder::new(out_type, 0).finish());
+    }
     let types: Vec<DataType> = batch.schema().fields().iter().map(|f| f.dtype).collect();
     let cpart: Vec<CompiledExpr> = call
         .partition
@@ -147,13 +73,7 @@ pub fn compute_window_morsel(
         .map(|a| CompiledExpr::compile(a, &types))
         .collect::<Result<_, _>>()?;
 
-    let mut chunks: Vec<std::ops::Range<usize>> = Vec::with_capacity(rows.div_ceil(mrows).max(1));
-    let mut start = 0;
-    while start < rows {
-        let end = (start + mrows).min(rows);
-        chunks.push(start..end);
-        start = end;
-    }
+    let chunks = range_chunks(rows, ctx.morsel_height(|| InputShape::of_batches([batch])));
     morsels_out.fetch_add(chunks.len(), Ordering::Relaxed);
 
     /// One morsel's evaluated columns plus its first-seen partition-key
@@ -163,11 +83,11 @@ pub fn compute_window_morsel(
         args: Vec<Column>,
         groups: Vec<(Vec<u8>, Vec<usize>)>,
     }
-    let total_bytes = batch.byte_size();
-    let evaled: Vec<ChunkEval> = run_stealing(
-        ctx.parallelism,
+    let total_bytes = LazyCell::new(|| batch.byte_size());
+    let evaled: Vec<ChunkEval> = par_map(
+        ctx,
         chunks,
-        |r| crate::exec::pipeline::byte_cost(r.len(), total_bytes, rows),
+        |r| byte_cost(r.len(), *total_bytes, rows),
         |r| {
             let base = r.start;
             let len = r.len();
@@ -215,40 +135,31 @@ pub fn compute_window_morsel(
                 groups,
             })
         },
-        &ctx.sched,
     )?;
 
     // Merge per-morsel partition groups sequentially in morsel order —
     // the whole-batch first-seen order, with ascending row lists.
-    let partitions: Vec<Vec<usize>> = if cpart.is_empty() {
-        vec![(0..rows).collect()]
-    } else {
-        let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-        let mut parts: Vec<Vec<usize>> = Vec::new();
-        for ce in &evaled {
-            for (key, grows) in &ce.groups {
-                let next = parts.len();
-                let slot = *index.entry(key.clone()).or_insert(next);
-                if slot == parts.len() {
-                    parts.push(Vec::new());
-                }
-                parts[slot].extend(grows);
+    let mut partitions: Vec<Vec<usize>> = Vec::new();
+    let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
+    let (mut orders, mut args) = (Vec::new(), Vec::new());
+    for ce in evaled {
+        orders.push(ce.order);
+        args.push(ce.args);
+        for (key, grows) in ce.groups {
+            let slot = *index.entry(key).or_insert(partitions.len());
+            if slot == partitions.len() {
+                partitions.push(grows);
+            } else {
+                partitions[slot].extend(grows);
             }
         }
-        parts
-    };
-
-    // Concatenate per-morsel order/argument columns to whole-batch ones.
-    let mut order_cols: Vec<Column> = Vec::with_capacity(corder.len());
-    for k in 0..corder.len() {
-        let refs: Vec<&Column> = evaled.iter().map(|ce| &ce.order[k]).collect();
-        order_cols.push(Column::concat(&refs).map_err(CdwError::from)?);
     }
-    let mut arg_cols: Vec<Column> = Vec::with_capacity(carg.len());
-    for k in 0..carg.len() {
-        let refs: Vec<&Column> = evaled.iter().map(|ce| &ce.args[k]).collect();
-        arg_cols.push(Column::concat(&refs).map_err(CdwError::from)?);
+    if cpart.is_empty() {
+        partitions.push((0..rows).collect());
     }
+    // Per-morsel order/argument columns concatenate to whole-batch ones.
+    let order_cols = concat_morsel_columns(orders)?;
+    let arg_cols = concat_morsel_columns(args)?;
 
     let sort_keys: Vec<sort::SortKey> = call
         .order
@@ -259,10 +170,10 @@ pub fn compute_window_morsel(
         })
         .collect();
     let order_refs: Vec<&Column> = order_cols.iter().collect();
-    let outputs: Vec<Vec<(usize, Value)>> = run_stealing(
-        ctx.parallelism,
+    let outputs: Vec<Vec<(usize, Value)>> = par_map(
+        ctx,
         partitions,
-        |p| crate::exec::pipeline::byte_cost(p.len(), total_bytes, rows),
+        |p| byte_cost(p.len(), *total_bytes, rows),
         |mut p| {
             if !order_refs.is_empty() {
                 sort::sort_subset(&order_refs, &sort_keys, &mut p);
@@ -278,7 +189,6 @@ pub fn compute_window_morsel(
             )?;
             Ok(vals)
         },
-        &ctx.sched,
     )?;
     let mut out: Vec<Value> = vec![Value::Null; rows];
     for vals in outputs {

@@ -6,19 +6,27 @@
 //! partial states in partition-index order, so thread count can never
 //! change a result — this test pins that invariant.
 //!
-//! The skew suite extends the pin to the morsel-driven path: pathological
+//! The skew suite extends the pin to how input is cut: pathological
 //! partition layouts (one ~90% partition, empties, 1-row tails) at
-//! parallelism {1, 4, 16} and morsel sizes {None = static oracle, 3,
-//! default} must all agree bit-for-bit, because morsels regroup by
-//! (partition, morsel index) before anything order-sensitive happens.
-//! That now covers the long tail — LEFT/FULL probes, ORDER BY, and
+//! parallelism {1, 4, 16} and morsel sizings {whole partition, 3 rows,
+//! 4096 rows, derived} must all agree bit-for-bit, because morsels
+//! regroup by (partition, morsel index) before anything order-sensitive
+//! happens. That covers the long tail — LEFT/FULL probes, ORDER BY, and
 //! window pipelines — and each skew case additionally re-runs the 3-row
-//! morsel setting under a 1-byte memory budget, so the morselized
-//! spilling sinks (per-morsel bucket routing, parallel sorted-run
-//! spills, Grace probes) are pinned against the same oracle.
+//! morsel setting under a 1-byte memory budget, so the spilling sinks
+//! (per-morsel bucket routing, parallel sorted-run spills, Grace probes)
+//! are pinned against the same reference.
+//!
+//! The reference lane is `parallelism = 1` with
+//! `MorselSizing::WholePartition`: the same engine with every
+//! split/regroup/steal step degenerate (one unit per partition, identity
+//! merge, inline run). It is not an independent implementation — what
+//! these suites pin is that cutting, regrouping, stealing, pooling and
+//! spilling never change a byte. What a query *means* is pinned by
+//! `sql_exec.rs`, `eval_oracle.rs` and the scenario suites.
 
 use proptest::prelude::*;
-use sigma_cdw::Warehouse;
+use sigma_cdw::{MorselSizing, OpStats, Warehouse};
 use sigma_value::{Batch, Column, DataType, Field, Schema, Value};
 use std::sync::Arc;
 
@@ -117,7 +125,7 @@ fn load(rows: &[(i64, Option<i64>, i64)], partition_rows: usize) -> Warehouse {
 /// Load `t` with a deliberately pathological partition layout: one
 /// partition holding ~90% of the rows, empty partitions interleaved, and
 /// `tails` single-row partitions (which morselize into 1-row morsels).
-/// This is the layout static `i % threads` chunking handled worst and the
+/// This is the layout partition-granular dispatch handles worst and the
 /// work-stealing scheduler must handle without changing a single bit.
 fn load_skewed(rows: &[(i64, Option<i64>, i64)], tails: usize) -> Warehouse {
     open_pool();
@@ -169,6 +177,23 @@ fn assert_bit_identical(serial: &Batch, parallel: &Batch, sql: &str) {
     }
 }
 
+/// The part of the per-operator stats tree that must not depend on how
+/// input was cut: labels, depths, rows out and partition counts, in plan
+/// pre-order. (sigma-e2e's `cdw.op_ms.*` attribution walks this tree.)
+fn op_tree(ops: &[OpStats]) -> Vec<(String, usize, usize, usize)> {
+    ops.iter()
+        .map(|o| (o.op.clone(), o.depth, o.rows_out, o.partitions))
+        .collect()
+}
+
+/// Pin the uncut serial reference lane: one worker, whole partitions,
+/// nothing spilled.
+fn reference_lane(wh: &Warehouse) {
+    wh.set_parallelism(1);
+    wh.set_morsel_sizing(MorselSizing::WholePartition);
+    wh.set_memory_budget(None);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
@@ -193,12 +218,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
     /// Skewed layouts are the scheduler's worst case: one ~90% partition,
-    /// empty partitions, and 1-row morsel tails. Serial static execution
-    /// (`parallelism = 1`, `morsel_rows = None`) is the oracle; every
-    /// combination of parallelism {1, 4, 16} × morsel setting {static,
-    /// 3-row morsels, default} must reproduce it bit-for-bit. The 3-row
-    /// morsel size forces the big partition through multi-morsel
-    /// regrouping while the tails exercise single-row morsels.
+    /// empty partitions, and 1-row morsel tails. Uncut serial execution
+    /// (`parallelism = 1`, whole-partition morsels) is the reference;
+    /// every combination of parallelism {1, 4, 16} × sizing {whole
+    /// partition, 3 rows, 4096 rows, derived} must reproduce it
+    /// bit-for-bit — and report the same operator tree. The 3-row morsel
+    /// size forces the big partition through multi-morsel regrouping
+    /// while the tails exercise single-row morsels.
     #[test]
     fn skewed_partitions_bit_identical(
         rows in proptest::collection::vec(
@@ -209,27 +235,31 @@ proptest! {
     ) {
         let wh = load_skewed(&rows, tails);
         for sql in QUERIES {
-            wh.set_parallelism(1);
-            wh.set_morsel_rows(None);
-            wh.set_memory_budget(None);
-            let oracle = wh.execute_sql(sql).unwrap().batch;
+            reference_lane(&wh);
+            let oracle = wh.execute_sql(sql).unwrap();
             for &parallelism in &[1usize, 4, 16] {
                 wh.set_parallelism(parallelism);
-                // (morsel size, memory budget): the unbudgeted sweep pins
-                // the in-memory morsel paths; the 1-byte run forces every
+                // (sizing, memory budget): the unbudgeted sweep pins the
+                // in-memory sinks; the 1-byte run forces every
                 // spill-capable sink out of core *while* consuming 3-row
-                // morsels, pinning the morselized spilling code.
-                for (morsel_rows, budget) in [
-                    (None, None),
-                    (Some(3), None),
-                    (Some(4096), None),
-                    (Some(3), Some(1)),
+                // morsels, pinning the spilling code.
+                for (sizing, budget) in [
+                    (MorselSizing::WholePartition, None),
+                    (MorselSizing::Fixed(3), None),
+                    (MorselSizing::Fixed(4096), None),
+                    (MorselSizing::Derived, None),
+                    (MorselSizing::Fixed(3), Some(1)),
                 ] {
-                    wh.set_morsel_rows(morsel_rows);
+                    wh.set_morsel_sizing(sizing);
                     wh.set_memory_budget(budget);
-                    let got = wh.execute_sql(sql).unwrap().batch;
-                    let what = format!("{sql} [p={parallelism} morsel={morsel_rows:?} budget={budget:?}]");
-                    assert_bit_identical(&oracle, &got, &what);
+                    let got = wh.execute_sql(sql).unwrap();
+                    let what = format!("{sql} [p={parallelism} sizing={sizing:?} budget={budget:?}]");
+                    assert_bit_identical(&oracle.batch, &got.batch, &what);
+                    assert_eq!(
+                        op_tree(&oracle.operators),
+                        op_tree(&got.operators),
+                        "operator tree: {what}"
+                    );
                 }
                 wh.set_memory_budget(None);
             }
@@ -237,32 +267,30 @@ proptest! {
     }
 }
 
-/// Adaptive per-pipeline morsel sizing (the default config) is a pure
+/// Derived per-pipeline morsel sizing (the default config) is a pure
 /// scheduling choice: over the skewed layout, every query must match the
-/// static serial oracle bit-for-bit at parallelism {1, 4}, and an
-/// explicit `set_morsel_rows` must win over adaptivity (sweeping a fixed
-/// 3-row size after enabling adaptive mode still matches).
+/// uncut serial reference bit-for-bit at parallelism {1, 4}, and pinning
+/// a fixed 3-row size afterwards must actually take effect (and still
+/// match).
 #[test]
 fn adaptive_morsel_sizing_bit_identical() {
     let rows: Vec<(i64, Option<i64>, i64)> = (0..60).map(|i| (i % 4, Some(i * 7), i % 8)).collect();
     let wh = load_skewed(&rows, 4);
+    assert_eq!(wh.config().morsel_sizing, MorselSizing::Derived);
     for sql in QUERIES {
-        wh.set_parallelism(1);
-        wh.set_morsel_rows(None); // static oracle; also disables adaptive
+        reference_lane(&wh);
         let oracle = wh.execute_sql(sql).unwrap().batch;
         for &parallelism in &[1usize, 4] {
             wh.set_parallelism(parallelism);
-            wh.set_morsel_rows(Some(sigma_cdw::exec::DEFAULT_MORSEL_ROWS));
-            wh.set_adaptive_morsels(true);
+            wh.set_morsel_sizing(MorselSizing::Derived);
             let adaptive = wh.execute_sql(sql).unwrap().batch;
             assert_bit_identical(
                 &oracle,
                 &adaptive,
-                &format!("{sql} [adaptive p={parallelism}]"),
+                &format!("{sql} [derived p={parallelism}]"),
             );
-            // Explicit size overrides adaptivity.
-            wh.set_morsel_rows(Some(3));
-            assert!(!wh.config().adaptive_morsels);
+            wh.set_morsel_sizing(MorselSizing::Fixed(3));
+            assert_eq!(wh.config().morsel_sizing, MorselSizing::Fixed(3));
             let fixed = wh.execute_sql(sql).unwrap().batch;
             assert_bit_identical(&oracle, &fixed, &format!("{sql} [fixed-3 p={parallelism}]"));
         }
@@ -272,18 +300,17 @@ fn adaptive_morsel_sizing_bit_identical() {
 /// Deterministic worst-case layout, checked down to the morsel counters:
 /// `[empty, 36-row, empty, 1-row × 4, empty]` under 3-row morsels must
 /// split into 19 morsels over 8 partitions (12 for the big partition, one
-/// each for the rest) and still match the static serial oracle exactly.
+/// each for the rest) and still match the uncut serial reference exactly.
 #[test]
 fn skewed_layout_morsel_stats_and_equivalence() {
     let rows: Vec<(i64, Option<i64>, i64)> = (0..40).map(|i| (i % 4, Some(i), i % 8)).collect();
     let wh = load_skewed(&rows, 4);
     let sql = "SELECT g, COUNT(*) AS c, SUM(v) AS s, AVG(d) AS a FROM t GROUP BY g";
-    wh.set_parallelism(1);
-    wh.set_morsel_rows(None);
+    reference_lane(&wh);
     let oracle = wh.execute_sql(sql).unwrap().batch;
 
     wh.set_parallelism(4);
-    wh.set_morsel_rows(Some(3));
+    wh.set_morsel_sizing(MorselSizing::Fixed(3));
     let result = wh.execute_sql(sql).unwrap();
     assert_bit_identical(&oracle, &result.batch, sql);
     let partial = result
@@ -328,10 +355,11 @@ fn skewed_layout_morsel_stats_and_equivalence() {
     );
 }
 
-/// The newly morselized operators must actually engage the morsel path
-/// and say so: under 3-row morsels, LEFT join probes, sort, and window
-/// all report nonzero `morsels` in their [`OpStats`] entry and in
-/// `explain_analyze` — while matching the static serial oracle exactly.
+/// The long-tail operators must actually cut their input and say so:
+/// under 3-row morsels, LEFT join probes, sort, and window all report
+/// more `morsels` than the uncut reference (which counts one per input
+/// partition) in their [`OpStats`] entry and in `explain_analyze` —
+/// while matching that reference exactly.
 #[test]
 fn long_tail_operators_report_morsels() {
     let rows: Vec<(i64, Option<i64>, i64)> = (0..40).map(|i| (i % 4, Some(i), i % 8)).collect();
@@ -348,18 +376,23 @@ fn long_tail_operators_report_morsels() {
         ),
     ];
     for (op_prefix, sql) in cases {
-        wh.set_parallelism(1);
-        wh.set_morsel_rows(None);
+        reference_lane(&wh);
         let oracle = wh.execute_sql(sql).unwrap();
-        let static_op = oracle
+        let uncut_op = oracle
             .operators
             .iter()
             .find(|o| o.op.starts_with(op_prefix))
             .unwrap_or_else(|| panic!("no {op_prefix} op: {:?}", oracle.operators));
-        assert_eq!(static_op.morsels, 0, "static path counted morsels: {sql}");
+        // Join probes take one morsel per left partition (8 here); sort
+        // and window take their concatenated input as one.
+        let uncut = if op_prefix == "Join Left" { 8 } else { 1 };
+        assert_eq!(
+            uncut_op.morsels, uncut,
+            "reference lane split a partition: {sql}"
+        );
 
         wh.set_parallelism(4);
-        wh.set_morsel_rows(Some(3));
+        wh.set_morsel_sizing(MorselSizing::Fixed(3));
         let result = wh.execute_sql(sql).unwrap();
         assert_bit_identical(&oracle.batch, &result.batch, sql);
         let op = result
@@ -367,11 +400,10 @@ fn long_tail_operators_report_morsels() {
             .iter()
             .find(|o| o.op.starts_with(op_prefix))
             .unwrap_or_else(|| panic!("no {op_prefix} op: {:?}", result.operators));
-        assert!(op.morsels > 0, "morsel path did not engage: {op:?} {sql}");
+        assert!(op.morsels > uncut, "input was not cut: {op:?} {sql}");
         let analyzed = wh.explain_analyze(sql).unwrap();
         assert!(analyzed.contains("morsels="), "{analyzed}");
     }
-    wh.set_morsel_rows(None);
 }
 
 /// The split must actually engage: a grouped aggregate over a partitioned

@@ -3,21 +3,22 @@
 //! **bit-identical** (row order, column types, float bit patterns) to the
 //! unbudgeted in-memory execution — at any parallelism.
 //!
-//! The in-memory oracle is `budget = ∞, parallelism = 1, morsel_rows =
-//! None`; each generated table/query runs additionally at `(∞, 4)`,
+//! The in-memory reference is `budget = ∞, parallelism = 1,
+//! MorselSizing::WholePartition` — the engine with nothing spilled and
+//! nothing cut; each generated table/query runs additionally at `(∞, 4)`,
 //! `(1 byte, 1)` and `(1 byte, 4)` (a 1-byte budget forces every
-//! aggregation, sort, and hash-join build out of core), each both on the
-//! static path and with 3-row morsels — the latter drives the morselized
-//! spilling sinks (per-morsel bucket routing into the spilled aggregate,
-//! parallel sorted-run spills, morsel-evaluated Grace probe keys). A
-//! deterministic companion test pins the
+//! aggregation, sort, and hash-join build out of core), each both uncut
+//! and with 3-row morsels — the latter drives the spilling sinks through
+//! multi-morsel partitions (per-morsel bucket routing into the spilled
+//! aggregate, parallel sorted-run spills, morsel-evaluated Grace probe
+//! keys). A deterministic companion test pins the
 //! observability half of the contract: forced-spill runs report nonzero
 //! `spilled_bytes` and ≥2 `spill_rounds` for aggregate, sort, and join —
 //! and unbudgeted runs report exactly zero — through both `ResultSet` and
 //! `Warehouse::explain_analyze`.
 
 use proptest::prelude::*;
-use sigma_cdw::Warehouse;
+use sigma_cdw::{MorselSizing, Warehouse};
 use sigma_value::{Batch, Column, DataType, Field, Schema, Value};
 use std::sync::Arc;
 
@@ -51,8 +52,8 @@ const QUERIES: &[&str] = &[
 
 fn load(rows: &[(i64, Option<i64>, i64)], partition_rows: usize) -> Warehouse {
     // Open the shared worker pool so `parallelism = p` occupies p slots;
-    // the sweep below then exercises pooled worker counts, and the morsel
-    // paths (which gate off when execution is effectively serial) engage.
+    // the sweep below then exercises pooled worker counts, and inputs are
+    // actually cut (at an effective width of 1 they never are).
     sigma_cdw::grow_worker_pool_target(16);
     let wh = Warehouse::default();
     let schema = Arc::new(Schema::new(vec![
@@ -136,7 +137,7 @@ proptest! {
         for sql in QUERIES {
             wh.set_memory_budget(None);
             wh.set_parallelism(1);
-            wh.set_morsel_rows(None);
+            wh.set_morsel_sizing(MorselSizing::WholePartition);
             let oracle = wh.execute_sql(sql).unwrap();
             assert_eq!(oracle.spilled_bytes, 0, "unbudgeted must not spill: {sql}");
             assert_eq!(oracle.spill_rounds, 0, "unbudgeted must not spill: {sql}");
@@ -145,18 +146,17 @@ proptest! {
             {
                 wh.set_memory_budget(budget);
                 wh.set_parallelism(parallelism);
-                for morsel_rows in [None, Some(3)] {
-                    wh.set_morsel_rows(morsel_rows);
+                for sizing in [MorselSizing::WholePartition, MorselSizing::Fixed(3)] {
+                    wh.set_morsel_sizing(sizing);
                     let run = wh.execute_sql(sql).unwrap();
                     let what =
-                        format!("{sql} [budget={budget:?} p={parallelism} morsel={morsel_rows:?}]");
+                        format!("{sql} [budget={budget:?} p={parallelism} sizing={sizing:?}]");
                     assert_bit_identical(&oracle.batch, &run.batch, &what);
                     if budget.is_none() {
                         assert_eq!(run.spilled_bytes, 0, "{what}");
                     }
                 }
             }
-            wh.set_morsel_rows(None);
         }
     }
 }
@@ -247,10 +247,10 @@ fn forced_spill_reports_rounds_and_bytes() {
     wh.set_memory_budget(None);
 }
 
-/// The morselized spilling sinks must actually engage: with 3-row
+/// The spilling sinks must actually consume cut input: with 3-row
 /// morsels and a 1-byte budget, the spill-capable operators both spill
-/// (nonzero bytes) and consume morsels (nonzero `morsels` stat) — while
-/// reproducing the unbudgeted static serial oracle bit-for-bit.
+/// (nonzero bytes) and take more morsels than they have input partitions
+/// — while reproducing the unbudgeted uncut serial reference bit-for-bit.
 #[test]
 fn morselized_spilling_spills_and_counts_morsels() {
     let rows: Vec<(i64, Option<i64>, i64)> = (0..400)
@@ -271,12 +271,12 @@ fn morselized_spilling_spills_and_counts_morsels() {
     for (op_prefix, sql) in cases {
         wh.set_memory_budget(None);
         wh.set_parallelism(1);
-        wh.set_morsel_rows(None);
+        wh.set_morsel_sizing(MorselSizing::WholePartition);
         let oracle = wh.execute_sql(sql).unwrap();
 
         wh.set_memory_budget(Some(1));
         wh.set_parallelism(4);
-        wh.set_morsel_rows(Some(3));
+        wh.set_morsel_sizing(MorselSizing::Fixed(3));
         let run = wh.execute_sql(sql).unwrap();
         assert!(run.spilled_bytes > 0, "budget did not force a spill: {sql}");
         assert_bit_identical(&oracle.batch, &run.batch, sql);
@@ -286,12 +286,11 @@ fn morselized_spilling_spills_and_counts_morsels() {
             .find(|o| o.op.starts_with(op_prefix))
             .unwrap_or_else(|| panic!("no {op_prefix} op: {:?}", run.operators));
         assert!(
-            op.morsels > 0,
-            "morselized spill path did not engage: {op:?} {sql}"
+            op.morsels > 7,
+            "spilling sink did not take cut input: {op:?} {sql}"
         );
     }
     wh.set_memory_budget(None);
-    wh.set_morsel_rows(None);
 }
 
 /// DML wrapping a query (CTAS / INSERT ... SELECT) reports the inner

@@ -6,18 +6,21 @@
 //!
 //! What is pinned, per `set_worker_pool_target` value {1, 4, 16}:
 //!
-//! * **Bit-identity** — every query result matches the serial static
-//!   oracle exactly, for parallelism {1, 4, 16} × morsel {None, 3, 4096}.
+//! * **Bit-identity** — every query result matches the uncut serial
+//!   reference (`parallelism = 1`, whole-partition morsels) exactly, for
+//!   parallelism {1, 4, 16} × sizing {whole partition, 3, 4096, derived}.
 //!   The pool target only decides *where* work runs, never what it
 //!   computes.
-//! * **Serial collapse at pool = 1** — a 1-thread budget turns every
-//!   parallel/morselized query into plain static execution: operators
-//!   report `morsels = 0` and the scheduler counters show zero steals and
-//!   zero unparks no matter what `parallelism`/`morsel_rows` ask for.
+//! * **Serial collapse at pool = 1** — a 1-thread budget makes every
+//!   query uncut inline execution: no operator reports more morsels than
+//!   it has input partitions, and the scheduler counters show zero steals
+//!   and zero unparks no matter what `parallelism`/sizing ask for.
 //! * **Thread cap** — after arbitrarily parallel queries, the pool's
 //!   live worker count never exceeds its configured target.
 
-use sigma_cdw::{set_worker_pool_target, worker_pool_stats, worker_pool_target, Warehouse};
+use sigma_cdw::{
+    set_worker_pool_target, worker_pool_stats, worker_pool_target, MorselSizing, Warehouse,
+};
 use sigma_value::{Batch, Column, DataType, Field, Schema, Value};
 use std::sync::Arc;
 
@@ -95,7 +98,7 @@ fn sched_counter(analyzed: &str, key: &str) -> usize {
 fn exact_pool_sizes_stay_bit_identical_and_bounded() {
     let wh = load();
     wh.set_parallelism(1);
-    wh.set_morsel_rows(None);
+    wh.set_morsel_sizing(MorselSizing::WholePartition);
     let oracles: Vec<Batch> = QUERIES
         .iter()
         .map(|sql| wh.execute_sql(sql).unwrap().batch)
@@ -106,12 +109,16 @@ fn exact_pool_sizes_stay_bit_identical_and_bounded() {
         assert_eq!(worker_pool_target(), pool);
         for &parallelism in &[1usize, 4, 16] {
             wh.set_parallelism(parallelism);
-            for morsel_rows in [None, Some(3), Some(4096)] {
-                wh.set_morsel_rows(morsel_rows);
+            for sizing in [
+                MorselSizing::WholePartition,
+                MorselSizing::Fixed(3),
+                MorselSizing::Fixed(4096),
+                MorselSizing::Derived,
+            ] {
+                wh.set_morsel_sizing(sizing);
                 for (sql, oracle) in QUERIES.iter().zip(&oracles) {
                     let got = wh.execute_sql(sql).unwrap();
-                    let what =
-                        format!("{sql} [pool={pool} p={parallelism} morsel={morsel_rows:?}]");
+                    let what = format!("{sql} [pool={pool} p={parallelism} sizing={sizing:?}]");
                     assert_bit_identical(oracle, &got.batch, &what);
                 }
             }
@@ -123,16 +130,26 @@ fn exact_pool_sizes_stay_bit_identical_and_bounded() {
         );
     }
 
-    // A 1-thread pool degrades every query to static serial execution:
-    // no morsels, no steals, no worker wake-ups — regardless of the
-    // requested parallelism and morsel height.
+    // A 1-thread pool makes every query uncut inline execution: no
+    // operator takes more morsels than its children hand it partitions,
+    // no steals, no worker wake-ups — regardless of the requested
+    // parallelism and morsel height.
     set_worker_pool_target(1);
     wh.set_parallelism(16);
-    wh.set_morsel_rows(Some(3));
+    wh.set_morsel_sizing(MorselSizing::Fixed(3));
     for sql in QUERIES {
         let result = wh.execute_sql(sql).unwrap();
-        for op in &result.operators {
-            assert_eq!(op.morsels, 0, "pool=1 must gate off morsels: {op:?} {sql}");
+        for (i, op) in result.operators.iter().enumerate() {
+            let input_partitions: usize = result.operators[i + 1..]
+                .iter()
+                .take_while(|c| c.depth > op.depth)
+                .filter(|c| c.depth == op.depth + 1)
+                .map(|c| c.partitions)
+                .sum();
+            assert!(
+                op.morsels <= input_partitions,
+                "pool=1 must not split partitions ({input_partitions} in): {op:?} {sql}"
+            );
         }
         let analyzed = wh.explain_analyze(sql).unwrap();
         assert_eq!(sched_counter(&analyzed, "steals="), 0, "{analyzed}");
@@ -145,13 +162,16 @@ fn exact_pool_sizes_stay_bit_identical_and_bounded() {
         );
     }
 
-    // And reopening the pool re-engages the morsel path on the same
-    // warehouse (the gate reads the live target, not captured state).
+    // And reopening the pool cuts input again on the same warehouse (the
+    // height function reads the live target, not captured state).
     set_worker_pool_target(4);
     let result = wh.execute_sql(QUERIES[0]).unwrap();
     assert!(
-        result.operators.iter().any(|op| op.morsels > 0),
-        "pool=4 must re-engage morsels: {:?}",
+        result
+            .operators
+            .iter()
+            .any(|op| op.morsels > result.partitions_scanned),
+        "pool=4 must split partitions again: {:?}",
         result.operators
     );
     assert_bit_identical(&oracles[0], &result.batch, "reopened pool");
