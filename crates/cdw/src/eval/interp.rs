@@ -369,16 +369,20 @@ fn numeric_arith(op: BinOp, l: &Value, r: &Value) -> Result<Value, CdwError> {
     }
 }
 
+/// Functions that see NULL arguments; every other function is NULL as
+/// soon as one argument is.
+pub(crate) fn null_tolerant(func: ScalarFunc) -> bool {
+    use ScalarFunc::*;
+    matches!(
+        func,
+        Coalesce | Nullif | Concat | CurrentDate | CurrentTimestamp
+    )
+}
+
 /// Scalar function kernel over one row of argument values.
 pub fn eval_func_value(func: ScalarFunc, args: &[Value], ctx: &EvalCtx) -> Result<Value, CdwError> {
     use ScalarFunc::*;
-    // Null-propagating functions bail early; the exceptions handle nulls
-    // themselves.
-    let null_tolerant = matches!(
-        func,
-        Coalesce | Nullif | Concat | CurrentDate | CurrentTimestamp
-    );
-    if !null_tolerant && args.iter().any(Value::is_null) {
+    if !null_tolerant(func) && args.iter().any(Value::is_null) {
         return Ok(Value::Null);
     }
     let num = |i: usize| args[i].as_f64().ok_or_else(|| arg_err(func, i, &args[i]));

@@ -18,12 +18,13 @@
 
 use std::cmp::Ordering;
 
-use sigma_value::{calendar, column::cast_value, Column, ColumnBuilder, DataType, Value};
+use sigma_value::calendar::{self, DateUnit};
+use sigma_value::{column::cast_value, Column, ColumnBuilder, DataType, Texts, Value};
 
-use super::interp::{eval_binary_value, eval_unary_value};
+use super::interp::{eval_binary_value, eval_unary_value, null_tolerant};
 use super::like::LikePattern;
 use super::planner::CVal;
-use super::{BinOp, UnOp};
+use super::{BinOp, ScalarFunc, UnOp};
 use crate::error::CdwError;
 
 /// A zero-row column of the given type (kernels never run on empty input;
@@ -130,7 +131,7 @@ impl<'a> Nums<'a> {
 
 /// `&str` view of a Text operand.
 enum Strs<'a> {
-    Slice(&'a [String], Option<&'a [bool]>),
+    Slice(Texts<'a>, Option<&'a [bool]>),
     Scalar(&'a str),
 }
 
@@ -144,9 +145,9 @@ impl<'a> Strs<'a> {
     }
 
     #[inline]
-    fn get(&self, i: usize) -> &str {
+    fn get(&self, i: usize) -> &'a str {
         match self {
-            Strs::Slice(s, _) => &s[i],
+            Strs::Slice(s, _) => s.get(i),
             Strs::Scalar(x) => x,
         }
     }
@@ -333,6 +334,54 @@ macro_rules! opt_zip {
     }};
 }
 
+macro_rules! strict_map {
+    // One-operand `strict_zip!`: output null where the input is null.
+    ($n:expr, $v:expr, $default:expr, $ctor:path, |$a:ident| $body:expr) => {{
+        let n = $n;
+        if !$v.has_nulls() {
+            let mut out = Vec::with_capacity(n);
+            for i in 0..n {
+                let $a = $v.get(i);
+                out.push($body);
+            }
+            $ctor(out, None)
+        } else {
+            let mut out = Vec::with_capacity(n);
+            let mut validity = Vec::with_capacity(n);
+            for i in 0..n {
+                if $v.is_null(i) {
+                    out.push($default);
+                    validity.push(false);
+                } else {
+                    let $a = $v.get(i);
+                    out.push($body);
+                    validity.push(true);
+                }
+            }
+            $ctor(out, Some(validity))
+        }
+    }};
+}
+
+/// Build a Text column row by row without a `String` per row: `write`
+/// appends row `i`'s text to the column's own buffer (returning `false`
+/// makes the row NULL instead); rows where `is_null` holds are NULL.
+fn text_rows(
+    n: usize,
+    is_null: impl Fn(usize) -> bool,
+    mut write: impl FnMut(usize, &mut String) -> bool,
+) -> Column {
+    let mut b = ColumnBuilder::new(DataType::Text, n);
+    for i in 0..n {
+        if is_null(i) {
+            b.push_null();
+        } else {
+            b.push_str_with(|buf| write(i, buf)).expect("text builder");
+        }
+    }
+    b.finish()
+}
+
 // ---------------------------------------------------------------------
 // binary dispatch
 // ---------------------------------------------------------------------
@@ -515,13 +564,15 @@ pub(crate) fn binary(
         Concat => match (ld, rd) {
             (T::Text, T::Text) => {
                 let (a, b) = (Strs::of(l).unwrap(), Strs::of(r).unwrap());
-                let has = a.has_nulls() || b.has_nulls();
-                strict_zip!(n, a, b, !has, String::new(), Column::new_text, |x, y| {
-                    let mut s = String::with_capacity(x.len() + y.len());
-                    s.push_str(x);
-                    s.push_str(y);
-                    s
-                })
+                text_rows(
+                    n,
+                    |i| a.is_null(i) || b.is_null(i),
+                    |i, buf| {
+                        buf.push_str(a.get(i));
+                        buf.push_str(b.get(i));
+                        true
+                    },
+                )
             }
             _ => return fallback_binary(op, l, r, out, n),
         },
@@ -995,4 +1046,297 @@ pub(crate) fn in_list_fast(c: &CVal, fast: &FastList, negated: bool, n: usize) -
         }
     }
     Some(Column::new_bool(out, any_null.then_some(validity)))
+}
+
+// ---------------------------------------------------------------------
+// scalar functions
+// ---------------------------------------------------------------------
+
+/// A literal date-unit argument, resolved once per batch. `None` for a
+/// non-literal, non-text or unknown unit — the row fallback then raises
+/// the interpreter's error on the first row that reaches it.
+fn literal_unit(v: &CVal) -> Option<DateUnit> {
+    match v {
+        CVal::Scalar(Value::Text(s)) => DateUnit::parse(s),
+        _ => None,
+    }
+}
+
+/// Byte offset of the `n`-th character of `s` (its length when `s` is
+/// shorter).
+fn char_offset(s: &str, n: usize) -> usize {
+    s.char_indices().nth(n).map_or(s.len(), |(i, _)| i)
+}
+
+/// Typed kernels for scalar functions over already-evaluated operands
+/// (literal arguments arrive as scalars and are resolved once: date units
+/// parse once, not once per row). Returns `None` when the function or
+/// this operand-type combination has no kernel; the caller then runs the
+/// row-at-a-time loop over [`super::interp::eval_func_value`], which also
+/// produces the interpreter's argument-type errors. Every arm computes
+/// exactly what that scalar kernel computes.
+pub(crate) fn func(func: ScalarFunc, args: &[CVal], out: DataType, n: usize) -> Option<Column> {
+    use DataType as T;
+    use ScalarFunc::*;
+    let ty = |i: usize| args.get(i).and_then(CVal::dtype);
+    if !null_tolerant(func) && args.iter().any(CVal::is_null_scalar) {
+        return Some(Column::nulls(out, n));
+    }
+    Some(match func {
+        Abs if ty(0) == Some(T::Int) => {
+            let a = Ints::of(&args[0])?;
+            strict_map!(n, a, 0i64, Column::new_int, |x| x.wrapping_abs())
+        }
+        Abs => {
+            let a = Nums::of(&args[0])?;
+            strict_map!(n, a, 0f64, Column::new_float, |x| x.abs())
+        }
+        Floor | Ceil | Sign => {
+            let a = Nums::of(&args[0])?;
+            match func {
+                Floor => strict_map!(n, a, 0i64, Column::new_int, |x| x.floor() as i64),
+                Ceil => strict_map!(n, a, 0i64, Column::new_int, |x| x.ceil() as i64),
+                _ => strict_map!(n, a, 0i64, Column::new_int, |x| if x > 0.0 {
+                    1
+                } else if x < 0.0 {
+                    -1
+                } else {
+                    0
+                }),
+            }
+        }
+        DateTrunc | DatePart if args.len() == 2 => {
+            let u = literal_unit(&args[0])?;
+            match (func, ty(1)?) {
+                (DateTrunc, T::Date) => {
+                    let d = Dates::of(&args[1])?;
+                    strict_map!(n, d, 0i32, Column::new_date, |x| calendar::trunc_date(x, u))
+                }
+                (DateTrunc, T::Timestamp) => {
+                    let t = Micros::of(&args[1])?;
+                    strict_map!(n, t, 0i64, Column::new_timestamp, |x| {
+                        calendar::trunc_timestamp(x, u)
+                    })
+                }
+                (DatePart, T::Date) => {
+                    let d = Dates::of(&args[1])?;
+                    strict_map!(n, d, 0i64, Column::new_int, |x| calendar::date_part(x, u))
+                }
+                (DatePart, T::Timestamp) => {
+                    let t = Micros::of(&args[1])?;
+                    strict_map!(n, t, 0i64, Column::new_int, |x| calendar::timestamp_part(
+                        x, u
+                    ))
+                }
+                _ => return None,
+            }
+        }
+        DateAdd if args.len() == 3 && ty(1) == Some(T::Int) => {
+            let u = literal_unit(&args[0])?;
+            let k = Ints::of(&args[1])?;
+            match ty(2)? {
+                T::Date => {
+                    let d = Dates::of(&args[2])?;
+                    let dense = !k.has_nulls() && !d.has_nulls();
+                    strict_zip!(n, k, d, dense, 0i32, Column::new_date, |k, d| {
+                        calendar::date_add(d, u, k)
+                    })
+                }
+                T::Timestamp => {
+                    let t = Micros::of(&args[2])?;
+                    let dense = !k.has_nulls() && !t.has_nulls();
+                    strict_zip!(n, k, t, dense, 0i64, Column::new_timestamp, |k, t| {
+                        calendar::timestamp_add(t, u, k)
+                    })
+                }
+                _ => return None,
+            }
+        }
+        DateDiff if args.len() == 3 => {
+            let u = literal_unit(&args[0])?;
+            match (ty(1)?, ty(2)?) {
+                (T::Date, T::Date) => {
+                    let (a, b) = (Dates::of(&args[1])?, Dates::of(&args[2])?);
+                    let dense = !a.has_nulls() && !b.has_nulls();
+                    strict_zip!(n, a, b, dense, 0i64, Column::new_int, |a, b| {
+                        calendar::date_diff(a, b, u)
+                    })
+                }
+                (a, b) if a.is_temporal() && b.is_temporal() => {
+                    let (a, b) = (Micros::of(&args[1])?, Micros::of(&args[2])?);
+                    let dense = !a.has_nulls() && !b.has_nulls();
+                    strict_zip!(n, a, b, dense, 0i64, Column::new_int, |a, b| {
+                        calendar::timestamp_diff(a, b, u)
+                    })
+                }
+                _ => return None,
+            }
+        }
+        Upper | Lower => {
+            let s = Strs::of(&args[0])?;
+            let upper = func == Upper;
+            text_rows(
+                n,
+                |i| s.is_null(i),
+                |i, buf| {
+                    let x = s.get(i);
+                    if x.is_ascii() {
+                        // ASCII folds in place (what the Unicode fold does to
+                        // ASCII); only other text pays for a fold buffer.
+                        let start = buf.len();
+                        buf.push_str(x);
+                        if upper {
+                            buf[start..].make_ascii_uppercase();
+                        } else {
+                            buf[start..].make_ascii_lowercase();
+                        }
+                    } else if upper {
+                        buf.push_str(&x.to_uppercase());
+                    } else {
+                        buf.push_str(&x.to_lowercase());
+                    }
+                    true
+                },
+            )
+        }
+        Trim | LTrim | RTrim => {
+            let s = Strs::of(&args[0])?;
+            text_rows(
+                n,
+                |i| s.is_null(i),
+                |i, buf| {
+                    let x = s.get(i);
+                    buf.push_str(match func {
+                        Trim => x.trim(),
+                        LTrim => x.trim_start(),
+                        _ => x.trim_end(),
+                    });
+                    true
+                },
+            )
+        }
+        Length => {
+            let s = Strs::of(&args[0])?;
+            strict_map!(n, s, 0i64, Column::new_int, |x| x.chars().count() as i64)
+        }
+        Left | Right if args.len() == 2 && ty(1) == Some(T::Int) => {
+            let (s, k) = (Strs::of(&args[0])?, Ints::of(&args[1])?);
+            text_rows(
+                n,
+                |i| s.is_null(i) || k.is_null(i),
+                |i, buf| {
+                    let (x, k) = (s.get(i), k.get(i).max(0) as usize);
+                    buf.push_str(if func == Left {
+                        &x[..char_offset(x, k)]
+                    } else {
+                        let skip = x.chars().count().saturating_sub(k);
+                        &x[char_offset(x, skip)..]
+                    });
+                    true
+                },
+            )
+        }
+        Substring if args.len() == 3 && ty(1) == Some(T::Int) && ty(2) == Some(T::Int) => {
+            let s = Strs::of(&args[0])?;
+            let (from, len) = (Ints::of(&args[1])?, Ints::of(&args[2])?);
+            text_rows(
+                n,
+                |i| s.is_null(i) || from.is_null(i) || len.is_null(i),
+                |i, buf| {
+                    let x = s.get(i);
+                    let skip = (from.get(i).max(1) - 1) as usize;
+                    let rest = &x[char_offset(x, skip)..];
+                    buf.push_str(&rest[..char_offset(rest, len.get(i).max(0) as usize)]);
+                    true
+                },
+            )
+        }
+        Contains | StartsWith | EndsWith if args.len() == 2 => {
+            let (a, b) = (Strs::of(&args[0])?, Strs::of(&args[1])?);
+            let dense = !a.has_nulls() && !b.has_nulls();
+            match func {
+                Contains => {
+                    strict_zip!(n, a, b, dense, false, Column::new_bool, |x, y| x
+                        .contains(y))
+                }
+                StartsWith => {
+                    strict_zip!(n, a, b, dense, false, Column::new_bool, |x, y| x
+                        .starts_with(y))
+                }
+                _ => strict_zip!(n, a, b, dense, false, Column::new_bool, |x, y| x
+                    .ends_with(y)),
+            }
+        }
+        Replace if args.len() == 3 => {
+            let (s, from, to) = (
+                Strs::of(&args[0])?,
+                Strs::of(&args[1])?,
+                Strs::of(&args[2])?,
+            );
+            text_rows(
+                n,
+                |i| s.is_null(i) || from.is_null(i) || to.is_null(i),
+                |i, buf| {
+                    // `str::replace`, appending to the column buffer.
+                    let (x, to) = (s.get(i), to.get(i));
+                    let mut last = 0;
+                    for (start, part) in x.match_indices(from.get(i)) {
+                        buf.push_str(&x[last..start]);
+                        buf.push_str(to);
+                        last = start + part.len();
+                    }
+                    buf.push_str(&x[last..]);
+                    true
+                },
+            )
+        }
+        SplitPart if args.len() == 3 && ty(2) == Some(T::Int) => {
+            let (s, delim, k) = (
+                Strs::of(&args[0])?,
+                Strs::of(&args[1])?,
+                Ints::of(&args[2])?,
+            );
+            text_rows(
+                n,
+                |i| s.is_null(i) || delim.is_null(i) || k.is_null(i),
+                |i, buf| {
+                    let (delim, k) = (delim.get(i), k.get(i));
+                    if delim.is_empty() || k < 1 {
+                        return false;
+                    }
+                    match s.get(i).split(delim).nth((k - 1) as usize) {
+                        Some(part) => {
+                            buf.push_str(part);
+                            true
+                        }
+                        None => false,
+                    }
+                },
+            )
+        }
+        // CONCAT renders NULL as "" and never yields NULL; only all-text
+        // operands have a kernel (other types render through `Value`).
+        Concat => {
+            let parts: Vec<Option<Strs>> = args
+                .iter()
+                .map(|a| match a {
+                    CVal::Scalar(Value::Null) => Some(None),
+                    a => Strs::of(a).map(Some),
+                })
+                .collect::<Option<_>>()?;
+            text_rows(
+                n,
+                |_| false,
+                |i, buf| {
+                    for s in parts.iter().flatten() {
+                        if !s.is_null(i) {
+                            buf.push_str(s.get(i));
+                        }
+                    }
+                    true
+                },
+            )
+        }
+        _ => return None,
+    })
 }

@@ -860,4 +860,132 @@ mod tests {
         };
         assert_eq!(ev(&null_bound).null_count(), 3);
     }
+
+    /// Every scalar-function kernel against the row interpreter, bytes
+    /// and errors alike, over columns with nulls, empty strings,
+    /// multi-byte text and both temporal types — with literal and
+    /// per-row arguments (the latter run the row fallback).
+    #[test]
+    fn function_kernels_match_the_interpreter() {
+        use ScalarFunc::*;
+        let day = sigma_value::calendar::days_from_civil(2021, 5, 17);
+        let micros = day as i64 * sigma_value::calendar::MICROS_PER_DAY + 12_345_678_901;
+        let text = |v: &[Option<&str>]| {
+            Column::from_opt_texts(v.iter().map(|s| s.map(str::to_string)).collect())
+        };
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("s", DataType::Text),
+            Field::new("p", DataType::Text),
+            Field::new("d", DataType::Date),
+            Field::new("t", DataType::Timestamp),
+            Field::new("k", DataType::Int),
+            Field::new("x", DataType::Float),
+            Field::new("u", DataType::Text),
+        ]));
+        let b = Batch::new(
+            schema,
+            vec![
+                text(&[
+                    Some("  Grüße, Welt  "),
+                    Some(""),
+                    None,
+                    Some("a,b,,c"),
+                    Some("ΣΑΣ"),
+                ]),
+                text(&[Some("ß"), Some(""), Some("x"), None, Some("Σ")]),
+                Column::from_opt_dates(vec![Some(day), Some(-400), None, Some(0), Some(day + 1)]),
+                Column::from_opt_timestamps(vec![Some(micros), None, Some(-1), Some(0), Some(7)]),
+                Column::from_opt_ints(vec![Some(2), Some(0), Some(-3), None, Some(40)]),
+                Column::from_opt_floats(vec![
+                    Some(-2.5),
+                    Some(0.0),
+                    None,
+                    Some(f64::NAN),
+                    Some(9.9),
+                ]),
+                text(&[
+                    Some("month"),
+                    Some("year"),
+                    Some("day"),
+                    Some("week"),
+                    Some("bogus"),
+                ]),
+            ],
+        )
+        .unwrap();
+        let col = PhysExpr::Col;
+        let lit = |s: &str| PhysExpr::lit(s);
+        let null = || PhysExpr::Literal(Value::Null);
+        let mut calls: Vec<(ScalarFunc, Vec<PhysExpr>)> = Vec::new();
+        for f in [Abs, Floor, Ceil, Sign] {
+            calls.push((f, vec![col(4)]));
+            calls.push((f, vec![col(5)]));
+            calls.push((f, vec![col(0)])); // wrong type: same error
+        }
+        for f in [Upper, Lower, Trim, LTrim, RTrim, Length] {
+            calls.push((f, vec![col(0)]));
+            calls.push((f, vec![col(4)]));
+        }
+        for f in [Left, Right] {
+            calls.push((f, vec![col(0), PhysExpr::lit(3i64)]));
+            calls.push((f, vec![col(0), col(4)]));
+            calls.push((f, vec![col(0), col(5)]));
+        }
+        calls.push((
+            Substring,
+            vec![col(0), PhysExpr::lit(3i64), PhysExpr::lit(4i64)],
+        ));
+        calls.push((Substring, vec![col(0), col(4), col(4)]));
+        for f in [Contains, StartsWith, EndsWith] {
+            calls.push((f, vec![col(0), lit("")]));
+            calls.push((f, vec![col(0), col(1)]));
+            calls.push((f, vec![lit("Σx"), col(1)]));
+        }
+        calls.push((Replace, vec![col(0), lit(","), lit("--")]));
+        calls.push((Replace, vec![col(0), lit(""), lit("·")]));
+        calls.push((Replace, vec![col(0), col(1), col(1)]));
+        calls.push((SplitPart, vec![col(0), lit(","), PhysExpr::lit(3i64)]));
+        calls.push((SplitPart, vec![col(0), col(1), col(4)]));
+        calls.push((Concat, vec![col(0), lit("|"), col(1), null()]));
+        calls.push((Concat, vec![col(0), col(4)]));
+        for unit in ["year", "quarter", "month", "week", "day", "hour", "bogus"] {
+            for temporal in [2, 3] {
+                calls.push((DateTrunc, vec![lit(unit), col(temporal)]));
+                calls.push((DatePart, vec![lit(unit), col(temporal)]));
+                calls.push((DateAdd, vec![lit(unit), col(4), col(temporal)]));
+                calls.push((DateDiff, vec![lit(unit), col(temporal), col(2)]));
+                calls.push((
+                    DateDiff,
+                    vec![lit(unit), PhysExpr::lit(Value::Date(day)), col(temporal)],
+                ));
+            }
+        }
+        calls.push((DateTrunc, vec![col(6), col(2)])); // per-row unit
+        calls.push((DateTrunc, vec![null(), col(2)]));
+        calls.push((DateTrunc, vec![lit("day"), col(0)]));
+        calls.push((DateAdd, vec![lit("day"), col(5), col(2)]));
+        calls.push((DateDiff, vec![PhysExpr::lit(7i64), col(2), col(3)]));
+
+        let ctx = EvalCtx::default();
+        for (func, args) in calls {
+            let e = PhysExpr::Func { func, args };
+            let (fast, slow) = (eval(&e, &b, &ctx), eval_interp(&e, &b, &ctx));
+            match (fast, slow) {
+                (Ok(f), Ok(s)) => {
+                    // Bit-exact: type, validity, payloads (NaN included).
+                    let bytes = |c: &Column| {
+                        let schema = Schema::new(vec![Field::new("c", c.dtype())]);
+                        let batch = Batch::new(Arc::new(schema), vec![c.clone()]).unwrap();
+                        sigma_value::codec::encode_batch(&batch)
+                    };
+                    assert_eq!(bytes(&f), bytes(&s), "{e:?}\n{f:?}\n{s:?}");
+                    // And through a selection vector.
+                    let picked = eval_sel(&e, &b, Some(&[4, 0, 3]), &ctx).unwrap();
+                    assert_eq!(bytes(&picked), bytes(&s.take(&[4, 0, 3])), "{e:?}");
+                }
+                (Err(f), Err(s)) => assert_eq!(f.to_string(), s.to_string(), "{e:?}"),
+                (f, s) => panic!("{e:?}: kernel {f:?} vs interpreter {s:?}"),
+            }
+        }
+    }
 }

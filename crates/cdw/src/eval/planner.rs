@@ -12,7 +12,7 @@
 //! Input columns are gathered at the `Col` leaves, so every kernel above
 //! runs dense over exactly the surviving rows.
 
-use sigma_value::{column::cast_value, Batch, Column, ColumnBuilder, DataType, Value};
+use sigma_value::{column::cast_value, Batch, Column, ColumnBuilder, DataType, Value, ValueRef};
 
 use super::interp::{eval_func_value, materialize_value};
 use super::kernels::{self, FastList};
@@ -291,16 +291,26 @@ impl CompiledExpr {
                         self.coerce_scalar(eval_func_value(*func, &argv, ctx)?)?,
                     ));
                 }
-                let cols: Vec<Column> = args
+                if n == 0 {
+                    return Ok(CVal::Col(kernels::empty(self.out_type())));
+                }
+                // Literal arguments stay scalars: a date unit or a search
+                // string is resolved once per batch, not once per row.
+                let argv: Vec<CVal> = args
                     .iter()
-                    .map(|a| a.eval(batch, sel, ctx))
+                    .map(|a| a.eval_cval(batch, sel, n, ctx))
                     .collect::<Result<_, _>>()?;
+                if let Some(col) = kernels::func(*func, &argv, self.out_type(), n) {
+                    return Ok(CVal::Col(col));
+                }
+                // No kernel for this function / operand types: one row at
+                // a time through the scalar kernel.
                 let mut b = ColumnBuilder::new(self.out_type(), n);
-                let mut argv: Vec<Value> = Vec::with_capacity(cols.len());
+                let mut row: Vec<Value> = Vec::with_capacity(argv.len());
                 for i in 0..n {
-                    argv.clear();
-                    argv.extend(cols.iter().map(|c| c.value(i)));
-                    b.push(eval_func_value(*func, &argv, ctx)?)
+                    row.clear();
+                    row.extend(argv.iter().map(|a| a.value_at(i)));
+                    b.push(eval_func_value(*func, &row, ctx)?)
                         .map_err(CdwError::from)?;
                 }
                 CVal::Col(b.finish())
@@ -331,37 +341,27 @@ impl CompiledExpr {
                     .as_ref()
                     .map(|e| e.eval(batch, sel, ctx))
                     .transpose()?;
+                // Cells are read and written as borrowed scalars: a Text
+                // branch copies bytes column to column, no `String` per row.
                 let mut b = ColumnBuilder::new(self.out_type(), n);
                 for i in 0..n {
-                    let mut result = Value::Null;
-                    let mut matched = false;
-                    for (w, t) in &when_cols {
-                        let hit = match &op_col {
-                            Some(op) => {
-                                let ov = op.value(i);
-                                let wv = w.value(i);
-                                !ov.is_null() && !wv.is_null() && ov.sql_eq(&wv)
-                            }
-                            // Searched CASE: bool when-columns test off the
-                            // slice, anything else via the boxed compare.
-                            None => match (w.bools(), w.validity()) {
-                                (Some(s), None) => s[i],
-                                (Some(s), Some(m)) => m[i] && s[i],
-                                _ => w.value(i) == Value::Bool(true),
-                            },
-                        };
-                        if hit {
-                            result = t.value(i);
-                            matched = true;
-                            break;
+                    let hit = when_cols.iter().find(|(w, _)| match &op_col {
+                        Some(op) => {
+                            let (ov, wv) = (op.value_ref(i), w.value_ref(i));
+                            !ov.is_null()
+                                && !wv.is_null()
+                                && ov.total_cmp(wv) == std::cmp::Ordering::Equal
                         }
-                    }
-                    if !matched {
-                        if let Some(e) = &else_col {
-                            result = e.value(i);
-                        }
-                    }
-                    b.push(result).map_err(CdwError::from)?;
+                        // Searched CASE: only a valid `true` takes the
+                        // branch (a non-bool when-column never does).
+                        None => matches!(w.value_ref(i), ValueRef::Bool(true)),
+                    });
+                    let result = match (hit, &else_col) {
+                        (Some((_, t)), _) => t.value_ref(i),
+                        (None, Some(e)) => e.value_ref(i),
+                        (None, None) => ValueRef::Null,
+                    };
+                    b.push_ref(result).map_err(CdwError::from)?;
                 }
                 CVal::Col(b.finish())
             }

@@ -62,13 +62,14 @@
 //! reorders bookkeeping, results are **bit-identical** at any budget,
 //! parallelism and morsel height (pinned by `tests/spill_oracle.rs`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sigma_sql::JoinKind;
-use sigma_value::{hash, sort, Batch, Column, ColumnBuilder, DataType, Field, Schema, Value};
+use sigma_value::hash::{self, KeyCols, KeyIndex};
+use sigma_value::{sort, Batch, Column, ColumnBuilder, DataType, Field, Schema, Value, ValueRef};
 
 use crate::catalog::Catalog;
 use crate::error::CdwError;
@@ -478,14 +479,8 @@ pub(crate) fn truthy_indices(mask: &Column, sel: Option<&[usize]>) -> Vec<usize>
                 }
             }
         }
-        // Non-bool predicate output: boxed compare, as before.
-        _ => {
-            for i in 0..mask.len() {
-                if mask.value(i) == Value::Bool(true) {
-                    keep.push(orig(i));
-                }
-            }
-        }
+        // A non-bool predicate column is never TRUE.
+        _ => {}
     }
     keep
 }
@@ -703,7 +698,7 @@ fn execute_node(
                 pipeline::morsel_probe(
                     &lparts,
                     &right_batch,
-                    &build,
+                    build.as_ref(),
                     *kind,
                     &lkeys,
                     cresidual.as_ref(),
@@ -802,8 +797,7 @@ fn execute_node(
                     parts,
                     |p| p.est_bytes(),
                     |p| {
-                        let mut seen = HashSet::new();
-                        let keep = distinct_indices(&p.batch, p.sel(), &mut seen);
+                        let keep = distinct_indices(&p.batch, p.sel(), &mut KeyIndex::new());
                         Ok(Part {
                             batch: p.batch,
                             sel: Some(keep),
@@ -812,7 +806,7 @@ fn execute_node(
                 ),
                 // Global dedup across parts in partition order.
                 AggMode::Single | AggMode::Final => {
-                    let mut seen = HashSet::new();
+                    let mut seen = KeyIndex::new();
                     let mut kept = Vec::new();
                     for p in &parts {
                         let keep = distinct_indices(&p.batch, p.sel(), &mut seen);
@@ -831,23 +825,15 @@ fn execute_node(
 }
 
 /// Selected rows of `batch` whose key is not yet in `seen`, in selection
-/// order, returned as original-batch indices. Keys allocate only when
-/// actually inserted (never on duplicate hits).
-fn distinct_indices(
-    batch: &Batch,
-    sel: Option<&[usize]>,
-    seen: &mut HashSet<Vec<u8>>,
-) -> Vec<usize> {
+/// order, returned as original-batch indices.
+fn distinct_indices(batch: &Batch, sel: Option<&[usize]>, seen: &mut KeyIndex) -> Vec<usize> {
     let refs: Vec<&Column> = batch.columns().iter().collect();
+    let keys = KeyCols::new(&refs);
     let rows = sel.map_or(batch.num_rows(), <[usize]>::len);
     let mut keep = Vec::new();
-    let mut key = Vec::new();
     for i in 0..rows {
         let row = sel.map_or(i, |s| s[i]);
-        key.clear();
-        hash::encode_key(&refs, row, &mut key);
-        if !seen.contains(&key) {
-            seen.insert(key.clone());
+        if seen.intern_row(&keys, row).1 {
             keep.push(row);
         }
     }
@@ -893,7 +879,11 @@ where
 pub enum AggState {
     CountStar(i64),
     Count(i64),
-    CountDistinct(std::collections::HashSet<Vec<u8>>),
+    /// Distinct non-null values counted so far. *Which* values were seen
+    /// is not kept per group: the owning [`GroupTable`] holds one key
+    /// index per COUNT(DISTINCT) slot over `(group, value)` pairs and
+    /// passes each pair's first sighting here.
+    CountDistinct(i64),
     SumInt {
         sum: i64,
         any: bool,
@@ -932,7 +922,7 @@ impl AggState {
         match func {
             AggFunc::CountStar => AggState::CountStar(0),
             AggFunc::Count => AggState::Count(0),
-            AggFunc::CountDistinct => AggState::CountDistinct(Default::default()),
+            AggFunc::CountDistinct => AggState::CountDistinct(0),
             // Int-ness is decided at finish time by what was accumulated.
             AggFunc::Sum => AggState::SumFloat {
                 sum: 0.0,
@@ -984,19 +974,24 @@ impl AggState {
         }
     }
 
-    pub fn update(&mut self, v: &Value) {
+    /// Fold one argument cell in. Cells arrive as borrowed scalars read
+    /// straight from the argument column; only a new MIN/MAX/ATTR champion
+    /// is copied out of it.
+    pub fn update(&mut self, v: ValueRef<'_>) {
+        /// Keep `v` in `slot`, reusing a Text champion's buffer.
+        fn store(slot: &mut Option<Value>, v: ValueRef<'_>) {
+            if let (Some(Value::Text(buf)), ValueRef::Text(s)) = (slot.as_mut(), v) {
+                buf.clear();
+                buf.push_str(s);
+            } else {
+                *slot = Some(v.to_value());
+            }
+        }
         match self {
             AggState::CountStar(n) => *n += 1,
-            AggState::Count(n) => {
+            AggState::Count(n) | AggState::CountDistinct(n) => {
                 if !v.is_null() {
                     *n += 1;
-                }
-            }
-            AggState::CountDistinct(set) => {
-                if !v.is_null() {
-                    let mut key = Vec::new();
-                    hash::encode_value(v, &mut key);
-                    set.insert(key);
                 }
             }
             AggState::SumInt { sum, any } => {
@@ -1019,19 +1014,16 @@ impl AggState {
             }
             AggState::MinMax { best, is_min } => {
                 if !v.is_null() {
-                    let replace = match best {
-                        None => true,
-                        Some(b) => {
-                            let ord = v.total_cmp(b);
-                            if *is_min {
-                                ord == std::cmp::Ordering::Less
-                            } else {
-                                ord == std::cmp::Ordering::Greater
-                            }
-                        }
+                    let wanted = if *is_min {
+                        std::cmp::Ordering::Less
+                    } else {
+                        std::cmp::Ordering::Greater
                     };
-                    if replace {
-                        *best = Some(v.clone());
+                    if best
+                        .as_ref()
+                        .is_none_or(|b| v.total_cmp(b.as_ref()) == wanted)
+                    {
+                        store(best, v);
                     }
                 }
             }
@@ -1051,9 +1043,9 @@ impl AggState {
             AggState::Attr { value, conflicted } => {
                 if !v.is_null() && !*conflicted {
                     match value {
-                        None => *value = Some(v.clone()),
+                        None => *value = Some(v.to_value()),
                         Some(prev) => {
-                            if !prev.sql_eq(v) {
+                            if prev.as_ref().total_cmp(v) != std::cmp::Ordering::Equal {
                                 *conflicted = true;
                                 *value = None;
                             }
@@ -1070,7 +1062,8 @@ impl AggState {
     /// how many threads computed them:
     ///
     /// * counts/sums add (Avg merges as sum+count, never as a quotient),
-    /// * COUNT(DISTINCT) unions the per-partition key sets,
+    /// * COUNT(DISTINCT) is left alone — its count is rebuilt by
+    ///   [`GroupTable::merge_from`] as it unions the `(group, value)` sets,
     /// * min/max compare the partition champions,
     /// * median/percentile concatenate collected values (partitions are
     ///   row-order slices, so the concatenation preserves table order),
@@ -1083,7 +1076,7 @@ impl AggState {
         match (self, other) {
             (AggState::CountStar(a), AggState::CountStar(b)) => *a += b,
             (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::CountDistinct(a), AggState::CountDistinct(b)) => a.extend(b),
+            (AggState::CountDistinct(_), AggState::CountDistinct(_)) => {}
             (
                 AggState::SumInt { sum, any },
                 AggState::SumInt {
@@ -1194,8 +1187,9 @@ impl AggState {
 
     pub fn finish(self) -> Value {
         match self {
-            AggState::CountStar(n) | AggState::Count(n) => Value::Int(n),
-            AggState::CountDistinct(set) => Value::Int(set.len() as i64),
+            AggState::CountStar(n) | AggState::Count(n) | AggState::CountDistinct(n) => {
+                Value::Int(n)
+            }
             AggState::SumInt { sum, any } => {
                 if any {
                     Value::Int(sum)
@@ -1249,26 +1243,105 @@ impl AggState {
     }
 }
 
-/// One group's accumulated state: encoded key, representative group
-/// values, and one [`AggState`] per aggregate slot.
-struct GroupEntry {
-    key: Vec<u8>,
-    group_vals: Vec<Value>,
+/// A (partial) aggregation table. Groups are numbered in first-seen
+/// order by `index` (which owns the encoded keys), and everything a group
+/// accumulates hangs off that number in flat, group-major storage — no
+/// per-group allocation besides what a state itself collects.
+pub(crate) struct GroupTable {
+    index: KeyIndex,
+    /// Each group's GROUP BY values, one builder per expression (typed
+    /// from the first evaluated chunk; empty until then).
+    group_cols: Vec<ColumnBuilder>,
+    /// `naggs` states per group.
     states: Vec<AggState>,
-}
-
-/// A (partial) aggregation hash table; `entries` preserves first-seen
-/// order, which the merge keeps deterministic across parallelism.
-struct GroupTable {
-    index: HashMap<Vec<u8>, usize>,
-    entries: Vec<GroupEntry>,
+    naggs: usize,
+    /// Per aggregate slot, for COUNT(DISTINCT) only: the
+    /// `(group id, encoded value)` pairs seen.
+    distinct: Vec<Option<KeyIndex>>,
 }
 
 impl GroupTable {
-    fn new() -> GroupTable {
+    fn new(aggs: &[AggCall]) -> GroupTable {
         GroupTable {
-            index: HashMap::new(),
-            entries: Vec::new(),
+            index: KeyIndex::new(),
+            group_cols: Vec::new(),
+            states: Vec::new(),
+            naggs: aggs.len(),
+            distinct: aggs
+                .iter()
+                .map(|a| matches!(a.func, AggFunc::CountDistinct).then(KeyIndex::new))
+                .collect(),
+        }
+    }
+
+    /// Number of groups.
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Start a COUNT(DISTINCT) pair key in `key`: the group id; the
+    /// caller appends the encoded value.
+    fn start_pair_key(key: &mut Vec<u8>, gid: usize) {
+        key.clear();
+        key.extend_from_slice(&(gid as u64).to_le_bytes());
+    }
+
+    /// Fold `other`'s groups in, in its first-seen order: states of a
+    /// group already here merge associatively, a new group is appended
+    /// (and reported to `on_new` by its id in `other`). COUNT(DISTINCT)
+    /// pair sets union, re-keyed to this table's group ids.
+    fn merge_from(&mut self, other: GroupTable, mut on_new: impl FnMut(usize)) {
+        let naggs = self.naggs;
+        let other_groups: Vec<Column> = other
+            .group_cols
+            .into_iter()
+            .map(ColumnBuilder::finish)
+            .collect();
+        if self.group_cols.is_empty() {
+            self.group_cols = other_groups
+                .iter()
+                .map(|c| ColumnBuilder::new(c.dtype(), 0))
+                .collect();
+        }
+        let mut remap = Vec::with_capacity(other.index.len());
+        let mut states = other.states.into_iter();
+        for og in 0..other.index.len() {
+            let (gid, new) = self.index.intern(other.index.key(og));
+            let group_states = states.by_ref().take(naggs);
+            if new {
+                for (b, c) in self.group_cols.iter_mut().zip(&other_groups) {
+                    b.push_ref(c.value_ref(og))
+                        .expect("partial tables share group column types");
+                }
+                self.states.extend(group_states.map(|st| match st {
+                    // Recounted below from the pair set.
+                    AggState::CountDistinct(_) => AggState::CountDistinct(0),
+                    st => st,
+                }));
+                on_new(og);
+            } else {
+                let mine = &mut self.states[gid * naggs..][..naggs];
+                for (d, s) in mine.iter_mut().zip(group_states) {
+                    d.merge(s);
+                }
+            }
+            remap.push(gid);
+        }
+        let mut key = Vec::new();
+        for (slot, (mine, theirs)) in self.distinct.iter_mut().zip(other.distinct).enumerate() {
+            let (Some(mine), Some(theirs)) = (mine, theirs) else {
+                continue;
+            };
+            for pair in theirs.keys() {
+                let (og, value) = pair.split_at(8);
+                let og = u64::from_le_bytes(og.try_into().expect("8-byte group id")) as usize;
+                GroupTable::start_pair_key(&mut key, remap[og]);
+                key.extend_from_slice(value);
+                if mine.intern(&key).1 {
+                    // A first sighting; the state counts any non-null cell.
+                    self.states[remap[og] * naggs + slot].update(ValueRef::Bool(true));
+                }
+            }
         }
     }
 }
@@ -1334,7 +1407,14 @@ fn eval_group_arg_cols(
 /// same however the partition was cut. `global` forces the single
 /// no-GROUP-BY entry (even over zero rows).
 ///
-/// `firsts` records, per entry, the partition row at which that group
+/// Two passes, neither allocating per row: first every row resolves to
+/// its group id through the table's key index (new groups append their
+/// key values and fresh states), then each aggregate slot folds its
+/// argument column in row order — one slot at a time, so every state
+/// still sees its rows in ascending order and each loop reads one typed
+/// column.
+///
+/// `firsts` records, per group, the partition row at which that group
 /// first appeared — the spilled path uses it to interleave per-bucket
 /// groups back into the in-memory first-seen output order.
 #[allow(clippy::too_many_arguments)]
@@ -1348,55 +1428,68 @@ fn accumulate_into(
     rows: usize,
     global: bool,
 ) {
-    let new_states = || -> Vec<AggState> {
+    let new_states = || {
         aggs.iter()
             .zip(arg_cols)
             .map(|(a, c)| AggState::new_for(&a.func, c.as_ref().map(|c| c.dtype())))
-            .collect()
     };
-
+    let mut gids: Vec<usize> = Vec::new();
     if global {
-        if table.entries.is_empty() {
-            table.index.insert(Vec::new(), 0);
-            table.entries.push(GroupEntry {
-                key: Vec::new(),
-                group_vals: Vec::new(),
-                states: new_states(),
-            });
+        if table.index.intern(&[]).1 {
+            table.states.extend(new_states());
             firsts.push(0);
         }
+    } else {
+        if table.group_cols.is_empty() {
+            table.group_cols = group_cols
+                .iter()
+                .map(|c| ColumnBuilder::new(c.dtype(), 0))
+                .collect();
+        }
+        let refs: Vec<&Column> = group_cols.iter().collect();
+        let keys = KeyCols::new(&refs);
+        gids.reserve(rows);
         for row in 0..rows {
-            for (slot, state) in table.entries[0].states.iter_mut().enumerate() {
-                match &arg_cols[slot] {
-                    Some(c) => state.update(&c.value(row)),
-                    None => state.update(&Value::Int(1)),
+            let (gid, new) = table.index.intern_row(&keys, row);
+            if new {
+                for (b, c) in table.group_cols.iter_mut().zip(group_cols) {
+                    b.push_ref(c.value_ref(row))
+                        .expect("a group expression evaluates to one type");
+                }
+                table.states.extend(new_states());
+                firsts.push(row_base + row);
+            }
+            gids.push(gid);
+        }
+    }
+    let naggs = table.naggs;
+    let gid = |row: usize| if global { 0 } else { gids[row] };
+    let mut key = Vec::new();
+    for (slot, arg) in arg_cols.iter().enumerate() {
+        match (arg, &mut table.distinct[slot]) {
+            (None, _) => {
+                for row in 0..rows {
+                    table.states[gid(row) * naggs + slot].update(ValueRef::Int(1));
                 }
             }
-        }
-    } else {
-        let refs: Vec<&Column> = group_cols.iter().collect();
-        let mut key = Vec::new();
-        for row in 0..rows {
-            key.clear();
-            hash::encode_key(&refs, row, &mut key);
-            let idx = match table.index.get(&key) {
-                Some(&i) => i,
-                None => {
-                    let i = table.entries.len();
-                    table.index.insert(key.clone(), i);
-                    table.entries.push(GroupEntry {
-                        key: key.clone(),
-                        group_vals: group_cols.iter().map(|c| c.value(row)).collect(),
-                        states: new_states(),
-                    });
-                    firsts.push(row_base + row);
-                    i
+            (Some(c), None) => {
+                for row in 0..rows {
+                    table.states[gid(row) * naggs + slot].update(c.value_ref(row));
                 }
-            };
-            for (slot, state) in table.entries[idx].states.iter_mut().enumerate() {
-                match &arg_cols[slot] {
-                    Some(c) => state.update(&c.value(row)),
-                    None => state.update(&Value::Int(1)),
+            }
+            // COUNT(DISTINCT): only a (group, value) pair's first
+            // sighting reaches the state.
+            (Some(c), Some(seen)) => {
+                for row in 0..rows {
+                    let v = c.value_ref(row);
+                    if v.is_null() {
+                        continue;
+                    }
+                    GroupTable::start_pair_key(&mut key, gid(row));
+                    hash::encode_value_ref(v, &mut key);
+                    if seen.intern(&key).1 {
+                        table.states[gid(row) * naggs + slot].update(v);
+                    }
                 }
             }
         }
@@ -1408,60 +1501,42 @@ fn accumulate_into(
 /// partitions (an empty table still aggregates to one row).
 fn merge_group_tables(tables: Vec<GroupTable>, global: bool, aggs: &[AggCall]) -> GroupTable {
     let mut iter = tables.into_iter();
-    let mut acc = iter.next().unwrap_or_else(|| GroupTable {
-        index: HashMap::new(),
-        entries: Vec::new(),
-    });
+    let mut acc = iter.next().unwrap_or_else(|| GroupTable::new(aggs));
     for table in iter {
-        for entry in table.entries {
-            match acc.index.get(&entry.key) {
-                Some(&i) => {
-                    let dst = &mut acc.entries[i];
-                    for (d, s) in dst.states.iter_mut().zip(entry.states) {
-                        d.merge(s);
-                    }
-                }
-                None => {
-                    acc.index.insert(entry.key.clone(), acc.entries.len());
-                    acc.entries.push(entry);
-                }
-            }
-        }
+        acc.merge_from(table, |_| {});
     }
-    if global && acc.entries.is_empty() {
-        acc.entries.push(GroupEntry {
-            key: Vec::new(),
-            group_vals: Vec::new(),
-            states: aggs.iter().map(|a| AggState::new(&a.func)).collect(),
-        });
+    if global && acc.index.intern(&[]).1 {
+        acc.states
+            .extend(aggs.iter().map(|a| AggState::new(&a.func)));
     }
     acc
 }
 
-/// Finish every group state and materialize the output batch.
+/// Finish every group state and materialize the output batch: the group
+/// key columns as accumulated, one column per aggregate slot.
 fn finish_groups(table: GroupTable, schema: &Arc<Schema>) -> Result<Batch, CdwError> {
-    let ngroups = table.entries.len();
-    let mut builders: Vec<ColumnBuilder> = schema
-        .fields()
+    let ngroups = table.len();
+    let (group_fields, agg_fields) = schema.fields().split_at(schema.len() - table.naggs);
+    let mut group_cols = table.group_cols.into_iter();
+    let mut columns: Vec<Column> = Vec::with_capacity(schema.len());
+    for f in group_fields {
+        // No chunk ever typed the builders: there are no groups.
+        let col = group_cols
+            .next()
+            .map_or_else(|| Column::nulls(f.dtype, 0), ColumnBuilder::finish);
+        columns.push(coerce_column(col, f.dtype)?);
+    }
+    let mut builders: Vec<ColumnBuilder> = agg_fields
         .iter()
         .map(|f| ColumnBuilder::new(f.dtype, ngroups))
         .collect();
-    for entry in table.entries {
-        let gwidth = entry.group_vals.len();
-        for (ci, v) in entry.group_vals.into_iter().enumerate() {
-            builders[ci].push(v).map_err(CdwError::from)?;
-        }
-        for (si, state) in entry.states.into_iter().enumerate() {
-            builders[gwidth + si]
-                .push(state.finish())
-                .map_err(CdwError::from)?;
-        }
+    for (i, state) in table.states.into_iter().enumerate() {
+        builders[i % table.naggs]
+            .push(state.finish())
+            .map_err(CdwError::from)?;
     }
-    Batch::new(
-        schema.clone(),
-        builders.into_iter().map(|b| b.finish()).collect(),
-    )
-    .map_err(CdwError::from)
+    columns.extend(builders.into_iter().map(ColumnBuilder::finish));
+    Batch::new(schema.clone(), columns).map_err(CdwError::from)
 }
 
 /// Merge per-partition partial tables and finish them. Returns the
@@ -1473,7 +1548,7 @@ fn merge_partials(
     aggs: &[AggCall],
     schema: &Arc<Schema>,
 ) -> Result<(Batch, usize), CdwError> {
-    let partial_rows = tables.iter().map(|t| t.entries.len()).sum();
+    let partial_rows = tables.iter().map(GroupTable::len).sum();
     let merged = merge_group_tables(tables, global, aggs);
     Ok((finish_groups(merged, schema)?, partial_rows))
 }
@@ -1615,32 +1690,49 @@ fn merge_spilled_runs(
 // joins
 // ---------------------------------------------------------------------
 
-/// The shared build side of a hash join: constructed once over the whole
-/// right input, then probed concurrently by left morsels.
-struct JoinBuild {
-    /// key -> right-row indices; `None` for cross/keyless joins, which
-    /// probe the full right batch per left row.
-    table: Option<HashMap<Vec<u8>, Vec<usize>>>,
+/// Key → the rows holding it, ascending, in first-seen key order: a hash
+/// join's build side (constructed once over the whole right input, then
+/// probed concurrently by left morsels) and one Grace bucket's.
+#[derive(Default)]
+struct KeyRows {
+    index: KeyIndex,
+    rows: Vec<Vec<usize>>,
 }
 
-/// Build the in-memory hash table over pre-evaluated right key columns.
-fn build_join_table(right_rows: usize, rcols: &[Column], keyed: bool) -> JoinBuild {
+impl KeyRows {
+    /// Record that `row` holds `key`. Only a key's first row stores it.
+    fn push(&mut self, key: &[u8], row: usize) {
+        let (id, new) = self.index.intern(key);
+        if new {
+            self.rows.push(Vec::new());
+        }
+        self.rows[id].push(row);
+    }
+
+    fn get(&self, key: &[u8]) -> &[usize] {
+        self.index.find(key).map_or(&[], |id| &self.rows[id])
+    }
+}
+
+/// Build the in-memory hash table over pre-evaluated right key columns —
+/// `None` for cross/keyless joins, which probe the full right batch per
+/// left row.
+fn build_join_table(right_rows: usize, rcols: &[Column], keyed: bool) -> Option<KeyRows> {
     if !keyed {
-        return JoinBuild { table: None };
+        return None;
     }
     let rrefs: Vec<&Column> = rcols.iter().collect();
-    // SQL join keys never match on NULL.
-    let mut table: HashMap<Vec<u8>, Vec<usize>> = HashMap::new();
+    let keys = KeyCols::new(&rrefs);
+    let mut table = KeyRows::default();
     let mut key = Vec::new();
     for ri in 0..right_rows {
-        if rrefs.iter().any(|c| c.is_null(ri)) {
+        // SQL join keys never match on NULL.
+        if keys.any_null(ri) {
             continue;
         }
-        key.clear();
-        hash::encode_key(&rrefs, ri, &mut key);
-        table.entry(key.clone()).or_default().push(ri);
+        table.push(keys.key(ri, &mut key), ri);
     }
-    JoinBuild { table: Some(table) }
+    Some(table)
 }
 
 /// Candidate `(left, right)` pairs for one probe unit — a whole left
@@ -1652,14 +1744,14 @@ fn build_join_table(right_rows: usize, rcols: &[Column], keyed: bool) -> JoinBui
 fn probe_pairs(
     left: &Batch,
     rrows: usize,
-    build: &JoinBuild,
+    build: Option<&KeyRows>,
     left_keys: &[CompiledExpr],
     ctx: &EvalCtx,
     eval_ns: &AtomicU64,
 ) -> Result<Vec<(usize, usize)>, CdwError> {
     let lrows = left.num_rows();
     let mut pairs: Vec<(usize, usize)> = Vec::new();
-    match &build.table {
+    match build {
         None => {
             for li in 0..lrows {
                 for ri in 0..rrows {
@@ -1675,25 +1767,22 @@ fn probe_pairs(
                     .collect::<Result<_, _>>()
             })?;
             let lrefs: Vec<&Column> = lcols.iter().collect();
+            let keys = KeyCols::new(&lrefs);
             let mut key = Vec::new();
             for li in 0..lrows {
-                if lrefs.iter().any(|c| c.is_null(li)) {
+                if keys.any_null(li) {
                     continue;
                 }
-                key.clear();
-                hash::encode_key(&lrefs, li, &mut key);
-                if let Some(matches) = table.get(&key) {
-                    for &ri in matches {
-                        pairs.push((li, ri));
-                    }
-                }
+                let matches = table.get(keys.key(li, &mut key));
+                pairs.extend(matches.iter().map(|&ri| (li, ri)));
             }
         }
     }
     Ok(pairs)
 }
 
-/// Drop candidate pairs whose residual predicate is not TRUE. The mask
+/// Drop candidate pairs whose residual predicate is not TRUE (by
+/// [`truthy_indices`], the Filter operator's own definition). The mask
 /// evaluates elementwise over the candidate rows stacked in the join
 /// schema, so the verdict for a pair cannot depend on which probe unit
 /// (partition or morsel) carried it.
@@ -1716,14 +1805,11 @@ fn filter_residual_pairs(
     let lidx: Vec<usize> = pairs.iter().map(|p| p.0).collect();
     let ridx: Vec<usize> = pairs.iter().map(|p| p.1).collect();
     let candidate = hstack(schema, &left.take(&lidx), &right.take(&ridx))?;
-    let mask_col = timed(eval_ns, || pred.eval(&candidate, None, ctx))?;
-    let mut kept = Vec::with_capacity(pairs.len());
-    for (i, pair) in pairs.iter().enumerate() {
-        if mask_col.value(i) == Value::Bool(true) {
-            kept.push(*pair);
-        }
-    }
-    Ok(kept)
+    let mask = timed(eval_ns, || pred.eval(&candidate, None, ctx))?;
+    Ok(truthy_indices(&mask, None)
+        .into_iter()
+        .map(|i| pairs[i])
+        .collect())
 }
 
 /// Gather join output columns for `(left idx, optional right idx)` rows;
@@ -1860,18 +1946,17 @@ fn spill_key_material(
 ) -> Result<(), CdwError> {
     let nbuckets = writers.len();
     let refs: Vec<&Column> = key_cols.iter().collect();
+    let keys = KeyCols::new(&refs);
     let mut key = Vec::new();
     let mut start = 0;
     while start < rows {
         let end = (start + GRACE_PAGE_ROWS).min(rows);
         let mut route: Vec<Vec<usize>> = vec![Vec::new(); nbuckets];
         for row in start..end {
-            if refs.iter().any(|c| c.is_null(row)) {
+            if keys.any_null(row) {
                 continue;
             }
-            key.clear();
-            hash::encode_key(&refs, row, &mut key);
-            route[key_bucket(&key, nbuckets)].push(row);
+            route[key_bucket(keys.key(row, &mut key), nbuckets)].push(row);
         }
         for (b, idx) in route.iter().enumerate() {
             if idx.is_empty() {
@@ -1904,32 +1989,26 @@ fn grace_bucket_pairs(
     nparts: usize,
 ) -> Result<Vec<Vec<(usize, usize)>>, CdwError> {
     let mut pairs_per_part: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nparts];
-    let mut table: HashMap<Vec<u8>, Vec<usize>> = HashMap::new();
+    let mut table = KeyRows::default();
     let mut key = Vec::new();
     let mut reader = bh.reader()?;
     while let Some(rec) = reader.next_batch()? {
         let refs: Vec<&Column> = rec.columns()[..kw].iter().collect();
+        let keys = KeyCols::new(&refs);
         let idx = rec.column(kw).ints().expect("__idx column");
         for (row, &ri) in idx.iter().enumerate() {
-            key.clear();
-            hash::encode_key(&refs, row, &mut key);
-            table.entry(key.clone()).or_default().push(ri as usize);
+            table.push(keys.key(row, &mut key), ri as usize);
         }
     }
     let mut reader = ph.reader()?;
     while let Some(rec) = reader.next_batch()? {
         let refs: Vec<&Column> = rec.columns()[..kw].iter().collect();
+        let keys = KeyCols::new(&refs);
         let idx = rec.column(kw).ints().expect("__idx column");
         let parts = rec.column(kw + 1).ints().expect("__part column");
         for (row, &li) in idx.iter().enumerate() {
-            key.clear();
-            hash::encode_key(&refs, row, &mut key);
-            if let Some(matches) = table.get(&key) {
-                let out = &mut pairs_per_part[parts[row] as usize];
-                for &ri in matches {
-                    out.push((li as usize, ri));
-                }
-            }
+            let matches = table.get(keys.key(row, &mut key));
+            pairs_per_part[parts[row] as usize].extend(matches.iter().map(|&ri| (li as usize, ri)));
         }
     }
     Ok(pairs_per_part)
@@ -2085,7 +2164,7 @@ mod tests {
             memory: ExecMemoryTracker::new(None),
             sched: scheduler::SchedCounters::default(),
         };
-        let seen = Mutex::new(HashSet::new());
+        let seen = Mutex::new(std::collections::HashSet::new());
         let out = par_map(
             &ctx,
             int_parts(8),
@@ -2246,14 +2325,14 @@ mod tests {
         for chunk in chunks {
             let mut partial = AggState::new(&AggFunc::Variance);
             for &x in chunk {
-                partial.update(&Value::Float(x));
+                partial.update(ValueRef::Float(x));
             }
             merged.merge(partial);
         }
         let mut serial = AggState::new(&AggFunc::Variance);
         for chunk in chunks {
             for &x in chunk {
-                serial.update(&Value::Float(x));
+                serial.update(ValueRef::Float(x));
             }
         }
         // Chan's combination is not bit-equal to streaming Welford, but it
@@ -2264,10 +2343,10 @@ mod tests {
         assert!((m - s).abs() < 1e-9, "{m} vs {s}");
 
         let mut avg = AggState::new(&AggFunc::Avg);
-        avg.update(&Value::Float(1.0));
+        avg.update(ValueRef::Float(1.0));
         let mut other = AggState::new(&AggFunc::Avg);
-        other.update(&Value::Float(2.0));
-        other.update(&Value::Float(6.0));
+        other.update(ValueRef::Float(2.0));
+        other.update(ValueRef::Float(6.0));
         avg.merge(other);
         assert_eq!(avg.finish(), Value::Float(3.0));
     }

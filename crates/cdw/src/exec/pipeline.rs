@@ -156,8 +156,7 @@ impl InputShape {
 ///
 /// At width 1 the answer is [`WHOLE_PARTITION`] for every sizing — with
 /// nobody to steal, cutting buys nothing. `shape` is only measured when
-/// deriving (sizing a Text column walks every string, which the serial
-/// path must not pay per pipeline).
+/// deriving.
 ///
 /// `Derived` picks a height small enough that [`MORSEL_TARGET_BYTES`] of
 /// input fit in one morsel *and* that the largest partition splits into
@@ -664,7 +663,7 @@ pub(super) fn fold_partial(
         grouped,
         |ms| ms.iter().map(|m| m.rows).sum::<usize>().max(1),
         |ms| {
-            let mut table = GroupTable::new();
+            let mut table = GroupTable::new(aggs);
             let mut firsts = Vec::new();
             let mut base = 0usize;
             for m in ms {
@@ -705,7 +704,7 @@ pub(super) fn fold_partial(
 pub(super) fn morsel_probe(
     lparts: &[Batch],
     right: &Batch,
-    build: &JoinBuild,
+    build: Option<&KeyRows>,
     kind: JoinKind,
     left_keys: &[CompiledExpr],
     residual: Option<&CompiledExpr>,
@@ -904,12 +903,11 @@ pub(super) fn morsel_spilled_aggregate(
             let spill_schema = Arc::new(Schema::new(fields));
 
             let refs: Vec<&Column> = group_cols.iter().collect();
+            let keys = KeyCols::new(&refs);
             let mut route: Vec<Vec<usize>> = vec![Vec::new(); nbuckets];
             let mut key = Vec::new();
             for row in 0..m.len() {
-                key.clear();
-                hash::encode_key(&refs, row, &mut key);
-                route[key_bucket(&key, nbuckets)].push(row);
+                route[key_bucket(keys.key(row, &mut key), nbuckets)].push(row);
             }
             let mut per_bucket: Vec<Option<Batch>> = Vec::with_capacity(nbuckets);
             for rows in &route {
@@ -949,7 +947,9 @@ pub(super) fn morsel_spilled_aggregate(
     // Phase 2 (parallel across buckets): fold each partition's records in
     // morsel order into one continuing table, then merge partitions in
     // partition order — the in-memory fold's exact arithmetic structure.
-    type BucketGroups = (Vec<(u64, i64, GroupEntry)>, usize);
+    // A bucket yields its finished groups plus, per group, the
+    // `(partition, row)` where the group first appeared.
+    type BucketGroups = (Batch, Vec<(usize, i64)>, usize);
     let arg_slots = &arg_slots;
     let nparts = parts.len();
     let per_bucket: Vec<BucketGroups> = par_map(
@@ -961,7 +961,7 @@ pub(super) fn morsel_spilled_aggregate(
             // record coordinates), and the concatenated `__row` ids that
             // map those coordinates back to partition rows.
             let mut ptables: Vec<(GroupTable, Vec<usize>, Vec<i64>)> = (0..nparts)
-                .map(|_| (GroupTable::new(), Vec::new(), Vec::new()))
+                .map(|_| (GroupTable::new(aggs), Vec::new(), Vec::new()))
                 .collect();
             for rec in handle.read_all()? {
                 let p = rec.column(part_slot).ints().expect("__part column")[0] as usize;
@@ -983,43 +983,29 @@ pub(super) fn morsel_spilled_aggregate(
                 );
                 row_ids.extend(rec.column(row_slot).ints().expect("row-id column"));
             }
-            let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-            let mut acc: Vec<(u64, i64, GroupEntry)> = Vec::new();
+            let mut acc = GroupTable::new(aggs);
+            let mut first_seen: Vec<(usize, i64)> = Vec::new();
             let mut partial_rows = 0usize;
             for (p, (table, firsts, row_ids)) in ptables.into_iter().enumerate() {
-                partial_rows += table.entries.len();
-                for (i, entry) in table.entries.into_iter().enumerate() {
-                    match index.get(&entry.key) {
-                        Some(&j) => {
-                            for (d, s) in acc[j].2.states.iter_mut().zip(entry.states) {
-                                d.merge(s);
-                            }
-                        }
-                        None => {
-                            index.insert(entry.key.clone(), acc.len());
-                            acc.push((p as u64, row_ids[firsts[i]], entry));
-                        }
-                    }
-                }
+                partial_rows += table.len();
+                acc.merge_from(table, |g| first_seen.push((p, row_ids[firsts[g]])));
             }
-            Ok((acc, partial_rows))
+            Ok((finish_groups(acc, schema)?, first_seen, partial_rows))
         },
     )?;
 
-    // Interleave buckets back into global first-seen order.
-    let partial_rows = per_bucket.iter().map(|(_, n)| n).sum();
-    let mut flat: Vec<(u64, i64, GroupEntry)> =
-        per_bucket.into_iter().flat_map(|(acc, _)| acc).collect();
-    flat.sort_by_key(|&(p, r, _)| (p, r));
-    let entries: Vec<GroupEntry> = flat.into_iter().map(|(_, _, e)| e).collect();
-    let batch = finish_groups(
-        GroupTable {
-            index: HashMap::new(),
-            entries,
-        },
-        schema,
-    )?;
-    Ok((batch, partial_rows))
+    // Interleave buckets back into global first-seen order: stack the
+    // bucket outputs, then gather by each group's first `(partition, row)`.
+    let partial_rows = per_bucket.iter().map(|(_, _, n)| n).sum();
+    let mut order: Vec<((usize, i64), usize)> = per_bucket
+        .iter()
+        .flat_map(|(_, first_seen, _)| first_seen.iter().copied())
+        .zip(0..)
+        .collect();
+    order.sort_unstable();
+    let stacked: Vec<&Batch> = per_bucket.iter().map(|(b, _, _)| b).collect();
+    let gather: Vec<usize> = order.into_iter().map(|(_, at)| at).collect();
+    Ok((Batch::concat(&stacked)?.take(&gather), partial_rows))
 }
 
 // ---------------------------------------------------------------------
@@ -1110,6 +1096,9 @@ pub(super) fn morsel_sort(
     // permutation holds.
     let est = key_cols.iter().map(Column::byte_size).sum::<usize>() + 8 * rows;
     let refs: Vec<&Column> = key_cols.iter().collect();
+    // The comparator resolves its key columns once for every run and the
+    // merge.
+    let order = sort::RowOrder::new(&refs, sort_keys);
 
     if rows > 1 && ctx.memory.should_spill(est) {
         // Spill sorted runs of (key columns, row id) in pages; each run
@@ -1133,7 +1122,7 @@ pub(super) fn morsel_sort(
                 let mut idx: Vec<usize> = r.collect();
                 // Stable within the run; runs are disjoint ascending
                 // ranges.
-                sort::sort_subset(&refs, sort_keys, &mut idx);
+                order.sort(&mut idx);
                 let mut writer = SpillWriter::create()?;
                 for chunk in idx.chunks(page_rows) {
                     let mut cols: Vec<Column> = key_cols.iter().map(|c| c.take(chunk)).collect();
@@ -1156,14 +1145,14 @@ pub(super) fn morsel_sort(
         |r| byte_cost(r.len(), est, rows),
         |r| {
             let mut idx: Vec<usize> = r.collect();
-            sort::sort_subset(&refs, sort_keys, &mut idx);
+            order.sort(&mut idx);
             Ok(idx)
         },
     )?;
     let merged = if runs.len() == 1 {
         runs.pop().expect("one run")
     } else {
-        kway_merge_runs(&runs, &refs, sort_keys, rows)
+        kway_merge_runs(&runs, &order, rows)
     };
     Ok(batch.take(&merged))
 }
@@ -1173,14 +1162,9 @@ pub(super) fn morsel_sort(
 /// so the comparator is a unique total order and the result equals the
 /// stable whole-input sort's permutation no matter how the input was cut
 /// into runs.
-fn kway_merge_runs(
-    runs: &[Vec<usize>],
-    key_refs: &[&Column],
-    sort_keys: &[sort::SortKey],
-    rows: usize,
-) -> Vec<usize> {
+fn kway_merge_runs(runs: &[Vec<usize>], order: &sort::RowOrder<'_>, rows: usize) -> Vec<usize> {
     let less = |a: usize, b: usize| -> bool {
-        match sort::compare_rows(key_refs, sort_keys, a, b) {
+        match order.compare(a, b) {
             std::cmp::Ordering::Less => true,
             std::cmp::Ordering::Greater => false,
             std::cmp::Ordering::Equal => a < b,
@@ -1372,13 +1356,14 @@ mod tests {
         }];
         let expected = sort::sort_indices(&refs, &sort_keys);
         for cuts in [vec![0usize, 10], vec![0, 3, 10], vec![0, 3, 3, 7, 10]] {
+            let order = sort::RowOrder::new(&refs, &sort_keys);
             let mut runs: Vec<Vec<usize>> = Vec::new();
             for w in cuts.windows(2) {
                 let mut idx: Vec<usize> = (w[0]..w[1]).collect();
-                sort::sort_subset(&refs, &sort_keys, &mut idx);
+                order.sort(&mut idx);
                 runs.push(idx);
             }
-            assert_eq!(kway_merge_runs(&runs, &refs, &sort_keys, 10), expected);
+            assert_eq!(kway_merge_runs(&runs, &order, 10), expected);
         }
     }
 }

@@ -418,9 +418,9 @@ mod tests {
     }
 
     /// Size accounting must charge what the partitions actually hold —
-    /// including the null bitmap and the string heap (the figures the
-    /// execution memory budget consults). Verified against the documented
-    /// per-column formula.
+    /// including the null bitmap and a Text column's string bytes and
+    /// offsets (the figures the execution memory budget consults).
+    /// Verified against the documented per-column formula.
     #[test]
     #[allow(clippy::identity_op)] // per-string terms spelled out row by row
     fn byte_size_counts_bitmap_and_string_heap() {
@@ -437,7 +437,8 @@ mod tests {
         )
         .unwrap();
         let int_bytes = Column::FIXED_BYTES + 4 * 8 + 4; // payload + bitmap
-        let text_bytes = Column::FIXED_BYTES + 4 * Column::STRING_FIXED_BYTES + (2 + 0 + 4 + 1);
+        let text_bytes =
+            Column::FIXED_BYTES + (4 + 1) * Column::TEXT_OFFSET_BYTES + (2 + 0 + 4 + 1);
         assert_eq!(b.byte_size(), int_bytes + text_bytes);
 
         // Partitioning re-materializes rows, so the table total matches the
@@ -452,7 +453,7 @@ mod tests {
         assert_eq!(
             p0.byte_size(),
             (Column::FIXED_BYTES + 16 + 2)
-                + (Column::FIXED_BYTES + 2 * Column::STRING_FIXED_BYTES + 2)
+                + (Column::FIXED_BYTES + (2 + 1) * Column::TEXT_OFFSET_BYTES + 2)
         );
     }
 

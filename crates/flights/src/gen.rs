@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sigma_value::{calendar, Batch, Column, DataType, Field, Schema};
+use sigma_value::{calendar, Batch, Column, ColumnBuilder, DataType, Field, Schema};
 
 use crate::airports::AIRPORTS;
 
@@ -90,18 +90,18 @@ pub fn generate_flights(config: &FlightsConfig) -> Batch {
         });
     }
 
-    let mut tails = Vec::with_capacity(config.rows);
-    let mut carriers = Vec::with_capacity(config.rows);
+    // Text cells go straight into the columns' flat buffers.
+    let text = || ColumnBuilder::new(DataType::Text, config.rows);
+    let (mut tails, mut carriers, mut origins, mut dests) = (text(), text(), text(), text());
+    let push = |b: &mut ColumnBuilder, s: &str| b.push_str(s).expect("text builder");
     let mut dates = Vec::with_capacity(config.rows);
-    let mut origins = Vec::with_capacity(config.rows);
-    let mut dests = Vec::with_capacity(config.rows);
     let mut delays: Vec<Option<f64>> = Vec::with_capacity(config.rows);
     let mut air_times = Vec::with_capacity(config.rows);
     let mut distances = Vec::with_capacity(config.rows);
     let mut cancelled = Vec::with_capacity(config.rows);
 
     let mut plane_idx = 0usize;
-    while tails.len() < config.rows {
+    while dates.len() < config.rows {
         let plane = &planes[plane_idx % planes.len()];
         plane_idx += 1;
         let mut day = plane.entry_day;
@@ -111,7 +111,7 @@ pub fn generate_flights(config: &FlightsConfig) -> Batch {
         // round-robin until the row budget is filled.
         let tour = rng.random_range(40..160);
         for _ in 0..tour {
-            if day > plane.retire_day || tails.len() >= config.rows {
+            if day > plane.retire_day || dates.len() >= config.rows {
                 break;
             }
             // Route: home <-> random other airport.
@@ -140,11 +140,11 @@ pub fn generate_flights(config: &FlightsConfig) -> Batch {
             let p_cancel = (0.015 + hours_since_service / 4_000.0).min(0.30);
             let is_cancelled = rng.random::<f64>() < p_cancel;
 
-            tails.push(plane.tail.clone());
-            carriers.push(plane.carrier.to_string());
+            push(&mut tails, &plane.tail);
+            push(&mut carriers, plane.carrier);
             dates.push(day);
-            origins.push(AIRPORTS[o].code.to_string());
-            dests.push(AIRPORTS[d].code.to_string());
+            push(&mut origins, AIRPORTS[o].code);
+            push(&mut dests, AIRPORTS[d].code);
             delays.push(delay);
             air_times.push(air_time);
             distances.push(distance);
@@ -167,11 +167,11 @@ pub fn generate_flights(config: &FlightsConfig) -> Batch {
     Batch::new(
         flights_schema(),
         vec![
-            Column::from_texts(tails),
-            Column::from_texts(carriers),
+            tails.finish(),
+            carriers.finish(),
             Column::from_dates(dates),
-            Column::from_texts(origins),
-            Column::from_texts(dests),
+            origins.finish(),
+            dests.finish(),
             Column::from_opt_floats(delays),
             Column::from_floats(air_times),
             Column::from_floats(distances),

@@ -36,7 +36,7 @@
 use std::sync::Arc;
 
 use crate::batch::{Batch, Field, Schema};
-use crate::column::{Column, ColumnData};
+use crate::column::{Column, ColumnData, TextData};
 use crate::error::ValueError;
 use crate::types::DataType;
 
@@ -99,8 +99,8 @@ pub fn encode_batch(batch: &Batch) -> Vec<u8> {
                     buf.extend_from_slice(&x.to_bits().to_le_bytes());
                 }
             }
-            ColumnData::Text(v) => {
-                for s in v {
+            ColumnData::Text(t) => {
+                for s in t.view().iter() {
                     buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
                     buf.extend_from_slice(s.as_bytes());
                 }
@@ -217,14 +217,28 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Batch, ValueError> {
                     .collect(),
             ),
             DataType::Text => {
-                let mut v = Vec::with_capacity(c.counted(rows, 4)?); // u32 len each
+                let rows = c.counted(rows, 4)?; // u32 len each
+                                                // One pass to bounds-check every length and size the flat
+                                                // buffer exactly, one to fill it.
+                let start = c.pos;
+                let mut text_bytes = 0;
+                for _ in 0..rows {
+                    let len = c.u32()? as usize;
+                    c.bytes(len)?;
+                    text_bytes += len;
+                }
+                if u32::try_from(text_bytes).is_err() {
+                    return Err(ValueError::invalid("codec: text column exceeds 4 GiB"));
+                }
+                c.pos = start;
+                let mut t = TextData::with_capacity(rows, text_bytes);
                 for _ in 0..rows {
                     let len = c.u32()? as usize;
                     let s = std::str::from_utf8(c.bytes(len)?)
                         .map_err(|_| ValueError::invalid("codec: text not UTF-8"))?;
-                    v.push(s.to_string());
+                    t.push(s);
                 }
-                ColumnData::Text(v)
+                ColumnData::Text(t)
             }
             DataType::Date => ColumnData::Date(
                 c.bytes(c.counted(rows, 4)? * 4)?

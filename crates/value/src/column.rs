@@ -4,11 +4,160 @@
 //! optional validity mask (absent means "no nulls"). Null slots hold an
 //! arbitrary default in the data vector and must never be read through the
 //! typed accessors without consulting validity.
+//!
+//! Fixed-width types are plain vectors. **Text is flat**: one contiguous
+//! UTF-8 buffer holding every string back to back plus an offsets vector
+//! (`rows + 1` entries), not a `Vec<String>`. Gathering, slicing,
+//! concatenating, decoding or building a Text column therefore costs a
+//! constant number of allocations per *column* — never one per cell — and
+//! reading a cell ([`Texts::get`], [`Column::value_ref`]) borrows from the
+//! buffer. Only [`Column::value`] (an owned [`Value`]) copies a string out.
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
 
 use crate::error::ValueError;
-use crate::types::{DataType, Value};
+use crate::types::{DataType, Value, ValueRef};
+
+/// Flat Text storage: string `i` is `bytes[offsets[i]..offsets[i + 1]]`.
+/// `offsets` always starts with 0 and has one entry more than there are
+/// strings. Offsets are `u32`: one Text column holds at most 4 GiB of
+/// string bytes (pushing past that panics, like a capacity overflow).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TextData {
+    bytes: String,
+    offsets: Vec<u32>,
+}
+
+impl TextData {
+    pub(crate) fn with_capacity(rows: usize, bytes: usize) -> TextData {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        TextData {
+            bytes: String::with_capacity(bytes),
+            offsets,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    pub(crate) fn view(&self) -> Texts<'_> {
+        Texts {
+            bytes: &self.bytes,
+            offsets: &self.offsets,
+        }
+    }
+
+    pub(crate) fn push(&mut self, s: &str) {
+        self.bytes.push_str(s);
+        self.seal();
+    }
+
+    /// End the current string at the end of the buffer.
+    fn seal(&mut self) {
+        let end = u32::try_from(self.bytes.len()).expect("text column exceeds 4 GiB");
+        self.offsets.push(end);
+    }
+
+    /// Build from `rows` string slices whose total length is `bytes` —
+    /// exactly two allocations whatever the row count.
+    fn collect<'a>(rows: usize, bytes: usize, strs: impl Iterator<Item = &'a str>) -> TextData {
+        let mut out = TextData::with_capacity(rows, bytes);
+        for s in strs {
+            out.push(s);
+        }
+        out
+    }
+
+    fn from_strings(v: &[String]) -> TextData {
+        let bytes = v.iter().map(String::len).sum();
+        TextData::collect(v.len(), bytes, v.iter().map(String::as_str))
+    }
+
+    /// Gather by optional index (`None` = the empty-string default).
+    fn gather(
+        &self,
+        rows: usize,
+        indices: impl Iterator<Item = Option<usize>> + Clone,
+    ) -> TextData {
+        let view = self.view();
+        let pick = move |ix: Option<usize>| ix.map_or("", |i| view.get(i));
+        let bytes = indices.clone().map(|ix| pick(ix).len()).sum();
+        TextData::collect(rows, bytes, indices.map(pick))
+    }
+
+    fn slice(&self, offset: usize, len: usize) -> TextData {
+        let (start, end) = (self.offsets[offset], self.offsets[offset + len]);
+        let mut offsets = Vec::with_capacity(len + 1);
+        offsets.extend(
+            self.offsets[offset..=offset + len]
+                .iter()
+                .map(|o| o - start),
+        );
+        TextData {
+            bytes: self.bytes[start as usize..end as usize].to_string(),
+            offsets,
+        }
+    }
+}
+
+impl Serialize for TextData {
+    /// A sequence of strings — what `Vec<String>` serializes as.
+    fn to_content(&self) -> Content {
+        Content::Seq(
+            self.view()
+                .iter()
+                .map(|s| Content::Str(s.to_string()))
+                .collect(),
+        )
+    }
+}
+
+impl Deserialize for TextData {
+    fn from_content(content: &Content) -> Result<TextData, serde::Error> {
+        Ok(TextData::from_strings(&Vec::<String>::from_content(
+            content,
+        )?))
+    }
+}
+
+/// Read-only view of a Text column's strings (validity not applied — pair
+/// with [`Column::validity`], like the typed slice accessors).
+#[derive(Debug, Clone, Copy)]
+pub struct Texts<'a> {
+    bytes: &'a str,
+    offsets: &'a [u32],
+}
+
+impl<'a> Texts<'a> {
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// String at row `i`, borrowed from the column. Panics out of bounds.
+    #[inline]
+    pub fn get(&self, i: usize) -> &'a str {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &'a str> + 'a {
+        let view = *self;
+        (0..view.len()).map(move |i| view.get(i))
+    }
+}
+
+impl std::ops::Index<usize> for Texts<'_> {
+    type Output = str;
+
+    fn index(&self, i: usize) -> &str {
+        self.get(i)
+    }
+}
 
 /// Physical storage for one column.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -16,7 +165,7 @@ pub(crate) enum ColumnData {
     Bool(Vec<bool>),
     Int(Vec<i64>),
     Float(Vec<f64>),
-    Text(Vec<String>),
+    Text(TextData),
     Date(Vec<i32>),
     Timestamp(Vec<i64>),
 }
@@ -27,7 +176,7 @@ impl ColumnData {
             ColumnData::Bool(v) => v.len(),
             ColumnData::Int(v) => v.len(),
             ColumnData::Float(v) => v.len(),
-            ColumnData::Text(v) => v.len(),
+            ColumnData::Text(t) => t.len(),
             ColumnData::Date(v) => v.len(),
             ColumnData::Timestamp(v) => v.len(),
         }
@@ -49,7 +198,7 @@ impl ColumnData {
             DataType::Bool => ColumnData::Bool(Vec::with_capacity(cap)),
             DataType::Int => ColumnData::Int(Vec::with_capacity(cap)),
             DataType::Float => ColumnData::Float(Vec::with_capacity(cap)),
-            DataType::Text => ColumnData::Text(Vec::with_capacity(cap)),
+            DataType::Text => ColumnData::Text(TextData::with_capacity(cap, 0)),
             DataType::Date => ColumnData::Date(Vec::with_capacity(cap)),
             DataType::Timestamp => ColumnData::Timestamp(Vec::with_capacity(cap)),
         }
@@ -67,13 +216,20 @@ pub struct Column {
     validity: Option<std::sync::Arc<Vec<bool>>>,
 }
 
+/// Split `Option`s into a validity mask and default-filled payloads.
+fn split_opts<T: Default>(v: Vec<Option<T>>) -> (Vec<T>, Vec<bool>) {
+    let validity = v.iter().map(Option::is_some).collect();
+    let data = v.into_iter().map(Option::unwrap_or_default).collect();
+    (data, validity)
+}
+
 impl Column {
     /// Build a column of `dtype` from scalar values, coercing `Int -> Float`
     /// and `Date -> Timestamp` where the declared type requires it.
     pub fn from_values(dtype: DataType, values: &[Value]) -> Result<Column, ValueError> {
         let mut b = ColumnBuilder::new(dtype, values.len());
         for v in values {
-            b.push(v.clone())?;
+            b.push_ref(v.as_ref())?;
         }
         Ok(b.finish())
     }
@@ -88,95 +244,47 @@ impl Column {
     }
 
     pub fn from_bools(v: Vec<bool>) -> Column {
-        Column {
-            data: std::sync::Arc::new(ColumnData::Bool(v)),
-            validity: None,
-        }
+        Column::from_raw(ColumnData::Bool(v), None)
     }
     pub fn from_ints(v: Vec<i64>) -> Column {
-        Column {
-            data: std::sync::Arc::new(ColumnData::Int(v)),
-            validity: None,
-        }
+        Column::from_raw(ColumnData::Int(v), None)
     }
     pub fn from_floats(v: Vec<f64>) -> Column {
-        Column {
-            data: std::sync::Arc::new(ColumnData::Float(v)),
-            validity: None,
-        }
+        Column::from_raw(ColumnData::Float(v), None)
     }
     pub fn from_texts(v: Vec<String>) -> Column {
-        Column {
-            data: std::sync::Arc::new(ColumnData::Text(v)),
-            validity: None,
-        }
+        Column::new_text(v, None)
     }
     pub fn from_dates(v: Vec<i32>) -> Column {
-        Column {
-            data: std::sync::Arc::new(ColumnData::Date(v)),
-            validity: None,
-        }
+        Column::from_raw(ColumnData::Date(v), None)
     }
     pub fn from_timestamps(v: Vec<i64>) -> Column {
-        Column {
-            data: std::sync::Arc::new(ColumnData::Timestamp(v)),
-            validity: None,
-        }
+        Column::from_raw(ColumnData::Timestamp(v), None)
     }
 
     pub fn from_opt_ints(v: Vec<Option<i64>>) -> Column {
-        let validity: Vec<bool> = v.iter().map(|x| x.is_some()).collect();
-        let data: Vec<i64> = v.into_iter().map(|x| x.unwrap_or_default()).collect();
-        Column {
-            data: std::sync::Arc::new(ColumnData::Int(data)),
-            validity: Some(std::sync::Arc::new(validity)),
-        }
-        .normalized()
+        let (data, validity) = split_opts(v);
+        Column::new_int(data, Some(validity))
     }
     pub fn from_opt_floats(v: Vec<Option<f64>>) -> Column {
-        let validity: Vec<bool> = v.iter().map(|x| x.is_some()).collect();
-        let data: Vec<f64> = v.into_iter().map(|x| x.unwrap_or_default()).collect();
-        Column {
-            data: std::sync::Arc::new(ColumnData::Float(data)),
-            validity: Some(std::sync::Arc::new(validity)),
-        }
-        .normalized()
+        let (data, validity) = split_opts(v);
+        Column::new_float(data, Some(validity))
     }
     pub fn from_opt_texts(v: Vec<Option<String>>) -> Column {
-        let validity: Vec<bool> = v.iter().map(|x| x.is_some()).collect();
-        let data: Vec<String> = v.into_iter().map(|x| x.unwrap_or_default()).collect();
-        Column {
-            data: std::sync::Arc::new(ColumnData::Text(data)),
-            validity: Some(std::sync::Arc::new(validity)),
-        }
-        .normalized()
+        let (data, validity) = split_opts(v);
+        Column::new_text(data, Some(validity))
     }
     pub fn from_opt_bools(v: Vec<Option<bool>>) -> Column {
-        let validity: Vec<bool> = v.iter().map(|x| x.is_some()).collect();
-        let data: Vec<bool> = v.into_iter().map(|x| x.unwrap_or_default()).collect();
-        Column {
-            data: std::sync::Arc::new(ColumnData::Bool(data)),
-            validity: Some(std::sync::Arc::new(validity)),
-        }
-        .normalized()
+        let (data, validity) = split_opts(v);
+        Column::new_bool(data, Some(validity))
     }
     pub fn from_opt_dates(v: Vec<Option<i32>>) -> Column {
-        let validity: Vec<bool> = v.iter().map(|x| x.is_some()).collect();
-        let data: Vec<i32> = v.into_iter().map(|x| x.unwrap_or_default()).collect();
-        Column {
-            data: std::sync::Arc::new(ColumnData::Date(data)),
-            validity: Some(std::sync::Arc::new(validity)),
-        }
-        .normalized()
+        let (data, validity) = split_opts(v);
+        Column::new_date(data, Some(validity))
     }
     pub fn from_opt_timestamps(v: Vec<Option<i64>>) -> Column {
-        let validity: Vec<bool> = v.iter().map(|x| x.is_some()).collect();
-        let data: Vec<i64> = v.into_iter().map(|x| x.unwrap_or_default()).collect();
-        Column {
-            data: std::sync::Arc::new(ColumnData::Timestamp(data)),
-            validity: Some(std::sync::Arc::new(validity)),
-        }
-        .normalized()
+        let (data, validity) = split_opts(v);
+        Column::new_timestamp(data, Some(validity))
     }
 
     /// Typed constructors from raw kernel output: dense data plus an
@@ -196,9 +304,12 @@ impl Column {
     pub fn new_float(data: Vec<f64>, validity: Option<Vec<bool>>) -> Column {
         Column::from_raw(ColumnData::Float(data), validity).normalized()
     }
-    /// See [`Column::new_bool`].
+    /// See [`Column::new_bool`]. The strings are copied into the column's
+    /// flat buffer; code that produces text row by row should push into a
+    /// [`ColumnBuilder`] ([`ColumnBuilder::push_str`]) instead of
+    /// collecting `String`s first.
     pub fn new_text(data: Vec<String>, validity: Option<Vec<bool>>) -> Column {
-        Column::from_raw(ColumnData::Text(data), validity).normalized()
+        Column::from_raw(ColumnData::Text(TextData::from_strings(&data)), validity).normalized()
     }
     /// See [`Column::new_bool`].
     pub fn new_date(data: Vec<i32>, validity: Option<Vec<bool>>) -> Column {
@@ -253,19 +364,25 @@ impl Column {
         self.validity.as_ref().map(|m| m.as_slice())
     }
 
-    /// Scalar at row `i` (clones text).
-    pub fn value(&self, i: usize) -> Value {
+    /// Borrowed scalar at row `i` — never allocates; what row loops read.
+    #[inline]
+    pub fn value_ref(&self, i: usize) -> ValueRef<'_> {
         if self.is_null(i) {
-            return Value::Null;
+            return ValueRef::Null;
         }
         match self.data.as_ref() {
-            ColumnData::Bool(v) => Value::Bool(v[i]),
-            ColumnData::Int(v) => Value::Int(v[i]),
-            ColumnData::Float(v) => Value::Float(v[i]),
-            ColumnData::Text(v) => Value::Text(v[i].clone()),
-            ColumnData::Date(v) => Value::Date(v[i]),
-            ColumnData::Timestamp(v) => Value::Timestamp(v[i]),
+            ColumnData::Bool(v) => ValueRef::Bool(v[i]),
+            ColumnData::Int(v) => ValueRef::Int(v[i]),
+            ColumnData::Float(v) => ValueRef::Float(v[i]),
+            ColumnData::Text(t) => ValueRef::Text(t.view().get(i)),
+            ColumnData::Date(v) => ValueRef::Date(v[i]),
+            ColumnData::Timestamp(v) => ValueRef::Timestamp(v[i]),
         }
+    }
+
+    /// Owned scalar at row `i` (copies text out of the column).
+    pub fn value(&self, i: usize) -> Value {
+        self.value_ref(i).to_value()
     }
 
     /// Iterate scalars (clones text values).
@@ -292,9 +409,9 @@ impl Column {
             _ => None,
         }
     }
-    pub fn texts(&self) -> Option<&[String]> {
+    pub fn texts(&self) -> Option<Texts<'_>> {
         match self.data.as_ref() {
-            ColumnData::Text(v) => Some(v),
+            ColumnData::Text(t) => Some(t.view()),
             _ => None,
         }
     }
@@ -314,14 +431,7 @@ impl Column {
     /// Numeric view of row `i` as f64 (Int or Float), None when null or
     /// non-numeric.
     pub fn f64_at(&self, i: usize) -> Option<f64> {
-        if self.is_null(i) {
-            return None;
-        }
-        match self.data.as_ref() {
-            ColumnData::Int(v) => Some(v[i] as f64),
-            ColumnData::Float(v) => Some(v[i]),
-            _ => None,
-        }
+        self.value_ref(i).as_f64()
     }
 
     /// Gather rows by index. Panics on out-of-bounds.
@@ -336,18 +446,15 @@ impl Column {
             ColumnData::Bool(v) => ColumnData::Bool(indices.iter().map(|&i| v[i]).collect()),
             ColumnData::Int(v) => ColumnData::Int(indices.iter().map(|&i| v[i]).collect()),
             ColumnData::Float(v) => ColumnData::Float(indices.iter().map(|&i| v[i]).collect()),
-            ColumnData::Text(v) => {
-                ColumnData::Text(indices.iter().map(|&i| v[i].clone()).collect())
+            ColumnData::Text(t) => {
+                ColumnData::Text(t.gather(indices.len(), indices.iter().map(|&i| Some(i))))
             }
             ColumnData::Date(v) => ColumnData::Date(indices.iter().map(|&i| v[i]).collect()),
             ColumnData::Timestamp(v) => {
                 ColumnData::Timestamp(indices.iter().map(|&i| v[i]).collect())
             }
         };
-        Column {
-            data: std::sync::Arc::new(data),
-            validity: validity.map(std::sync::Arc::new),
-        }
+        Column::from_raw(data, validity)
     }
 
     /// Keep rows where `mask` is true. `mask.len()` must equal `self.len()`.
@@ -365,16 +472,13 @@ impl Column {
     /// holding the builder default payload, so the output is
     /// byte-identical to pushing `Value::Null` through a
     /// [`ColumnBuilder`]. This is the vectorized form of per-row
-    /// `builder.push(src.value(i))` loops (join null-extension), without
-    /// boxing a [`Value`] — and without a `String` allocation — per cell.
+    /// `builder.push(src.value(i))` loops (join null-extension, window
+    /// navigation functions) without boxing a [`Value`] per cell.
     pub fn take_opt(&self, indices: &[Option<usize>]) -> Column {
-        fn gather<T: Clone>(src: &[T], indices: &[Option<usize>], default: T) -> Vec<T> {
+        fn gather<T: Copy>(src: &[T], indices: &[Option<usize>], default: T) -> Vec<T> {
             indices
                 .iter()
-                .map(|ix| match ix {
-                    Some(i) => src[*i].clone(),
-                    None => default.clone(),
-                })
+                .map(|ix| ix.map_or(default, |i| src[i]))
                 .collect()
         }
         let validity: Vec<bool> = indices
@@ -386,14 +490,13 @@ impl Column {
             ColumnData::Bool(v) => ColumnData::Bool(gather(v, indices, false)),
             ColumnData::Int(v) => ColumnData::Int(gather(v, indices, 0)),
             ColumnData::Float(v) => ColumnData::Float(gather(v, indices, 0.0)),
-            ColumnData::Text(v) => ColumnData::Text(gather(v, indices, String::new())),
+            ColumnData::Text(t) => {
+                ColumnData::Text(t.gather(indices.len(), indices.iter().copied()))
+            }
             ColumnData::Date(v) => ColumnData::Date(gather(v, indices, 0)),
             ColumnData::Timestamp(v) => ColumnData::Timestamp(gather(v, indices, 0)),
         };
-        Column {
-            data: std::sync::Arc::new(data),
-            validity: validity.map(std::sync::Arc::new),
-        }
+        Column::from_raw(data, validity)
     }
 
     /// Contiguous sub-range `[offset, offset+len)` — a straight range
@@ -409,14 +512,11 @@ impl Column {
             ColumnData::Bool(v) => ColumnData::Bool(v[offset..offset + len].to_vec()),
             ColumnData::Int(v) => ColumnData::Int(v[offset..offset + len].to_vec()),
             ColumnData::Float(v) => ColumnData::Float(v[offset..offset + len].to_vec()),
-            ColumnData::Text(v) => ColumnData::Text(v[offset..offset + len].to_vec()),
+            ColumnData::Text(t) => ColumnData::Text(t.slice(offset, len)),
             ColumnData::Date(v) => ColumnData::Date(v[offset..offset + len].to_vec()),
             ColumnData::Timestamp(v) => ColumnData::Timestamp(v[offset..offset + len].to_vec()),
         };
-        Column {
-            data: std::sync::Arc::new(data),
-            validity: validity.map(std::sync::Arc::new),
-        }
+        Column::from_raw(data, validity)
     }
 
     /// Concatenate same-typed columns. Payload vectors are extended
@@ -424,39 +524,54 @@ impl Column {
     /// rewritten to the builder defaults so the result is byte-identical
     /// to pushing every value through a [`ColumnBuilder`].
     pub fn concat(parts: &[&Column]) -> Result<Column, ValueError> {
-        fn extend<T: Clone>(out: &mut Vec<T>, part: &Column, src: &[T], default: &T) {
+        fn extend<T: Copy>(out: &mut Vec<T>, part: &Column, src: &[T], default: T) {
             match part.validity() {
-                None => out.extend(src.iter().cloned()),
-                Some(mask) => out.extend(src.iter().zip(mask).map(|(v, &ok)| {
-                    if ok {
-                        v.clone()
-                    } else {
-                        default.clone()
-                    }
-                })),
+                None => out.extend_from_slice(src),
+                Some(mask) => out.extend(
+                    src.iter()
+                        .zip(mask)
+                        .map(|(&v, &ok)| if ok { v } else { default }),
+                ),
             }
-        }
-        macro_rules! concat_as {
-            ($variant:ident, $accessor:ident, $default:expr) => {{
-                let mut out = Vec::with_capacity(parts.iter().map(|c| c.len()).sum());
-                for part in parts {
-                    let src = part.$accessor().ok_or_else(|| ValueError::TypeMismatch {
-                        expected: parts[0].dtype().name().to_string(),
-                        found: part.dtype().name().to_string(),
-                    })?;
-                    extend(&mut out, part, src, &$default);
-                }
-                ColumnData::$variant(out)
-            }};
         }
         let Some(first) = parts.first() else {
             return Err(ValueError::invalid("concat of zero columns"));
         };
+        let mismatch = |part: &Column| ValueError::TypeMismatch {
+            expected: first.dtype().name().to_string(),
+            found: part.dtype().name().to_string(),
+        };
+        macro_rules! concat_as {
+            ($variant:ident, $accessor:ident, $default:expr) => {{
+                let mut out = Vec::with_capacity(parts.iter().map(|c| c.len()).sum());
+                for part in parts {
+                    let src = part.$accessor().ok_or_else(|| mismatch(part))?;
+                    extend(&mut out, part, src, $default);
+                }
+                ColumnData::$variant(out)
+            }};
+        }
         let data = match first.data.as_ref() {
             ColumnData::Bool(_) => concat_as!(Bool, bools, false),
             ColumnData::Int(_) => concat_as!(Int, ints, 0i64),
             ColumnData::Float(_) => concat_as!(Float, floats, 0.0f64),
-            ColumnData::Text(_) => concat_as!(Text, texts, String::new()),
+            ColumnData::Text(_) => {
+                let mut views = Vec::with_capacity(parts.len());
+                for part in parts {
+                    views.push((part.texts().ok_or_else(|| mismatch(part))?, part.validity()));
+                }
+                let strs = || {
+                    views.iter().flat_map(|(texts, mask)| {
+                        texts
+                            .iter()
+                            .enumerate()
+                            .map(move |(i, s)| if mask.is_none_or(|m| m[i]) { s } else { "" })
+                    })
+                };
+                let rows = parts.iter().map(|c| c.len()).sum();
+                let bytes = strs().map(str::len).sum();
+                ColumnData::Text(TextData::collect(rows, bytes, strs()))
+            }
             ColumnData::Date(_) => concat_as!(Date, dates, 0i32),
             ColumnData::Timestamp(_) => concat_as!(Timestamp, timestamps, 0i64),
         };
@@ -473,10 +588,7 @@ impl Column {
             }
             mask
         });
-        Ok(Column {
-            data: std::sync::Arc::new(data),
-            validity: validity.map(std::sync::Arc::new),
-        })
+        Ok(Column::from_raw(data, validity))
     }
 
     /// Cast every value to `target`, erroring on lossy/unsupported casts.
@@ -494,27 +606,21 @@ impl Column {
     /// Number of distinct non-null values (exact; used by prefetch policy
     /// and pivot-value discovery).
     pub fn distinct_count(&self) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut buf = Vec::new();
-        for i in 0..self.len() {
-            if self.is_null(i) {
-                continue;
-            }
-            buf.clear();
-            crate::hash::encode_value(&self.value(i), &mut buf);
-            seen.insert(buf.clone());
+        let keys = crate::hash::KeyCols::new(&[self]);
+        let mut seen = crate::hash::KeyIndex::new();
+        for i in (0..self.len()).filter(|&i| !self.is_null(i)) {
+            seen.intern_row(&keys, i);
         }
         seen.len()
     }
 
-    /// Per-string fixed cost in [`Column::byte_size`]: the `String` struct
-    /// itself (ptr + len + cap) that lives inside the `Vec<String>` buffer.
-    pub const STRING_FIXED_BYTES: usize = std::mem::size_of::<String>();
+    /// Bytes one row's entry in a Text column's offsets vector occupies.
+    pub const TEXT_OFFSET_BYTES: usize = std::mem::size_of::<u32>();
 
     /// Fixed per-column overhead in [`Column::byte_size`]: the
     /// heap-allocated `ColumnData` enum behind the `Arc` (discriminant +
-    /// inline `Vec` header) plus the two `Arc` control blocks' strong/weak
-    /// counters.
+    /// inline buffer headers) plus the two `Arc` control blocks'
+    /// strong/weak counters.
     pub const FIXED_BYTES: usize = std::mem::size_of::<ColumnData>() + 2 * 16;
 
     /// Heap footprint in bytes, the figure cache/memory budgets charge.
@@ -526,18 +632,20 @@ impl Column {
     /// * fixed-width payloads at their physical width (`Int`/`Timestamp` 8,
     ///   `Float` 8, `Date` 4, `Bool` 1 — `Vec<bool>` stores one byte per
     ///   element),
-    /// * the **string heap**: each string's byte length *plus* the
-    ///   [`Column::STRING_FIXED_BYTES`] `String` struct occupying the vec
-    ///   slot (an empty string still costs its slot),
+    /// * **Text**: the string bytes plus [`Column::TEXT_OFFSET_BYTES`] per
+    ///   offsets entry (`rows + 1` of them — an empty string still costs
+    ///   its offset),
     /// * the **null bitmap**: one byte per row when a validity mask is
     ///   present (`Vec<bool>`),
     /// * [`Column::FIXED_BYTES`] of per-column container overhead.
+    ///
+    /// O(1) for every type (a Text column never walks its strings).
     pub fn byte_size(&self) -> usize {
         let base = match self.data.as_ref() {
             ColumnData::Bool(v) => v.len(),
             ColumnData::Int(v) => v.len() * 8,
             ColumnData::Float(v) => v.len() * 8,
-            ColumnData::Text(v) => v.iter().map(|s| s.len() + Self::STRING_FIXED_BYTES).sum(),
+            ColumnData::Text(t) => t.bytes.len() + t.offsets.len() * Self::TEXT_OFFSET_BYTES,
             ColumnData::Date(v) => v.len() * 4,
             ColumnData::Timestamp(v) => v.len() * 8,
         };
@@ -658,7 +766,7 @@ impl ColumnBuilder {
             ColumnData::Bool(v) => v.push(false),
             ColumnData::Int(v) => v.push(0),
             ColumnData::Float(v) => v.push(0.0),
-            ColumnData::Text(v) => v.push(String::new()),
+            ColumnData::Text(t) => t.push(""),
             ColumnData::Date(v) => v.push(0),
             ColumnData::Timestamp(v) => v.push(0),
         }
@@ -667,40 +775,78 @@ impl ColumnBuilder {
     /// Push a scalar, coercing `Int -> Float` and `Date -> Timestamp` when
     /// the builder's type requires it.
     pub fn push(&mut self, v: Value) -> Result<(), ValueError> {
-        if v.is_null() {
-            self.push_null();
-            return Ok(());
-        }
-        let mismatch = |b: &ColumnBuilder, v: &Value| ValueError::TypeMismatch {
-            expected: b.dtype().name().to_string(),
-            found: v.dtype().map(|d| d.name().to_string()).unwrap_or_default(),
-        };
-        match (&mut self.data, &v) {
-            (ColumnData::Bool(vec), Value::Bool(x)) => vec.push(*x),
-            (ColumnData::Int(vec), Value::Int(x)) => vec.push(*x),
-            (ColumnData::Float(vec), Value::Float(x)) => vec.push(*x),
-            (ColumnData::Float(vec), Value::Int(x)) => vec.push(*x as f64),
-            (ColumnData::Text(vec), Value::Text(x)) => vec.push(x.clone()),
-            (ColumnData::Date(vec), Value::Date(x)) => vec.push(*x),
-            (ColumnData::Timestamp(vec), Value::Timestamp(x)) => vec.push(*x),
-            (ColumnData::Timestamp(vec), Value::Date(x)) => {
-                vec.push(*x as i64 * crate::calendar::MICROS_PER_DAY)
+        self.push_ref(v.as_ref())
+    }
+
+    /// [`ColumnBuilder::push`] for a borrowed scalar: text is copied
+    /// straight into the column's buffer, no `String` in between.
+    pub fn push_ref(&mut self, v: ValueRef<'_>) -> Result<(), ValueError> {
+        match (&mut self.data, v) {
+            (_, ValueRef::Null) => {
+                self.push_null();
+                return Ok(());
             }
-            _ => return Err(mismatch(self, &v)),
+            (ColumnData::Bool(vec), ValueRef::Bool(x)) => vec.push(x),
+            (ColumnData::Int(vec), ValueRef::Int(x)) => vec.push(x),
+            (ColumnData::Float(vec), ValueRef::Float(x)) => vec.push(x),
+            (ColumnData::Float(vec), ValueRef::Int(x)) => vec.push(x as f64),
+            (ColumnData::Text(t), ValueRef::Text(x)) => t.push(x),
+            (ColumnData::Date(vec), ValueRef::Date(x)) => vec.push(x),
+            (ColumnData::Timestamp(vec), ValueRef::Timestamp(x)) => vec.push(x),
+            (ColumnData::Timestamp(vec), ValueRef::Date(x)) => {
+                vec.push(x as i64 * crate::calendar::MICROS_PER_DAY)
+            }
+            (_, v) => {
+                return Err(ValueError::TypeMismatch {
+                    expected: self.dtype().name().to_string(),
+                    found: v.dtype().map_or("", DataType::name).to_string(),
+                })
+            }
         }
         self.validity.push(true);
         Ok(())
     }
 
-    pub fn finish(self) -> Column {
-        Column {
-            data: std::sync::Arc::new(self.data),
-            validity: if self.any_null {
-                Some(std::sync::Arc::new(self.validity))
-            } else {
-                None
-            },
+    /// Push a string into a Text builder.
+    pub fn push_str(&mut self, s: &str) -> Result<(), ValueError> {
+        self.push_ref(ValueRef::Text(s))
+    }
+
+    /// Push one row into a Text builder by letting `write` **append** its
+    /// text to the column's buffer — how kernels emit computed text
+    /// (concatenations, case folds, replacements) without a `String` per
+    /// row. `write` returns whether the row has a value: `false` discards
+    /// what it appended and pushes NULL. It must only append; panics if it
+    /// shortened the buffer.
+    pub fn push_str_with(
+        &mut self,
+        write: impl FnOnce(&mut String) -> bool,
+    ) -> Result<(), ValueError> {
+        let ColumnData::Text(t) = &mut self.data else {
+            return Err(ValueError::TypeMismatch {
+                expected: self.dtype().name().to_string(),
+                found: DataType::Text.name().to_string(),
+            });
+        };
+        let start = t.bytes.len();
+        let valid = write(&mut t.bytes);
+        assert!(t.bytes.len() >= start, "push_str_with callback truncated");
+        if !valid {
+            t.bytes.truncate(start);
+            self.any_null = true;
         }
+        t.seal();
+        self.validity.push(valid);
+        Ok(())
+    }
+
+    pub fn finish(mut self) -> Column {
+        if let ColumnData::Text(t) = &mut self.data {
+            // The byte buffer grew by doubling; a finished column may live
+            // as long as a table does.
+            t.bytes.shrink_to_fit();
+        }
+        Column::from_raw(self.data, self.any_null.then_some(self.validity))
     }
 }
 
@@ -722,14 +868,14 @@ mod tests {
         let opt = Column::from_opt_ints(vec![Some(1), None, Some(3)]);
         assert_eq!(opt.byte_size(), Column::FIXED_BYTES + 24 + 3);
 
-        // Strings: each costs its byte length plus the String struct in
-        // the vec slot; the null slot holds an empty string but still pays
-        // its slot, and the mask adds one byte per row.
+        // Text: the string bytes plus one offsets entry per row and one
+        // more for the end; the null slot holds an empty string but still
+        // pays its offset, and the mask adds one byte per row.
         let texts =
             Column::from_opt_texts(vec![Some("ab".to_string()), None, Some("xyz".to_string())]);
         assert_eq!(
             texts.byte_size(),
-            Column::FIXED_BYTES + Column::STRING_FIXED_BYTES * 3 + (2 + 0 + 3) + 3
+            Column::FIXED_BYTES + Column::TEXT_OFFSET_BYTES * (3 + 1) + (2 + 0 + 3) + 3
         );
 
         // Dates are 4 bytes, bools 1 byte (Vec<bool> is byte-per-element).

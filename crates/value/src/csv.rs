@@ -10,7 +10,7 @@ use crate::batch::{Batch, Field, Schema};
 use crate::calendar;
 use crate::column::ColumnBuilder;
 use crate::error::ValueError;
-use crate::types::{DataType, Value};
+use crate::types::{DataType, ValueRef};
 
 /// Split raw CSV text into records of fields, honoring RFC-4180 quoting
 /// (quoted fields may contain commas, newlines, and doubled quotes).
@@ -199,8 +199,9 @@ pub fn read_csv(text: &str, options: &CsvOptions) -> Result<Batch, ValueError> {
         .collect();
     for rec in data {
         for (c, raw) in rec.iter().enumerate() {
-            let v = parse_field(raw, fields[c]);
-            builders[c].push(v).expect("type guaranteed by parse_field");
+            builders[c]
+                .push_ref(parse_field(raw, fields[c]))
+                .expect("type guaranteed by parse_field");
         }
     }
     Batch::new(
@@ -210,27 +211,25 @@ pub fn read_csv(text: &str, options: &CsvOptions) -> Result<Batch, ValueError> {
 }
 
 /// Parse one field under a known type; empty or unparseable becomes NULL.
-pub fn parse_field(raw: &str, dtype: DataType) -> Value {
+/// A Text field borrows from the record.
+pub fn parse_field(raw: &str, dtype: DataType) -> ValueRef<'_> {
     let s = raw.trim();
     if s.is_empty() {
-        return Value::Null;
+        return ValueRef::Null;
     }
-    match dtype {
-        DataType::Int => s.parse::<i64>().map(Value::Int).unwrap_or(Value::Null),
-        DataType::Float => s.parse::<f64>().map(Value::Float).unwrap_or(Value::Null),
+    let parsed = match dtype {
+        DataType::Int => s.parse::<i64>().ok().map(ValueRef::Int),
+        DataType::Float => s.parse::<f64>().ok().map(ValueRef::Float),
         DataType::Bool => match s.to_ascii_lowercase().as_str() {
-            "true" => Value::Bool(true),
-            "false" => Value::Bool(false),
-            _ => Value::Null,
+            "true" => Some(ValueRef::Bool(true)),
+            "false" => Some(ValueRef::Bool(false)),
+            _ => None,
         },
-        DataType::Date => calendar::parse_date(s)
-            .map(Value::Date)
-            .unwrap_or(Value::Null),
-        DataType::Timestamp => calendar::parse_timestamp(s)
-            .map(Value::Timestamp)
-            .unwrap_or(Value::Null),
-        DataType::Text => Value::Text(raw.to_string()),
-    }
+        DataType::Date => calendar::parse_date(s).map(ValueRef::Date),
+        DataType::Timestamp => calendar::parse_timestamp(s).map(ValueRef::Timestamp),
+        DataType::Text => Some(ValueRef::Text(raw)),
+    };
+    parsed.unwrap_or(ValueRef::Null)
 }
 
 /// Serialize a batch to CSV with a header row.
@@ -265,6 +264,7 @@ fn quote_field(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Value;
 
     #[test]
     fn basic_inference() {

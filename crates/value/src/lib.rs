@@ -1,8 +1,8 @@
 //! Columnar value layer shared by every tier of the Sigma Workbook
 //! reproduction: scalar [`Value`]s, typed [`Column`]s with validity tracking,
 //! [`Batch`]es (schema + columns), proleptic-Gregorian calendar math, CSV
-//! reading/writing with type inference, sort-index computation, group-key
-//! encoding, and a bit-exact binary batch codec (the spill-file format of
+//! reading/writing with type inference, typed row ordering, the row-key
+//! index, and a bit-exact binary batch codec (the spill-file format of
 //! the warehouse's out-of-core operators).
 //!
 //! The browser runtime, the formula compiler, and the warehouse executor all
@@ -23,6 +23,6 @@ pub mod types;
 
 pub use batch::{Batch, Field, Schema};
 pub use codec::{decode_batch, encode_batch};
-pub use column::{Column, ColumnBuilder};
+pub use column::{Column, ColumnBuilder, Texts};
 pub use error::ValueError;
-pub use types::{DataType, Value};
+pub use types::{DataType, Value, ValueRef};

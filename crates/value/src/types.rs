@@ -175,31 +175,24 @@ impl Value {
         }
     }
 
-    /// Total order over values used by ORDER BY and sort keys.
-    ///
-    /// Nulls sort first; mixed Int/Float compare numerically; mixed
-    /// Date/Timestamp compare on the timeline; otherwise mismatched types
-    /// order by type tag so the ordering is total (the planner prevents
-    /// genuinely heterogeneous comparisons from reaching execution).
-    pub fn total_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Null, _) => Ordering::Less,
-            (_, Null) => Ordering::Greater,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
-            (Text(a), Text(b)) => a.cmp(b),
-            (Date(a), Date(b)) => a.cmp(b),
-            (Timestamp(a), Timestamp(b)) => a.cmp(b),
-            (Date(_), Timestamp(_)) | (Timestamp(_), Date(_)) => {
-                self.as_micros().unwrap().cmp(&other.as_micros().unwrap())
-            }
-            (a, b) => type_rank(a).cmp(&type_rank(b)),
+    /// Borrowed view of this value (text by reference, everything else
+    /// by copy).
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(v) => ValueRef::Int(*v),
+            Value::Float(v) => ValueRef::Float(*v),
+            Value::Text(s) => ValueRef::Text(s),
+            Value::Date(d) => ValueRef::Date(*d),
+            Value::Timestamp(t) => ValueRef::Timestamp(*t),
         }
+    }
+
+    /// Total order over values used by ORDER BY and sort keys — see
+    /// [`ValueRef::total_cmp`], the one definition.
+    pub fn total_cmp(&self, other: &Value) -> Ordering {
+        self.as_ref().total_cmp(other.as_ref())
     }
 
     /// SQL equality (null-unaware; callers handle three-valued logic).
@@ -208,13 +201,114 @@ impl Value {
     }
 }
 
-fn type_rank(v: &Value) -> u8 {
+/// A borrowed scalar: a [`Value`] that does not own its text. Row loops
+/// read cells as `ValueRef`s ([`crate::Column::value_ref`]) so visiting a
+/// row never allocates; only a value that must outlive its column is
+/// turned into a [`Value`] ([`ValueRef::to_value`]).
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Text(&'a str),
+    /// Days since 1970-01-01.
+    Date(i32),
+    /// Microseconds since the epoch.
+    Timestamp(i64),
+}
+
+impl ValueRef<'_> {
+    pub fn is_null(&self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// The value's type, or `None` for `Null`.
+    pub fn dtype(&self) -> Option<DataType> {
+        match self {
+            ValueRef::Null => None,
+            ValueRef::Bool(_) => Some(DataType::Bool),
+            ValueRef::Int(_) => Some(DataType::Int),
+            ValueRef::Float(_) => Some(DataType::Float),
+            ValueRef::Text(_) => Some(DataType::Text),
+            ValueRef::Date(_) => Some(DataType::Date),
+            ValueRef::Timestamp(_) => Some(DataType::Timestamp),
+        }
+    }
+
+    /// Numeric view (Int or Float), if any.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            ValueRef::Int(v) => Some(*v as f64),
+            ValueRef::Float(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            ValueRef::Int(v) => Some(*v),
+            ValueRef::Float(v) => Some(*v as i64),
+            _ => None,
+        }
+    }
+
+    /// Temporal view in microseconds since the epoch (dates at midnight).
+    pub fn as_micros(&self) -> Option<i64> {
+        match self {
+            ValueRef::Date(d) => Some(*d as i64 * calendar::MICROS_PER_DAY),
+            ValueRef::Timestamp(t) => Some(*t),
+            _ => None,
+        }
+    }
+
+    /// An owned copy (allocates for text).
+    pub fn to_value(&self) -> Value {
+        match *self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(v) => Value::Int(v),
+            ValueRef::Float(v) => Value::Float(v),
+            ValueRef::Text(s) => Value::Text(s.to_string()),
+            ValueRef::Date(d) => Value::Date(d),
+            ValueRef::Timestamp(t) => Value::Timestamp(t),
+        }
+    }
+
+    /// Total order over values used by ORDER BY and sort keys.
+    ///
+    /// Nulls sort first; mixed Int/Float compare numerically; mixed
+    /// Date/Timestamp compare on the timeline; otherwise mismatched types
+    /// order by type tag so the ordering is total (the planner prevents
+    /// genuinely heterogeneous comparisons from reaching execution).
+    pub fn total_cmp(self, other: ValueRef<'_>) -> Ordering {
+        use ValueRef::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Null, _) => Ordering::Less,
+            (_, Null) => Ordering::Greater,
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Float(a), Float(b)) => a.total_cmp(&b),
+            (Int(a), Float(b)) => (a as f64).total_cmp(&b),
+            (Float(a), Int(b)) => a.total_cmp(&(b as f64)),
+            (Text(a), Text(b)) => a.cmp(b),
+            (Date(a), Date(b)) => a.cmp(&b),
+            (Timestamp(a), Timestamp(b)) => a.cmp(&b),
+            (Date(a), Timestamp(b)) => (a as i64 * calendar::MICROS_PER_DAY).cmp(&b),
+            (Timestamp(a), Date(b)) => a.cmp(&(b as i64 * calendar::MICROS_PER_DAY)),
+            (a, b) => type_rank(a).cmp(&type_rank(b)),
+        }
+    }
+}
+
+fn type_rank(v: ValueRef<'_>) -> u8 {
     match v {
-        Value::Null => 0,
-        Value::Bool(_) => 1,
-        Value::Int(_) | Value::Float(_) => 2,
-        Value::Text(_) => 3,
-        Value::Date(_) | Value::Timestamp(_) => 4,
+        ValueRef::Null => 0,
+        ValueRef::Bool(_) => 1,
+        ValueRef::Int(_) | ValueRef::Float(_) => 2,
+        ValueRef::Text(_) => 3,
+        ValueRef::Date(_) | ValueRef::Timestamp(_) => 4,
     }
 }
 
