@@ -23,13 +23,13 @@ pub enum Source {
     BrowserCache,
     /// Local evaluation over prefetched rows (no round trip).
     LocalEngine,
-    /// Delta fast path: the edit re-ran only simple filter/projection
-    /// stages through the kernels over cached stage results — no plan,
-    /// no scan, no round trip.
+    /// Delta edit: every stage the edit invalidated planned as a chain —
+    /// filter / project / sort over a cached stage result — so the
+    /// embedded engine re-ran no scan, join or grouping. No round trip.
     LocalDelta,
     /// Residual-suffix execution: cached stage results served the
     /// unchanged prefix; only the invalidated suffix recomputed locally
-    /// (at least one stage through the embedded engine).
+    /// (at least one stage planned as more than a chain).
     LocalResidual,
     /// Service round trip, answered by the query directory.
     ServiceDirectory,
@@ -210,9 +210,9 @@ impl BrowserSession {
 
         // 2. Local execution. Compile against prefetched tables plus
         // learned schemas, then try to serve the plan's residual suffix
-        // from the stage cache + local kernels/engine. The reuse frontier
-        // decides the tier: pure kernel recompute over cached parents is
-        // the delta fast path; any engine stage makes it residual; no
+        // from the stage cache + the embedded engine. Reuse and plan
+        // shape decide the tier: only chain stages recomputed over cached
+        // parents is a delta edit; any other stage makes it residual; no
         // reuse at all is a plain full local evaluation.
         let plan = {
             let learned = self.schema_memo.lock();

@@ -1,25 +1,25 @@
 //! The in-browser evaluation engine.
 //!
 //! Holds fully prefetched tables in an embedded instance of the warehouse
-//! kernels and answers a compiled query locally when every base table it
-//! scans is present. This models the paper's WASM engine synthesizing "new
-//! results from existing rows already fetched from the CDW".
+//! and answers a compiled element locally when every base table its
+//! uncached stages scan is present. This models the paper's WASM engine
+//! synthesizing "new results from existing rows already fetched from the
+//! CDW".
 //!
-//! Beyond whole-query evaluation, the engine executes the **residual
-//! suffix** of an edited element ([`LocalEngine::execute_plan`]): given
-//! the compiled stage DAG and a fingerprint-keyed [`StageCache`] of
-//! previously seen stage results, it finds the deepest cached frontier
-//! and recomputes only the invalidated stages — through the bare
-//! selection-vector kernels when a stage is a simple filter/projection
-//! over one input (the delta fast path for slider drags and formula
-//! edits), through the embedded engine otherwise.
+//! [`LocalEngine::execute_plan`] executes the **residual suffix** of an
+//! edited element: given the compiled stage DAG and a fingerprint-keyed
+//! [`StageCache`] of previously seen stage results, it finds the deepest
+//! cached frontier and recomputes only the invalidated stages, each one
+//! planned and run by the embedded warehouse with its input stages'
+//! batches bound by name ([`Warehouse::execute_over`]). A slider drag or
+//! a formula edit is not a separate path — it is the plan shape
+//! filter/project/sort over a cached input, which the warehouse reports.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use sigma_cdw::{CdwError, Warehouse};
 use sigma_core::StagePlan;
-use sigma_sql::{Query, SetExpr, TableRef};
 use sigma_value::Batch;
 
 use crate::cache::{CacheStats, StageCache};
@@ -31,11 +31,12 @@ pub struct LocalEval {
     pub batch: Batch,
     /// Stages answered from the browser stage cache (the reuse frontier).
     pub stage_hits: usize,
-    /// Stages recomputed by the delta kernels alone (filter re-selection
-    /// / formula projection over a cached parent — no plan, no scan).
+    /// Stages recomputed whose plan was a chain — only filter / project /
+    /// sort over one input stage's batch (a filter re-selection, a
+    /// formula projection, a re-sort: no scan, no join, no grouping).
     pub kernel_stages: usize,
-    /// Stages recomputed through the embedded engine (grouping, joins,
-    /// sorts — anything beyond a simple select).
+    /// Stages recomputed whose plan was anything else (scans, grouping,
+    /// joins, windows, DISTINCT, LIMIT, unions).
     pub engine_stages: usize,
 }
 
@@ -45,12 +46,8 @@ enum StageAction {
     Skip,
     /// Served from the stage cache.
     Reuse(Batch),
-    /// Simple filter/projection over a single input stage: recompute via
-    /// [`sigma_cdw::delta::execute_simple_stage`].
-    Kernel,
-    /// Recompute through the embedded engine (inputs installed as
-    /// ephemeral RESULT_SCAN tables).
-    Engine,
+    /// Recompute on the embedded warehouse over its input stages' batches.
+    Compute,
 }
 
 /// The local evaluation engine.
@@ -124,25 +121,21 @@ impl LocalEngine {
     /// Walking the stage DAG from the sink, each interior stage is looked
     /// up in the stage cache by fingerprint; a hit becomes a reuse
     /// frontier and its inputs are never visited. Every remaining stage
-    /// must be computable here: a **simple stage** (single-input
-    /// filter/projection) runs through the delta kernels, anything else
-    /// runs on the embedded engine with its stage inputs installed as
-    /// ephemeral `RESULT_SCAN` results — which requires any base tables
-    /// it scans to be prefetched. If some residual stage is not
-    /// computable, returns `Ok(None)`: the caller falls back to the
-    /// service.
+    /// runs on the embedded warehouse with its input stages' batches
+    /// bound by stage name — which requires any base tables it scans to
+    /// be prefetched. If some residual stage scans a table that is not,
+    /// returns `Ok(None)`: the caller falls back to the service.
     ///
-    /// Results are bit-identical to a full service recompile: the kernel
-    /// path mirrors the planner's resolution/naming/coercion exactly
-    /// (pinned by `sigma-cdw`'s delta tests), the engine path *is* the
-    /// warehouse code, and stage decomposition is the same DAG the
-    /// service executes.
+    /// Results are bit-identical to a full service recompile: each stage
+    /// is planned and executed by the warehouse code itself, and stage
+    /// decomposition is the same DAG the service executes.
     pub fn execute_plan(&self, plan: &StagePlan) -> Result<Option<LocalEval>, CdwError> {
         let n = plan.nodes.len();
         let sink = n - 1;
         let mut actions: Vec<StageAction> = (0..n).map(|_| StageAction::Skip).collect();
         let mut needed = vec![false; n];
         needed[sink] = true;
+        let installed = self.tables.read();
         for idx in (0..n).rev() {
             if !needed[idx] {
                 continue;
@@ -154,96 +147,61 @@ impl LocalEngine {
                     continue;
                 }
             }
-            let kernel_simple = node.tables.is_empty()
-                && node.inputs.len() == 1
-                && sigma_cdw::delta::simple_stage_select(&node.query).is_some()
-                && sigma_cdw::delta::simple_stage_input(&node.query)
-                    .is_some_and(|t| plan.nodes[node.inputs[0]].name.eq_ignore_ascii_case(&t));
-            if kernel_simple {
-                actions[idx] = StageAction::Kernel;
-            } else {
-                let installed = self.tables.read();
-                if !node
-                    .tables
-                    .iter()
-                    .all(|t| installed.contains(&t.to_ascii_lowercase()))
-                {
-                    return Ok(None); // needs the warehouse
-                }
-                actions[idx] = StageAction::Engine;
+            if !node
+                .tables
+                .iter()
+                .all(|t| installed.contains(&t.to_ascii_lowercase()))
+            {
+                return Ok(None); // needs the warehouse
             }
+            actions[idx] = StageAction::Compute;
             for &input in &node.inputs {
                 needed[input] = true;
             }
         }
+        drop(installed);
 
         // Forward pass over the residual suffix in topological order.
         let mut results: Vec<Option<Batch>> = (0..n).map(|_| None).collect();
-        let mut ephemeral: Vec<String> = Vec::new();
         let (mut stage_hits, mut kernel_stages, mut engine_stages) = (0usize, 0usize, 0usize);
-        let eval_ctx = sigma_cdw::eval::EvalCtx::default();
-        let outcome = (|| -> Result<Batch, CdwError> {
-            for idx in 0..n {
-                match &actions[idx] {
-                    StageAction::Skip => {}
-                    StageAction::Reuse(batch) => {
-                        stage_hits += 1;
-                        results[idx] = Some(batch.clone());
-                    }
-                    StageAction::Kernel => {
-                        let node = &plan.nodes[idx];
-                        let parent = results[node.inputs[0]]
-                            .as_ref()
-                            .expect("input stage resolved");
-                        let batch =
-                            sigma_cdw::delta::execute_simple_stage(&node.query, parent, &eval_ctx)?;
-                        kernel_stages += 1;
-                        results[idx] = Some(batch);
-                    }
-                    StageAction::Engine => {
-                        let node = &plan.nodes[idx];
-                        let mut query = node.query.clone();
-                        let scans: HashMap<String, String> = node
-                            .inputs
-                            .iter()
-                            .map(|&i| {
-                                let qid = self.engine.install_result(
-                                    results[i].clone().expect("input stage resolved"),
-                                );
-                                ephemeral.push(qid.clone());
-                                (plan.nodes[i].name.to_ascii_lowercase(), qid)
-                            })
-                            .collect();
-                        sigma_sql::substitute_result_scans(&mut query, &scans);
-                        let r = self
-                            .engine
-                            .execute_statement(&sigma_sql::Statement::Query(query))?;
-                        ephemeral.push(r.query_id.clone());
-                        engine_stages += 1;
-                        results[idx] = Some(r.batch);
-                    }
+        for (idx, action) in actions.into_iter().enumerate() {
+            match action {
+                StageAction::Skip => {}
+                StageAction::Reuse(batch) => {
+                    stage_hits += 1;
+                    results[idx] = Some(batch);
                 }
-            }
-            Ok(results[sink].clone().expect("sink computed"))
-        })();
-        // The embedded warehouse only ever holds prefetched tables plus
-        // these transient RESULT_SCAN installs; drop them now.
-        for qid in &ephemeral {
-            self.engine.evict_result(qid);
-        }
-        let batch = outcome?;
-
-        // Remember every freshly computed interior stage so the next edit
-        // reuses it (the cache walk above is how it gets found).
-        for idx in 0..sink {
-            if matches!(actions[idx], StageAction::Kernel | StageAction::Engine) {
-                if let Some(b) = &results[idx] {
+                StageAction::Compute => {
                     let node = &plan.nodes[idx];
-                    self.stages
-                        .put(&node.fingerprint.hex(), b.clone(), node.all_tables.clone());
+                    let inputs: Vec<(&str, &Batch)> = node
+                        .inputs
+                        .iter()
+                        .map(|&i| {
+                            let batch = results[i].as_ref().expect("input stage resolved");
+                            (plan.nodes[i].name.as_str(), batch)
+                        })
+                        .collect();
+                    let (batch, chain) = self.engine.execute_over(&node.query, &inputs)?;
+                    if chain {
+                        kernel_stages += 1;
+                    } else {
+                        engine_stages += 1;
+                    }
+                    // Remember every freshly computed interior stage so
+                    // the next edit reuses it (the cache walk above is how
+                    // it gets found).
+                    if idx != sink {
+                        self.stages.put(
+                            &node.fingerprint.hex(),
+                            batch.clone(),
+                            node.all_tables.clone(),
+                        );
+                    }
+                    results[idx] = Some(batch);
                 }
             }
         }
+        let batch = results[sink].take().expect("sink computed");
         self.local_evals
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(Some(LocalEval {
@@ -270,135 +228,5 @@ impl LocalEngine {
             return None;
         }
         self.engine.table_schema(name)
-    }
-
-    /// Can this compiled query be answered entirely from prefetched rows?
-    pub fn can_answer(&self, query: &Query) -> bool {
-        let mut tables = Vec::new();
-        collect_base_tables(query, &mut tables);
-        let installed = self.tables.read();
-        !tables.is_empty()
-            && tables
-                .iter()
-                .all(|t| installed.contains(&t.to_ascii_lowercase()))
-    }
-
-    /// Evaluate locally (no round trip). Callers check `can_answer` first;
-    /// a missing table surfaces as an error.
-    pub fn evaluate(&self, sql: &str) -> Result<Batch, CdwError> {
-        let result = self.engine.execute_sql(sql)?;
-        self.local_evals
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Ok(result.batch)
-    }
-}
-
-/// Collect base-table names referenced by a query, excluding its own CTEs.
-pub fn collect_base_tables(query: &Query, out: &mut Vec<String>) {
-    let mut cte_names: HashSet<String> = HashSet::new();
-    collect_query(query, &mut cte_names, out);
-}
-
-fn collect_query(query: &Query, ctes_in_scope: &mut HashSet<String>, out: &mut Vec<String>) {
-    // CTEs bind sequentially: each body may reference earlier CTEs.
-    let mut scope = ctes_in_scope.clone();
-    for (name, cte) in &query.ctes {
-        collect_query(cte, &mut scope, out);
-        scope.insert(name.to_ascii_lowercase());
-    }
-    collect_set(&query.body, &scope, out);
-}
-
-fn collect_set(body: &SetExpr, scope: &HashSet<String>, out: &mut Vec<String>) {
-    match body {
-        SetExpr::Select(s) => {
-            let mut handle = |t: &TableRef| match t {
-                TableRef::Table { name, .. } => {
-                    let base = name.to_dotted();
-                    if (name.0.len() > 1 || !scope.contains(&base.to_ascii_lowercase()))
-                        && !out.iter().any(|o| o.eq_ignore_ascii_case(&base))
-                    {
-                        out.push(base);
-                    }
-                }
-                TableRef::Subquery { query, .. } => {
-                    let mut inner_scope = scope.clone();
-                    collect_query(query, &mut inner_scope, out);
-                }
-                TableRef::Function { .. } => {
-                    // RESULT_SCAN needs the warehouse: mark unanswerable by
-                    // inventing an impossible table name.
-                    out.push("$result_scan".into());
-                }
-            };
-            if let Some(from) = &s.from {
-                handle(from);
-            }
-            for j in &s.joins {
-                handle(&j.relation);
-            }
-        }
-        SetExpr::UnionAll(l, r) => {
-            collect_set(l, scope, out);
-            collect_set(r, scope, out);
-        }
-        SetExpr::Values(_) => {}
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sigma_sql::parse_query;
-    use sigma_value::{Column, DataType, Field, Schema, Value};
-
-    fn sample() -> Batch {
-        let schema = Arc::new(Schema::new(vec![
-            Field::new("k", DataType::Text),
-            Field::new("v", DataType::Int),
-        ]));
-        Batch::new(
-            schema,
-            vec![
-                Column::from_texts(vec!["a".into(), "b".into(), "a".into()]),
-                Column::from_ints(vec![1, 2, 3]),
-            ],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn base_table_collection_skips_ctes() {
-        let q = parse_query(
-            "WITH x AS (SELECT * FROM t1) SELECT * FROM x JOIN t2 ON x.a = t2.a \
-             JOIN (SELECT * FROM t3) s ON s.b = t2.b",
-        )
-        .unwrap();
-        let mut tables = Vec::new();
-        collect_base_tables(&q, &mut tables);
-        assert_eq!(tables, vec!["t1".to_string(), "t2".into(), "t3".into()]);
-    }
-
-    #[test]
-    fn answerability_and_local_eval() {
-        let engine = LocalEngine::new();
-        engine.install_table("dim", sample()).unwrap();
-        let local = parse_query("SELECT k, SUM(v) AS s FROM dim GROUP BY k").unwrap();
-        assert!(engine.can_answer(&local));
-        let remote = parse_query("SELECT * FROM dim JOIN facts ON dim.k = facts.k").unwrap();
-        assert!(!engine.can_answer(&remote));
-        let b = engine
-            .evaluate("SELECT k, SUM(v) AS s FROM dim GROUP BY k ORDER BY k")
-            .unwrap();
-        assert_eq!(b.num_rows(), 2);
-        assert_eq!(b.value(0, 1), Value::Int(4));
-        assert_eq!(engine.local_evals(), 1);
-    }
-
-    #[test]
-    fn result_scan_is_never_local() {
-        let engine = LocalEngine::new();
-        let q = parse_query("SELECT * FROM TABLE(RESULT_SCAN('q-1')) AS r").unwrap();
-        assert!(!engine.can_answer(&q));
     }
 }

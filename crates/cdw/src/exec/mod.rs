@@ -459,8 +459,8 @@ fn execute_parts(
 
 /// Row indices (in original-batch coordinates) where the evaluated
 /// predicate column is `true`, refined through an existing selection.
-/// (Shared with the browser-tier delta kernels in [`crate::delta`] so the
-/// filter-tweak fast path keeps the exact filter semantics of the plan.)
+/// (UPDATE and DELETE select their rows with it too, so DML keeps the
+/// exact filter semantics of a plan.)
 pub(crate) fn truthy_indices(mask: &Column, sel: Option<&[usize]>) -> Vec<usize> {
     let orig = |i: usize| sel.map_or(i, |s| s[i]);
     let mut keep = Vec::new();

@@ -7,7 +7,11 @@
 //!
 //! * a catalog and partitioned columnar storage,
 //! * a SQL front end (reusing `sigma-sql`'s parser),
-//! * a logical planner with name resolution and aggregate/window rewriting,
+//! * a logical planner with name resolution and aggregate/window
+//!   rewriting — the crate's only binder: catalog queries, queries over
+//!   caller-bound input batches (`Warehouse::execute_over`, how the
+//!   browser tier recomputes an edited stage from cached results) and
+//!   UPDATE/DELETE expressions all resolve through it,
 //! * a rule-based optimizer (predicate pushdown, projection pruning,
 //!   constant folding, and a two-phase partial/final split of aggregation
 //!   and DISTINCT over partition-preserving inputs),
@@ -50,7 +54,6 @@
 //! the same code path as the production warehouses.
 
 pub mod catalog;
-pub mod delta;
 pub mod error;
 pub mod eval;
 pub mod exec;

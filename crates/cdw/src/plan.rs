@@ -268,6 +268,20 @@ impl Plan {
         }
     }
 
+    /// The inline batch a plan made of nothing but `Filter`/`Project`/
+    /// `Sort` nodes reads: the shape of a filter tweak or a formula edit
+    /// replayed over an already computed input. Any other operator (scan,
+    /// join, aggregate, window, distinct, limit, union) gives `None`.
+    pub fn chain_source(&self) -> Option<&Batch> {
+        match self {
+            Plan::Values { batch } => Some(batch),
+            Plan::Filter { input, .. } | Plan::Project { input, .. } | Plan::Sort { input, .. } => {
+                input.chain_source()
+            }
+            _ => None,
+        }
+    }
+
     /// Render the plan as an indented tree (EXPLAIN-style).
     pub fn explain(&self) -> String {
         let mut out = String::new();

@@ -22,12 +22,14 @@ type JoinKeySplit = (Vec<PhysExpr>, Vec<PhysExpr>, Option<PhysExpr>);
 
 /// Resolution context: an ordered list of (binding name, schema) pairs.
 #[derive(Debug, Clone, Default)]
-struct Scope {
+pub(crate) struct Scope {
     bindings: Vec<(String, Arc<Schema>)>,
 }
 
 impl Scope {
-    fn single(name: impl Into<String>, schema: Arc<Schema>) -> Scope {
+    /// The scope of one relation — a table reference, or the target table
+    /// of an UPDATE/DELETE.
+    pub(crate) fn single(name: impl Into<String>, schema: Arc<Schema>) -> Scope {
         Scope {
             bindings: vec![(name.into(), schema)],
         }
@@ -108,7 +110,7 @@ const AGG_NAMES: &[(&str, AggFunc)] = &[
     ("ANY_VALUE", AggFunc::Attr),
 ];
 
-pub(crate) fn agg_func_for(name: &str) -> Option<AggFunc> {
+fn agg_func_for(name: &str) -> Option<AggFunc> {
     let upper = name.to_ascii_uppercase();
     if upper == "PERCENTILE_CONT" {
         // Fraction filled in at build time from the literal second arg.
@@ -141,9 +143,20 @@ impl<'a> Planner<'a> {
         Planner { catalog, results }
     }
 
-    /// Plan a full query.
-    pub fn plan_query(&self, query: &Query) -> Result<Plan, CdwError> {
-        self.plan_query_env(query, &HashMap::new())
+    /// Plan a full query with `inputs` bound as relations: a single-part
+    /// table reference naming one (case-insensitively) reads that batch as
+    /// a [`Plan::Values`] leaf, exactly as it would a CTE of that name, so
+    /// a bound input shadows a catalog table. Binding clones the batch —
+    /// O(columns) reference bumps, no row is copied.
+    pub fn plan_query(&self, query: &Query, inputs: &[(&str, &Batch)]) -> Result<Plan, CdwError> {
+        let bound = inputs
+            .iter()
+            .map(|&(name, batch)| {
+                let batch = batch.clone();
+                (name.to_ascii_lowercase(), Plan::Values { batch })
+            })
+            .collect();
+        self.plan_query_env(query, &bound)
     }
 
     fn plan_query_env(
@@ -887,8 +900,9 @@ impl<'a> Planner<'a> {
         })
     }
 
-    /// Resolve a SQL expression to a physical expression.
-    fn resolve(&self, e: &SqlExpr, scope: &Scope) -> Result<PhysExpr, CdwError> {
+    /// Resolve a SQL expression to a physical expression — the crate's
+    /// only `SqlExpr` → [`PhysExpr`] lowering (queries and DML alike).
+    pub(crate) fn resolve(&self, e: &SqlExpr, scope: &Scope) -> Result<PhysExpr, CdwError> {
         Ok(match e {
             SqlExpr::Literal(v) => PhysExpr::Literal(v.clone()),
             SqlExpr::Column { table, name } => {

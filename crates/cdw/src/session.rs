@@ -3,19 +3,20 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 use sigma_sql::{parse_statement, Dialect, Query, Statement};
-use sigma_value::{Batch, Value};
+use sigma_value::Batch;
 
 use crate::catalog::{Catalog, TableStats};
 use crate::error::CdwError;
 use crate::eval::{self, EvalCtx, PhysExpr};
-use crate::exec::{execute, ExecCtx, ExecStats, MorselSizing, OpStats};
+use crate::exec::{execute, truthy_indices, ExecCtx, ExecStats, MorselSizing, OpStats};
 use crate::optimizer::optimize;
 use crate::plan::Plan;
-use crate::planner::Planner;
+use crate::planner::{Planner, Scope};
 use crate::storage::DEFAULT_PARTITION_ROWS;
 
 /// Warehouse configuration.
@@ -250,8 +251,8 @@ impl Warehouse {
         let mut stats = ExecStats::default();
         let outcome = match stmt {
             Statement::Query(q) => {
-                let batch = self.run_query(q, &mut stats)?;
-                let query_id = self.persist_result(batch.clone());
+                let (batch, _) = self.run_query(q, &[], &mut stats)?;
+                let query_id = self.install_result(batch.clone());
                 ResultSet {
                     query_id,
                     batch,
@@ -285,7 +286,7 @@ impl Warehouse {
                 query,
                 or_replace,
             } => {
-                let batch = self.run_query(query, &mut stats)?;
+                let (batch, _) = self.run_query(query, &[], &mut stats)?;
                 let rows = batch.num_rows();
                 self.catalog.write().create_table_from_batch(
                     &name.to_dotted(),
@@ -304,7 +305,7 @@ impl Warehouse {
                 columns,
                 source,
             } => {
-                let batch = self.run_query(source, &mut stats)?;
+                let (batch, _) = self.run_query(source, &[], &mut stats)?;
                 let rows = batch.num_rows();
                 let mut catalog = self.catalog.write();
                 let stored = catalog.get_mut(&table.to_dotted())?;
@@ -357,7 +358,7 @@ impl Warehouse {
             return Err(CdwError::plan("EXPLAIN ANALYZE supports only queries"));
         };
         let mut stats = ExecStats::default();
-        self.run_query(&q, &mut stats)?;
+        self.run_query(&q, &[], &mut stats)?;
         Ok(stats.render())
     }
 
@@ -377,7 +378,7 @@ impl Warehouse {
         let catalog = self.catalog.read();
         let results = self.results.read();
         let planner = Planner::new(&catalog, &results);
-        let plan = planner.plan_query(&q)?;
+        let plan = planner.plan_query(&q, &[])?;
         optimize(plan, &self.eval_ctx())
     }
 
@@ -387,11 +388,40 @@ impl Warehouse {
         }
     }
 
-    fn run_query(&self, q: &Query, stats: &mut ExecStats) -> Result<Batch, CdwError> {
+    /// Plan, optimize and execute `query` with `inputs` bound as relations
+    /// by name, shadowing catalog tables (see
+    /// [`Planner::plan_query`]). Returns the result and whether the
+    /// plan, before optimization, was only `Filter`/`Project`/`Sort`
+    /// nodes over one of the inputs ([`Plan::chain_source`]) — the
+    /// browser tier tells a delta edit from a residual one by it.
+    ///
+    /// Nothing is persisted: the result store is read (for `RESULT_SCAN`)
+    /// but never written, so no query id is assigned.
+    pub fn execute_over(
+        &self,
+        query: &Query,
+        inputs: &[(&str, &Batch)],
+    ) -> Result<(Batch, bool), CdwError> {
+        self.run_query(query, inputs, &mut ExecStats::default())
+    }
+
+    fn run_query(
+        &self,
+        q: &Query,
+        inputs: &[(&str, &Batch)],
+        stats: &mut ExecStats,
+    ) -> Result<(Batch, bool), CdwError> {
         let catalog = self.catalog.read();
         let results = self.results.read();
-        let planner = Planner::new(&catalog, &results);
-        let plan = planner.plan_query(q)?;
+        let plan = Planner::new(&catalog, &results).plan_query(q, inputs)?;
+        // A bound input's leaf shares the input's schema allocation; the
+        // planner's own `Values` leaves (VALUES rows, the FROM-less dual
+        // row) each build a fresh one.
+        let chain = plan.chain_source().is_some_and(|source| {
+            inputs
+                .iter()
+                .any(|(_, input)| Arc::ptr_eq(source.schema(), input.schema()))
+        });
         let plan = optimize(plan, &self.eval_ctx())?;
         let config = self.config.read().clone();
         let ctx = ExecCtx {
@@ -403,7 +433,7 @@ impl Warehouse {
             memory: crate::exec::ExecMemoryTracker::new(config.memory_budget),
             sched: crate::exec::scheduler::SchedCounters::default(),
         };
-        execute(&plan, &ctx, stats)
+        Ok((execute(&plan, &ctx, stats)?, chain))
     }
 
     fn run_update(
@@ -414,48 +444,39 @@ impl Warehouse {
     ) -> Result<usize, CdwError> {
         let mut catalog = self.catalog.write();
         let results = self.results.read();
-        // Resolve assignment expressions against the table schema.
         let schema = catalog.get(table)?.schema().clone();
         let full = catalog.get(table)?.to_batch();
         let planner = Planner::new(&catalog, &results);
-        let scope_resolve = |e: &sigma_sql::SqlExpr| -> Result<PhysExpr, CdwError> {
-            resolve_against_schema(&planner, e, &schema, table)
-        };
+        let scope = Scope::single(table, schema.clone());
         let ctx = self.eval_ctx();
-        let mask: Vec<bool> = match selection {
-            Some(sel) => {
-                let pred = scope_resolve(sel)?;
-                let col = eval::eval(&pred, &full, &ctx)?;
-                (0..full.num_rows())
-                    .map(|i| col.value(i) == Value::Bool(true))
-                    .collect()
-            }
-            None => vec![true; full.num_rows()],
+        let predicate = match selection {
+            Some(sel) => planner.resolve(sel, &scope)?,
+            None => PhysExpr::lit(true),
         };
-        let affected = mask.iter().filter(|&&b| b).count();
+        let affected = truthy_indices(&eval::eval(&predicate, &full, &ctx)?, None).len();
         let mut new_columns = Vec::with_capacity(full.num_columns());
         for (ci, field) in schema.fields().iter().enumerate() {
             let target = assignments
                 .iter()
                 .find(|(n, _)| n.eq_ignore_ascii_case(&field.name));
-            match target {
-                None => new_columns.push(full.column(ci).clone()),
-                Some((_, expr)) => {
-                    let phys = scope_resolve(expr)?;
-                    let evaluated = eval::eval(&phys, &full, &ctx)?;
-                    let evaluated = evaluated.cast(field.dtype)?;
-                    let mut b = sigma_value::ColumnBuilder::new(field.dtype, full.num_rows());
-                    for (i, &replace) in mask.iter().enumerate().take(full.num_rows()) {
-                        let v = if replace {
-                            evaluated.value(i)
-                        } else {
-                            full.column(ci).value(i)
-                        };
-                        b.push(v).map_err(CdwError::from)?;
-                    }
-                    new_columns.push(b.finish());
-                }
-            }
+            let Some((_, expr)) = target else {
+                new_columns.push(full.column(ci).clone());
+                continue;
+            };
+            // The new value where the predicate is exactly TRUE, the old
+            // one elsewhere. The cast is strict: a value the column cannot
+            // hold fails the statement before the table is touched.
+            let value = PhysExpr::Cast {
+                expr: Box::new(planner.resolve(expr, &scope)?),
+                dtype: field.dtype,
+                strict: true,
+            };
+            let updated = PhysExpr::Case {
+                operand: None,
+                whens: vec![(predicate.clone(), value)],
+                else_: Some(Box::new(PhysExpr::Col(ci))),
+            };
+            new_columns.push(eval::eval(&updated, &full, &ctx)?);
         }
         let rebuilt = Batch::new(schema, new_columns)?;
         catalog
@@ -473,24 +494,21 @@ impl Warehouse {
         let results = self.results.read();
         let schema = catalog.get(table)?.schema().clone();
         let full = catalog.get(table)?.to_batch();
-        let planner = Planner::new(&catalog, &results);
-        let ctx = self.eval_ctx();
-        let keep: Vec<bool> = match selection {
+        let predicate = match selection {
             Some(sel) => {
-                let pred = resolve_against_schema(&planner, sel, &schema, table)?;
-                let col = eval::eval(&pred, &full, &ctx)?;
-                (0..full.num_rows())
-                    .map(|i| col.value(i) != Value::Bool(true))
-                    .collect()
+                Planner::new(&catalog, &results).resolve(sel, &Scope::single(table, schema))?
             }
-            None => vec![false; full.num_rows()],
+            None => PhysExpr::lit(true),
         };
-        let deleted = keep.iter().filter(|&&k| !k).count();
-        let remaining = full.filter(&keep);
+        let deleted = truthy_indices(&eval::eval(&predicate, &full, &self.eval_ctx())?, None);
+        let mut keep = vec![true; full.num_rows()];
+        for &i in &deleted {
+            keep[i] = false;
+        }
         catalog
             .get_mut(table)?
-            .replace_all(remaining, DEFAULT_PARTITION_ROWS);
-        Ok(deleted)
+            .replace_all(full.filter(&keep), DEFAULT_PARTITION_ROWS);
+        Ok(deleted.len())
     }
 
     fn empty_result(&self, started: Instant) -> ResultSet {
@@ -511,26 +529,14 @@ impl Warehouse {
         format!("q-{}", self.next_query_id.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Install a batch as an ephemeral persisted result, addressable via
-    /// `RESULT_SCAN('<id>')` exactly like an executed query's result —
-    /// without executing anything. The browser tier uses this to expose
-    /// locally cached stage results to residual-suffix execution. Subject
-    /// to the same LRU retention as executed results; pair with
-    /// [`Warehouse::evict_result`] for prompt cleanup.
+    /// Register a batch as a persisted result, addressable via
+    /// `RESULT_SCAN('<id>')`: how every executed query's result is kept,
+    /// and how a caller exposes a batch it already holds without
+    /// executing anything. Subject to LRU retention; pair with
+    /// [`Warehouse::evict_result`] for prompt cleanup. (To run one query
+    /// over batches in hand, bind them with [`Warehouse::execute_over`]
+    /// instead — nothing to clean up.)
     pub fn install_result(&self, batch: Batch) -> String {
-        self.persist_result(batch)
-    }
-
-    /// Drop a persisted result by query id (ephemeral-table cleanup).
-    /// Returns whether it was present.
-    pub fn evict_result(&self, query_id: &str) -> bool {
-        let mut results = self.results.write();
-        let mut retention = self.retention.write();
-        retention.remove(query_id);
-        results.remove(query_id).is_some()
-    }
-
-    fn persist_result(&self, batch: Batch) -> String {
         let id = self.fresh_query_id();
         let max = self.config.read().max_persisted_results;
         let mut results = self.results.write();
@@ -545,18 +551,15 @@ impl Warehouse {
         }
         id
     }
-}
 
-/// Resolve an expression against a single table's schema (UPDATE/DELETE).
-/// Shares the single-relation resolver with the delta kernels.
-fn resolve_against_schema(
-    planner: &Planner<'_>,
-    expr: &sigma_sql::SqlExpr,
-    schema: &std::sync::Arc<sigma_value::Schema>,
-    table: &str,
-) -> Result<PhysExpr, CdwError> {
-    let _ = planner;
-    crate::delta::resolve_expr(expr, schema, table)
+    /// Drop a persisted result by query id (ephemeral-table cleanup).
+    /// Returns whether it was present.
+    pub fn evict_result(&self, query_id: &str) -> bool {
+        let mut results = self.results.write();
+        let mut retention = self.retention.write();
+        retention.remove(query_id);
+        results.remove(query_id).is_some()
+    }
 }
 
 /// Align an INSERT source batch to the table schema, handling an explicit

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sigma_cdw::Warehouse;
 use sigma_flights::{load_airports, load_flights, FlightsConfig};
+use sigma_value::Batch;
 
 struct Counting;
 
@@ -108,22 +109,42 @@ fn operators_allocate_per_column_and_group_not_per_row() {
         ),
     ];
     for (name, sql, min_rows) in &cases {
-        // Warm up: lazy statics, the worker pool, allocator arenas.
-        let warm = wh.execute_sql(sql).unwrap();
-        assert!(
-            warm.batch.num_rows() >= *min_rows,
-            "{name}: {} rows",
-            warm.batch.num_rows()
-        );
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let result = wh.execute_sql(sql).unwrap();
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(result.batch, warm.batch, "{name}: deterministic");
-        assert!(
-            allocations <= ROWS / 4,
-            "{name}: {allocations} allocations for {ROWS} rows (budget {})",
-            ROWS / 4
-        );
-        println!("{name}: {allocations} allocations");
+        within_budget(name, *min_rows, || wh.execute_sql(sql).unwrap().batch);
     }
+
+    // A browser delta-tier edit is the same engine over a bound input:
+    // filter + formula projection + ORDER BY on a hidden key, with the
+    // cached parent stage bound by name (no table, no result registered).
+    let parent = wh.execute_sql("SELECT * FROM flights").unwrap().batch;
+    let edit = sigma_sql::parse_query(
+        "SELECT t.carrier AS carrier, t.origin AS origin, t.dep_delay / 60 AS delay_hours \
+         FROM base_0 AS t WHERE t.distance >= 0 ORDER BY t.flight_date, t.tail_number",
+    )
+    .unwrap();
+    within_budget("delta-tier edit over a bound input", ROWS, || {
+        let (batch, chain) = wh.execute_over(&edit, &[("base_0", &parent)]).unwrap();
+        assert!(chain);
+        batch
+    });
+}
+
+/// Run `run` twice — once to warm lazy statics, the worker pool and the
+/// allocator's arenas — and hold the second run to the allocation budget.
+fn within_budget(name: &str, min_rows: usize, run: impl Fn() -> Batch) {
+    let warm = run();
+    assert!(
+        warm.num_rows() >= min_rows,
+        "{name}: {} rows",
+        warm.num_rows()
+    );
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let result = run();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(result, warm, "{name}: deterministic");
+    assert!(
+        allocations <= ROWS / 4,
+        "{name}: {allocations} allocations for {ROWS} rows (budget {})",
+        ROWS / 4
+    );
+    println!("{name}: {allocations} allocations");
 }

@@ -56,6 +56,9 @@ const QUERIES: &[&str] = &[
     // Partitioned hash join (shared build side).
     "SELECT t.g, t.v, u.lab FROM t JOIN u ON t.jk = u.k",
     "SELECT t.g, u.lab FROM t LEFT JOIN u ON t.jk = u.k",
+    // WHERE pushed below the join: a filter-only chain, whose cut
+    // partitions regroup by concatenating per-morsel selections.
+    "SELECT t.g, t.v, u.lab FROM t JOIN u ON t.jk = u.k WHERE t.v > 3 AND u.k < 5",
     // Aggregation over a join: the join's per-partition output feeds a
     // two-phase aggregate.
     "SELECT u.lab, COUNT(*) AS n, SUM(t.v) AS s \

@@ -379,6 +379,108 @@ fn ddl_dml_lifecycle() {
     assert!(wh.execute_sql("SELECT * FROM notes").is_err());
 }
 
+/// `notes(id BIGINT, score DOUBLE, txt VARCHAR)`: ids 1..=4, a NULL score
+/// on row 3.
+fn notes() -> Warehouse {
+    let wh = Warehouse::default();
+    wh.execute_sql("CREATE TABLE notes (id BIGINT, score DOUBLE, txt VARCHAR)")
+        .unwrap();
+    wh.execute_sql(
+        "INSERT INTO notes VALUES (1, 1.5, 'a'), (2, 2.5, 'b'), (3, NULL, 'c'), (4, 4.5, '7')",
+    )
+    .unwrap();
+    wh
+}
+
+#[test]
+fn update_and_delete_touch_only_rows_whose_predicate_is_true() {
+    let wh = notes();
+    // `score > 2` is NULL on row 3: not updated...
+    let u = wh
+        .execute_sql("UPDATE notes SET txt = 'big' WHERE score > 2")
+        .unwrap();
+    assert_eq!(u.rows_affected, 2);
+    let b = q(&wh, "SELECT txt FROM notes ORDER BY id");
+    let txt: Vec<Value> = (0..4).map(|r| cell(&b, r, 0)).collect();
+    assert_eq!(txt, ["a", "big", "c", "big"].map(|s| Value::Text(s.into())));
+    // ...and not deleted.
+    let d = wh.execute_sql("DELETE FROM notes WHERE score > 2").unwrap();
+    assert_eq!(d.rows_affected, 2);
+    let b = q(&wh, "SELECT id FROM notes ORDER BY id");
+    assert_eq!(
+        (cell(&b, 0, 0), cell(&b, 1, 0)),
+        (Value::Int(1), Value::Int(3))
+    );
+    // No WHERE: every row.
+    assert_eq!(
+        wh.execute_sql("UPDATE notes SET score = 0")
+            .unwrap()
+            .rows_affected,
+        2
+    );
+    assert_eq!(
+        wh.execute_sql("DELETE FROM notes").unwrap().rows_affected,
+        2
+    );
+    assert_eq!(q(&wh, "SELECT * FROM notes").num_rows(), 0);
+}
+
+#[test]
+fn update_reads_other_columns_and_casts_to_the_column_type() {
+    let wh = notes();
+    // Reads another column; the Int result lands in a Float column.
+    wh.execute_sql("UPDATE notes SET score = id + 1 WHERE notes.id <= 2")
+        .unwrap();
+    // An Int literal into a Float column, a qualified predicate column.
+    wh.execute_sql("UPDATE notes SET score = 7 WHERE notes.id = 4")
+        .unwrap();
+    let b = q(&wh, "SELECT score FROM notes ORDER BY id");
+    assert_eq!(b.schema().field(0).dtype, DataType::Float);
+    let score: Vec<Value> = (0..4).map(|r| cell(&b, r, 0)).collect();
+    assert_eq!(
+        score,
+        [
+            Value::Float(2.0),
+            Value::Float(3.0),
+            Value::Null,
+            Value::Float(7.0)
+        ]
+    );
+    // Both assignments read the row as it was before the statement.
+    wh.execute_sql("UPDATE notes SET id = id * 10, score = id WHERE id = 4")
+        .unwrap();
+    let b = q(&wh, "SELECT id, score FROM notes WHERE id = 40");
+    assert_eq!(
+        (cell(&b, 0, 0), cell(&b, 0, 1)),
+        (Value::Int(40), Value::Float(4.0))
+    );
+}
+
+#[test]
+fn failed_update_or_delete_leaves_the_table_unchanged() {
+    let wh = notes();
+    let before = q(&wh, "SELECT * FROM notes ORDER BY id");
+    for sql in [
+        "UPDATE notes SET txt = 'x' WHERE nope = 1",
+        "UPDATE notes SET txt = nope",
+        "UPDATE notes SET txt = 'x' WHERE other.id = 1",
+        "DELETE FROM notes WHERE nope = 1",
+    ] {
+        let err = wh.execute_sql(sql).unwrap_err();
+        assert!(matches!(err, sigma_cdw::CdwError::Plan(_)), "{sql}: {err}");
+        assert_eq!(q(&wh, "SELECT * FROM notes ORDER BY id"), before, "{sql}");
+    }
+    // Strict cast: 'a' is not a BIGINT, and the statement fails whole —
+    // even though row 4 ('7') would have converted.
+    let err = wh.execute_sql("UPDATE notes SET id = txt").unwrap_err();
+    assert!(matches!(err, sigma_cdw::CdwError::Value(_)), "{err}");
+    assert_eq!(q(&wh, "SELECT * FROM notes ORDER BY id"), before);
+    // Where every value converts, the same assignment succeeds.
+    wh.execute_sql("DELETE FROM notes WHERE id < 4").unwrap();
+    wh.execute_sql("UPDATE notes SET id = txt").unwrap();
+    assert_eq!(q(&wh, "SELECT id FROM notes").value(0, 0), Value::Int(7));
+}
+
 #[test]
 fn create_table_as_and_result_scan() {
     let wh = wh();

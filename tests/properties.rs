@@ -274,7 +274,15 @@ proptest! {
         local.install_table("dim", batch).unwrap();
         let sql = "SELECT k, SUM(v) AS s, AVG(v) AS a FROM dim GROUP BY k ORDER BY k";
         let remote = wh.execute_sql(sql).unwrap().batch;
-        let local_result = local.evaluate(sql).unwrap();
-        prop_assert_eq!(remote, local_result);
+        let plan = sigma_workbook::core::StagePlan::from_query(
+            &parse_query(sql).unwrap(),
+            &Dialect::generic(),
+        );
+        let local_result = local.execute_plan(&plan).unwrap().expect("dim is installed");
+        prop_assert_eq!(remote, local_result.batch);
+        prop_assert_eq!(
+            (local_result.stage_hits, local_result.kernel_stages, local_result.engine_stages),
+            (0, 0, 1)
+        );
     }
 }
