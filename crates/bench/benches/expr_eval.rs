@@ -1,21 +1,25 @@
 //! The **expression-evaluation bench**: typed columnar kernels +
-//! selection vectors vs the boxed-`Value` row interpreter, over three
-//! expression-heavy filter→project pipelines — `numeric` (arithmetic and
-//! comparisons), `string` (LIKE, UPPER, LENGTH, CASE over Text) and
-//! `date_func` (DATEDIFF, DATE_TRUNC, DATE_PART with literal units).
+//! selection vectors vs the boxed-`Value` row interpreter, over four
+//! filter→project pipelines — `numeric` (arithmetic and comparisons),
+//! `string` (LIKE, UPPER, LENGTH, CASE over Text), `date_func`
+//! (DATEDIFF, DATE_TRUNC, DATE_PART with literal units) and `range_scan`
+//! (a one-year Date range AND a Float threshold: the predicate shape of
+//! the `scan_1m` workload, which `select` narrows conjunct by conjunct).
 //!
 //! Both paths compute the identical pipeline:
 //!
-//! 1. evaluate a compound predicate over the input batch,
-//! 2. keep the surviving rows (vectorized: a selection vector; the
-//!    interpreter: materialize the filtered batch),
+//! 1. apply a compound predicate to the input batch,
+//! 2. keep the surviving rows (vectorized: the selection vector
+//!    `CompiledExpr::select` returns; the interpreter: materialize the
+//!    filtered batch),
 //! 3. evaluate three projection expressions over the survivors.
 //!
 //! Doubles as a regression gate: every vectorized result must be
 //! bit-identical to the interpreter's, and each pipeline must clear its
 //! speedup bar over the interpreter's row throughput — **>= 2x** for
 //! `numeric` (the bar the vectorized engine shipped under) and
-//! `date_func`, **>= 3.5x** for `string`.
+//! `date_func`, **>= 3.5x** for `string`, **>= RANGE_SCAN_MIN_SPEEDUP**
+//! for `range_scan`.
 //!
 //! Results are written to `BENCH_<date>_expr_eval.json` at the repo root
 //! (override the path with `EXPR_EVAL_BENCH_OUT`). Run with:
@@ -36,6 +40,10 @@ const ITERS: usize = 7;
 /// flat (it was 2.0x over `Vec<String>` columns), less 30% headroom for
 /// noisy hosts.
 const STRING_MIN_SPEEDUP: f64 = 3.5;
+/// The range-scan pipeline's bar: the 55x measured when predicates began
+/// narrowing a selection instead of building Bool masks (4 runs, 51-59x),
+/// less 30% headroom.
+const RANGE_SCAN_MIN_SPEEDUP: f64 = 38.0;
 
 fn col(i: usize) -> PhysExpr {
     PhysExpr::Col(i)
@@ -174,6 +182,20 @@ fn pipelines() -> Vec<Pipeline> {
         func(ScalarFunc::DatePart, vec![lit("month"), col(4)]),
         func(ScalarFunc::DateDiff, vec![lit("month"), col(4), horizon()]),
     ];
+    // d >= DATE a AND d <= DATE a + 365 AND f >= -200.0, projecting the
+    // survivors' s, i and f (the scan_1m filter: a year of a ~35-year
+    // Date column, then a Float threshold).
+    let year_start = 12_000;
+    let range_pred = bin(
+        BinOp::And,
+        bin(
+            BinOp::And,
+            bin(BinOp::GtEq, col(4), lit(Value::Date(year_start))),
+            bin(BinOp::LtEq, col(4), lit(Value::Date(year_start + 365))),
+        ),
+        bin(BinOp::GtEq, col(2), lit(-200.0f64)),
+    );
+    let range_projs = vec![col(3), col(0), col(2)];
     vec![
         Pipeline {
             name: "numeric",
@@ -193,11 +215,18 @@ fn pipelines() -> Vec<Pipeline> {
             projections: date_projs,
             min_speedup: 2.0,
         },
+        Pipeline {
+            name: "range_scan",
+            predicate: range_pred,
+            projections: range_projs,
+            min_speedup: RANGE_SCAN_MIN_SPEEDUP,
+        },
     ]
 }
 
-/// Vectorized engine: compile once, evaluate the predicate dense, thread
-/// a selection vector into the projections (no intermediate batch).
+/// Vectorized engine: compile once, select the predicate's TRUE rows,
+/// thread that selection vector into the projections (no intermediate
+/// batch).
 fn run_vectorized(p: &Pipeline, batch: &Batch, ctx: &EvalCtx) -> Vec<Column> {
     let types: Vec<DataType> = batch.schema().fields().iter().map(|f| f.dtype).collect();
     let pred = CompiledExpr::compile(&p.predicate, &types).unwrap();
@@ -206,14 +235,7 @@ fn run_vectorized(p: &Pipeline, batch: &Batch, ctx: &EvalCtx) -> Vec<Column> {
         .iter()
         .map(|e| CompiledExpr::compile(e, &types).unwrap())
         .collect();
-    let mask = pred.eval(batch, None, ctx).unwrap();
-    let (bools, validity) = (mask.bools().unwrap(), mask.validity());
-    let mut sel = Vec::new();
-    for i in 0..mask.len() {
-        if bools[i] && validity.is_none_or(|m| m[i]) {
-            sel.push(i);
-        }
-    }
+    let sel = pred.select(batch, None, ctx).unwrap();
     projs
         .iter()
         .map(|e| e.eval(batch, Some(&sel), ctx).unwrap())
@@ -315,10 +337,10 @@ fn main() {
     let date = today();
     let json = format!(
         "{{\n  \"recorded\": \"{date}\",\n  \"note\": \"Vectorized expression engine (typed \
-         columnar kernels + selection vectors) vs the boxed-Value row interpreter over an \
-         expression-heavy filter+project pipelines on {ROWS} synthetic rows, median of {ITERS} \
+         columnar kernels + selection vectors) vs the boxed-Value row interpreter over four \
+         filter+project pipelines on {ROWS} synthetic rows, median of {ITERS} \
          runs. Outputs are asserted bit-identical; numeric and date_func must clear a 2x speedup \
-         bar, string 3.5x. Regenerate with: cargo bench -p sigma-bench --bench expr_eval.\",\n  \
+         bar, string {STRING_MIN_SPEEDUP}x, range_scan {RANGE_SCAN_MIN_SPEEDUP}x. Regenerate with: cargo bench -p sigma-bench --bench expr_eval.\",\n  \
          \"rows\": {ROWS},\n  \"iters\": {ITERS},\n  \"cells\": [\n{rows_json}\n  ]\n}}\n",
     );
     let out = std::env::var("EXPR_EVAL_BENCH_OUT").unwrap_or_else(|_| {

@@ -1,14 +1,16 @@
 //! The **local-eval bench**: replay a scripted edit session through one
 //! browser tab and record, per edit step, the latency of the incremental
-//! local path (stage-cache reuse + delta kernels) against a service round
-//! trip for the same state by a fresh tab, under a simulated network RTT.
+//! local path (stage-cache reuse + the embedded engine over cached stage
+//! results) against a service round trip for the same state by a fresh
+//! tab, under a simulated network RTT.
 //!
 //! After the initial load ships the stage DAG, interior stage results and
 //! table schemas, every subsequent edit should be served from a local
-//! tier: the filter tweak and formula column through the **delta fast
-//! path** (pure kernel passes over cached stage results — zero warehouse
-//! queries), the regroup through **residual-suffix execution** (only the
-//! invalidated suffix recomputes, locally).
+//! tier: the filter tweak and formula column as **LocalDelta** (a
+//! filter/project/sort chain the embedded engine runs over cached stage
+//! results — zero warehouse queries), the regroup through
+//! **residual-suffix execution** (only the invalidated suffix recomputes,
+//! locally).
 //!
 //! Results are written to `BENCH_<date>_local_eval.json` at the repo root
 //! (override the path with `LOCAL_EVAL_BENCH_OUT`). Run with:

@@ -190,12 +190,6 @@ impl StageCache {
         hit
     }
 
-    /// Uncounted presence check (planning walks peek without skewing the
-    /// hit rate).
-    pub fn contains(&self, fingerprint: &str) -> bool {
-        self.entries.lock().contains_key(fingerprint)
-    }
-
     pub fn put(&self, fingerprint: &str, batch: Batch, tables: Vec<String>) {
         let now = self.tick();
         let bytes = batch.byte_size();
@@ -327,14 +321,15 @@ mod tests {
         let cache = StageCache::new(2 * one + one / 2);
         cache.put("fp-a", batch(100), vec!["Flights".into()]);
         cache.put("fp-b", batch(100), vec!["airports".into()]);
-        assert!(cache.contains("fp-a"));
-        let _ = cache.get("fp-a"); // freshen a
+        assert!(cache.get("fp-a").is_some()); // freshen a
         cache.put("fp-c", batch(100), vec![]); // evicts b (LRU)
         assert!(cache.get("fp-a").is_some());
         assert!(cache.get("fp-b").is_none());
         assert_eq!(cache.invalidate_tables(&["FLIGHTS"]), 1);
-        assert!(!cache.contains("fp-a"));
-        assert!(cache.contains("fp-c"));
+        assert!(cache.get("fp-a").is_none());
+        assert!(cache.get("fp-c").is_some());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (3, 2));
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl LocalEngine {
         self.stages.put(fingerprint, batch, tables);
     }
 
-    /// Uncounted stage-cache presence check.
-    pub fn has_stage(&self, fingerprint: &str) -> bool {
-        self.stages.contains(fingerprint)
-    }
-
     /// Drop every cached stage result, forcing the next evaluation to run
     /// the full plan through the engine (no delta/residual reuse).
     pub fn clear_stages(&self) -> usize {
@@ -214,12 +209,6 @@ impl LocalEngine {
 
     pub fn has_table(&self, name: &str) -> bool {
         self.tables.read().contains(&name.to_ascii_lowercase())
-    }
-
-    pub fn installed_tables(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.tables.read().iter().cloned().collect();
-        v.sort();
-        v
     }
 
     /// Schema access for compiling against local data.

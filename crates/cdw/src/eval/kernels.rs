@@ -386,17 +386,24 @@ fn text_rows(
 // binary dispatch
 // ---------------------------------------------------------------------
 
-#[inline]
-fn cmp_test(op: BinOp) -> fn(Ordering) -> bool {
+/// The orderings a comparison accepts, as a set of bits (`Less`, `Equal`,
+/// `Greater` at bits 0, 1, 2): a row's test is one shift and mask, with
+/// no per-row dispatch on the operator.
+pub(crate) fn accepts(op: BinOp) -> u8 {
     match op {
-        BinOp::Eq => |o| o == Ordering::Equal,
-        BinOp::NotEq => |o| o != Ordering::Equal,
-        BinOp::Lt => |o| o == Ordering::Less,
-        BinOp::LtEq => |o| o != Ordering::Greater,
-        BinOp::Gt => |o| o == Ordering::Greater,
-        BinOp::GtEq => |o| o != Ordering::Less,
+        BinOp::Eq => 0b010,
+        BinOp::NotEq => 0b101,
+        BinOp::Lt => 0b001,
+        BinOp::LtEq => 0b011,
+        BinOp::Gt => 0b100,
+        BinOp::GtEq => 0b110,
         _ => unreachable!("not a comparison"),
     }
+}
+
+#[inline]
+pub(crate) fn accepted(want: u8, ord: Ordering) -> bool {
+    (want >> (ord as i8 + 1)) & 1 != 0
 }
 
 /// Row-at-a-time fallback over the scalar kernels: reproduces exactly the
@@ -582,37 +589,41 @@ pub(crate) fn binary(
                 // row errors — exactly the interpreter's behavior.
                 return fallback_binary(op, l, r, out, n);
             }
-            let test = cmp_test(op);
+            let want = accepts(op);
             match (ld, rd) {
                 (T::Int, T::Int) => {
                     let (a, b) = (Ints::of(l).unwrap(), Ints::of(r).unwrap());
                     let has = a.has_nulls() || b.has_nulls();
-                    strict_zip!(n, a, b, !has, false, Column::new_bool, |x, y| test(
+                    strict_zip!(n, a, b, !has, false, Column::new_bool, |x, y| accepted(
+                        want,
                         x.cmp(&y)
                     ))
                 }
                 (a, b) if a.is_numeric() && b.is_numeric() => {
                     let (a, b) = (Nums::of(l).unwrap(), Nums::of(r).unwrap());
                     let has = a.has_nulls() || b.has_nulls();
-                    strict_zip!(n, a, b, !has, false, Column::new_bool, |x, y| test(
+                    strict_zip!(n, a, b, !has, false, Column::new_bool, |x, y| accepted(
+                        want,
                         x.total_cmp(&y)
                     ))
                 }
                 (T::Text, T::Text) => {
                     let (a, b) = (Strs::of(l).unwrap(), Strs::of(r).unwrap());
                     let has = a.has_nulls() || b.has_nulls();
-                    strict_zip!(n, a, b, !has, false, Column::new_bool, |x, y| test(
+                    strict_zip!(n, a, b, !has, false, Column::new_bool, |x, y| accepted(
+                        want,
                         x.cmp(y)
                     ))
                 }
                 (T::Bool, T::Bool) => {
                     let (a, b) = (Bools::of(l).unwrap(), Bools::of(r).unwrap());
-                    bool_cmp(n, &a, &b, test)
+                    bool_cmp(n, &a, &b, want)
                 }
                 (a, b) if a.is_temporal() && b.is_temporal() => {
                     let (a, b) = (Micros::of(l).unwrap(), Micros::of(r).unwrap());
                     let no_nulls = !a.has_nulls() && !b.has_nulls();
-                    strict_zip!(n, a, b, no_nulls, false, Column::new_bool, |x, y| test(
+                    strict_zip!(n, a, b, no_nulls, false, Column::new_bool, |x, y| accepted(
+                        want,
                         x.cmp(&y)
                     ))
                 }
@@ -650,14 +661,14 @@ fn kleene(is_and: bool, l: &Bools, r: &Bools, n: usize) -> Column {
 }
 
 /// Bool comparison (Bools sides track nulls through `at`).
-fn bool_cmp(n: usize, l: &Bools, r: &Bools, test: fn(Ordering) -> bool) -> Column {
+fn bool_cmp(n: usize, l: &Bools, r: &Bools, want: u8) -> Column {
     let mut out = Vec::with_capacity(n);
     let mut validity = Vec::with_capacity(n);
     let mut any_null = false;
     for i in 0..n {
         match (l.at(i), r.at(i)) {
             (Some(x), Some(y)) => {
-                out.push(test(x.cmp(&y)));
+                out.push(accepted(want, x.cmp(&y)));
                 validity.push(true);
             }
             _ => {

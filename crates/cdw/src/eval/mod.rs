@@ -5,7 +5,7 @@
 //!
 //! * [`mod@self`] — the [`PhysExpr`] tree (column ordinals resolved by the
 //!   query planner), type inference, and the public entry points
-//!   [`eval`] / [`eval_sel`].
+//!   [`eval`] / [`eval_sel`] / [`select`].
 //! * [`planner`] — compiles a [`PhysExpr`] over a known input schema into
 //!   a [`planner::CompiledExpr`]: output types resolved once, literal
 //!   operands kept as scalars (never materialized into columns), LIKE
@@ -19,11 +19,16 @@
 //!   generated expressions and batches.
 //! * [`like`] — SQL LIKE: a compiled pattern matcher for the vectorized
 //!   path and the legacy backtracking matcher the oracle keeps using.
+//! * `selection` — selection steps: typed predicate loops that narrow a
+//!   vector of row ids in place instead of producing a Bool column.
 //!
 //! Selection vectors: [`eval_sel`] evaluates an expression only over the
 //! row indices in a selection, gathering input columns at the leaves, so
 //! `Filter → Project → Filter` chains never materialize intermediate
-//! batches (see `exec.rs`).
+//! batches (see `exec.rs`). Predicates go the other way: [`select`]
+//! returns the refined selection itself, and for an `AND` of
+//! column-vs-literal comparisons (see `selection`) builds no Bool column
+//! on the way.
 //!
 //! Error isolation: following the spreadsheet affordance the paper calls
 //! out ("isolation of errors"), cell-level domain errors — division by
@@ -37,6 +42,7 @@ pub mod interp;
 pub mod kernels;
 pub mod like;
 pub mod planner;
+mod selection;
 
 use sigma_value::{calendar, Batch, Column, DataType, Value};
 
@@ -470,8 +476,23 @@ pub fn eval_sel(
     sel: Option<&[usize]>,
     ctx: &EvalCtx,
 ) -> Result<Column, CdwError> {
-    let input: Vec<DataType> = batch.schema().fields().iter().map(|f| f.dtype).collect();
-    CompiledExpr::compile(expr, &input)?.eval(batch, sel, ctx)
+    CompiledExpr::compile(expr, &input_types(batch))?.eval(batch, sel, ctx)
+}
+
+/// The selected row indices of a batch (all rows when `sel` is `None`)
+/// where a predicate is TRUE, in selection order — see
+/// [`CompiledExpr::select`].
+pub fn select(
+    expr: &PhysExpr,
+    batch: &Batch,
+    sel: Option<&[usize]>,
+    ctx: &EvalCtx,
+) -> Result<Vec<usize>, CdwError> {
+    CompiledExpr::compile(expr, &input_types(batch))?.select(batch, sel, ctx)
+}
+
+fn input_types(batch: &Batch) -> Vec<DataType> {
+    batch.schema().fields().iter().map(|f| f.dtype).collect()
 }
 
 #[cfg(test)]

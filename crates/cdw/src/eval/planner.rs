@@ -10,13 +10,17 @@
 //!
 //! Selection vectors: `eval` takes an optional slice of row indices.
 //! Input columns are gathered at the `Col` leaves, so every kernel above
-//! runs dense over exactly the surviving rows.
+//! runs dense over exactly the surviving rows. A predicate is applied with
+//! `select`, which returns the refined selection itself: an `AND` of
+//! column-vs-literal comparisons narrows it one conjunct at a time,
+//! reading the batch's columns through it without gathering.
 
 use sigma_value::{column::cast_value, Batch, Column, ColumnBuilder, DataType, Value, ValueRef};
 
 use super::interp::{eval_func_value, materialize_value};
 use super::kernels::{self, FastList};
 use super::like::LikePattern;
+use super::selection;
 use super::{infer_type, BinOp, EvalCtx, PhysExpr, ScalarFunc, UnOp};
 use crate::error::CdwError;
 
@@ -241,6 +245,87 @@ impl CompiledExpr {
             CVal::Col(c) => Ok(c),
             CVal::Scalar(v) => kernels::broadcast(&v, self.out_type(), n),
         }
+    }
+
+    /// The rows where this predicate is TRUE: the ids of `sel` (of every
+    /// row when `None`) whose verdict is TRUE, in selection order — never
+    /// a NULL or FALSE row, nor any row of a non-Bool predicate. This is
+    /// the engine's one way to apply a predicate.
+    ///
+    /// An `AND` of column-vs-literal comparisons runs as selection steps
+    /// ([`selection`]): conjunct by conjunct, left to right, each reading
+    /// only the rows the ones before it kept, building no Bool column.
+    /// Such a conjunction cannot raise an error, so narrowing changes no
+    /// outcome. Any other predicate is evaluated whole over the incoming
+    /// selection, so the same rows raise the same errors.
+    pub fn select(
+        &self,
+        batch: &Batch,
+        sel: Option<&[usize]>,
+        ctx: &EvalCtx,
+    ) -> Result<Vec<usize>, CdwError> {
+        let mut conjuncts = Vec::new();
+        self.conjuncts(&mut conjuncts);
+        let steps: Option<Vec<_>> = conjuncts.iter().map(|c| c.step(batch)).collect();
+        match steps {
+            Some(steps) => Ok(selection::narrow(sel, batch.num_rows(), &steps)),
+            None => self.select_evaluated(batch, sel, ctx),
+        }
+    }
+
+    /// The conjuncts of an `AND` tree, left to right.
+    fn conjuncts<'e>(&'e self, out: &mut Vec<&'e CompiledExpr>) {
+        match &self.kind {
+            CKind::Binary {
+                op: BinOp::And,
+                left,
+                right,
+            } => {
+                left.conjuncts(out);
+                right.conjuncts(out);
+            }
+            _ => out.push(self),
+        }
+    }
+
+    /// This conjunct as a selection step, if it compares a column with a
+    /// literal.
+    fn step<'a>(&'a self, batch: &'a Batch) -> Option<selection::Step<'a>> {
+        let CKind::Binary { op, left, right } = &self.kind else {
+            return None;
+        };
+        if !is_comparison(*op) {
+            return None;
+        }
+        match (&left.kind, &right.kind) {
+            (CKind::Col(i), CKind::Literal(v)) => {
+                selection::compare(*op, batch.column(*i), v, false)
+            }
+            (CKind::Literal(v), CKind::Col(i)) => {
+                selection::compare(*op, batch.column(*i), v, true)
+            }
+            _ => None,
+        }
+    }
+
+    /// The fallback leaf of [`Self::select`]: evaluate the predicate over
+    /// the selection and keep the rows whose verdict is TRUE.
+    fn select_evaluated(
+        &self,
+        batch: &Batch,
+        sel: Option<&[usize]>,
+        ctx: &EvalCtx,
+    ) -> Result<Vec<usize>, CdwError> {
+        let mask = self.eval(batch, sel, ctx)?;
+        let orig = |i: usize| sel.map_or(i, |s| s[i]);
+        let mut keep = Vec::new();
+        match (mask.bools(), mask.validity()) {
+            (Some(b), None) => keep.extend((0..b.len()).filter(|&i| b[i]).map(orig)),
+            (Some(b), Some(m)) => keep.extend((0..b.len()).filter(|&i| m[i] && b[i]).map(orig)),
+            // A non-bool predicate column is never TRUE.
+            (None, _) => {}
+        }
+        Ok(keep)
     }
 
     /// A scalar result coerced the way storing it into this node's output
@@ -472,6 +557,11 @@ impl CompiledExpr {
             }
         })
     }
+}
+
+fn is_comparison(op: BinOp) -> bool {
+    use BinOp::*;
+    matches!(op, Eq | NotEq | Lt | LtEq | Gt | GtEq)
 }
 
 /// Pre-hash a literal IN-list when the operand type admits plain-equality

@@ -457,34 +457,6 @@ fn execute_parts(
     Ok(parts)
 }
 
-/// Row indices (in original-batch coordinates) where the evaluated
-/// predicate column is `true`, refined through an existing selection.
-/// (UPDATE and DELETE select their rows with it too, so DML keeps the
-/// exact filter semantics of a plan.)
-pub(crate) fn truthy_indices(mask: &Column, sel: Option<&[usize]>) -> Vec<usize> {
-    let orig = |i: usize| sel.map_or(i, |s| s[i]);
-    let mut keep = Vec::new();
-    match (mask.bools(), mask.validity()) {
-        (Some(b), None) => {
-            for (i, &hit) in b.iter().enumerate() {
-                if hit {
-                    keep.push(orig(i));
-                }
-            }
-        }
-        (Some(b), Some(m)) => {
-            for i in 0..b.len() {
-                if m[i] && b[i] {
-                    keep.push(orig(i));
-                }
-            }
-        }
-        // A non-bool predicate column is never TRUE.
-        _ => {}
-    }
-    keep
-}
-
 fn execute_node(
     plan: &Plan,
     ctx: &ExecCtx,
@@ -1782,10 +1754,10 @@ fn probe_pairs(
 }
 
 /// Drop candidate pairs whose residual predicate is not TRUE (by
-/// [`truthy_indices`], the Filter operator's own definition). The mask
-/// evaluates elementwise over the candidate rows stacked in the join
-/// schema, so the verdict for a pair cannot depend on which probe unit
-/// (partition or morsel) carried it.
+/// [`CompiledExpr::select`], the Filter operator's own definition). The
+/// predicate applies row by row over the candidate rows stacked in the
+/// join schema, so the verdict for a pair cannot depend on which probe
+/// unit (partition or morsel) carried it.
 #[allow(clippy::too_many_arguments)]
 fn filter_residual_pairs(
     pairs: Vec<(usize, usize)>,
@@ -1805,11 +1777,8 @@ fn filter_residual_pairs(
     let lidx: Vec<usize> = pairs.iter().map(|p| p.0).collect();
     let ridx: Vec<usize> = pairs.iter().map(|p| p.1).collect();
     let candidate = hstack(schema, &left.take(&lidx), &right.take(&ridx))?;
-    let mask = timed(eval_ns, || pred.eval(&candidate, None, ctx))?;
-    Ok(truthy_indices(&mask, None)
-        .into_iter()
-        .map(|i| pairs[i])
-        .collect())
+    let kept = timed(eval_ns, || pred.select(&candidate, None, ctx))?;
+    Ok(kept.into_iter().map(|i| pairs[i]).collect())
 }
 
 /// Gather join output columns for `(left idx, optional right idx)` rows;

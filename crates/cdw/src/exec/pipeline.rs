@@ -394,8 +394,7 @@ fn apply_stages<'a>(
             Stage::Filter(pred) => {
                 let keep = {
                     let (batch, sel) = state.batch_and_sel();
-                    let mask = timed(&counters.eval_ns, || pred.eval(batch, sel, &ctx.eval))?;
-                    truthy_indices(&mask, sel)
+                    timed(&counters.eval_ns, || pred.select(batch, sel, &ctx.eval))?
                 };
                 counters.rows_out.fetch_add(keep.len(), Ordering::Relaxed);
                 match state {

@@ -13,7 +13,7 @@ use sigma_value::Batch;
 use crate::catalog::{Catalog, TableStats};
 use crate::error::CdwError;
 use crate::eval::{self, EvalCtx, PhysExpr};
-use crate::exec::{execute, truthy_indices, ExecCtx, ExecStats, MorselSizing, OpStats};
+use crate::exec::{execute, ExecCtx, ExecStats, MorselSizing, OpStats};
 use crate::optimizer::optimize;
 use crate::plan::Plan;
 use crate::planner::{Planner, Scope};
@@ -453,7 +453,7 @@ impl Warehouse {
             Some(sel) => planner.resolve(sel, &scope)?,
             None => PhysExpr::lit(true),
         };
-        let affected = truthy_indices(&eval::eval(&predicate, &full, &ctx)?, None).len();
+        let affected = eval::select(&predicate, &full, None, &ctx)?.len();
         let mut new_columns = Vec::with_capacity(full.num_columns());
         for (ci, field) in schema.fields().iter().enumerate() {
             let target = assignments
@@ -500,7 +500,7 @@ impl Warehouse {
             }
             None => PhysExpr::lit(true),
         };
-        let deleted = truthy_indices(&eval::eval(&predicate, &full, &self.eval_ctx())?, None);
+        let deleted = eval::select(&predicate, &full, None, &self.eval_ctx())?;
         let mut keep = vec![true; full.num_rows()];
         for &i in &deleted {
             keep[i] = false;

@@ -100,6 +100,16 @@ fn operators_allocate_per_column_and_group_not_per_row() {
             ROWS,
         ),
         (
+            // The shape of a one-year range scan: Date >= / <= literals
+            // AND a Float threshold, narrowed conjunct by conjunct.
+            "three-conjunct range filter",
+            "SELECT carrier, origin, dep_delay FROM flights \
+             WHERE flight_date >= DATE '2001-01-01' AND flight_date <= DATE '2001-12-31' \
+             AND dep_delay >= -2.5"
+                .into(),
+            100,
+        ),
+        (
             "Project with DATE_TRUNC / DATEDIFF / CASE",
             "SELECT DATE_TRUNC('quarter', flight_date) AS quarter, \
              DATEDIFF('day', flight_date, DATE '2021-01-01') AS age, \

@@ -10,11 +10,20 @@
 //!   logic, CASE, CAST/TRY_CAST, IN, BETWEEN, LIKE, scalar functions,
 //!   selection vectors) over batches with nulls, NaN, ±0.0 and ±inf, and
 //!   pins `eval == eval_interp` cell by cell.
+//! * `selection_matches_row_interpreter`: conjunctions of Bool predicates
+//!   — half made only of the column-vs-literal comparisons `select` runs
+//!   as steps, half mixing typed comparison / BETWEEN / IN / IS NULL
+//!   shapes, generated expressions and now and then a fallible
+//!   strict-cast conjunct, literals drawn from the columns' own cells —
+//!   applied with `select`
+//!   over random ascending selections must return exactly the rows the
+//!   interpreter finds TRUE, and fail exactly when evaluating the
+//!   predicate over the same selection fails.
 //! * `binary_op_matrix_matches_interpreter`: deterministic sweep of every
 //!   binary operator over every (left type, right type) pair and null
 //!   placement, in column⊗column, column⊗literal, and literal⊗column
 //!   shapes — both engines must agree on values *and* on which
-//!   combinations error.
+//!   combinations error, and `select` on its TRUE rows.
 //! * `pipelines_bit_identical_at_any_parallelism_and_budget`:
 //!   expression-heavy SQL (filter → project → filter chains, grouped
 //!   aggregation over computed keys, LIKE/CASE/CAST) through the full
@@ -467,6 +476,267 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// selection oracle: `select` vs the row interpreter
+// ---------------------------------------------------------------------
+
+/// The ids of `sel` (every row when `None`) whose interpreted verdict is
+/// TRUE — the definition `select` must meet.
+fn interp_true_rows(
+    expr: &PhysExpr,
+    batch: &Batch,
+    sel: Option<&[usize]>,
+    ctx: &EvalCtx,
+) -> Result<Vec<usize>, sigma_cdw::CdwError> {
+    let ids: Vec<usize> = sel.map_or_else(|| (0..batch.num_rows()).collect(), <[usize]>::to_vec);
+    let verdicts = eval::eval_interp(expr, &batch.take(&ids), ctx)?;
+    Ok((0..ids.len())
+        .filter(|&i| verdicts.value(i) == Value::Bool(true))
+        .map(|i| ids[i])
+        .collect())
+}
+
+/// `select` must return exactly the interpreter's TRUE rows, and fail
+/// exactly when evaluating the predicate over the same selection fails.
+fn assert_select_matches(expr: &PhysExpr, batch: &Batch, sel: Option<&[usize]>, ctx: &EvalCtx) {
+    let selected = eval::select(expr, batch, sel, ctx);
+    let evaluated = eval::eval_sel(expr, batch, sel, ctx);
+    match (&selected, &evaluated) {
+        (Ok(rows), Ok(_)) => {
+            let expected = interp_true_rows(expr, batch, sel, ctx).unwrap_or_else(|e| {
+                panic!("interpreter failed where select did not: {e}: {expr:?}")
+            });
+            assert_eq!(
+                rows, &expected,
+                "selected rows diverged for {expr:?} over {sel:?}"
+            );
+        }
+        (Err(s), Err(e)) => assert_eq!(s.to_string(), e.to_string(), "{expr:?}"),
+        (s, e) => panic!(
+            "select and eval disagree on failure for {expr:?} over {sel:?}: \
+             select ok={} eval ok={}",
+            s.is_ok(),
+            e.is_ok()
+        ),
+    }
+}
+
+/// A literal drawn from one of the column's own cells (NULL included), so
+/// comparisons tie; a Date sometimes becomes the Timestamp at its
+/// midnight, so Date and Timestamp operands tie too.
+fn cell_literal(rng: &mut StdRng, batch: &Batch, col: usize) -> PhysExpr {
+    if batch.num_rows() == 0 {
+        return PhysExpr::Literal(Value::Null);
+    }
+    let v = batch
+        .column(col)
+        .value(rng.random_range(0..batch.num_rows()));
+    PhysExpr::Literal(match v {
+        Value::Date(d) if rng.random::<bool>() => {
+            Value::Timestamp(d as i64 * sigma_value::calendar::MICROS_PER_DAY)
+        }
+        v => v,
+    })
+}
+
+/// A typed predicate over columns and literals: a column compared with a
+/// literal (either side — the shape `select` runs as a step) or with a
+/// column of its class, BETWEEN literals, IN a literal list,
+/// IS [NOT] NULL, or a Bool column.
+fn gen_typed_shape(rng: &mut StdRng, batch: &Batch) -> PhysExpr {
+    const CLASSES: &[&[usize]] = &[
+        &[I_DENSE, I_NULL, F_NULL],
+        &[T_NULL],
+        &[B_NULL],
+        &[D_NULL, TS_NULL],
+    ];
+    let cols = CLASSES[rng.random_range(0..CLASSES.len())];
+    let col = cols[rng.random_range(0..cols.len())];
+    let (low, high) = (
+        cols[rng.random_range(0..cols.len())],
+        cols[rng.random_range(0..cols.len())],
+    );
+    let negated = rng.random::<bool>();
+    match rng.random_range(0..6usize) {
+        0 | 1 => {
+            let other = cols[rng.random_range(0..cols.len())];
+            let (col, lit) = (PhysExpr::Col(col), cell_literal(rng, batch, other));
+            match rng.random_range(0..3usize) {
+                0 => comparison(rng, col, lit),
+                1 => comparison(rng, lit, col),
+                _ => comparison(rng, col, PhysExpr::Col(other)),
+            }
+        }
+        2 => PhysExpr::Between {
+            expr: Box::new(PhysExpr::Col(col)),
+            low: Box::new(cell_literal(rng, batch, low)),
+            high: Box::new(cell_literal(rng, batch, high)),
+            negated,
+        },
+        3 => PhysExpr::InList {
+            expr: Box::new(PhysExpr::Col(col)),
+            list: (0..rng.random_range(1..4usize))
+                .map(|_| cell_literal(rng, batch, col))
+                .collect(),
+            negated,
+        },
+        4 => PhysExpr::IsNull {
+            expr: Box::new(PhysExpr::Col(col)),
+            negated,
+        },
+        _ => PhysExpr::Col(B_NULL),
+    }
+}
+
+/// `left <op> right` for one of the six comparisons, drawn at random.
+fn comparison(rng: &mut StdRng, left: PhysExpr, right: PhysExpr) -> PhysExpr {
+    let op = [
+        BinOp::Eq,
+        BinOp::NotEq,
+        BinOp::Lt,
+        BinOp::LtEq,
+        BinOp::Gt,
+        BinOp::GtEq,
+    ][rng.random_range(0..6usize)];
+    PhysExpr::Binary {
+        op,
+        left: Box::new(left),
+        right: Box::new(right),
+    }
+}
+
+/// The shape `select` runs as a step: a Float or Date column compared
+/// with a literal of its class (either side), drawn from the class's own
+/// cells — Int ones included for the Float column — so NULL, NaN, ±0.0,
+/// ±inf and ties all occur.
+fn gen_step(rng: &mut StdRng, batch: &Batch) -> PhysExpr {
+    let (col, sources): (usize, &[usize]) = if rng.random::<bool>() {
+        (F_NULL, &[I_DENSE, I_NULL, F_NULL])
+    } else {
+        (D_NULL, &[D_NULL])
+    };
+    let col = PhysExpr::Col(col);
+    let lit = PhysExpr::Literal(if batch.num_rows() == 0 {
+        Value::Null
+    } else {
+        let from = sources[rng.random_range(0..sources.len())];
+        batch
+            .column(from)
+            .value(rng.random_range(0..batch.num_rows()))
+    });
+    if rng.random::<bool>() {
+        comparison(rng, col, lit)
+    } else {
+        comparison(rng, lit, col)
+    }
+}
+
+/// `CAST(t_null AS BIGINT) > k` with a strict cast: fails on any selected
+/// valid row whose text is not an integer.
+fn strict_cast_conjunct(rng: &mut StdRng) -> PhysExpr {
+    PhysExpr::Binary {
+        op: BinOp::Gt,
+        left: Box::new(PhysExpr::Cast {
+            expr: Box::new(PhysExpr::Col(T_NULL)),
+            dtype: DataType::Int,
+            strict: true,
+        }),
+        right: Box::new(lit_int(rng)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn selection_matches_row_interpreter(
+        seed in any::<u64>(),
+        rows in 0usize..48,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let batch = gen_batch(&mut rng, rows);
+        let ctx = EvalCtx::default();
+        for _ in 0..8 {
+            // A conjunction of one to four Bool predicates. Half of them
+            // are all steps (column-vs-literal comparisons, narrowed
+            // conjunct by conjunct); the rest mix typed shapes, generated
+            // expressions and now and then a fallible (strict-cast)
+            // conjunct, and are evaluated whole.
+            let conjuncts = rng.random_range(1..5usize);
+            let steps_only = rng.random::<bool>();
+            let mut expr: Option<PhysExpr> = None;
+            for _ in 0..conjuncts {
+                let next = match rng.random_range(0..6usize) {
+                    _ if steps_only => gen_step(&mut rng, &batch),
+                    0 => strict_cast_conjunct(&mut rng),
+                    1 | 2 => {
+                        let depth = rng.random_range(0..3usize);
+                        gen_expr(&mut rng, depth, Class::Bool)
+                    }
+                    _ => gen_typed_shape(&mut rng, &batch),
+                };
+                expr = Some(match expr {
+                    None => next,
+                    Some(prev) => PhysExpr::Binary {
+                        op: BinOp::And,
+                        left: Box::new(prev),
+                        right: Box::new(next),
+                    },
+                });
+            }
+            let expr = expr.expect("at least one conjunct");
+            assert_select_matches(&expr, &batch, None, &ctx);
+            let sel: Vec<usize> = (0..rows).filter(|_| rng.random::<bool>()).collect();
+            assert_select_matches(&expr, &batch, Some(&sel), &ctx);
+        }
+    }
+}
+
+/// A conjunction is refined left to right only when every conjunct is a
+/// selection step: a strict cast after a conjunct that rejects every row
+/// it would fail on still fails, exactly as evaluating the whole
+/// predicate does.
+#[test]
+fn fallible_conjunct_fails_even_after_a_rejecting_conjunct() {
+    let batch = Batch::new(
+        Arc::new(Schema::new(vec![
+            Field::new("i", DataType::Int),
+            Field::new("t", DataType::Text),
+        ])),
+        vec![
+            Column::from_ints(vec![1, 2, 3]),
+            Column::from_texts(vec!["7".into(), "x".into(), "9".into()]),
+        ],
+    )
+    .unwrap();
+    let ctx = EvalCtx::default();
+    // `i <> 2` rejects the one row ('x') the cast cannot convert.
+    let pred = PhysExpr::Binary {
+        op: BinOp::And,
+        left: Box::new(PhysExpr::Binary {
+            op: BinOp::NotEq,
+            left: Box::new(PhysExpr::Col(0)),
+            right: Box::new(PhysExpr::lit(2i64)),
+        }),
+        right: Box::new(PhysExpr::Binary {
+            op: BinOp::Gt,
+            left: Box::new(PhysExpr::Cast {
+                expr: Box::new(PhysExpr::Col(1)),
+                dtype: DataType::Int,
+                strict: true,
+            }),
+            right: Box::new(PhysExpr::lit(0i64)),
+        }),
+    };
+    assert!(eval::eval(&pred, &batch, &ctx).is_err());
+    assert!(eval::select(&pred, &batch, None, &ctx).is_err());
+    // A selection that leaves the bad row out evaluates, and selects.
+    assert_eq!(
+        eval::select(&pred, &batch, Some(&[0, 2]), &ctx).unwrap(),
+        vec![0, 2]
+    );
+    assert_select_matches(&pred, &batch, None, &ctx);
+}
+
+// ---------------------------------------------------------------------
 // deterministic binary-op matrix
 // ---------------------------------------------------------------------
 
@@ -559,6 +829,22 @@ fn binary_op_matrix_matches_interpreter() {
                             v.is_ok(),
                             o.is_ok(),
                         ),
+                    }
+                    // The same predicate applied as a selection, over every
+                    // row and over a strict subset — and behind a conjunct
+                    // keeping only the all-NULL row, which must not hide
+                    // an error the other rows raise.
+                    let guarded = PhysExpr::Binary {
+                        op: BinOp::And,
+                        left: Box::new(PhysExpr::IsNull {
+                            expr: Box::new(PhysExpr::Col(0)),
+                            negated: false,
+                        }),
+                        right: Box::new(expr.clone()),
+                    };
+                    for sel in [None, Some(&[0usize, 2][..])] {
+                        assert_select_matches(&expr, &batch, sel, &ctx);
+                        assert_select_matches(&guarded, &batch, sel, &ctx);
                     }
                     checked += 1;
                 }

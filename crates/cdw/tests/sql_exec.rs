@@ -481,6 +481,33 @@ fn failed_update_or_delete_leaves_the_table_unchanged() {
     assert_eq!(q(&wh, "SELECT id FROM notes").value(0, 0), Value::Int(7));
 }
 
+/// A filter narrows its selection conjunct by conjunct only when every
+/// conjunct is a selection step, which cannot fail. SQL plans every CAST
+/// as TRY_CAST, so the fallible conjunct here is a comparison with no
+/// typed arm (Text against Int):
+/// the first conjunct rejects every row, and the query still fails, as a
+/// whole-predicate evaluation over every row does.
+#[test]
+fn fallible_conjunct_fails_after_a_conjunct_rejecting_every_row() {
+    let wh = notes();
+    let before = q(&wh, "SELECT * FROM notes ORDER BY id");
+    for sql in [
+        "SELECT id FROM notes WHERE id > 100 AND txt > 5",
+        "SELECT id FROM notes WHERE id > 100 AND score > 0 AND txt > 5",
+        "DELETE FROM notes WHERE id > 100 AND txt > 5",
+        "UPDATE notes SET txt = 'x' WHERE id > 100 AND txt > 5",
+    ] {
+        let err = wh.execute_sql(sql).unwrap_err();
+        assert!(err.to_string().contains('>'), "{sql}: {err}");
+        assert_eq!(q(&wh, "SELECT * FROM notes ORDER BY id"), before, "{sql}");
+    }
+    // The step-only prefix alone runs, and selects nothing.
+    assert_eq!(
+        q(&wh, "SELECT id FROM notes WHERE id > 100 AND score > 0").num_rows(),
+        0
+    );
+}
+
 #[test]
 fn create_table_as_and_result_scan() {
     let wh = wh();

@@ -313,18 +313,6 @@ pub enum TableRef {
     },
 }
 
-impl TableRef {
-    /// The name this relation binds in scope, if any.
-    pub fn binding(&self) -> Option<&str> {
-        match self {
-            TableRef::Table { alias: Some(a), .. } => Some(a),
-            TableRef::Table { name, alias: None } => Some(name.base()),
-            TableRef::Subquery { alias, .. } => Some(alias),
-            TableRef::Function { alias, .. } => alias.as_deref(),
-        }
-    }
-}
-
 /// A SELECT block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Select {
@@ -444,19 +432,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn table_ref_binding() {
-        let t = TableRef::Table {
-            name: ObjectName(vec!["s".into(), "f".into()]),
-            alias: None,
-        };
-        assert_eq!(t.binding(), Some("f"));
-        let t2 = TableRef::Table {
-            name: ObjectName::bare("x"),
-            alias: Some("y".into()),
-        };
-        assert_eq!(t2.binding(), Some("y"));
     }
 }
