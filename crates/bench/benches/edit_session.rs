@@ -16,7 +16,7 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 use sigma_cdw::Warehouse;
 use sigma_core::document::ElementKind;
@@ -148,15 +148,6 @@ fn replay(caching: bool) -> Vec<(&'static str, StepRecord)> {
         .collect()
 }
 
-fn today() -> String {
-    let secs = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or(Duration::ZERO)
-        .as_secs();
-    let (y, m, d) = sigma_value::calendar::civil_from_days((secs / 86_400) as i32);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 fn main() {
     // `cargo bench` passes filter args; this harness always runs fully.
     let on = replay(true);
@@ -198,7 +189,7 @@ fn main() {
         );
     }
 
-    let date = today();
+    let date = sigma_bench::today();
     let json = format!(
         "{{\n  \"recorded\": \"{date}\",\n  \"note\": \"Scripted interactive session \
          (load -> add column -> change filter -> pivot/regroup) through the full service path \
@@ -209,12 +200,5 @@ fn main() {
          cargo bench -p sigma-bench --bench edit_session.\",\n  \"rows\": {ROWS},\n  \
          \"iters\": {ITERS},\n  \"steps\": [\n{rows}\n  ]\n}}\n"
     );
-    let out = std::env::var("EDIT_SESSION_BENCH_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_{date}_edit_session.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    std::fs::write(&out, json).expect("write bench record");
-    println!("\nrecorded -> {out}");
+    sigma_bench::write_record("edit_session", "EDIT_SESSION_BENCH_OUT", &json);
 }

@@ -29,7 +29,7 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use sigma_cdw::eval::{eval_interp, BinOp, CompiledExpr, EvalCtx, PhysExpr, ScalarFunc};
 use sigma_value::{Batch, Column, DataType, Field, Schema, Value};
@@ -284,15 +284,6 @@ fn median_ms(mut f: impl FnMut() -> Vec<Column>) -> (f64, Vec<Column>) {
     (times[ITERS / 2].as_secs_f64() * 1e3, last)
 }
 
-fn today() -> String {
-    let secs = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or(Duration::ZERO)
-        .as_secs();
-    let (y, m, d) = sigma_value::calendar::civil_from_days((secs / 86_400) as i32);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 fn main() {
     let batch = batch();
     let ctx = EvalCtx::default();
@@ -334,7 +325,7 @@ fn main() {
         ));
     }
 
-    let date = today();
+    let date = sigma_bench::today();
     let json = format!(
         "{{\n  \"recorded\": \"{date}\",\n  \"note\": \"Vectorized expression engine (typed \
          columnar kernels + selection vectors) vs the boxed-Value row interpreter over four \
@@ -343,12 +334,5 @@ fn main() {
          bar, string {STRING_MIN_SPEEDUP}x, range_scan {RANGE_SCAN_MIN_SPEEDUP}x. Regenerate with: cargo bench -p sigma-bench --bench expr_eval.\",\n  \
          \"rows\": {ROWS},\n  \"iters\": {ITERS},\n  \"cells\": [\n{rows_json}\n  ]\n}}\n",
     );
-    let out = std::env::var("EXPR_EVAL_BENCH_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_{date}_expr_eval.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    std::fs::write(&out, json).expect("write bench record");
-    println!("\nrecorded -> {out}");
+    sigma_bench::write_record("expr_eval", "EXPR_EVAL_BENCH_OUT", &json);
 }

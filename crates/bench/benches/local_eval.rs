@@ -19,7 +19,7 @@
 //! cargo bench -p sigma-bench --bench local_eval
 //! ```
 
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use sigma_bench::Env;
 use sigma_browser::{BrowserSession, Source};
@@ -171,15 +171,6 @@ fn replay() -> Vec<(&'static str, &'static str, StepRecord)> {
         .collect()
 }
 
-fn today() -> String {
-    let secs = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or(Duration::ZERO)
-        .as_secs();
-    let (y, m, d) = sigma_value::calendar::civil_from_days((secs / 86_400) as i32);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 fn main() {
     let results = replay();
 
@@ -218,7 +209,7 @@ fn main() {
         );
     }
 
-    let date = today();
+    let date = sigma_bench::today();
     let json = format!(
         "{{\n  \"recorded\": \"{date}\",\n  \"note\": \"Scripted edit session \
          (load -> filter tweak -> formula column -> regroup) through one browser tab over \
@@ -231,12 +222,5 @@ fn main() {
          \"rows\": {ROWS},\n  \"iters\": {ITERS},\n  \"rtt_ms\": {RTT_MS},\n  \
          \"steps\": [\n{rows}\n  ]\n}}\n"
     );
-    let out = std::env::var("LOCAL_EVAL_BENCH_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_{date}_local_eval.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    std::fs::write(&out, json).expect("write bench record");
-    println!("\nrecorded -> {out}");
+    sigma_bench::write_record("local_eval", "LOCAL_EVAL_BENCH_OUT", &json);
 }

@@ -42,7 +42,7 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use sigma_cdw::{MorselSizing, Warehouse};
@@ -253,15 +253,6 @@ fn sched_counter(analyzed: &str, key: &str) -> usize {
         .unwrap_or_else(|| panic!("no scheduler {key} in explain_analyze:\n{analyzed}"))
 }
 
-fn today() -> String {
-    let secs = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or(Duration::ZERO)
-        .as_secs();
-    let (y, m, d) = sigma_value::calendar::civil_from_days((secs / 86_400) as i32);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 fn skewed_morsel_sweep() {
     let wh = skewed_warehouse();
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -365,7 +356,7 @@ fn skewed_morsel_sweep() {
         );
     }
 
-    let date = today();
+    let date = sigma_bench::today();
     let json = format!(
         "{{\n  \"recorded\": \"{date}\",\n  \"note\": \"Skewed-input scaling: two morsel \
          sizings of the one executor at parallelism 4 over {SKEW_ROWS} rows with ~90% of them in \
@@ -385,14 +376,7 @@ fn skewed_morsel_sweep() {
          cargo bench -p sigma-bench --bench scaling.\",\n  \"cpus\": {cpus},\n  \
          \"iters\": {SKEW_ITERS},\n  \"cells\": [\n{cells}\n  ]\n}}\n"
     );
-    let out = std::env::var("SCALING_BENCH_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_{date}_scaling.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    std::fs::write(&out, json).expect("write bench record");
-    println!("recorded -> {out}");
+    sigma_bench::write_record("scaling", "SCALING_BENCH_OUT", &json);
 }
 
 criterion_group!(benches, bench_scaling);

@@ -16,7 +16,7 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use sigma_cdw::Warehouse;
 use sigma_value::{Batch, Column, DataType, Field, Schema, Value};
@@ -128,15 +128,6 @@ fn median_run(wh: &Warehouse, sql: &str) -> (Sample, Batch) {
     )
 }
 
-fn today() -> String {
-    let secs = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or(Duration::ZERO)
-        .as_secs();
-    let (y, m, d) = sigma_value::calendar::civil_from_days((secs / 86_400) as i32);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 fn main() {
     let wh = warehouse();
     let mut rows_json = String::new();
@@ -190,7 +181,7 @@ fn main() {
         wh.set_memory_budget(None);
     }
 
-    let date = today();
+    let date = sigma_bench::today();
     let json = format!(
         "{{\n  \"recorded\": \"{date}\",\n  \"note\": \"Memory-budgeted out-of-core execution: \
          spilling aggregation / external merge sort / Grace hash join over {ROWS} synthetic rows \
@@ -201,12 +192,5 @@ fn main() {
          \"iters\": {ITERS},\n  \"cells\": [\n{rows_json}\n  ]\n}}\n",
         ROWS / PARTITION_ROWS
     );
-    let out = std::env::var("SPILL_BENCH_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_{date}_spill.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    std::fs::write(&out, json).expect("write bench record");
-    println!("\nrecorded -> {out}");
+    sigma_bench::write_record("spill", "SPILL_BENCH_OUT", &json);
 }

@@ -30,7 +30,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use sigma_core::document::ElementKind;
 use sigma_core::table::{ColumnDef, DataSource, FilterPredicate, FilterSpec, Level, TableSpec};
@@ -344,15 +344,6 @@ fn open_loop(handle: &ServerHandle, token: &str, target_rps: f64) -> OpenLoopRes
     }
 }
 
-fn today() -> String {
-    let secs = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or(Duration::ZERO)
-        .as_secs();
-    let (y, m, d) = sigma_value::calendar::civil_from_days((secs / 86_400) as i32);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 fn main() {
     let (service, token) = demo_service(demo_warehouse(ROWS));
     assert!(service.set_connection_admission("primary", ADMISSION));
@@ -418,7 +409,7 @@ fn main() {
         ADMISSION.queue_bound
     );
 
-    let date = today();
+    let date = sigma_bench::today();
     let json = format!(
         "{{\n  \"recorded\": \"{date}\",\n  \"note\": \"Traffic replay against a live \
          sigma-server TCP socket over a {ROWS}-row flights warehouse with admission \
@@ -460,14 +451,7 @@ fn main() {
         stats.expired,
         stats.peak_waiting,
     );
-    let out = std::env::var("TRAFFIC_REPLAY_BENCH_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_{date}_traffic_replay.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    std::fs::write(&out, json).expect("write bench record");
-    println!("recorded -> {out}");
+    sigma_bench::write_record("traffic_replay", "TRAFFIC_REPLAY_BENCH_OUT", &json);
 
     handle.shutdown();
 }

@@ -3,7 +3,7 @@
 //! EXPERIMENTS.md tables.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use sigma_cdw::Warehouse;
 use sigma_core::Workbook;
@@ -67,6 +67,30 @@ impl Env {
 /// Milliseconds with two decimals, for table printing.
 pub fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
+}
+
+/// Today's UTC date as `YYYY-MM-DD` (the `recorded` field of a bench record).
+pub fn today() -> String {
+    let secs = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .unwrap_or(Duration::ZERO)
+        .as_secs();
+    let (y, m, d) = sigma_value::calendar::civil_from_days((secs / 86_400) as i32);
+    format!("{y:04}-{m:02}-{d:02}")
+}
+
+/// Write a bench record to `$env_var` if set, else to
+/// `BENCH_<date>_<kind>.json` at the repo root, and say where it went.
+pub fn write_record(kind: &str, env_var: &str, json: &str) {
+    let out = std::env::var(env_var).unwrap_or_else(|_| {
+        format!(
+            "{}/../../BENCH_{}_{kind}.json",
+            env!("CARGO_MANIFEST_DIR"),
+            today()
+        )
+    });
+    std::fs::write(&out, json).expect("write bench record");
+    println!("\nrecorded -> {out}");
 }
 
 /// Median of several timed runs of `f`.

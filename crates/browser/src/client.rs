@@ -225,11 +225,7 @@ impl BrowserSession {
         };
         let mut delta: Option<PlanDelta> = None;
         if let Some(plan) = plan {
-            delta = self
-                .last_plan
-                .lock()
-                .get(&element_lower)
-                .map(|old| classify_plan_delta(old, &plan));
+            delta = self.classify(&element_lower, &plan);
             let eval = self
                 .local
                 .execute_plan(&plan)
@@ -275,24 +271,14 @@ impl BrowserSession {
         // Adopt the service's canonical key for this state: future repeats
         // (and undos back to it) address the entry by fingerprint even if
         // they arrive via a differently-encoded but equivalent spec.
-        let canonical = format!(
-            "{}:{}",
-            element.to_ascii_lowercase(),
-            outcome.root_fingerprint.hex()
-        );
+        let canonical = format!("{element_lower}:{}", outcome.root_fingerprint.hex());
         self.learn_fingerprint(structural, canonical.clone());
         self.cache.put(&canonical, outcome.batch.clone(), deps);
         // Adopt everything the outcome shipped for next-edit locality:
         // the stage DAG (delta classification baseline), table schemas
         // (local compilation), and small interior stage results (the
         // reuse frontier for residual-suffix execution).
-        if delta.is_none() {
-            delta = self
-                .last_plan
-                .lock()
-                .get(&element_lower)
-                .map(|old| classify_plan_delta(old, &outcome.stages));
-        }
+        let delta = delta.or_else(|| self.classify(&element_lower, &outcome.stages));
         {
             let mut learned = self.schema_memo.lock();
             for (table, schema) in &outcome.table_schemas {
@@ -326,6 +312,13 @@ impl BrowserSession {
             elapsed: started.elapsed(),
             delta,
         })
+    }
+
+    /// How `plan` relates to the element's previous plan.
+    fn classify(&self, element_lower: &str, plan: &StagePlan) -> Option<PlanDelta> {
+        let last = self.last_plan.lock();
+        last.get(element_lower)
+            .map(|old| classify_plan_delta(old, plan))
     }
 
     /// Edits to an element invalidate dependent cached results.

@@ -6,20 +6,18 @@
 //! synthesizing "new results from existing rows already fetched from the
 //! CDW".
 //!
-//! [`LocalEngine::execute_plan`] executes the **residual suffix** of an
-//! edited element: given the compiled stage DAG and a fingerprint-keyed
-//! [`StageCache`] of previously seen stage results, it finds the deepest
-//! cached frontier and recomputes only the invalidated stages, each one
-//! planned and run by the embedded warehouse with its input stages'
-//! batches bound by name ([`Warehouse::execute_over`]). A slider drag or
-//! a formula edit is not a separate path — it is the plan shape
+//! [`LocalEngine::execute_plan`] runs the **residual suffix** of an edited
+//! element through the one stage walker, [`StagePlan::walk`], with the
+//! fingerprint-keyed [`StageCache`] as its store and the embedded warehouse
+//! as its executor ([`Warehouse::execute_over`]). A slider drag or a
+//! formula edit is not a separate path — it is the plan shape
 //! filter/project/sort over a cached input, which the warehouse reports.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use sigma_cdw::{CdwError, Warehouse};
-use sigma_core::StagePlan;
+use sigma_core::{StageHost, StageNode, StagePlan, StageStep};
 use sigma_value::Batch;
 
 use crate::cache::{CacheStats, StageCache};
@@ -38,16 +36,6 @@ pub struct LocalEval {
     /// Stages recomputed whose plan was anything else (scans, grouping,
     /// joins, windows, DISTINCT, LIMIT, unions).
     pub engine_stages: usize,
-}
-
-/// What the reverse cache walk decided for one stage.
-enum StageAction {
-    /// Behind the reuse frontier: never touched.
-    Skip,
-    /// Served from the stage cache.
-    Reuse(Batch),
-    /// Recompute on the embedded warehouse over its input stages' batches.
-    Compute,
 }
 
 /// The local evaluation engine.
@@ -111,99 +99,26 @@ impl LocalEngine {
         self.stages.stats()
     }
 
-    /// Execute the residual suffix of a compiled element locally.
-    ///
-    /// Walking the stage DAG from the sink, each interior stage is looked
-    /// up in the stage cache by fingerprint; a hit becomes a reuse
-    /// frontier and its inputs are never visited. Every remaining stage
-    /// runs on the embedded warehouse with its input stages' batches
-    /// bound by stage name — which requires any base tables it scans to
-    /// be prefetched. If some residual stage scans a table that is not,
-    /// returns `Ok(None)`: the caller falls back to the service.
-    ///
-    /// Results are bit-identical to a full service recompile: each stage
-    /// is planned and executed by the warehouse code itself, and stage
-    /// decomposition is the same DAG the service executes.
+    /// Execute the residual suffix of a compiled element locally, each
+    /// residual stage over its input stages' batches bound by name; `None`
+    /// when one scans a table that is not prefetched (the caller falls back
+    /// to the service). Bit-identical to a full service recompile: the same
+    /// DAG, each stage planned and executed by the warehouse code itself.
     pub fn execute_plan(&self, plan: &StagePlan) -> Result<Option<LocalEval>, CdwError> {
-        let n = plan.nodes.len();
-        let sink = n - 1;
-        let mut actions: Vec<StageAction> = (0..n).map(|_| StageAction::Skip).collect();
-        let mut needed = vec![false; n];
-        needed[sink] = true;
-        let installed = self.tables.read();
-        for idx in (0..n).rev() {
-            if !needed[idx] {
-                continue;
-            }
-            let node = &plan.nodes[idx];
-            if idx != sink {
-                if let Some(batch) = self.stages.get(&node.fingerprint.hex()) {
-                    actions[idx] = StageAction::Reuse(batch);
-                    continue;
-                }
-            }
-            if !node
-                .tables
-                .iter()
-                .all(|t| installed.contains(&t.to_ascii_lowercase()))
-            {
-                return Ok(None); // needs the warehouse
-            }
-            actions[idx] = StageAction::Compute;
-            for &input in &node.inputs {
-                needed[input] = true;
-            }
-        }
-        drop(installed);
-
-        // Forward pass over the residual suffix in topological order.
-        let mut results: Vec<Option<Batch>> = (0..n).map(|_| None).collect();
-        let (mut stage_hits, mut kernel_stages, mut engine_stages) = (0usize, 0usize, 0usize);
-        for (idx, action) in actions.into_iter().enumerate() {
-            match action {
-                StageAction::Skip => {}
-                StageAction::Reuse(batch) => {
-                    stage_hits += 1;
-                    results[idx] = Some(batch);
-                }
-                StageAction::Compute => {
-                    let node = &plan.nodes[idx];
-                    let inputs: Vec<(&str, &Batch)> = node
-                        .inputs
-                        .iter()
-                        .map(|&i| {
-                            let batch = results[i].as_ref().expect("input stage resolved");
-                            (plan.nodes[i].name.as_str(), batch)
-                        })
-                        .collect();
-                    let (batch, chain) = self.engine.execute_over(&node.query, &inputs)?;
-                    if chain {
-                        kernel_stages += 1;
-                    } else {
-                        engine_stages += 1;
-                    }
-                    // Remember every freshly computed interior stage so
-                    // the next edit reuses it (the cache walk above is how
-                    // it gets found).
-                    if idx != sink {
-                        self.stages.put(
-                            &node.fingerprint.hex(),
-                            batch.clone(),
-                            node.all_tables.clone(),
-                        );
-                    }
-                    results[idx] = Some(batch);
-                }
-            }
-        }
-        let batch = results[sink].take().expect("sink computed");
+        let mut host = LocalHost {
+            local: self,
+            chains: 0,
+        };
+        let Some(walk) = plan.walk(&mut host)? else {
+            return Ok(None);
+        };
         self.local_evals
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(Some(LocalEval {
-            batch,
-            stage_hits,
-            kernel_stages,
-            engine_stages,
+            stage_hits: walk.count(StageStep::Reuse),
+            kernel_stages: host.chains,
+            engine_stages: walk.count(StageStep::Execute) - host.chains,
+            batch: walk.sink,
         }))
     }
 
@@ -217,5 +132,48 @@ impl LocalEngine {
             return None;
         }
         self.engine.table_schema(name)
+    }
+}
+
+/// The browser tier's [`StageHost`]: stage results are batches in the
+/// stage cache, and a stage runs here when every table it scans is
+/// prefetched. Counts the executed stages that planned as chains.
+struct LocalHost<'a> {
+    local: &'a LocalEngine,
+    chains: usize,
+}
+
+impl StageHost for LocalHost<'_> {
+    type Out = Batch;
+    type Err = CdwError;
+
+    fn lookup(&mut self, node: &StageNode) -> Option<Batch> {
+        self.local.stages.get(&node.fingerprint.hex())
+    }
+
+    fn can_execute(&mut self, node: &StageNode) -> bool {
+        let installed = self.local.tables.read();
+        node.tables
+            .iter()
+            .all(|t| installed.contains(&t.to_ascii_lowercase()))
+    }
+
+    fn execute(
+        &mut self,
+        node: &StageNode,
+        inputs: &[(&StageNode, &Batch)],
+    ) -> Result<Batch, CdwError> {
+        let inputs: Vec<(&str, &Batch)> =
+            inputs.iter().map(|(n, b)| (n.name.as_str(), *b)).collect();
+        let (batch, chain) = self.local.engine.execute_over(&node.query, &inputs)?;
+        self.chains += usize::from(chain);
+        Ok(batch)
+    }
+
+    fn store(&mut self, node: &StageNode, batch: &Batch) {
+        let tables = node.all_tables.clone();
+        self.local
+            .stages
+            .put(&node.fingerprint.hex(), batch.clone(), tables);
     }
 }

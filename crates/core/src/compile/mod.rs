@@ -40,7 +40,7 @@ use crate::document::ElementKind;
 use crate::error::CoreError;
 pub use crate::schema::CompiledQuery;
 pub use delta::{classify_plan_delta, PlanDelta, StageEdit, StageEditKind};
-pub use stageplan::{Fingerprint, StageNode, StagePlan};
+pub use stageplan::{Fingerprint, StageHost, StageNode, StagePlan, StageStep, WalkOutcome};
 
 use crate::schema::SchemaProvider;
 use crate::table::TableSpec;

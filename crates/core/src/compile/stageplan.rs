@@ -14,10 +14,10 @@
 //! * the **warehouse tables** the stage reads directly (plus the
 //!   transitive closure, for precise cache invalidation).
 //!
-//! The service uses this structure for stage-level caching (§4): fingerprints
-//! key the query directory, and cached stages are re-read via
-//! `TABLE(RESULT_SCAN('<query-id>'))` so an edit recomputes only the suffix
-//! of the pipeline that actually changed.
+//! Both caching tiers (§4) reuse stages through one walker,
+//! [`StagePlan::walk`], over a [`StageHost`]: the service's keys its query
+//! directory by fingerprint and re-reads stages via `RESULT_SCAN`; the
+//! browser's keeps stage batches and runs the suffix on its embedded engine.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -153,6 +153,100 @@ impl StagePlan {
         (idx + 1..self.nodes.len())
             .filter(|&i| tainted[i])
             .collect()
+    }
+
+    /// Answer the sink with prefix reuse — the one stage walk of both
+    /// caching tiers. Walking back from the sink, a needed interior stage
+    /// the host can [`lookup`](StageHost::lookup) becomes a reuse frontier
+    /// whose inputs are never visited; a needed stage the host cannot run
+    /// ends the walk with `Ok(None)` before any work. The residual stages
+    /// then execute in topological order over their inputs' results, and
+    /// each executed interior stage is stored at once. The sink is never
+    /// looked up or stored: its result is the caller's.
+    pub fn walk<H: StageHost>(&self, host: &mut H) -> Result<Option<WalkOutcome<H::Out>>, H::Err> {
+        let sink = self.nodes.len() - 1;
+        let mut steps = vec![StageStep::Skip; sink + 1];
+        let mut results: Vec<Option<H::Out>> = self.nodes.iter().map(|_| None).collect();
+        let mut needed = vec![false; sink + 1];
+        needed[sink] = true;
+        for (idx, node) in self.nodes.iter().enumerate().rev() {
+            if !needed[idx] {
+                continue;
+            }
+            results[idx] = if idx == sink { None } else { host.lookup(node) };
+            if results[idx].is_some() {
+                steps[idx] = StageStep::Reuse;
+                continue;
+            }
+            if !host.can_execute(node) {
+                return Ok(None);
+            }
+            steps[idx] = StageStep::Execute;
+            for &input in &node.inputs {
+                needed[input] = true;
+            }
+        }
+        for (idx, node) in self.nodes.iter().enumerate() {
+            if steps[idx] != StageStep::Execute {
+                continue;
+            }
+            let resolved = |i: usize| results[i].as_ref().expect("input stage resolved");
+            let inputs: Vec<(&StageNode, &H::Out)> = node
+                .inputs
+                .iter()
+                .map(|&i| (&self.nodes[i], resolved(i)))
+                .collect();
+            let out = host.execute(node, &inputs)?;
+            if idx != sink {
+                host.store(node, &out);
+            }
+            results[idx] = Some(out);
+        }
+        let sink = results[sink].take().expect("sink executed");
+        Ok(Some(WalkOutcome { sink, steps }))
+    }
+}
+
+/// Where stage results live for [`StagePlan::walk`]: query ids of
+/// persisted CDW results in the service directory, or batches in the
+/// browser's stage cache.
+pub trait StageHost {
+    type Out;
+    type Err;
+    /// A usable cached result for an interior stage.
+    fn lookup(&mut self, node: &StageNode) -> Option<Self::Out>;
+    /// Whether `node` can run here.
+    fn can_execute(&mut self, node: &StageNode) -> bool;
+    /// Run `node` over its inputs' results, in `node.inputs` order.
+    fn execute(
+        &mut self,
+        node: &StageNode,
+        inputs: &[(&StageNode, &Self::Out)],
+    ) -> Result<Self::Out, Self::Err>;
+    /// Keep an executed interior stage's result for later edits.
+    fn store(&mut self, node: &StageNode, out: &Self::Out);
+}
+
+/// What a walk did with one stage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StageStep {
+    /// Behind the reuse frontier (or unreachable): never touched.
+    Skip,
+    Reuse,
+    Execute,
+}
+
+/// A finished walk: the sink's result and one step per node, in node order.
+#[derive(Debug)]
+pub struct WalkOutcome<T> {
+    pub sink: T,
+    pub steps: Vec<StageStep>,
+}
+
+impl<T> WalkOutcome<T> {
+    /// How many stages took `step` (the sink counts as executed).
+    pub fn count(&self, step: StageStep) -> usize {
+        self.steps.iter().filter(|&&s| s == step).count()
     }
 }
 
@@ -308,5 +402,136 @@ mod tests {
         assert_ne!(p1.nodes[1].fingerprint, p2.nodes[1].fingerprint);
         assert_ne!(p1.root_fingerprint(), p2.root_fingerprint());
         assert_eq!(p1.downstream_of(1), vec![2]);
+    }
+
+    /// A host whose cache is a set of stage names; it records every call
+    /// and answers each execution with `name(input, ...)`.
+    #[derive(Default)]
+    struct FakeHost {
+        cached: Vec<&'static str>,
+        cannot_run: Option<&'static str>,
+        fail_on: Option<&'static str>,
+        calls: Vec<String>,
+    }
+
+    impl StageHost for FakeHost {
+        type Out = String;
+        type Err = String;
+        fn lookup(&mut self, node: &StageNode) -> Option<String> {
+            self.calls.push(format!("lookup {}", node.name));
+            self.cached
+                .contains(&node.name.as_str())
+                .then(|| format!("cached {}", node.name))
+        }
+        fn can_execute(&mut self, node: &StageNode) -> bool {
+            self.cannot_run != Some(node.name.as_str())
+        }
+        fn execute(
+            &mut self,
+            node: &StageNode,
+            inputs: &[(&StageNode, &String)],
+        ) -> Result<String, String> {
+            self.calls.push(format!("execute {}", node.name));
+            if self.fail_on == Some(node.name.as_str()) {
+                return Err(format!("{} failed", node.name));
+            }
+            let args: Vec<&str> = inputs.iter().map(|(_, out)| out.as_str()).collect();
+            Ok(format!("{}({})", node.name, args.join(", ")))
+        }
+        fn store(&mut self, node: &StageNode, out: &String) {
+            self.calls.push(format!("store {} = {out}", node.name));
+        }
+    }
+
+    /// `raw → source → {lo, hi} → sink`: a diamond whose shared input
+    /// `source` both branches read.
+    fn diamond() -> StagePlan {
+        let q = sigma_sql::parse_query(
+            "WITH raw AS (SELECT a FROM t), \
+                  source AS (SELECT a FROM raw), \
+                  lo AS (SELECT a FROM source WHERE a < 5), \
+                  hi AS (SELECT a FROM source WHERE a > 5) \
+             SELECT lo.a FROM lo JOIN hi ON lo.a = hi.a",
+        )
+        .unwrap();
+        let plan = StagePlan::from_query(&q, &Dialect::generic());
+        let names: Vec<&str> = plan.nodes.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(names, ["raw", "source", "lo", "hi", StagePlan::SINK]);
+        plan
+    }
+
+    #[test]
+    fn walk_reuses_the_deepest_frontier_once_and_stores_each_executed_stage() {
+        use StageStep::*;
+        let plan = diamond();
+        let mut host = FakeHost {
+            cached: vec!["source"],
+            ..FakeHost::default()
+        };
+        let outcome = plan.walk(&mut host).unwrap().expect("every stage can run");
+        // The frontier lands on the shared input: `raw` behind it is never
+        // touched, and `source` is looked up once although both branches
+        // read it.
+        assert_eq!(outcome.steps, [Skip, Reuse, Execute, Execute, Execute]);
+        assert_eq!((outcome.count(Reuse), outcome.count(Execute)), (1, 3));
+        assert_eq!(outcome.sink, "__sink(lo(cached source), hi(cached source))");
+        // The sink is never looked up or stored; each executed interior
+        // stage is stored once, right after it runs.
+        assert_eq!(
+            host.calls,
+            [
+                "lookup hi",
+                "lookup lo",
+                "lookup source",
+                "execute lo",
+                "store lo = lo(cached source)",
+                "execute hi",
+                "store hi = hi(cached source)",
+                "execute __sink",
+            ]
+        );
+    }
+
+    #[test]
+    fn walk_stops_before_any_work_when_a_needed_stage_cannot_run() {
+        let plan = diamond();
+        let mut host = FakeHost {
+            cannot_run: Some("raw"),
+            ..FakeHost::default()
+        };
+        assert!(matches!(plan.walk(&mut host), Ok(None)));
+        assert_eq!(
+            host.calls,
+            ["lookup hi", "lookup lo", "lookup source", "lookup raw"]
+        );
+        // A frontier above the stage that cannot run makes it unneeded.
+        let mut host = FakeHost {
+            cached: vec!["source"],
+            cannot_run: Some("raw"),
+            ..FakeHost::default()
+        };
+        assert!(plan.walk(&mut host).unwrap().is_some());
+    }
+
+    #[test]
+    fn walk_stops_at_the_first_execute_error_storing_nothing_after_it() {
+        let plan = diamond();
+        let mut host = FakeHost {
+            cached: vec!["source"],
+            fail_on: Some("hi"),
+            ..FakeHost::default()
+        };
+        assert_eq!(plan.walk(&mut host).unwrap_err(), "hi failed");
+        assert_eq!(
+            host.calls,
+            [
+                "lookup hi",
+                "lookup lo",
+                "lookup source",
+                "execute lo",
+                "store lo = lo(cached source)",
+                "execute hi",
+            ]
+        );
     }
 }

@@ -35,7 +35,7 @@ pub mod viz;
 
 pub use compile::{
     classify_plan_delta, CompileOptions, CompiledQuery, Compiler, Fingerprint, PlanDelta,
-    StageEdit, StageEditKind, StageNode, StagePlan,
+    StageEdit, StageEditKind, StageHost, StageNode, StagePlan, StageStep, WalkOutcome,
 };
 pub use document::{Element, ElementKind, Page, Workbook};
 pub use error::CoreError;

@@ -108,20 +108,14 @@ pub fn serve(service: Arc<SigmaService>, addr: &str) -> std::io::Result<ServerHa
                     }
                     let Ok(stream) = conn else { continue };
                     let service = service.clone();
-                    let sessions = sessions.clone();
-                    sessions.fetch_add(1, Ordering::SeqCst);
+                    // The guard moves into the session thread, keeping the
+                    // gauge honest if the session loop panics — and if the
+                    // spawn fails, the dropped closure drops it right here.
+                    let gauge = Gauge::enter(&sessions);
                     let _ = std::thread::Builder::new()
                         .name("sigma-session".into())
                         .spawn(move || {
-                            // The guard keeps the gauge honest even if the
-                            // session loop panics.
-                            struct Gauge(Arc<AtomicUsize>);
-                            impl Drop for Gauge {
-                                fn drop(&mut self) {
-                                    self.0.fetch_sub(1, Ordering::SeqCst);
-                                }
-                            }
-                            let _gauge = Gauge(sessions);
+                            let _gauge = gauge;
                             run_session(&service, stream);
                         });
                 }
@@ -134,6 +128,22 @@ pub fn serve(service: Arc<SigmaService>, addr: &str) -> std::io::Result<ServerHa
         sessions,
         accept_thread: Some(accept_thread),
     })
+}
+
+/// One live session on the server's gauge: counted while the guard lives.
+struct Gauge(Arc<AtomicUsize>);
+
+impl Gauge {
+    fn enter(sessions: &Arc<AtomicUsize>) -> Gauge {
+        sessions.fetch_add(1, Ordering::SeqCst);
+        Gauge(sessions.clone())
+    }
+}
+
+impl Drop for Gauge {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Per-connection session state: only the *token*, never the resolved

@@ -10,9 +10,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::RwLock;
-use sigma_cdw::Warehouse;
+use sigma_cdw::{CdwError, ResultSet, Warehouse};
 use sigma_core::schema::SchemaProvider;
-use sigma_core::{CompileOptions, Compiler, StagePlan, Workbook};
+use sigma_core::{
+    CompileOptions, Compiler, StageHost, StageNode, StagePlan, StageStep, WalkOutcome, Workbook,
+};
 
 use sigma_value::Batch;
 
@@ -350,87 +352,56 @@ impl SigmaService {
         // stages; the directory caches each stage's CDW-persisted result by
         // `(connection, fingerprint)`. The root (sink) fingerprint keys the
         // whole query; interior fingerprints enable cross-edit prefix reuse.
-        let sql = compiled.sql.clone();
-        let plan = compiled.stages;
+        let (sql, plan) = (compiled.sql, compiled.stages);
         let root_fingerprint = plan.root_fingerprint();
         let root_key = DirKey::for_stage(req.connection, root_fingerprint);
         let all_tables: Arc<[String]> = plan.sink().all_tables.clone().into();
-        let stage_caching = self.stage_caching();
-        let mut queue_wait = Duration::ZERO;
-        let mut stage_hits = 0usize;
-        let mut stages_executed = 0usize;
-        let mut rows_scanned = 0usize;
+        let mut host = DirectoryHost {
+            warehouse: &warehouse,
+            directory: &directory,
+            workload: &workload,
+            connection: req.connection,
+            tenant,
+            priority: req.priority,
+            deadline,
+            queue_wait: Duration::ZERO,
+            stage_hits: 0,
+            stages_executed: 0,
+            rows_scanned: 0,
+        };
         let (mut query_id, cached) = directory.run_coalesced(root_key, || {
-            if stage_caching && plan.nodes.len() > 1 {
-                match run_stage_pipeline(
-                    &warehouse,
-                    &workload,
-                    &directory,
-                    req.connection,
-                    tenant,
-                    req.priority,
-                    deadline,
-                    &plan,
-                    &mut queue_wait,
-                    &mut stage_hits,
-                    &mut stages_executed,
-                    &mut rows_scanned,
-                ) {
-                    Ok(qid) => return Ok::<_, ServiceError>(qid),
+            if self.stage_caching() && plan.nodes.len() > 1 {
+                match plan.walk(&mut host) {
+                    Ok(Some(walk)) => return Ok(host.adopt(walk)),
                     // Admission rejections are backpressure, not cache
                     // staleness: retrying flattened would *add* load to an
                     // already saturated warehouse. Propagate immediately.
                     Err(e @ ServiceError::Overloaded { .. })
                     | Err(e @ ServiceError::DeadlineExceeded { .. }) => return Err(e),
-                    Err(_) => {
-                        // A reused stage's persisted result can be evicted
-                        // between the cache walk's liveness check and the
-                        // execution that RESULT_SCANs it (the directory
-                        // promotes but cannot pin). Fall back to one
-                        // flattened query rather than failing a request
-                        // that would succeed with caching off; a genuine
-                        // query error surfaces from the flattened run too.
-                        // (queue_wait is overwritten by the flattened
-                        // submit below.)
-                        stage_hits = 0;
-                        stages_executed = 0;
-                        rows_scanned = 0;
-                    }
+                    // A reused stage's persisted result can be evicted
+                    // between the walk's liveness check and the execution
+                    // that RESULT_SCANs it (the directory promotes but
+                    // cannot pin). Fall back to one flattened query rather
+                    // than failing a request that would succeed with
+                    // caching off; a genuine query error surfaces from the
+                    // flattened run too.
+                    Ok(None) | Err(_) => {}
                 }
             }
-            let (result, wait) = workload.submit_for(tenant, req.priority, deadline, || {
-                warehouse.execute_sql(&sql).map_err(ServiceError::from)
-            })?;
-            queue_wait = wait;
-            let r = result?;
-            stages_executed += 1;
-            rows_scanned += r.rows_scanned;
-            Ok(r.query_id)
+            host.run_flattened(&sql).map(|r| r.query_id)
         })?;
         directory.set_deps(root_key, all_tables.clone());
         // 6. Fetch the result set (fresh executions persist it; directory
         // hits re-fetch by query id).
         let (batch, served_from) = match warehouse.persisted_result(&query_id) {
             Some(batch) if cached => (batch, ServedFrom::QueryDirectory),
-            Some(batch) if stage_hits > 0 => (batch, ServedFrom::StageReuse),
+            Some(batch) if host.stage_hits > 0 => (batch, ServedFrom::StageReuse),
             Some(batch) => (batch, ServedFrom::Warehouse),
             None => {
                 // Evicted from the warehouse's persisted results: re-run
-                // the whole query fresh. The pipeline's per-request
-                // counters no longer describe what this request was
-                // ultimately served from, so reset them to the flattened
-                // re-run's accounting.
+                // the whole query fresh.
                 directory.invalidate_key(root_key);
-                let (result, wait) = workload
-                    .submit_for(tenant, req.priority, deadline, || {
-                        warehouse.execute_sql(&sql)
-                    })
-                    .map_err(ServiceError::from)?;
-                queue_wait = wait;
-                let r = result?;
-                stage_hits = 0;
-                rows_scanned = r.rows_scanned;
-                stages_executed = 1;
+                let r = host.run_flattened(&sql)?;
                 directory.insert_with_deps(root_key, &r.query_id, all_tables);
                 query_id = r.query_id;
                 (r.batch, ServedFrom::Warehouse)
@@ -448,10 +419,8 @@ impl SigmaService {
             // frontier for small edits) win the budget.
             for node in plan.nodes[..plan.nodes.len() - 1].iter().rev() {
                 let key = DirKey::for_stage(req.connection, node.fingerprint);
-                let Some(qid) = directory.lookup_stage(key) else {
-                    continue;
-                };
-                let Some(b) = warehouse.persisted_result(&qid) else {
+                let qid = directory.lookup_stage(key);
+                let Some(b) = qid.and_then(|qid| warehouse.persisted_result(&qid)) else {
                     continue;
                 };
                 let bytes = b.byte_size();
@@ -473,10 +442,10 @@ impl SigmaService {
             query_id,
             sql,
             served_from,
-            queue_wait,
-            stage_hits,
-            stages_executed,
-            rows_scanned,
+            queue_wait: host.queue_wait,
+            stage_hits: host.stage_hits,
+            stages_executed: host.stages_executed,
+            rows_scanned: host.rows_scanned,
             root_fingerprint,
             stages: plan,
             stage_results,
@@ -691,129 +660,106 @@ impl Default for SigmaService {
     }
 }
 
-/// What the cache walk decided for one stage of the DAG.
-#[derive(Clone)]
-enum StageAction {
-    /// Not reachable from the sink through uncached stages: never touched.
-    Skip,
-    /// Fingerprint found in the directory with a live persisted result:
-    /// downstream stages read it via `RESULT_SCAN`.
-    Reuse(String),
-    /// Must execute on the warehouse.
-    Execute,
-}
-
-/// Execute a compiled element stage by stage with prefix reuse.
-///
-/// Walking the DAG **from the sink**, each needed stage is looked up in the
-/// directory by its `(connection, fingerprint)` key; a hit (with a live
-/// persisted result) becomes a reuse frontier — its inputs are never
-/// visited, so the deepest cached prefix is skipped entirely. The residual
-/// stages then execute in topological order, each reading its inputs via
-/// `TABLE(RESULT_SCAN('<query-id>'))` and persisting its own result under
-/// its fingerprint for future edits to reuse.
-#[allow(clippy::too_many_arguments)]
-fn run_stage_pipeline(
-    warehouse: &Warehouse,
-    workload: &WorkloadManager,
-    directory: &QueryDirectory,
-    connection: &str,
+/// The service tier's [`StageHost`] for one request: a stage result is the
+/// query id of a CDW-persisted result set, found by `(connection,
+/// fingerprint)` and read downstream via `TABLE(RESULT_SCAN('<query-id>'))`.
+/// It also keeps the request's accounting for [`QueryOutcome`].
+struct DirectoryHost<'a> {
+    warehouse: &'a Warehouse,
+    directory: &'a QueryDirectory,
+    workload: &'a WorkloadManager,
+    connection: &'a str,
     tenant: u64,
     priority: Priority,
     deadline: Option<Duration>,
-    plan: &StagePlan,
-    queue_wait: &mut Duration,
-    stage_hits: &mut usize,
-    stages_executed: &mut usize,
-    rows_scanned: &mut usize,
-) -> Result<String, ServiceError> {
-    let n = plan.nodes.len();
-    let sink = n - 1;
-    let mut actions = vec![StageAction::Skip; n];
-    let mut needed = vec![false; n];
-    needed[sink] = true;
-    // Reverse-topological cache walk. The sink itself always executes: the
-    // caller's whole-query lookup (the coalesced fast path) already missed.
-    for idx in (0..n).rev() {
-        if !needed[idx] {
-            continue;
-        }
-        if idx != sink {
-            let key = DirKey::for_stage(connection, plan.nodes[idx].fingerprint);
-            if let Some(qid) = directory.lookup_stage(key) {
-                if warehouse.touch_result(&qid) {
-                    actions[idx] = StageAction::Reuse(qid);
-                    continue;
-                }
-                // Stale pointer: the CDW evicted the result set.
-                directory.invalidate_key(key);
+    queue_wait: Duration,
+    stage_hits: usize,
+    stages_executed: usize,
+    rows_scanned: usize,
+}
+
+impl DirectoryHost<'_> {
+    /// Run one warehouse query under admission control and add it to the
+    /// request's totals. The deadline bounds each query's queue wait, so a
+    /// request stuck behind saturation fails fast rather than holding its
+    /// session thread through a whole residual suffix.
+    fn submit(
+        &mut self,
+        run: impl FnOnce(&Warehouse) -> Result<ResultSet, CdwError>,
+    ) -> Result<ResultSet, ServiceError> {
+        let warehouse = self.warehouse;
+        let (result, wait) =
+            self.workload
+                .submit_for(self.tenant, self.priority, self.deadline, || run(warehouse))?;
+        self.queue_wait += wait;
+        let r = result?;
+        self.rows_scanned += r.rows_scanned;
+        Ok(r)
+    }
+
+    /// Run the element as one flattened query; the totals restart with it,
+    /// since whatever a stage walk counted is not what served the request.
+    fn run_flattened(&mut self, sql: &str) -> Result<ResultSet, ServiceError> {
+        self.queue_wait = Duration::ZERO;
+        self.rows_scanned = 0;
+        let r = self.submit(|w| w.execute_sql(sql))?;
+        (self.stage_hits, self.stages_executed) = (0, 1);
+        Ok(r)
+    }
+
+    /// Take a finished walk's answer. Stage stats are recorded only once
+    /// the whole walk succeeded: after a mid-request eviction the request
+    /// falls back to a flattened query, and counting the walk's tentative
+    /// hits would overstate reuse that never materialized.
+    fn adopt(&mut self, walk: WalkOutcome<String>) -> String {
+        for &step in &walk.steps[..walk.steps.len() - 1] {
+            if step != StageStep::Skip {
+                self.directory.record_stage(step == StageStep::Reuse);
             }
         }
-        actions[idx] = StageAction::Execute;
-        for &input in &plan.nodes[idx].inputs {
-            needed[input] = true;
-        }
+        self.stage_hits = walk.count(StageStep::Reuse);
+        self.stages_executed = walk.count(StageStep::Execute);
+        walk.sink
     }
-    // Forward pass: execute the residual suffix in topological order.
-    let mut qids: HashMap<usize, String> = HashMap::new();
-    let mut final_qid = String::new();
-    for (idx, action) in actions.iter().enumerate() {
-        match action {
-            StageAction::Skip => {}
-            StageAction::Reuse(qid) => {
-                *stage_hits += 1;
-                qids.insert(idx, qid.clone());
-            }
-            StageAction::Execute => {
-                let node = &plan.nodes[idx];
-                let mut query = node.query.clone();
-                let scans: HashMap<String, String> = node
-                    .inputs
-                    .iter()
-                    .map(|&i| {
-                        (
-                            plan.nodes[i].name.to_ascii_lowercase(),
-                            qids.get(&i).cloned().expect("input stage resolved"),
-                        )
-                    })
-                    .collect();
-                sigma_sql::substitute_result_scans(&mut query, &scans);
-                let stmt = sigma_sql::Statement::Query(query);
-                // The deadline bounds each stage's queue wait; a request
-                // stuck behind saturation fails fast rather than holding
-                // its session thread through the whole residual suffix.
-                let (result, wait) = workload
-                    .submit_for(tenant, priority, deadline, || {
-                        warehouse.execute_statement(&stmt)
-                    })
-                    .map_err(ServiceError::from)?;
-                *queue_wait += wait;
-                let r = result?;
-                *stages_executed += 1;
-                *rows_scanned += r.rows_scanned;
-                if idx != sink {
-                    // The sink's entry is written by the caller's coalescing
-                    // wrapper under the root key.
-                    let key = DirKey::for_stage(connection, node.fingerprint);
-                    directory.insert_with_deps(key, &r.query_id, node.all_tables.clone().into());
-                }
-                qids.insert(idx, r.query_id.clone());
-                if idx == sink {
-                    final_qid = r.query_id;
-                }
-            }
+}
+
+impl StageHost for DirectoryHost<'_> {
+    type Out = String;
+    type Err = ServiceError;
+
+    fn lookup(&mut self, node: &StageNode) -> Option<String> {
+        let key = DirKey::for_stage(self.connection, node.fingerprint);
+        let qid = self.directory.lookup_stage(key)?;
+        if self.warehouse.touch_result(&qid) {
+            return Some(qid);
         }
+        // Stale pointer: the CDW evicted the result set.
+        self.directory.invalidate_key(key);
+        None
     }
-    // Directory stage stats are recorded only once the whole pipeline
-    // succeeded: if a reused result is evicted mid-request the caller
-    // falls back to a flattened query, and counting the walk's tentative
-    // hits would overstate reuse that never materialized.
-    for (idx, action) in actions.iter().enumerate() {
-        match action {
-            StageAction::Reuse(_) => directory.record_stage(true),
-            StageAction::Execute if idx != sink => directory.record_stage(false),
-            _ => {}
-        }
+
+    fn can_execute(&mut self, _: &StageNode) -> bool {
+        true
     }
-    Ok(final_qid)
+
+    fn execute(
+        &mut self,
+        node: &StageNode,
+        inputs: &[(&StageNode, &String)],
+    ) -> Result<String, ServiceError> {
+        let scans: HashMap<String, String> = inputs
+            .iter()
+            .map(|(input, qid)| (input.name.to_ascii_lowercase(), (*qid).clone()))
+            .collect();
+        let mut query = node.query.clone();
+        sigma_sql::substitute_result_scans(&mut query, &scans);
+        let stmt = sigma_sql::Statement::Query(query);
+        Ok(self.submit(|w| w.execute_statement(&stmt))?.query_id)
+    }
+
+    fn store(&mut self, node: &StageNode, qid: &String) {
+        let key = DirKey::for_stage(self.connection, node.fingerprint);
+        self.directory
+            .insert_with_deps(key, qid, node.all_tables.clone().into());
+    }
 }
