@@ -4,9 +4,10 @@
 //!
 //! Before the two-phase refactor only the Scan→Filter→Project prefix ran
 //! partition-parallel; GROUP BY, JOIN, and DISTINCT collapsed to one
-//! thread. The criterion section sweeps `parallelism` over a uniform
-//! multi-partition table so regressions in partition parallelism of the
-//! heavy operators show up as flat (non-scaling) curves.
+//! thread. The parallelism sweep runs them at `parallelism` 1/2/4/8 over a
+//! uniform multi-partition table so regressions in partition parallelism
+//! of the heavy operators show up as flat (non-scaling) curves; every
+//! width must reproduce the serial answer bit for bit.
 //!
 //! The skewed sweep loads one partition with ~90% of the rows (plus empty
 //! partitions and 1-row tails) — the layout whole-partition units handle
@@ -44,7 +45,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use sigma_cdw::{MorselSizing, Warehouse};
 use sigma_value::{Batch, Column, DataType, Field, Schema, Value};
 
@@ -93,36 +93,27 @@ fn scaling_warehouse() -> Warehouse {
     wh
 }
 
-fn bench_scaling(c: &mut Criterion) {
+fn parallelism_sweep() {
     let wh = scaling_warehouse();
-    let mut group = c.benchmark_group("scaling");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(ROWS as u64));
+    println!("parallelism sweep ({ROWS} rows, 16 partitions, median of {SKEW_ITERS} runs)");
     for (name, sql) in [
         ("aggregate", AGG_SQL),
         ("join_agg", JOIN_SQL),
         ("distinct", DISTINCT_SQL),
     ] {
+        let mut serial = None;
         for threads in [1usize, 2, 4, 8] {
             wh.set_parallelism(threads);
-            group.bench_with_input(
-                BenchmarkId::new(name, format!("p{threads}")),
-                &threads,
-                // Evict each run's persisted result: hundreds of retained
-                // multi-MB batches would turn the bench into a memory-
-                // pressure measurement.
-                |b, _| {
-                    b.iter(|| {
-                        let r = wh.execute_sql(sql).unwrap();
-                        wh.evict_result(&r.query_id);
-                        r
-                    })
-                },
-            );
+            let (ms, batch) = median_ms(&wh, sql);
+            let id = format!("scaling/{name}/p{threads}");
+            let rate = ROWS as f64 / (ms / 1e3);
+            println!("bench {id:<50} median {ms:>9.2} ms (n={SKEW_ITERS}) {rate:.0} elem/s");
+            match &serial {
+                None => serial = Some(batch),
+                Some(p1) => assert_bit_identical(p1, &batch, &id),
+            }
         }
-        wh.set_parallelism(1);
     }
-    group.finish();
 }
 
 // ---------------------------------------------------------------------
@@ -379,9 +370,7 @@ fn skewed_morsel_sweep() {
     sigma_bench::write_record("scaling", "SCALING_BENCH_OUT", &json);
 }
 
-criterion_group!(benches, bench_scaling);
-
 fn main() {
-    benches();
+    parallelism_sweep();
     skewed_morsel_sweep();
 }

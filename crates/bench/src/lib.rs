@@ -1,18 +1,13 @@
-//! Shared helpers for the benchmark harness: scenario runners used by both
-//! the Criterion benches and the `experiments` binary that regenerates the
-//! EXPERIMENTS.md tables.
+//! Shared helpers for the benchmark harness: the demo environment the
+//! browser-tier benches run against, and the one writer every bench uses
+//! for its `BENCH_<date>_<kind>.json` record.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use sigma_cdw::Warehouse;
-use sigma_core::Workbook;
-use sigma_service::workload::Priority;
-use sigma_service::{QueryRequest, SigmaService};
+use sigma_service::SigmaService;
 use sigma_workbook::demo;
-
-/// Row-count sweep used by the scenario experiments.
-pub const SWEEP: &[usize] = &[10_000, 50_000, 200_000];
 
 /// One prepared scenario environment.
 pub struct Env {
@@ -31,42 +26,6 @@ impl Env {
             token,
         }
     }
-
-    /// Run one element query through the full service path; returns
-    /// (rows, elapsed).
-    pub fn run(&self, wb: &Workbook, element: &str) -> (usize, Duration) {
-        let json = wb.to_json().expect("workbook serializes");
-        let started = Instant::now();
-        let outcome = self
-            .service
-            .run_query(&QueryRequest {
-                token: &self.token,
-                connection: "primary",
-                workbook_json: &json,
-                element,
-                priority: Priority::Interactive,
-            })
-            .expect("query runs");
-        (outcome.batch.num_rows(), started.elapsed())
-    }
-
-    /// Compile-only path (no execution).
-    pub fn compile(&self, wb: &Workbook, element: &str) -> String {
-        let user = self
-            .service
-            .tenancy
-            .authenticate(&self.token)
-            .expect("token valid");
-        self.service
-            .compile(&user, "primary", wb, element)
-            .expect("compiles")
-            .sql
-    }
-}
-
-/// Milliseconds with two decimals, for table printing.
-pub fn ms(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
 /// Today's UTC date as `YYYY-MM-DD` (the `recorded` field of a bench record).
@@ -91,16 +50,4 @@ pub fn write_record(kind: &str, env_var: &str, json: &str) {
     });
     std::fs::write(&out, json).expect("write bench record");
     println!("\nrecorded -> {out}");
-}
-
-/// Median of several timed runs of `f`.
-pub fn median_time(iters: usize, mut f: impl FnMut()) -> Duration {
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed());
-    }
-    samples.sort();
-    samples[samples.len() / 2]
 }

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use parking_lot::Mutex;
 use sigma_value::Batch;
 
-/// Cache statistics (experiment E4/E5 observables).
+/// Cache hit, miss and eviction counters, plus resident bytes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     pub hits: u64,
@@ -246,17 +246,6 @@ impl StageCache {
         let mut stats = self.stats.lock();
         stats.bytes = entries.values().map(|e| e.bytes).sum();
         victims.len()
-    }
-
-    /// Drop every cached stage result (hit/miss/eviction counters keep
-    /// their history). Harnesses that want to measure the no-stage-reuse
-    /// tiers use this; ordinary invalidation should stay table-targeted.
-    pub fn clear(&self) -> usize {
-        let mut entries = self.entries.lock();
-        let dropped = entries.len();
-        entries.clear();
-        self.stats.lock().bytes = 0;
-        dropped
     }
 
     pub fn len(&self) -> usize {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sigma_core::schema::SchemaProvider;
-use sigma_core::{classify_plan_delta, CompileOptions, Compiler, PlanDelta, StagePlan, Workbook};
+use sigma_core::{CompileOptions, Compiler, Workbook};
 use sigma_service::workload::Priority;
 use sigma_service::{QueryRequest, ServedFrom, ServiceError, SigmaService};
 use sigma_value::Batch;
@@ -16,7 +16,8 @@ use crate::cache::ResultCache;
 use crate::local::LocalEngine;
 use crate::prefetch::PrefetchPolicy;
 
-/// Where an answer came from (experiment E4/E5 observable).
+/// Where an answer came from: the tier of the browser ladder that served
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Source {
     /// Browser result cache (undo / page switch).
@@ -44,11 +45,6 @@ pub struct ClientOutcome {
     pub source: Source,
     /// End-to-end latency as seen by the user (includes simulated network).
     pub elapsed: Duration,
-    /// How this state's compiled plan relates to the element's previous
-    /// plan (`None` when the client had no previous plan or could not
-    /// compile locally). Purely observational — execution never depends
-    /// on the classification.
-    pub delta: Option<PlanDelta>,
 }
 
 /// A browser tab connected to the service.
@@ -68,9 +64,6 @@ pub struct BrowserSession {
     /// cache key converges on the compile-derived fingerprint without the
     /// client ever compiling just to derive a key.
     fingerprint_memo: parking_lot::Mutex<std::collections::HashMap<String, String>>,
-    /// Last compiled stage plan per element (lower-cased), diffed against
-    /// each edit's plan to classify the delta.
-    last_plan: parking_lot::Mutex<std::collections::HashMap<String, StagePlan>>,
     /// Warehouse table schemas learned from service outcomes
     /// (`QueryOutcome::table_schemas`), letting the client compile edits
     /// locally even for tables it never prefetched.
@@ -109,7 +102,6 @@ impl BrowserSession {
             network_latency: Duration::ZERO,
             prefetch_policy: crate::prefetch::PrefetchPolicy::default(),
             fingerprint_memo: parking_lot::Mutex::new(std::collections::HashMap::new()),
-            last_plan: parking_lot::Mutex::new(std::collections::HashMap::new()),
             schema_memo: parking_lot::Mutex::new(std::collections::HashMap::new()),
         }
     }
@@ -117,23 +109,6 @@ impl BrowserSession {
     pub fn with_network_latency(mut self, latency: Duration) -> BrowserSession {
         self.network_latency = latency;
         self
-    }
-
-    /// Cache key: the element's compiled **root stage fingerprint** — the
-    /// Merkle hash over its stage DAG — once the service has told us one
-    /// (it rides back on every `QueryOutcome`); the cheap structural key
-    /// (JSON-encoded spec closure) before that. Unrelated edits leave the
-    /// fingerprint untouched (so entries survive), any semantic change
-    /// moves it (so stale entries are simply never addressed again), and
-    /// undo re-hits the old entry because the old state re-derives the old
-    /// key. No compile runs client-side just to derive a key.
-    pub fn fingerprint(&self, workbook: &Workbook, element: &str) -> String {
-        let structural = self.structural_fingerprint(workbook, element);
-        self.fingerprint_memo
-            .lock()
-            .get(&structural)
-            .cloned()
-            .unwrap_or(structural)
     }
 
     /// Remember the service-assigned canonical key for a structural state.
@@ -146,12 +121,11 @@ impl BrowserSession {
     }
 
     /// The pre-stage-DAG key: the element plus the JSON specs of everything
-    /// it depends on. Kept as the fallback for uncompilable states.
-    fn structural_fingerprint(&self, workbook: &Workbook, element: &str) -> String {
+    /// it depends on (`deps`, its resolved input closure). Kept as the
+    /// fallback for uncompilable states.
+    fn structural_fingerprint(workbook: &Workbook, element: &str, deps: &[String]) -> String {
         let mut key = String::new();
-        let deps = sigma_core::graph::resolve_order(workbook, &[element])
-            .unwrap_or_else(|_| vec![element.to_string()]);
-        for name in &deps {
+        for name in deps {
             if let Some(el) = workbook.element(name) {
                 key.push_str(&el.name.to_ascii_lowercase());
                 key.push('=');
@@ -186,7 +160,13 @@ impl BrowserSession {
         element: &str,
     ) -> Result<ClientOutcome, ServiceError> {
         let started = Instant::now();
-        let structural = self.structural_fingerprint(workbook, element);
+        let deps = sigma_core::graph::resolve_order(workbook, &[element])
+            .unwrap_or_else(|_| vec![element.to_string()]);
+        // Cache key: the element's compiled root stage fingerprint (the
+        // Merkle hash over its stage DAG) once a compile or a service
+        // outcome has told us one, the structural key before that. Undo
+        // re-derives the old key, so it re-hits the old entry.
+        let structural = Self::structural_fingerprint(workbook, element, &deps);
         let key = self
             .fingerprint_memo
             .lock()
@@ -200,12 +180,9 @@ impl BrowserSession {
                 batch,
                 source: Source::BrowserCache,
                 elapsed: started.elapsed(),
-                delta: None,
             });
         }
 
-        let deps = sigma_core::graph::resolve_order(workbook, &[element])
-            .unwrap_or_else(|_| vec![element.to_string()]);
         let element_lower = element.to_ascii_lowercase();
 
         // 2. Local execution. Compile against prefetched tables plus
@@ -223,9 +200,7 @@ impl BrowserSession {
             let compiler = Compiler::new(workbook, &schemas, CompileOptions::default());
             compiler.compile_element(element).ok().map(|c| c.stages)
         };
-        let mut delta: Option<PlanDelta> = None;
         if let Some(plan) = plan {
-            delta = self.classify(&element_lower, &plan);
             let eval = self
                 .local
                 .execute_plan(&plan)
@@ -235,7 +210,6 @@ impl BrowserSession {
                 // canonical fingerprint key without a round trip.
                 let canonical = format!("{element_lower}:{}", plan.root_fingerprint().hex());
                 self.learn_fingerprint(structural, canonical.clone());
-                self.last_plan.lock().insert(element_lower, plan);
                 self.cache.put(&canonical, eval.batch.clone(), deps);
                 // Tiers are reuse-driven: without a cached frontier this
                 // is just a full local evaluation, however it executed.
@@ -250,7 +224,6 @@ impl BrowserSession {
                     batch: eval.batch,
                     source,
                     elapsed: started.elapsed(),
-                    delta,
                 });
             }
         }
@@ -275,10 +248,8 @@ impl BrowserSession {
         self.learn_fingerprint(structural, canonical.clone());
         self.cache.put(&canonical, outcome.batch.clone(), deps);
         // Adopt everything the outcome shipped for next-edit locality:
-        // the stage DAG (delta classification baseline), table schemas
-        // (local compilation), and small interior stage results (the
-        // reuse frontier for residual-suffix execution).
-        let delta = delta.or_else(|| self.classify(&element_lower, &outcome.stages));
+        // table schemas (local compilation) and small interior stage
+        // results (the reuse frontier for residual-suffix execution).
         {
             let mut learned = self.schema_memo.lock();
             for (table, schema) in &outcome.table_schemas {
@@ -298,9 +269,6 @@ impl BrowserSession {
                 .unwrap_or_default();
             self.local.install_stage(fingerprint, batch.clone(), tables);
         }
-        self.last_plan
-            .lock()
-            .insert(element_lower, outcome.stages.clone());
         Ok(ClientOutcome {
             batch: outcome.batch,
             source: match outcome.served_from {
@@ -310,15 +278,7 @@ impl BrowserSession {
                 ServedFrom::Warehouse | ServedFrom::StageReuse => Source::Warehouse,
             },
             elapsed: started.elapsed(),
-            delta,
         })
-    }
-
-    /// How `plan` relates to the element's previous plan.
-    fn classify(&self, element_lower: &str, plan: &StagePlan) -> Option<PlanDelta> {
-        let last = self.last_plan.lock();
-        last.get(element_lower)
-            .map(|old| classify_plan_delta(old, plan))
     }
 
     /// Edits to an element invalidate dependent cached results.

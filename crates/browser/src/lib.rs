@@ -16,7 +16,7 @@
 //! The substitution (documented in DESIGN.md): the paper's C++→WASM engine
 //! is modeled by an embedded instance of the same vectorized kernels the
 //! warehouse uses (`sigma-cdw`), holding only prefetched tables. What
-//! matters for the experiments is *where* evaluation happens; the service
+//! matters for latency is *where* evaluation happens; the service
 //! round-trip is simulated with a configurable network RTT.
 
 pub mod cache;

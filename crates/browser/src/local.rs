@@ -45,7 +45,7 @@ pub struct LocalEngine {
     tables: parking_lot::RwLock<HashSet<String>>,
     /// Interior stage results by Merkle fingerprint (hex).
     stages: StageCache,
-    /// Local evaluations performed (experiment observable).
+    /// Local evaluations performed.
     local_evals: std::sync::atomic::AtomicU64,
 }
 
@@ -87,12 +87,6 @@ impl LocalEngine {
     /// an answer (see `QueryOutcome::stage_results`).
     pub fn install_stage(&self, fingerprint: &str, batch: Batch, tables: Vec<String>) {
         self.stages.put(fingerprint, batch, tables);
-    }
-
-    /// Drop every cached stage result, forcing the next evaluation to run
-    /// the full plan through the engine (no delta/residual reuse).
-    pub fn clear_stages(&self) -> usize {
-        self.stages.clear()
     }
 
     pub fn stage_stats(&self) -> CacheStats {

@@ -2,7 +2,7 @@
 //!
 //! Operators retain the storage partition structure wherever the plan
 //! allows it, so work spreads across the persistent process-wide worker
-//! pool (the `parallelism` knob the scalability experiment E8 sweeps,
+//! pool (the `parallelism` knob the scaling bench sweeps,
 //! clamped to the pool's execution budget — see [`scheduler`]).
 //! There is one work-distribution engine: every operator cuts its input
 //! into morsels, runs them on an LPT-seeded work-stealing queue, and

@@ -1,5 +1,5 @@
 //! The warehouse facade: parse → plan → optimize → execute, plus DDL/DML,
-//! persisted result sets, and the configuration knobs experiments sweep.
+//! persisted result sets, and the engine's configuration knobs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,11 +24,6 @@ use crate::storage::DEFAULT_PARTITION_ROWS;
 pub struct WarehouseConfig {
     /// Worker threads for partition-parallel stages.
     pub parallelism: usize,
-    /// Simulated per-query compute startup latency (models the cloud
-    /// warehouse's dispatch overhead; 0 for raw engine benchmarks).
-    pub query_overhead: Duration,
-    /// Session clock for CURRENT_DATE / CURRENT_TIMESTAMP.
-    pub now_micros: i64,
     /// How many recent result sets to keep addressable via RESULT_SCAN.
     pub max_persisted_results: usize,
     /// Per-operator execution memory budget in bytes (`None` =
@@ -50,8 +45,6 @@ impl Default for WarehouseConfig {
     fn default() -> Self {
         WarehouseConfig {
             parallelism: 1,
-            query_overhead: Duration::ZERO,
-            now_micros: EvalCtx::default().now_micros,
             max_persisted_results: 256,
             memory_budget: None,
             morsel_sizing: MorselSizing::Derived,
@@ -92,7 +85,7 @@ pub struct Warehouse {
     retention: RwLock<sigma_value::lru::LruIndex<String>>,
     next_query_id: AtomicU64,
     config: RwLock<WarehouseConfig>,
-    /// Total queries executed (for experiment bookkeeping).
+    /// Total statements executed.
     queries_executed: AtomicU64,
 }
 
@@ -145,11 +138,7 @@ impl Warehouse {
         self.config.write().morsel_sizing = sizing;
     }
 
-    pub fn set_query_overhead(&self, overhead: Duration) {
-        self.config.write().query_overhead = overhead;
-    }
-
-    /// Number of queries executed since startup (experiment counters).
+    /// Number of statements (queries, DDL and DML) executed since startup.
     pub fn queries_executed(&self) -> u64 {
         self.queries_executed.load(Ordering::Relaxed)
     }
@@ -243,10 +232,6 @@ impl Warehouse {
     /// Execute an already parsed statement.
     pub fn execute_statement(&self, stmt: &Statement) -> Result<ResultSet, CdwError> {
         let started = Instant::now();
-        let config = self.config();
-        if !config.query_overhead.is_zero() {
-            std::thread::sleep(config.query_overhead);
-        }
         self.queries_executed.fetch_add(1, Ordering::Relaxed);
         let mut stats = ExecStats::default();
         let outcome = match stmt {
@@ -382,10 +367,10 @@ impl Warehouse {
         optimize(plan, &self.eval_ctx())
     }
 
+    /// The session clock CURRENT_DATE / CURRENT_TIMESTAMP read: the fixed
+    /// [`EvalCtx::default`] instant, so results are reproducible.
     fn eval_ctx(&self) -> EvalCtx {
-        EvalCtx {
-            now_micros: self.config.read().now_micros,
-        }
+        EvalCtx::default()
     }
 
     /// Plan, optimize and execute `query` with `inputs` bound as relations

@@ -165,6 +165,41 @@ fn date_functions_in_sql() {
 }
 
 #[test]
+fn session_clock_is_pinned_to_2020_06_01() {
+    let wh = wh();
+    let june_1 = calendar::days_from_civil(2020, 6, 1);
+    let b = q(&wh, "SELECT CURRENT_DATE() AS d, CURRENT_TIMESTAMP() AS ts");
+    assert_eq!(cell(&b, 0, 0), Value::Date(june_1));
+    assert_eq!(
+        cell(&b, 0, 1),
+        Value::Timestamp(june_1 as i64 * calendar::MICROS_PER_DAY)
+    );
+
+    let days = Batch::new(
+        Arc::new(Schema::new(vec![Field::new("d", DataType::Date)])),
+        vec![Column::from_opt_dates(vec![
+            Some(june_1 - 2),
+            Some(june_1 - 1),
+            Some(june_1),
+            Some(june_1 + 1),
+            None,
+        ])],
+    )
+    .unwrap();
+    wh.load_table("days", days).unwrap();
+    let clock = "SELECT d FROM days WHERE d < CURRENT_DATE() ORDER BY d";
+    let plan = format!("{:?}", wh.plan_sql(clock).unwrap());
+    assert!(!plan.contains("CurrentDate"), "not folded: {plan}");
+    let by_clock = q(&wh, clock);
+    let by_literal = q(
+        &wh,
+        "SELECT d FROM days WHERE d < DATE '2020-06-01' ORDER BY d",
+    );
+    assert_eq!(by_clock.num_rows(), 2);
+    assert_eq!(by_clock, by_literal);
+}
+
+#[test]
 fn joins_inner_left() {
     let wh = wh();
     let dim = Batch::new(

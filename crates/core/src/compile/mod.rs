@@ -26,7 +26,6 @@
 //! grouped by the join key so cardinality never changes.
 
 mod context;
-pub mod delta;
 mod formula;
 pub mod stageplan;
 mod stages;
@@ -39,7 +38,6 @@ use sigma_sql::{Dialect, Query};
 use crate::document::ElementKind;
 use crate::error::CoreError;
 pub use crate::schema::CompiledQuery;
-pub use delta::{classify_plan_delta, PlanDelta, StageEdit, StageEditKind};
 pub use stageplan::{Fingerprint, StageHost, StageNode, StagePlan, StageStep, WalkOutcome};
 
 use crate::schema::SchemaProvider;

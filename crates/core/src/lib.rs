@@ -34,8 +34,8 @@ pub mod table;
 pub mod viz;
 
 pub use compile::{
-    classify_plan_delta, CompileOptions, CompiledQuery, Compiler, Fingerprint, PlanDelta,
-    StageEdit, StageEditKind, StageHost, StageNode, StagePlan, StageStep, WalkOutcome,
+    CompileOptions, CompiledQuery, Compiler, Fingerprint, StageHost, StageNode, StagePlan,
+    StageStep, WalkOutcome,
 };
 pub use document::{Element, ElementKind, Page, Workbook};
 pub use error::CoreError;

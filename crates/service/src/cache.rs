@@ -58,8 +58,8 @@ impl From<Fingerprint> for DirKey {
     }
 }
 
-/// Statistics exposed for the caching experiments (E4) and the
-/// edit-session bench.
+/// Query-directory counters, read by the edit-session bench and the
+/// benchmark driver.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DirectoryStats {
     pub hits: u64,

@@ -38,7 +38,7 @@ struct Connection {
     workload: Arc<WorkloadManager>,
 }
 
-/// Where a query answer came from (experiment E4's observable).
+/// Where a query answer came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedFrom {
     /// Fresh execution on the warehouse (no cached stage helped).
@@ -80,9 +80,9 @@ pub struct QueryOutcome {
     /// key their result cache on it without compiling themselves.
     pub root_fingerprint: sigma_core::Fingerprint,
     /// The compiled stage DAG: standalone per-stage SQL, Merkle
-    /// fingerprints, and table dependencies. Browser clients keep the
-    /// last plan per element and diff it against the next edit's plan to
-    /// run only the invalidated suffix locally.
+    /// fingerprints, and table dependencies. Browser clients read it to
+    /// tag each shipped stage result with the tables it was computed
+    /// from.
     pub stages: StagePlan,
     /// Interior stage results riding back with the answer, as
     /// `(fingerprint hex, batch)` pairs — the client seeds its
@@ -103,8 +103,6 @@ pub struct SigmaService {
     pub documents: DocumentStore,
     pub materializer: Materializer,
     connections: RwLock<HashMap<String, Connection>>,
-    /// Admission limit applied to newly added connections.
-    default_concurrency: usize,
     /// Stage-level caching: when on, each CTE stage of a compiled element
     /// executes as its own warehouse query keyed by its Merkle fingerprint,
     /// so an edit re-executes only the stages downstream of the change.
@@ -136,15 +134,9 @@ impl SigmaService {
             documents: DocumentStore::new(),
             materializer: Materializer::new(),
             connections: RwLock::new(HashMap::new()),
-            default_concurrency: 8,
             stage_caching: AtomicBool::new(true),
             stage_ship_cap: AtomicUsize::new(8 << 20),
         }
-    }
-
-    pub fn with_concurrency(mut self, max_concurrent: usize) -> SigmaService {
-        self.default_concurrency = max_concurrent.max(1);
-        self
     }
 
     /// Toggle stage-level caching (on by default). With it off the service
@@ -168,7 +160,8 @@ impl SigmaService {
         self.stage_ship_cap.load(Ordering::Relaxed)
     }
 
-    /// Register a warehouse connection for an org.
+    /// Register a warehouse connection for an org, admitting 8 concurrent
+    /// queries (see [`set_connection_admission`](Self::set_connection_admission)).
     pub fn add_connection(&self, org: u64, name: &str, warehouse: Arc<Warehouse>) {
         self.connections.write().insert(
             name.to_string(),
@@ -176,7 +169,7 @@ impl SigmaService {
                 org,
                 warehouse,
                 directory: Arc::new(QueryDirectory::new(512)),
-                workload: Arc::new(WorkloadManager::new(self.default_concurrency)),
+                workload: Arc::new(WorkloadManager::new(8)),
             },
         );
     }
@@ -222,7 +215,7 @@ impl SigmaService {
             .and_then(|c| c.warehouse.memory_budget())
     }
 
-    /// Cache statistics for a connection (experiment E4/E6 observables).
+    /// Query-directory statistics for a connection.
     pub fn directory_stats(&self, connection: &str) -> Option<DirectoryStats> {
         self.connections
             .read()
@@ -250,14 +243,6 @@ impl SigmaService {
         }
     }
 
-    /// The admission policy currently applied to a connection.
-    pub fn connection_admission(&self, connection: &str) -> Option<AdmissionConfig> {
-        self.connections
-            .read()
-            .get(connection)
-            .map(|c| c.workload.config())
-    }
-
     /// Set an org's weighted-fair-queueing weight on a connection
     /// (default 1). Returns false for an unknown connection.
     pub fn set_tenant_weight(&self, connection: &str, org: u64, weight: u32) -> bool {
@@ -268,19 +253,6 @@ impl SigmaService {
             }
             None => false,
         }
-    }
-
-    /// Per-org admission statistics on a connection (fairness
-    /// observables for the traffic-replay bench and the server tier).
-    pub fn tenant_workload_stats(
-        &self,
-        connection: &str,
-        org: u64,
-    ) -> Option<crate::workload::TenantStats> {
-        self.connections
-            .read()
-            .get(connection)
-            .map(|c| c.workload.tenant_stats(org))
     }
 
     /// Validate that `token` may use `connection` (exists and belongs to

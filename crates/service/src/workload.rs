@@ -2,7 +2,7 @@
 //! workload management queue and subsequently executed in the customer's
 //! database." A proxy per warehouse admits at most `max_concurrent`
 //! queries; excess requests wait in per-tenant queues scheduled by
-//! weighted fair queueing. Experiment E6 sweeps the admission limit.
+//! weighted fair queueing.
 //!
 //! The manager is the service's backpressure boundary, so admission is
 //! **bounded on every axis**:

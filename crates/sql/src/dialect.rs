@@ -104,15 +104,6 @@ impl Dialect {
     pub fn ignore_nulls_inside_parens(&self) -> bool {
         matches!(self.kind, DialectKind::BigQuery)
     }
-
-    /// Whether date arithmetic uses `DATEADD(unit, n, d)` (Snowflake,
-    /// Redshift, the simulator) or `DATE_ADD(d, INTERVAL n unit)`-style
-    /// functions. The printer only needs the boolean because the compiler
-    /// emits `DATEADD`/`DATEDIFF` in the Snowflake spelling and rewrites
-    /// argument order for the other family.
-    pub fn dateadd_unit_first(&self) -> bool {
-        !matches!(self.kind, DialectKind::BigQuery)
-    }
 }
 
 /// Keywords that must be quoted when used as identifiers.

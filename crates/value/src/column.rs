@@ -428,12 +428,6 @@ impl Column {
         }
     }
 
-    /// Numeric view of row `i` as f64 (Int or Float), None when null or
-    /// non-numeric.
-    pub fn f64_at(&self, i: usize) -> Option<f64> {
-        self.value_ref(i).as_f64()
-    }
-
     /// Gather rows by index. Panics on out-of-bounds.
     pub fn take(&self, indices: &[usize]) -> Column {
         let validity = self
