@@ -1,10 +1,12 @@
-//! The browser caches: the LRU result cache (keyed by element + root
-//! fingerprint) and the stage cache (keyed by interior stage
-//! fingerprints) that feeds local residual-suffix execution.
-
-use std::collections::HashMap;
+//! The browser's batch cache, used twice: as the result cache (keyed by
+//! element + root fingerprint, tagged with the elements a result depends
+//! on) and as the stage cache (keyed by interior stage fingerprints,
+//! tagged with the warehouse tables a stage read) that feeds local
+//! residual-suffix execution. Both are an [`Lru`] weighted by
+//! [`Batch::byte_size`].
 
 use parking_lot::Mutex;
+use sigma_value::lru::Lru;
 use sigma_value::Batch;
 
 /// Cache hit, miss and eviction counters, plus resident bytes.
@@ -16,240 +18,74 @@ pub struct CacheStats {
     pub bytes: usize,
 }
 
-struct Entry {
-    batch: Batch,
-    /// Elements this result depends on (for edit invalidation).
-    depends_on: Vec<String>,
-    bytes: usize,
-    last_used: u64,
+struct Inner {
+    /// key → (batch, the names it depends on).
+    lru: Lru<String, (Batch, Vec<String>)>,
+    stats: CacheStats,
 }
 
-/// LRU result cache with a byte budget.
-pub struct ResultCache {
-    entries: Mutex<HashMap<String, Entry>>,
-    stats: Mutex<CacheStats>,
-    clock: Mutex<u64>,
-    budget_bytes: usize,
+/// A byte-budgeted LRU of batches, each tagged with the names (elements
+/// or warehouse tables) whose change must drop it.
+pub struct BatchCache {
+    inner: Mutex<Inner>,
 }
 
-impl ResultCache {
-    pub fn new(budget_bytes: usize) -> ResultCache {
-        ResultCache {
-            entries: Mutex::new(HashMap::new()),
-            stats: Mutex::new(CacheStats::default()),
-            clock: Mutex::new(0),
-            budget_bytes: budget_bytes.max(1),
+impl BatchCache {
+    pub fn new(budget_bytes: usize) -> BatchCache {
+        BatchCache {
+            inner: Mutex::new(Inner {
+                lru: Lru::new(budget_bytes),
+                stats: CacheStats::default(),
+            }),
         }
     }
 
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock()
+        let inner = self.inner.lock();
+        CacheStats {
+            bytes: inner.lru.weight(),
+            ..inner.stats
+        }
     }
 
-    fn tick(&self) -> u64 {
-        let mut c = self.clock.lock();
-        *c += 1;
-        *c
-    }
-
+    /// Fetch a batch, counting a hit or a miss and promoting the entry.
     pub fn get(&self, key: &str) -> Option<Batch> {
-        let now = self.tick();
-        let mut entries = self.entries.lock();
-        let hit = entries.get_mut(key).map(|e| {
-            e.last_used = now;
-            e.batch.clone()
-        });
-        let mut stats = self.stats.lock();
+        let mut inner = self.inner.lock();
+        let hit = inner.lru.get_mut(key).map(|(batch, _)| batch.clone());
         if hit.is_some() {
-            stats.hits += 1;
+            inner.stats.hits += 1;
         } else {
-            stats.misses += 1;
+            inner.stats.misses += 1;
         }
         hit
     }
 
-    pub fn put(&self, key: &str, batch: Batch, depends_on: Vec<String>) {
-        let now = self.tick();
+    /// Cache `batch` under `key`, evicting least-recently-used entries to
+    /// stay within the budget. A batch larger than the whole budget is not
+    /// cached: it would evict everything else.
+    pub fn put(&self, key: &str, batch: Batch, deps: Vec<String>) {
         let bytes = batch.byte_size();
-        let mut entries = self.entries.lock();
-        entries.insert(
-            key.to_string(),
-            Entry {
-                batch,
-                depends_on,
-                bytes,
-                last_used: now,
-            },
-        );
-        // Evict least-recently-used entries until within budget.
-        let mut total: usize = entries.values().map(|e| e.bytes).sum();
-        let mut evictions = 0;
-        while total > self.budget_bytes && entries.len() > 1 {
-            let victim = entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty");
-            if victim == key && entries.len() == 1 {
-                break;
-            }
-            if let Some(e) = entries.remove(&victim) {
-                total -= e.bytes;
-                evictions += 1;
-            }
+        let mut inner = self.inner.lock();
+        if bytes > inner.lru.budget() {
+            return;
         }
-        let mut stats = self.stats.lock();
-        stats.evictions += evictions;
-        stats.bytes = total;
+        let evicted = inner.lru.insert(key.to_string(), (batch, deps), bytes);
+        inner.stats.evictions += evicted.len() as u64;
     }
 
-    /// Drop every result that depends on the given element (edits to an
-    /// input table invalidate downstream results).
-    pub fn invalidate_element(&self, element: &str) -> usize {
-        let mut entries = self.entries.lock();
-        let victims: Vec<String> = entries
-            .iter()
-            .filter(|(_, e)| e.depends_on.iter().any(|d| d.eq_ignore_ascii_case(element)))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for v in &victims {
-            entries.remove(v);
-        }
-        let mut stats = self.stats.lock();
-        stats.bytes = entries.values().map(|e| e.bytes).sum();
-        victims.len()
+    /// Drop every entry that depends on any of `names` (case-insensitive):
+    /// an edited element, or a re-installed table whose stale batches must
+    /// not keep serving.
+    pub fn invalidate<S: AsRef<str>>(&self, names: &[S]) -> usize {
+        self.inner.lock().lru.retain(|_, (_, deps)| {
+            !deps
+                .iter()
+                .any(|d| names.iter().any(|n| d.eq_ignore_ascii_case(n.as_ref())))
+        })
     }
 
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-struct StageEntry {
-    batch: Batch,
-    /// Warehouse tables (lower-cased) the stage result was computed from;
-    /// table-targeted invalidation drops dependents, mirroring the
-    /// service directory's precision.
-    tables: Vec<String>,
-    bytes: usize,
-    last_used: u64,
-}
-
-/// Browser-side cache of **interior stage results**, keyed by the stage's
-/// Merkle fingerprint (hex). This is the client half of the service's
-/// query directory: where the service keeps `(fingerprint → query id)`
-/// pointers into the CDW, the browser keeps the small batches themselves,
-/// so an edit's unchanged prefix never leaves the tab. LRU over a byte
-/// budget, like [`ResultCache`].
-pub struct StageCache {
-    entries: Mutex<HashMap<String, StageEntry>>,
-    stats: Mutex<CacheStats>,
-    clock: Mutex<u64>,
-    budget_bytes: usize,
-}
-
-impl StageCache {
-    pub fn new(budget_bytes: usize) -> StageCache {
-        StageCache {
-            entries: Mutex::new(HashMap::new()),
-            stats: Mutex::new(CacheStats::default()),
-            clock: Mutex::new(0),
-            budget_bytes: budget_bytes.max(1),
-        }
-    }
-
-    pub fn stats(&self) -> CacheStats {
-        *self.stats.lock()
-    }
-
-    fn tick(&self) -> u64 {
-        let mut c = self.clock.lock();
-        *c += 1;
-        *c
-    }
-
-    /// Fetch a stage result by fingerprint, counting hit/miss and
-    /// promoting the entry.
-    pub fn get(&self, fingerprint: &str) -> Option<Batch> {
-        let now = self.tick();
-        let mut entries = self.entries.lock();
-        let hit = entries.get_mut(fingerprint).map(|e| {
-            e.last_used = now;
-            e.batch.clone()
-        });
-        let mut stats = self.stats.lock();
-        if hit.is_some() {
-            stats.hits += 1;
-        } else {
-            stats.misses += 1;
-        }
-        hit
-    }
-
-    pub fn put(&self, fingerprint: &str, batch: Batch, tables: Vec<String>) {
-        let now = self.tick();
-        let bytes = batch.byte_size();
-        if bytes > self.budget_bytes {
-            return; // would evict everything else for one oversized entry
-        }
-        let tables = tables.into_iter().map(|t| t.to_ascii_lowercase()).collect();
-        let mut entries = self.entries.lock();
-        entries.insert(
-            fingerprint.to_string(),
-            StageEntry {
-                batch,
-                tables,
-                bytes,
-                last_used: now,
-            },
-        );
-        let mut total: usize = entries.values().map(|e| e.bytes).sum();
-        let mut evictions = 0;
-        while total > self.budget_bytes && entries.len() > 1 {
-            let victim = entries
-                .iter()
-                .filter(|(k, _)| k.as_str() != fingerprint)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            if let Some(e) = entries.remove(&victim) {
-                total -= e.bytes;
-                evictions += 1;
-            }
-        }
-        let mut stats = self.stats.lock();
-        stats.evictions += evictions;
-        stats.bytes = total;
-    }
-
-    /// Drop every stage result computed from any of the given warehouse
-    /// tables (case-insensitive). Re-installing a table with new contents
-    /// must call this, or stale stage batches would keep serving.
-    pub fn invalidate_tables<S: AsRef<str>>(&self, tables: &[S]) -> usize {
-        let needles: Vec<String> = tables
-            .iter()
-            .map(|t| t.as_ref().to_ascii_lowercase())
-            .collect();
-        let mut entries = self.entries.lock();
-        let victims: Vec<String> = entries
-            .iter()
-            .filter(|(_, e)| e.tables.iter().any(|t| needles.contains(t)))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for v in &victims {
-            entries.remove(v);
-        }
-        let mut stats = self.stats.lock();
-        stats.bytes = entries.values().map(|e| e.bytes).sum();
-        victims.len()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.inner.lock().lru.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -270,7 +106,7 @@ mod tests {
 
     #[test]
     fn hit_miss_counting() {
-        let cache = ResultCache::new(1 << 20);
+        let cache = BatchCache::new(1 << 20);
         assert!(cache.get("a").is_none());
         cache.put("a", batch(10), vec!["E".into()]);
         assert!(cache.get("a").is_some());
@@ -283,7 +119,7 @@ mod tests {
     fn lru_eviction_under_budget() {
         // Budget fits two 100-row Int batches (plus slack) but not three.
         let one = batch(100).byte_size();
-        let cache = ResultCache::new(2 * one + one / 2);
+        let cache = BatchCache::new(2 * one + one / 2);
         cache.put("a", batch(100), vec![]);
         cache.put("b", batch(100), vec![]);
         let _ = cache.get("a"); // freshen a
@@ -292,14 +128,15 @@ mod tests {
         assert!(cache.get("b").is_none());
         assert!(cache.get("c").is_some());
         assert!(cache.stats().evictions >= 1);
+        assert_eq!(cache.stats().bytes, 2 * one);
     }
 
     #[test]
     fn dependency_invalidation() {
-        let cache = ResultCache::new(1 << 20);
+        let cache = BatchCache::new(1 << 20);
         cache.put("q1", batch(5), vec!["Notes".into(), "Flights".into()]);
         cache.put("q2", batch(5), vec!["Flights".into()]);
-        assert_eq!(cache.invalidate_element("notes"), 1);
+        assert_eq!(cache.invalidate(&["notes"]), 1);
         assert!(cache.get("q1").is_none());
         assert!(cache.get("q2").is_some());
     }
@@ -307,14 +144,14 @@ mod tests {
     #[test]
     fn stage_cache_lru_and_table_invalidation() {
         let one = batch(100).byte_size();
-        let cache = StageCache::new(2 * one + one / 2);
+        let cache = BatchCache::new(2 * one + one / 2);
         cache.put("fp-a", batch(100), vec!["Flights".into()]);
         cache.put("fp-b", batch(100), vec!["airports".into()]);
         assert!(cache.get("fp-a").is_some()); // freshen a
         cache.put("fp-c", batch(100), vec![]); // evicts b (LRU)
         assert!(cache.get("fp-a").is_some());
         assert!(cache.get("fp-b").is_none());
-        assert_eq!(cache.invalidate_tables(&["FLIGHTS"]), 1);
+        assert_eq!(cache.invalidate(&["FLIGHTS"]), 1);
         assert!(cache.get("fp-a").is_none());
         assert!(cache.get("fp-c").is_some());
         let stats = cache.stats();
@@ -323,8 +160,21 @@ mod tests {
 
     #[test]
     fn stage_cache_rejects_oversized_entries() {
-        let cache = StageCache::new(64);
+        let cache = BatchCache::new(64);
         cache.put("big", batch(10_000), vec![]);
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn oversized_put_keeps_resident_entries() {
+        // The result cache used to evict everything else to hold an
+        // oversized batch alone; now it skips it, like the stage cache.
+        let one = batch(100).byte_size();
+        let cache = BatchCache::new(2 * one);
+        cache.put("small", batch(100), vec![]);
+        cache.put("big", batch(1_000), vec![]);
+        assert!(cache.get("big").is_none());
+        assert!(cache.get("small").is_some());
+        assert_eq!(cache.stats().evictions, 0);
     }
 }

@@ -12,7 +12,7 @@ use sigma_service::workload::Priority;
 use sigma_service::{QueryRequest, ServedFrom, ServiceError, SigmaService};
 use sigma_value::Batch;
 
-use crate::cache::ResultCache;
+use crate::cache::BatchCache;
 use crate::local::LocalEngine;
 use crate::prefetch::PrefetchPolicy;
 
@@ -52,7 +52,7 @@ pub struct BrowserSession {
     pub service: Arc<SigmaService>,
     pub token: String,
     pub connection: String,
-    pub cache: ResultCache,
+    pub cache: BatchCache,
     pub local: LocalEngine,
     /// Simulated one-way network latency browser <-> service (applied
     /// twice per round trip).
@@ -97,7 +97,7 @@ impl BrowserSession {
             service,
             token: token.into(),
             connection: connection.into(),
-            cache: ResultCache::new(64 << 20),
+            cache: BatchCache::new(64 << 20),
             local: LocalEngine::new(),
             network_latency: Duration::ZERO,
             prefetch_policy: crate::prefetch::PrefetchPolicy::default(),
@@ -283,6 +283,6 @@ impl BrowserSession {
 
     /// Edits to an element invalidate dependent cached results.
     pub fn on_element_edited(&self, element: &str) -> usize {
-        self.cache.invalidate_element(element)
+        self.cache.invalidate(&[element])
     }
 }

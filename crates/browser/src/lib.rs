@@ -24,7 +24,7 @@ pub mod client;
 pub mod local;
 pub mod prefetch;
 
-pub use cache::{ResultCache, StageCache};
+pub use cache::BatchCache;
 pub use client::{BrowserSession, ClientOutcome, Source};
 pub use local::{LocalEngine, LocalEval};
 pub use prefetch::PrefetchPolicy;

@@ -8,7 +8,7 @@
 //!
 //! [`LocalEngine::execute_plan`] runs the **residual suffix** of an edited
 //! element through the one stage walker, [`StagePlan::walk`], with the
-//! fingerprint-keyed [`StageCache`] as its store and the embedded warehouse
+//! fingerprint-keyed stage [`BatchCache`] as its store and the embedded warehouse
 //! as its executor ([`Warehouse::execute_over`]). A slider drag or a
 //! formula edit is not a separate path — it is the plan shape
 //! filter/project/sort over a cached input, which the warehouse reports.
@@ -20,7 +20,7 @@ use sigma_cdw::{CdwError, Warehouse};
 use sigma_core::{StageHost, StageNode, StagePlan, StageStep};
 use sigma_value::Batch;
 
-use crate::cache::{CacheStats, StageCache};
+use crate::cache::{BatchCache, CacheStats};
 
 /// How one residual-suffix evaluation was served.
 #[derive(Debug, Clone)]
@@ -44,7 +44,7 @@ pub struct LocalEngine {
     /// Lower-cased names of fully prefetched tables.
     tables: parking_lot::RwLock<HashSet<String>>,
     /// Interior stage results by Merkle fingerprint (hex).
-    stages: StageCache,
+    stages: BatchCache,
     /// Local evaluations performed.
     local_evals: std::sync::atomic::AtomicU64,
 }
@@ -60,7 +60,7 @@ impl LocalEngine {
         LocalEngine {
             engine: Warehouse::default(),
             tables: parking_lot::RwLock::new(HashSet::new()),
-            stages: StageCache::new(32 << 20),
+            stages: BatchCache::new(32 << 20),
             local_evals: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -78,7 +78,7 @@ impl LocalEngine {
         self.engine.load_table(name, batch)?;
         let fresh = self.tables.write().insert(name.to_ascii_lowercase());
         if !fresh {
-            self.stages.invalidate_tables(&[name]);
+            self.stages.invalidate(&[name]);
         }
         Ok(())
     }

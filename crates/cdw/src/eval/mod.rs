@@ -703,6 +703,17 @@ mod tests {
         };
         let c = ev(&ok);
         assert_eq!(c.value(2), Value::Float(3.0));
+
+        // The strict kernel round-trips text through dates and keeps NULLs.
+        let text = Column::from_texts(vec!["2020-01-15".into()]);
+        let dates = kernels::cast(&text, DataType::Date, true).unwrap();
+        assert_eq!(dates.dtype(), DataType::Date);
+        let texts = kernels::cast(&dates, DataType::Text, true).unwrap();
+        assert_eq!(texts.value(0), Value::Text("2020-01-15".into()));
+        let ints = Column::from_opt_ints(vec![Some(1), None]);
+        let floats = kernels::cast(&ints, DataType::Float, true).unwrap();
+        assert!(floats.is_null(1));
+        assert_eq!(floats.value(0), Value::Float(1.0));
     }
 
     #[test]

@@ -820,7 +820,7 @@ pub(crate) fn coerce_column(col: Column, target: DataType) -> Result<Column, Cdw
     }
     // Columns that are entirely null can be retyped freely; typed columns
     // may widen (the cast kernels handle Int->Float and Date->Timestamp).
-    col.cast(target).map_err(CdwError::from)
+    crate::eval::kernels::cast(&col, target, true)
 }
 
 /// Map over work items (partitions, spill buckets, ...) in parallel when

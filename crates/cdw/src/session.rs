@@ -8,11 +8,12 @@ use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 use sigma_sql::{parse_statement, Dialect, Query, Statement};
+use sigma_value::lru::Lru;
 use sigma_value::Batch;
 
 use crate::catalog::{Catalog, TableStats};
 use crate::error::CdwError;
-use crate::eval::{self, EvalCtx, PhysExpr};
+use crate::eval::{self, kernels, EvalCtx, PhysExpr};
 use crate::exec::{execute, ExecCtx, ExecStats, MorselSizing, OpStats};
 use crate::optimizer::optimize;
 use crate::plan::Plan;
@@ -77,12 +78,16 @@ pub struct ResultSet {
 /// An in-process cloud data warehouse.
 pub struct Warehouse {
     catalog: RwLock<Catalog>,
-    /// Persisted result sets by query id (LRU-capped: re-fetching a result
-    /// via [`Warehouse::persisted_result`] or [`Warehouse::touch_result`]
-    /// promotes it, so results that stage caching keeps re-serving via
-    /// `RESULT_SCAN` are not evicted in insertion order).
+    /// Persisted result sets by query id. Kept apart from `retention`
+    /// because every query holds a read lock on it for its whole
+    /// execution, and promoting a result must not wait for that.
     results: RwLock<HashMap<String, Batch>>,
-    retention: RwLock<sigma_value::lru::LruIndex<String>>,
+    /// Recency of `results`' keys, capped at `max_persisted_results`:
+    /// re-fetching a result via [`Warehouse::persisted_result`] or
+    /// [`Warehouse::touch_result`] promotes it, so results that stage
+    /// caching keeps re-serving via `RESULT_SCAN` are not evicted in
+    /// insertion order.
+    retention: RwLock<Lru<String, ()>>,
     next_query_id: AtomicU64,
     config: RwLock<WarehouseConfig>,
     /// Total statements executed.
@@ -100,7 +105,7 @@ impl Warehouse {
         Warehouse {
             catalog: RwLock::new(Catalog::new()),
             results: RwLock::new(HashMap::new()),
-            retention: RwLock::new(sigma_value::lru::LruIndex::new()),
+            retention: RwLock::new(Lru::new(config.max_persisted_results)),
             next_query_id: AtomicU64::new(1),
             config: RwLock::new(config),
             queries_executed: AtomicU64::new(0),
@@ -208,7 +213,7 @@ impl Warehouse {
     pub fn persisted_result(&self, query_id: &str) -> Option<Batch> {
         let hit = self.results.read().get(query_id).cloned();
         if hit.is_some() {
-            self.retention.write().touch(query_id);
+            self.retention.write().get_mut(query_id);
         }
         hit
     }
@@ -220,7 +225,7 @@ impl Warehouse {
         if !self.results.read().contains_key(query_id) {
             return false;
         }
-        self.retention.write().touch(query_id)
+        self.retention.write().get_mut(query_id).is_some()
     }
 
     /// Execute one SQL statement.
@@ -523,15 +528,9 @@ impl Warehouse {
     /// instead — nothing to clean up.)
     pub fn install_result(&self, batch: Batch) -> String {
         let id = self.fresh_query_id();
-        let max = self.config.read().max_persisted_results;
         let mut results = self.results.write();
-        let mut retention = self.retention.write();
         results.insert(id.clone(), batch);
-        retention.insert(id.clone());
-        while results.len() > max {
-            let Some(evicted) = retention.evict_oldest() else {
-                break;
-            };
+        for (evicted, ()) in self.retention.write().insert(id.clone(), (), 1) {
             results.remove(&evicted);
         }
         id
@@ -541,8 +540,7 @@ impl Warehouse {
     /// Returns whether it was present.
     pub fn evict_result(&self, query_id: &str) -> bool {
         let mut results = self.results.write();
-        let mut retention = self.retention.write();
-        retention.remove(query_id);
+        self.retention.write().remove(query_id);
         results.remove(query_id).is_some()
     }
 }
@@ -566,7 +564,7 @@ fn align_insert(
                 )));
             }
             for (i, field) in schema.fields().iter().enumerate() {
-                out_cols.push(batch.column(i).cast(field.dtype)?);
+                out_cols.push(kernels::cast(batch.column(i), field.dtype, true)?);
             }
         }
         Some(cols) => {
@@ -582,7 +580,7 @@ fn align_insert(
                     .iter()
                     .position(|c| c.eq_ignore_ascii_case(&field.name));
                 match src {
-                    Some(i) => out_cols.push(batch.column(i).cast(field.dtype)?),
+                    Some(i) => out_cols.push(kernels::cast(batch.column(i), field.dtype, true)?),
                     None => {
                         out_cols.push(sigma_value::Column::nulls(field.dtype, batch.num_rows()))
                     }

@@ -15,10 +15,9 @@
 //! * **Fixed-width keys.** Entries are keyed by a 128-bit hash
 //!   ([`DirKey`]) of `(connection, stage fingerprint)`, so the directory's
 //!   memory footprint is bounded by entry *count*, never by query length.
-//! * **O(log n) recency.** LRU bookkeeping uses a monotone sequence
-//!   counter plus a `BTreeMap` recency index (seq → key); lookups and
-//!   inserts promote in O(log n) instead of the old `Vec::position` +
-//!   `remove` linear scan.
+//! * **O(log n) recency.** Entries live in one [`Lru`] in which every
+//!   entry weighs 1, so its budget is the capacity; lookups and inserts
+//!   promote in O(log n).
 //! * **Precise invalidation.** Entries carry the set of warehouse tables
 //!   their results were computed from; a table change invalidates only the
 //!   entries that read it (entries with unknown dependencies are dropped
@@ -29,7 +28,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 use sigma_core::Fingerprint;
-use sigma_value::lru::LruIndex;
+use sigma_value::lru::Lru;
 
 /// Fixed-width directory key: a 128-bit hash of whatever identifies the
 /// cached result (for stage entries, `(connection, stage fingerprint)`).
@@ -87,36 +86,21 @@ struct Entry {
     deps: Option<Arc<[String]>>,
 }
 
-#[derive(Default)]
-struct Inner {
-    entries: HashMap<DirKey, Entry>,
-    /// LRU recency over the same keys; eviction pops the oldest.
-    recency: LruIndex<DirKey>,
-}
-
-impl Inner {
-    fn remove(&mut self, key: DirKey) -> bool {
-        self.recency.remove(&key);
-        self.entries.remove(&key).is_some()
-    }
-}
-
 /// Directory of recent query keys, pointing at CDW-persisted result sets
 /// (re-fetchable via `RESULT_SCAN`) by query id.
 pub struct QueryDirectory {
-    inner: Mutex<Inner>,
+    /// Every entry weighs 1, so the budget is the capacity.
+    entries: Mutex<Lru<DirKey, Entry>>,
     in_flight: Mutex<HashMap<DirKey, Arc<InFlight>>>,
     stats: Mutex<DirectoryStats>,
-    capacity: usize,
 }
 
 impl QueryDirectory {
     pub fn new(capacity: usize) -> QueryDirectory {
         QueryDirectory {
-            inner: Mutex::new(Inner::default()),
+            entries: Mutex::new(Lru::new(capacity)),
             in_flight: Mutex::new(HashMap::new()),
             stats: Mutex::new(DirectoryStats::default()),
-            capacity: capacity.max(1),
         }
     }
 
@@ -125,7 +109,7 @@ impl QueryDirectory {
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.entries.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -166,12 +150,10 @@ impl QueryDirectory {
     }
 
     fn lookup_quiet(&self, key: DirKey) -> Option<String> {
-        let mut inner = self.inner.lock();
-        let hit = inner.entries.get(&key).map(|e| e.query_id.clone());
-        if hit.is_some() {
-            inner.recency.touch(&key);
-        }
-        hit
+        self.entries
+            .lock()
+            .get_mut(&key)
+            .map(|e| e.query_id.clone())
     }
 
     /// Record a completed query with unknown table dependencies (table
@@ -188,49 +170,37 @@ impl QueryDirectory {
     }
 
     fn insert_entry(&self, key: DirKey, query_id: &str, deps: Option<Arc<[String]>>) {
-        let mut inner = self.inner.lock();
-        match inner.entries.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                let e = o.get_mut();
-                e.query_id = query_id.to_string();
-                if deps.is_some() {
-                    e.deps = deps;
-                }
+        let mut entries = self.entries.lock();
+        if let Some(e) = entries.get_mut(&key) {
+            e.query_id = query_id.to_string();
+            if deps.is_some() {
+                e.deps = deps;
             }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(Entry {
-                    query_id: query_id.to_string(),
-                    deps,
-                });
-            }
+            return;
         }
-        inner.recency.insert(key);
-        while inner.entries.len() > self.capacity {
-            let Some(victim) = inner.recency.evict_oldest() else {
-                break;
-            };
-            inner.entries.remove(&victim);
-        }
+        let entry = Entry {
+            query_id: query_id.to_string(),
+            deps,
+        };
+        entries.insert(key, entry, 1);
     }
 
-    /// Attach/replace the table-dependency set of an existing entry.
+    /// Attach/replace the table-dependency set of an existing entry,
+    /// promoting it.
     pub fn set_deps(&self, key: impl Into<DirKey>, deps: Arc<[String]>) {
-        if let Some(e) = self.inner.lock().entries.get_mut(&key.into()) {
+        if let Some(e) = self.entries.lock().get_mut(&key.into()) {
             e.deps = Some(deps);
         }
     }
 
     /// Drop one entry (e.g. its persisted result was evicted from the CDW).
     pub fn invalidate_key(&self, key: impl Into<DirKey>) -> bool {
-        self.inner.lock().remove(key.into())
+        self.entries.lock().remove(&key.into()).is_some()
     }
 
     /// Drop everything (the conservative fallback).
     pub fn invalidate_all(&self) -> usize {
-        let mut inner = self.inner.lock();
-        let n = inner.entries.len();
-        inner.entries.clear();
-        inner.recency.clear();
+        let n = self.entries.lock().retain(|_, _| false);
         self.stats.lock().invalidated += n as u64;
         n
     }
@@ -240,25 +210,14 @@ impl QueryDirectory {
     /// which must be dropped conservatively. Table names are compared
     /// case-insensitively.
     pub fn invalidate_tables<S: AsRef<str>>(&self, tables: &[S]) -> usize {
-        let needles: Vec<String> = tables
-            .iter()
-            .map(|t| t.as_ref().to_ascii_lowercase())
-            .collect();
-        let mut inner = self.inner.lock();
-        let victims: Vec<DirKey> = inner
-            .entries
-            .iter()
-            .filter(|(_, e)| match &e.deps {
-                None => true,
-                Some(deps) => deps.iter().any(|d| needles.iter().any(|n| n == d)),
-            })
-            .map(|(k, _)| *k)
-            .collect();
-        for v in &victims {
-            inner.remove(*v);
-        }
-        self.stats.lock().invalidated += victims.len() as u64;
-        victims.len()
+        let n = self.entries.lock().retain(|_, e| match &e.deps {
+            None => false,
+            Some(deps) => !deps
+                .iter()
+                .any(|d| tables.iter().any(|t| d.eq_ignore_ascii_case(t.as_ref()))),
+        });
+        self.stats.lock().invalidated += n as u64;
+        n
     }
 
     /// Run `execute` once per key even under concurrency: the first caller
@@ -395,12 +354,14 @@ mod tests {
         dir.insert_with_deps("joined", "q-2", deps(&["flights", "airports"]));
         dir.insert_with_deps("airports-only", "q-3", deps(&["airports"]));
         dir.insert("unknown-deps", "q-4"); // no dep info: dropped conservatively
-        assert_eq!(dir.invalidate_tables(&["Flights"]), 3);
+        dir.insert_with_deps("mixed-case", "q-5", deps(&["Flights"]));
+        assert_eq!(dir.invalidate_tables(&["flights"]), 4);
         assert_eq!(dir.lookup("airports-only"), Some("q-3".into()));
         assert_eq!(dir.lookup("flights-agg"), None);
         assert_eq!(dir.lookup("joined"), None);
         assert_eq!(dir.lookup("unknown-deps"), None);
-        assert_eq!(dir.stats().invalidated, 3);
+        assert_eq!(dir.lookup("mixed-case"), None);
+        assert_eq!(dir.stats().invalidated, 4);
     }
 
     #[test]

@@ -585,18 +585,6 @@ impl Column {
         Ok(Column::from_raw(data, validity))
     }
 
-    /// Cast every value to `target`, erroring on lossy/unsupported casts.
-    pub fn cast(&self, target: DataType) -> Result<Column, ValueError> {
-        if self.dtype() == target {
-            return Ok(self.clone());
-        }
-        let mut b = ColumnBuilder::new(target, self.len());
-        for i in 0..self.len() {
-            b.push(cast_value(self.value(i), target)?)?;
-        }
-        Ok(b.finish())
-    }
-
     /// Number of distinct non-null values (exact; used by prefetch policy
     /// and pivot-value discovery).
     pub fn distinct_count(&self) -> usize {
@@ -667,7 +655,7 @@ impl Column {
     }
 }
 
-/// Cast a scalar to `target`, with the same rules as `Column::cast`.
+/// Cast a scalar to `target`, erroring on lossy/unsupported casts.
 pub fn cast_value(v: Value, target: DataType) -> Result<Value, ValueError> {
     use crate::calendar;
     if v.is_null() {
@@ -1032,23 +1020,6 @@ mod tests {
         assert_eq!(c.len(), 2);
         let t = Column::from_texts(vec!["x".into()]);
         assert!(Column::concat(&[&a, &t]).is_err());
-    }
-
-    #[test]
-    fn cast_text_to_date_and_back() {
-        let col = Column::from_texts(vec!["2020-01-15".into()]);
-        let dates = col.cast(DataType::Date).unwrap();
-        assert_eq!(dates.dtype(), DataType::Date);
-        let texts = dates.cast(DataType::Text).unwrap();
-        assert_eq!(texts.value(0), Value::Text("2020-01-15".into()));
-    }
-
-    #[test]
-    fn cast_preserves_nulls() {
-        let col = Column::from_opt_ints(vec![Some(1), None]);
-        let floats = col.cast(DataType::Float).unwrap();
-        assert!(floats.is_null(1));
-        assert_eq!(floats.value(0), Value::Float(1.0));
     }
 
     #[test]

@@ -1,130 +1,130 @@
-//! A reusable LRU recency index: monotone sequence counter + `BTreeMap`,
-//! giving O(log n) touch/insert/evict. Shared by the service's query
-//! directory and the warehouse's persisted-result retention so the two
-//! caches cannot drift apart in bookkeeping semantics.
+//! The one LRU every cache in the workspace is a use of: the browser's
+//! result and stage caches (entries weighted by batch bytes), the service's
+//! query directory and the warehouse's persisted-result retention (every
+//! entry weighs 1, so the budget is a count).
 //!
-//! The index tracks *order only* — callers own the key→value storage and
-//! must keep membership in sync (insert/remove mirrored on both sides).
+//! Entries live in a `HashMap` beside a `BTreeMap` recency index keyed by a
+//! monotone sequence number, so lookup, promotion, insertion and each
+//! eviction cost O(log n).
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
-/// Recency index over keys of type `K`, least-recently-used first.
-#[derive(Debug, Clone)]
-pub struct LruIndex<K: Eq + Hash + Clone> {
+struct Slot<V> {
+    value: V,
+    weight: usize,
+    /// Position in `Lru::recency`.
+    seq: u64,
+}
+
+/// A key → value map that evicts least-recently-used entries once their
+/// total weight exceeds a budget.
+pub struct Lru<K, V> {
+    entries: HashMap<K, Slot<V>>,
     /// seq → key; the smallest sequence number is the eviction candidate.
     recency: BTreeMap<u64, K>,
-    seq_of: HashMap<K, u64>,
     next_seq: u64,
+    weight: usize,
+    budget: usize,
 }
 
-impl<K: Eq + Hash + Clone> Default for LruIndex<K> {
-    fn default() -> Self {
-        LruIndex {
+impl<K: Eq + Hash + Clone, V> Lru<K, V> {
+    /// An empty LRU holding at most `budget` total weight (0 acts as 1).
+    pub fn new(budget: usize) -> Self {
+        Lru {
+            entries: HashMap::new(),
             recency: BTreeMap::new(),
-            seq_of: HashMap::new(),
             next_seq: 0,
+            weight: 0,
+            budget: budget.max(1),
         }
-    }
-}
-
-impl<K: Eq + Hash + Clone> LruIndex<K> {
-    pub fn new() -> Self {
-        Self::default()
     }
 
     pub fn len(&self) -> usize {
-        self.seq_of.len()
+        self.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.seq_of.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Promote `key` to most-recently-used. Returns false (and does
-    /// nothing) if the key is not tracked.
-    pub fn touch<Q>(&mut self, key: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
-    {
-        let Some(&old) = self.seq_of.get(key) else {
-            return false;
-        };
-        let key = key.to_owned();
-        self.recency.remove(&old);
-        self.recency.insert(self.next_seq, key.clone());
-        self.seq_of.insert(key, self.next_seq);
-        self.next_seq += 1;
-        true
+    /// Total weight of the resident entries.
+    pub fn weight(&self) -> usize {
+        self.weight
     }
 
-    /// Track `key` as most-recently-used (re-inserting promotes).
-    pub fn insert(&mut self, key: K) {
-        if let Some(&old) = self.seq_of.get(&key) {
-            self.recency.remove(&old);
-        }
-        self.recency.insert(self.next_seq, key.clone());
-        self.seq_of.insert(key, self.next_seq);
-        self.next_seq += 1;
+    pub fn budget(&self) -> usize {
+        self.budget
     }
 
-    /// Stop tracking `key`. Returns whether it was tracked.
-    pub fn remove<Q>(&mut self, key: &Q) -> bool
+    /// The value under `key`, promoted to most-recently-used.
+    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        match self.seq_of.remove(key) {
-            Some(seq) => {
-                self.recency.remove(&seq);
-                true
-            }
-            None => false,
+        let slot = self.entries.get_mut(key)?;
+        let key = self.recency.remove(&slot.seq).expect("indexed entry");
+        slot.seq = self.next_seq;
+        self.recency.insert(slot.seq, key);
+        self.next_seq += 1;
+        Some(&mut slot.value)
+    }
+
+    /// Store `value` under `key` as most-recently-used, replacing any
+    /// previous value, then evict least-recently-used entries while the
+    /// total weight exceeds the budget and more than one entry remains.
+    /// Returns the evicted entries, oldest first; the key just inserted is
+    /// never among them.
+    pub fn insert(&mut self, key: K, value: V, weight: usize) -> Vec<(K, V)> {
+        self.remove(&key);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.recency.insert(seq, key.clone());
+        self.entries.insert(key, Slot { value, weight, seq });
+        self.weight += weight;
+        let mut evicted = Vec::new();
+        while self.weight > self.budget && self.entries.len() > 1 {
+            let (_, victim) = self.recency.pop_first().expect("non-empty");
+            let slot = self.entries.remove(&victim).expect("indexed entry");
+            self.weight -= slot.weight;
+            evicted.push((victim, slot.value));
         }
+        evicted
     }
 
-    /// Pop the least-recently-used key.
-    pub fn evict_oldest(&mut self) -> Option<K> {
-        let (&seq, key) = self.recency.iter().next()?;
-        let key = key.clone();
-        self.recency.remove(&seq);
-        self.seq_of.remove(&key);
-        Some(key)
+    /// Drop `key`, returning its value if it was present.
+    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let slot = self.entries.remove(key)?;
+        self.recency.remove(&slot.seq);
+        self.weight -= slot.weight;
+        Some(slot.value)
     }
 
-    pub fn clear(&mut self) {
-        self.recency.clear();
-        self.seq_of.clear();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn strict_lru_order_with_touch_and_reinsert() {
-        let mut lru = LruIndex::new();
-        lru.insert("a");
-        lru.insert("b");
-        lru.insert("c");
-        assert!(lru.touch(&"a")); // order now b, c, a
-        lru.insert("b"); // re-insert promotes: c, a, b
-        assert_eq!(lru.evict_oldest(), Some("c"));
-        assert_eq!(lru.evict_oldest(), Some("a"));
-        assert_eq!(lru.evict_oldest(), Some("b"));
-        assert_eq!(lru.evict_oldest(), None);
+    /// Keep only the entries `keep` accepts; returns how many were dropped.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
+        let before = self.entries.len();
+        let (recency, weight) = (&mut self.recency, &mut self.weight);
+        self.entries.retain(|key, slot| {
+            let kept = keep(key, &slot.value);
+            if !kept {
+                recency.remove(&slot.seq);
+                *weight -= slot.weight;
+            }
+            kept
+        });
+        before - self.entries.len()
     }
 
-    #[test]
-    fn remove_and_untracked_touch() {
-        let mut lru = LruIndex::new();
-        lru.insert(1);
-        assert!(lru.remove(&1));
-        assert!(!lru.remove(&1));
-        assert!(!lru.touch(&1));
-        assert!(lru.is_empty());
+    /// The entries, least-recently-used first, without promoting any.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.recency
+            .values()
+            .map(|key| (key, &self.entries[key].value))
     }
 }
