@@ -12,7 +12,7 @@
 //! column, which widens `Int -> Float` and `Date -> Timestamp` at the
 //! node boundary where types unify (CASE branches, COALESCE/GREATEST/
 //! LEAST). The interpreter simulates that materialization with
-//! [`materialize_value`] at exactly those nodes, so e.g. a CASE branch
+//! `materialize_value` at exactly those nodes, so e.g. a CASE branch
 //! producing a large `i64` under a Float-unified output loses precision
 //! identically on both paths.
 

@@ -1,6 +1,6 @@
 //! Typed columnar kernels.
 //!
-//! Every kernel receives already-evaluated operands as [`CVal`]s (a dense
+//! Every kernel receives already-evaluated operands as `CVal`s (a dense
 //! column or a literal scalar — literals are never materialized into
 //! columns), resolves its type dispatch **once**, then runs a monomorphic
 //! loop over `i64` / `f64` / `bool` / `str` slices with validity-bitmap

@@ -225,105 +225,107 @@ impl PhysExpr {
     /// Collect referenced column ordinals.
     pub fn columns_used(&self, out: &mut Vec<usize>) {
         match self {
-            PhysExpr::Literal(_) => {}
             PhysExpr::Col(i) => out.push(*i),
-            PhysExpr::Unary { expr, .. } => expr.columns_used(out),
-            PhysExpr::Binary { left, right, .. } => {
-                left.columns_used(out);
-                right.columns_used(out);
-            }
-            PhysExpr::Func { args, .. } => {
-                for a in args {
-                    a.columns_used(out);
-                }
-            }
-            PhysExpr::Case {
-                operand,
-                whens,
-                else_,
-            } => {
-                if let Some(o) = operand {
-                    o.columns_used(out);
-                }
-                for (w, t) in whens {
-                    w.columns_used(out);
-                    t.columns_used(out);
-                }
-                if let Some(e) = else_ {
-                    e.columns_used(out);
-                }
-            }
-            PhysExpr::Cast { expr, .. } => expr.columns_used(out),
-            PhysExpr::InList { expr, list, .. } => {
-                expr.columns_used(out);
-                for l in list {
-                    l.columns_used(out);
-                }
-            }
-            PhysExpr::Between {
-                expr, low, high, ..
-            } => {
-                expr.columns_used(out);
-                low.columns_used(out);
-                high.columns_used(out);
-            }
-            PhysExpr::IsNull { expr, .. } => expr.columns_used(out),
-            PhysExpr::Like { expr, pattern, .. } => {
-                expr.columns_used(out);
-                pattern.columns_used(out);
-            }
+            _ => self.for_each_child(&mut |c| c.columns_used(out)),
         }
     }
 
     /// Rewrite column ordinals through a mapping (projection pruning).
     pub fn remap_columns(&mut self, map: &dyn Fn(usize) -> usize) {
         match self {
-            PhysExpr::Literal(_) => {}
             PhysExpr::Col(i) => *i = map(*i),
-            PhysExpr::Unary { expr, .. } => expr.remap_columns(map),
-            PhysExpr::Binary { left, right, .. } => {
-                left.remap_columns(map);
-                right.remap_columns(map);
+            _ => self.for_each_child_mut(&mut |c| c.remap_columns(map)),
+        }
+    }
+
+    /// Visit each direct child in evaluation order (a CASE visits its
+    /// operand, then each WHEN/THEN pair, then ELSE). This is the one
+    /// place that lists a node's children; walkers recurse through it.
+    pub fn for_each_child(&self, f: &mut dyn FnMut(&PhysExpr)) {
+        match self {
+            PhysExpr::Literal(_) | PhysExpr::Col(_) => {}
+            PhysExpr::Unary { expr, .. }
+            | PhysExpr::Cast { expr, .. }
+            | PhysExpr::IsNull { expr, .. } => f(expr),
+            PhysExpr::Binary {
+                left: a, right: b, ..
             }
-            PhysExpr::Func { args, .. } => {
-                for a in args {
-                    a.remap_columns(map);
-                }
+            | PhysExpr::Like {
+                expr: a,
+                pattern: b,
+                ..
+            } => {
+                f(a);
+                f(b);
             }
+            PhysExpr::Func { args, .. } => args.iter().for_each(f),
             PhysExpr::Case {
                 operand,
                 whens,
                 else_,
             } => {
-                if let Some(o) = operand {
-                    o.remap_columns(map);
-                }
+                operand.iter().for_each(|o| f(o));
                 for (w, t) in whens {
-                    w.remap_columns(map);
-                    t.remap_columns(map);
+                    f(w);
+                    f(t);
                 }
-                if let Some(e) = else_ {
-                    e.remap_columns(map);
-                }
+                else_.iter().for_each(|e| f(e));
             }
-            PhysExpr::Cast { expr, .. } => expr.remap_columns(map),
             PhysExpr::InList { expr, list, .. } => {
-                expr.remap_columns(map);
-                for l in list {
-                    l.remap_columns(map);
-                }
+                f(expr);
+                list.iter().for_each(f);
             }
             PhysExpr::Between {
                 expr, low, high, ..
             } => {
-                expr.remap_columns(map);
-                low.remap_columns(map);
-                high.remap_columns(map);
+                f(expr);
+                f(low);
+                f(high);
             }
-            PhysExpr::IsNull { expr, .. } => expr.remap_columns(map),
-            PhysExpr::Like { expr, pattern, .. } => {
-                expr.remap_columns(map);
-                pattern.remap_columns(map);
+        }
+    }
+
+    /// [`PhysExpr::for_each_child`], mutably.
+    pub fn for_each_child_mut(&mut self, f: &mut dyn FnMut(&mut PhysExpr)) {
+        match self {
+            PhysExpr::Literal(_) | PhysExpr::Col(_) => {}
+            PhysExpr::Unary { expr, .. }
+            | PhysExpr::Cast { expr, .. }
+            | PhysExpr::IsNull { expr, .. } => f(expr),
+            PhysExpr::Binary {
+                left: a, right: b, ..
+            }
+            | PhysExpr::Like {
+                expr: a,
+                pattern: b,
+                ..
+            } => {
+                f(a);
+                f(b);
+            }
+            PhysExpr::Func { args, .. } => args.iter_mut().for_each(f),
+            PhysExpr::Case {
+                operand,
+                whens,
+                else_,
+            } => {
+                operand.iter_mut().for_each(|o| f(o));
+                for (w, t) in whens {
+                    f(w);
+                    f(t);
+                }
+                else_.iter_mut().for_each(|e| f(e));
+            }
+            PhysExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            PhysExpr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
             }
         }
     }
@@ -500,6 +502,37 @@ mod tests {
     use super::*;
     use sigma_value::{Field, Schema};
     use std::sync::Arc;
+
+    /// One expression per variant with `Col(k)` in child slot `k`: the
+    /// child visitors must reach every slot, in evaluation order.
+    #[test]
+    fn child_visitors_reach_every_slot_in_order() {
+        let c = |k| Box::new(PhysExpr::Col(k));
+        let cols = |ks: std::ops::Range<usize>| ks.map(PhysExpr::Col).collect::<Vec<_>>();
+        #[rustfmt::skip]
+        let cases = [
+            (PhysExpr::lit(1), 0),
+            (PhysExpr::Col(0), 1),
+            (PhysExpr::Unary { op: UnOp::Neg, expr: c(0) }, 1),
+            (PhysExpr::Binary { op: BinOp::Add, left: c(0), right: c(1) }, 2),
+            (PhysExpr::Func { func: ScalarFunc::Concat, args: cols(0..3) }, 3),
+            (PhysExpr::Case { operand: Some(c(0)), whens: vec![(PhysExpr::Col(1), PhysExpr::Col(2)), (PhysExpr::Col(3), PhysExpr::Col(4))], else_: Some(c(5)) }, 6),
+            (PhysExpr::Cast { expr: c(0), dtype: DataType::Int, strict: true }, 1),
+            (PhysExpr::InList { expr: c(0), list: cols(1..3), negated: false }, 3),
+            (PhysExpr::Between { expr: c(0), low: c(1), high: c(2), negated: false }, 3),
+            (PhysExpr::IsNull { expr: c(0), negated: false }, 1),
+            (PhysExpr::Like { expr: c(0), pattern: c(1), negated: false }, 2),
+        ];
+        for (mut e, slots) in cases {
+            let mut used = Vec::new();
+            e.columns_used(&mut used);
+            assert_eq!(used, (0..slots).collect::<Vec<_>>(), "{e:?}");
+            e.remap_columns(&|i| i + 100);
+            used.clear();
+            e.columns_used(&mut used);
+            assert_eq!(used, (100..100 + slots).collect::<Vec<_>>(), "{e:?}");
+        }
+    }
 
     fn batch() -> Batch {
         let schema = Arc::new(Schema::new(vec![

@@ -3,7 +3,7 @@
 //! Compilation resolves each node's output type once against the input
 //! schema (the executor compiles once per operator, not once per batch or
 //! cell), pre-compiles literal LIKE patterns, and pre-hashes literal
-//! IN-lists. Evaluation then walks the compiled tree producing [`CVal`]s:
+//! IN-lists. Evaluation then walks the compiled tree producing `CVal`s:
 //! literal operands stay **scalars** all the way into the kernels — they
 //! are only materialized into columns when a node genuinely needs one
 //! slot per row.
@@ -253,7 +253,7 @@ impl CompiledExpr {
     /// the engine's one way to apply a predicate.
     ///
     /// An `AND` of column-vs-literal comparisons runs as selection steps
-    /// ([`selection`]): conjunct by conjunct, left to right, each reading
+    /// (`selection`): conjunct by conjunct, left to right, each reading
     /// only the rows the ones before it kept, building no Bool column.
     /// Such a conjunction cannot raise an error, so narrowing changes no
     /// outcome. Any other predicate is evaluated whole over the incoming

@@ -6,9 +6,9 @@
 //! clamped to the pool's execution budget — see [`scheduler`]).
 //! There is one work-distribution engine: every operator cuts its input
 //! into morsels, runs them on an LPT-seeded work-stealing queue, and
-//! regroups the outputs per partition in morsel order (see [`pipeline`]
+//! regroups the outputs per partition in morsel order (see `pipeline`
 //! and [`scheduler`]). How tall a morsel is comes from one function,
-//! [`pipeline::morsel_height`]; at an effective width of one worker it
+//! `pipeline::morsel_height`; at an effective width of one worker it
 //! is the whole partition, so serial execution is the same code with
 //! every split, regroup and steal degenerate — not a second executor:
 //!
@@ -47,7 +47,7 @@
 //!   exact per-partition partial/merge structure of the in-memory fold
 //!   inside each bucket), and interleaves the per-bucket groups back into
 //!   global first-seen order by each group's first `(partition, row)`
-//!   ([`pipeline::morsel_spilled_aggregate`]).
+//!   (`pipeline::morsel_spilled_aggregate`).
 //! * **Sort** spills sorted runs (key columns + original row ids) in
 //!   pages from parallel workers and k-way merges them by `(keys, row
 //!   id)` — exactly the total order a stable in-memory sort produces.
@@ -145,7 +145,7 @@ pub struct ExecCtx<'a> {
     /// Worker threads for partition-parallel stages (1 = serial).
     pub parallelism: usize,
     /// How pipelines cut their input into morsels. Read only through
-    /// [`ExecCtx::morsel_height`].
+    /// `ExecCtx::morsel_height`.
     pub morsel_sizing: MorselSizing,
     /// Per-operator memory budget and spill accounting.
     pub memory: ExecMemoryTracker,
@@ -246,10 +246,12 @@ impl ExecMemoryTracker {
     }
 }
 
-/// Per-operator execution counters, recorded in plan pre-order.
+/// Per-operator execution counters, recorded in plan pre-order except
+/// that a join records its build (right) input before its probe (left).
 #[derive(Debug, Clone)]
 pub struct OpStats {
-    /// EXPLAIN-style operator label (e.g. `Aggregate[partial] (groups=1, aggs=2)`).
+    /// The operator's [`Plan::label`], its line in [`Plan::explain`]
+    /// (e.g. `Aggregate[partial] (groups=1, aggs=2)`).
     pub op: String,
     /// Depth in the plan tree (0 = root), for tree rendering.
     pub depth: usize,
@@ -406,33 +408,6 @@ fn input_types(plan: &Plan) -> Vec<DataType> {
     plan.schema().fields().iter().map(|f| f.dtype).collect()
 }
 
-/// Operator label for stats entries (matches `Plan::explain` lines).
-fn op_label(plan: &Plan) -> String {
-    match plan {
-        Plan::Scan { table, .. } => format!("Scan {table}"),
-        Plan::ResultScan { id, .. } => format!("ResultScan {id}"),
-        Plan::Values { .. } => "Values".to_string(),
-        Plan::Project { exprs, .. } => format!("Project ({} exprs)", exprs.len()),
-        Plan::Filter { .. } => "Filter".to_string(),
-        Plan::Aggregate {
-            mode, groups, aggs, ..
-        } => format!(
-            "Aggregate{} (groups={}, aggs={})",
-            mode.label(),
-            groups.len(),
-            aggs.len()
-        ),
-        Plan::Window { calls, .. } => format!("Window ({} calls)", calls.len()),
-        Plan::Join {
-            kind, left_keys, ..
-        } => format!("Join {kind:?} ({} keys)", left_keys.len()),
-        Plan::Sort { keys, .. } => format!("Sort ({} keys)", keys.len()),
-        Plan::Limit { .. } => "Limit".to_string(),
-        Plan::UnionAll { .. } => "UnionAll".to_string(),
-        Plan::Distinct { mode, .. } => format!("Distinct{}", mode.label()),
-    }
-}
-
 /// Execute retaining partition structure, recording one [`OpStats`] entry.
 fn execute_parts(
     plan: &Plan,
@@ -441,9 +416,7 @@ fn execute_parts(
     depth: usize,
 ) -> Result<Vec<Part>, CdwError> {
     let slot = stats.operators.len();
-    stats
-        .operators
-        .push(OpStats::started(op_label(plan), depth));
+    stats.operators.push(OpStats::started(plan.label(), depth));
     let started = Instant::now();
     let eval_ns = AtomicU64::new(0);
     let morsels = AtomicUsize::new(0);
@@ -508,7 +481,7 @@ fn execute_node(
                     let pslot = stats.operators.len();
                     stats
                         .operators
-                        .push(OpStats::started(op_label(input), depth + 1));
+                        .push(OpStats::started(input.label(), depth + 1));
                     let pstarted = Instant::now();
                     let peval_ns = AtomicU64::new(0);
                     let pmorsels = AtomicUsize::new(0);
@@ -852,7 +825,7 @@ pub enum AggState {
     CountStar(i64),
     Count(i64),
     /// Distinct non-null values counted so far. *Which* values were seen
-    /// is not kept per group: the owning [`GroupTable`] holds one key
+    /// is not kept per group: the owning `GroupTable` holds one key
     /// index per COUNT(DISTINCT) slot over `(group, value)` pairs and
     /// passes each pair's first sighting here.
     CountDistinct(i64),
@@ -1035,7 +1008,7 @@ impl AggState {
     ///
     /// * counts/sums add (Avg merges as sum+count, never as a quotient),
     /// * COUNT(DISTINCT) is left alone — its count is rebuilt by
-    ///   [`GroupTable::merge_from`] as it unions the `(group, value)` sets,
+    ///   `GroupTable::merge_from` as it unions the `(group, value)` sets,
     /// * min/max compare the partition champions,
     /// * median/percentile concatenate collected values (partitions are
     ///   row-order slices, so the concatenation preserves table order),

@@ -92,7 +92,7 @@ use super::*;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MorselSizing {
     /// Derive each pipeline's height from its input shape and the
-    /// effective worker width (see [`morsel_height`]).
+    /// effective worker width (see `morsel_height`).
     #[default]
     Derived,
     /// Cut every `n` rows (clamped to at least 1).
@@ -340,7 +340,7 @@ fn compile_chain(chain: &[&Plan]) -> Result<CompiledChain, CdwError> {
             other => {
                 return Err(CdwError::exec(format!(
                     "not a streaming stage: {}",
-                    op_label(other)
+                    other.label()
                 )))
             }
         });
@@ -547,7 +547,7 @@ fn push_chain_stats(
     for (i, node) in chain.iter().enumerate() {
         stats
             .operators
-            .push(OpStats::started(op_label(node), depth + i));
+            .push(OpStats::started(node.label(), depth + i));
     }
     first..stats.operators.len()
 }

@@ -2,7 +2,7 @@
 //!
 //! Three layers:
 //!
-//! * [`lpt_assign`] — longest-processing-time seeding: items sorted by
+//! * `lpt_assign` — longest-processing-time seeding: items sorted by
 //!   descending cost estimate, each placed on the least-loaded worker.
 //!   This replaces the old static `i % threads` round-robin, which skewed
 //!   badly on heterogeneous costs (one oversized Grace-join bucket or
@@ -11,7 +11,7 @@
 //!   cost; when no single item dominates (`max_item <= mean`), that is at
 //!   most **2x the mean** — the bound `lpt_no_thread_exceeds_twice_mean`
 //!   pins.
-//! * [`run_stealing`] — LPT only seeds the deques; while running, a
+//! * `run_stealing` — LPT only seeds the deques; while running, a
 //!   participant that drains its own queue **steals**: first from the
 //!   tail of a small ring neighbourhood of its own queue (HyPer-style
 //!   locality — a thief keeps returning to the same victims, so the
@@ -26,7 +26,7 @@
 //!   pool workers unpark and claim the remaining virtual worker slots.
 //!   The pool's size is the process's one execution budget
 //!   ([`set_worker_pool_target`]); admission control and per-query
-//!   `parallelism` both resolve against it via [`effective_workers`], so
+//!   `parallelism` both resolve against it via `effective_workers`, so
 //!   N concurrent sessions × per-operator calls can never oversubscribe
 //!   the host the way per-call scoped spawns did. Workers park on a
 //!   condvar when the job board is empty and are spawned lazily, so a
@@ -40,8 +40,8 @@
 //! (every unclaimed item's state drops, releasing spill files) and
 //! surfaces as one executor error. When the pool budget caps a call to a
 //! single participant, it runs inline on the submitter — and the morsel
-//! height function ([`super::pipeline::morsel_height`]) sees the same
-//! [`effective_workers`] width and stops cutting partitions, instead of
+//! height function (`super::pipeline::morsel_height`) sees the same
+//! `effective_workers` width and stops cutting partitions, instead of
 //! paying scheduling overhead no hardware will repay.
 
 use std::collections::VecDeque;

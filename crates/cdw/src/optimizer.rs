@@ -28,7 +28,7 @@ pub fn optimize(plan: Plan, ctx: &EvalCtx) -> Result<Plan, CdwError> {
     let plan = fold_constants_plan(plan, ctx)?;
     let plan = push_down_filters(plan)?;
     let plan = prune_scan_columns(plan)?;
-    Ok(split_two_phase(plan))
+    split_two_phase(plan)
 }
 
 // ---------------------------------------------------------------------
@@ -36,100 +36,20 @@ pub fn optimize(plan: Plan, ctx: &EvalCtx) -> Result<Plan, CdwError> {
 // ---------------------------------------------------------------------
 
 fn fold_constants_plan(plan: Plan, ctx: &EvalCtx) -> Result<Plan, CdwError> {
-    map_plan_exprs(plan, &|e| fold_expr(e, ctx))
+    let mut plan = plan.map_inputs(|p| fold_constants_plan(p, ctx))?;
+    plan.for_each_expr_mut(&mut |e| fold_expr(e, ctx));
+    Ok(plan)
 }
 
-/// Fold a single expression if it references no columns (and isn't already
-/// a literal). Folding errors are ignored — the expression stays as-is and
-/// any real error surfaces at execution.
-fn fold_expr(expr: PhysExpr, ctx: &EvalCtx) -> Result<PhysExpr, CdwError> {
-    let folded = try_fold(&expr, ctx);
-    Ok(match folded {
-        Some(lit) => lit,
-        None => {
-            // Recurse into children so partially constant trees shrink.
-            match expr {
-                PhysExpr::Unary { op, expr } => PhysExpr::Unary {
-                    op,
-                    expr: Box::new(fold_expr(*expr, ctx)?),
-                },
-                PhysExpr::Binary { op, left, right } => PhysExpr::Binary {
-                    op,
-                    left: Box::new(fold_expr(*left, ctx)?),
-                    right: Box::new(fold_expr(*right, ctx)?),
-                },
-                PhysExpr::Func { func, args } => PhysExpr::Func {
-                    func,
-                    args: args
-                        .into_iter()
-                        .map(|a| fold_expr(a, ctx))
-                        .collect::<Result<_, _>>()?,
-                },
-                PhysExpr::Case {
-                    operand,
-                    whens,
-                    else_,
-                } => PhysExpr::Case {
-                    operand: operand
-                        .map(|o| fold_expr(*o, ctx).map(Box::new))
-                        .transpose()?,
-                    whens: whens
-                        .into_iter()
-                        .map(|(w, t)| Ok::<_, CdwError>((fold_expr(w, ctx)?, fold_expr(t, ctx)?)))
-                        .collect::<Result<_, _>>()?,
-                    else_: else_
-                        .map(|e| fold_expr(*e, ctx).map(Box::new))
-                        .transpose()?,
-                },
-                PhysExpr::Cast {
-                    expr,
-                    dtype,
-                    strict,
-                } => PhysExpr::Cast {
-                    expr: Box::new(fold_expr(*expr, ctx)?),
-                    dtype,
-                    strict,
-                },
-                PhysExpr::InList {
-                    expr,
-                    list,
-                    negated,
-                } => PhysExpr::InList {
-                    expr: Box::new(fold_expr(*expr, ctx)?),
-                    list: list
-                        .into_iter()
-                        .map(|l| fold_expr(l, ctx))
-                        .collect::<Result<_, _>>()?,
-                    negated,
-                },
-                PhysExpr::Between {
-                    expr,
-                    low,
-                    high,
-                    negated,
-                } => PhysExpr::Between {
-                    expr: Box::new(fold_expr(*expr, ctx)?),
-                    low: Box::new(fold_expr(*low, ctx)?),
-                    high: Box::new(fold_expr(*high, ctx)?),
-                    negated,
-                },
-                PhysExpr::IsNull { expr, negated } => PhysExpr::IsNull {
-                    expr: Box::new(fold_expr(*expr, ctx)?),
-                    negated,
-                },
-                PhysExpr::Like {
-                    expr,
-                    pattern,
-                    negated,
-                } => PhysExpr::Like {
-                    expr: Box::new(fold_expr(*expr, ctx)?),
-                    pattern: Box::new(fold_expr(*pattern, ctx)?),
-                    negated,
-                },
-                leaf => leaf,
-            }
-        }
-    })
+/// Fold an expression in place if it references no columns (and isn't
+/// already a literal), else fold its children so partially constant trees
+/// shrink. Folding errors are ignored — the expression stays as-is and any
+/// real error surfaces at execution.
+fn fold_expr(expr: &mut PhysExpr, ctx: &EvalCtx) {
+    match try_fold(expr, ctx) {
+        Some(lit) => *expr = lit,
+        None => expr.for_each_child_mut(&mut |c| fold_expr(c, ctx)),
+    }
 }
 
 fn try_fold(expr: &PhysExpr, ctx: &EvalCtx) -> Option<PhysExpr> {
@@ -147,203 +67,17 @@ fn try_fold(expr: &PhysExpr, ctx: &EvalCtx) -> Option<PhysExpr> {
     Some(PhysExpr::Literal(col.value(0)))
 }
 
-/// Apply a rewrite to every expression embedded in the plan.
-fn map_plan_exprs(
-    plan: Plan,
-    f: &dyn Fn(PhysExpr) -> Result<PhysExpr, CdwError>,
-) -> Result<Plan, CdwError> {
-    Ok(match plan {
-        Plan::Filter { input, predicate } => Plan::Filter {
-            input: Box::new(map_plan_exprs(*input, f)?),
-            predicate: f(predicate)?,
-        },
-        Plan::Project {
-            input,
-            exprs,
-            schema,
-        } => Plan::Project {
-            input: Box::new(map_plan_exprs(*input, f)?),
-            exprs: exprs.into_iter().map(f).collect::<Result<_, _>>()?,
-            schema,
-        },
-        Plan::Aggregate {
-            input,
-            groups,
-            aggs,
-            schema,
-            mode,
-        } => Plan::Aggregate {
-            input: Box::new(map_plan_exprs(*input, f)?),
-            groups: groups.into_iter().map(f).collect::<Result<_, _>>()?,
-            aggs: aggs
-                .into_iter()
-                .map(|mut a| {
-                    a.arg = a.arg.map(f).transpose()?;
-                    Ok::<_, CdwError>(a)
-                })
-                .collect::<Result<_, _>>()?,
-            schema,
-            mode,
-        },
-        Plan::Window {
-            input,
-            calls,
-            schema,
-        } => Plan::Window {
-            input: Box::new(map_plan_exprs(*input, f)?),
-            calls: calls
-                .into_iter()
-                .map(|mut c| {
-                    c.args = c.args.into_iter().map(f).collect::<Result<_, _>>()?;
-                    c.partition = c.partition.into_iter().map(f).collect::<Result<_, _>>()?;
-                    c.order = c
-                        .order
-                        .into_iter()
-                        .map(|mut o| {
-                            o.expr = f(o.expr)?;
-                            Ok::<_, CdwError>(o)
-                        })
-                        .collect::<Result<_, _>>()?;
-                    Ok::<_, CdwError>(c)
-                })
-                .collect::<Result<_, _>>()?,
-            schema,
-        },
-        Plan::Join {
-            left,
-            right,
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            schema,
-        } => Plan::Join {
-            left: Box::new(map_plan_exprs(*left, f)?),
-            right: Box::new(map_plan_exprs(*right, f)?),
-            kind,
-            left_keys: left_keys.into_iter().map(f).collect::<Result<_, _>>()?,
-            right_keys: right_keys.into_iter().map(f).collect::<Result<_, _>>()?,
-            residual: residual.map(f).transpose()?,
-            schema,
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(map_plan_exprs(*input, f)?),
-            keys: keys
-                .into_iter()
-                .map(|mut k| {
-                    k.expr = f(k.expr)?;
-                    Ok::<_, CdwError>(k)
-                })
-                .collect::<Result<_, _>>()?,
-        },
-        Plan::Limit {
-            input,
-            limit,
-            offset,
-        } => Plan::Limit {
-            input: Box::new(map_plan_exprs(*input, f)?),
-            limit,
-            offset,
-        },
-        Plan::UnionAll { inputs, schema } => Plan::UnionAll {
-            inputs: inputs
-                .into_iter()
-                .map(|p| map_plan_exprs(p, f))
-                .collect::<Result<_, _>>()?,
-            schema,
-        },
-        Plan::Distinct { input, mode } => Plan::Distinct {
-            input: Box::new(map_plan_exprs(*input, f)?),
-            mode,
-        },
-        leaf @ (Plan::Scan { .. } | Plan::ResultScan { .. } | Plan::Values { .. }) => leaf,
-    })
-}
-
 // ---------------------------------------------------------------------
 // predicate pushdown
 // ---------------------------------------------------------------------
 
 fn push_down_filters(plan: Plan) -> Result<Plan, CdwError> {
-    Ok(match plan {
+    match plan {
         Plan::Filter { input, predicate } => {
-            let input = push_down_filters(*input)?;
-            push_filter_into(input, predicate)?
+            push_filter_into(push_down_filters(*input)?, predicate)
         }
-        Plan::Project {
-            input,
-            exprs,
-            schema,
-        } => Plan::Project {
-            input: Box::new(push_down_filters(*input)?),
-            exprs,
-            schema,
-        },
-        Plan::Aggregate {
-            input,
-            groups,
-            aggs,
-            schema,
-            mode,
-        } => Plan::Aggregate {
-            input: Box::new(push_down_filters(*input)?),
-            groups,
-            aggs,
-            schema,
-            mode,
-        },
-        Plan::Window {
-            input,
-            calls,
-            schema,
-        } => Plan::Window {
-            input: Box::new(push_down_filters(*input)?),
-            calls,
-            schema,
-        },
-        Plan::Join {
-            left,
-            right,
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            schema,
-        } => Plan::Join {
-            left: Box::new(push_down_filters(*left)?),
-            right: Box::new(push_down_filters(*right)?),
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            schema,
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(push_down_filters(*input)?),
-            keys,
-        },
-        Plan::Limit {
-            input,
-            limit,
-            offset,
-        } => Plan::Limit {
-            input: Box::new(push_down_filters(*input)?),
-            limit,
-            offset,
-        },
-        Plan::UnionAll { inputs, schema } => Plan::UnionAll {
-            inputs: inputs
-                .into_iter()
-                .map(push_down_filters)
-                .collect::<Result<_, _>>()?,
-            schema,
-        },
-        Plan::Distinct { input, mode } => Plan::Distinct {
-            input: Box::new(push_down_filters(*input)?),
-            mode,
-        },
-        leaf => leaf,
-    })
+        other => other.map_inputs(push_down_filters),
+    }
 }
 
 /// Push one predicate as deep as legal over the (already pushed-down) input.
@@ -490,86 +224,26 @@ fn split_phys_conjuncts(e: PhysExpr, out: &mut Vec<PhysExpr>) {
 }
 
 /// Rewrite a predicate over a projection's output to one over its input by
-/// inlining the projected expressions. Returns `None` if any referenced
-/// projection slot is (or contains) something non-inlinable — we only
-/// inline cheap expressions to avoid recomputation.
+/// inlining the projected expressions. Returns `None` if the predicate
+/// references an ordinal the projection does not produce. Any projected
+/// expression is inlined, however costly: below the projection the filter
+/// then evaluates it again.
 fn substitute_through_projection(pred: &PhysExpr, exprs: &[PhysExpr]) -> Option<PhysExpr> {
     let mut used = Vec::new();
     pred.columns_used(&mut used);
-    for &i in &used {
-        if i >= exprs.len() {
-            return None;
-        }
+    if used.iter().any(|&i| i >= exprs.len()) {
+        return None;
     }
     let mut out = pred.clone();
-    let mut ok = true;
-    substitute_cols(&mut out, &mut |i| {
-        let replacement = exprs.get(i);
-        match replacement {
-            Some(e) => Some(e.clone()),
-            None => {
-                ok = false;
-                None
-            }
-        }
-    });
-    ok.then_some(out)
+    substitute_cols(&mut out, exprs);
+    Some(out)
 }
 
-fn substitute_cols(e: &mut PhysExpr, subst: &mut impl FnMut(usize) -> Option<PhysExpr>) {
-    if let PhysExpr::Col(i) = e {
-        if let Some(r) = subst(*i) {
-            *e = r;
-        }
-        return;
-    }
+/// Replace each `Col(i)` with `exprs[i]`.
+fn substitute_cols(e: &mut PhysExpr, exprs: &[PhysExpr]) {
     match e {
-        PhysExpr::Literal(_) | PhysExpr::Col(_) => {}
-        PhysExpr::Unary { expr, .. } => substitute_cols(expr, subst),
-        PhysExpr::Binary { left, right, .. } => {
-            substitute_cols(left, subst);
-            substitute_cols(right, subst);
-        }
-        PhysExpr::Func { args, .. } => {
-            for a in args {
-                substitute_cols(a, subst);
-            }
-        }
-        PhysExpr::Case {
-            operand,
-            whens,
-            else_,
-        } => {
-            if let Some(o) = operand {
-                substitute_cols(o, subst);
-            }
-            for (w, t) in whens {
-                substitute_cols(w, subst);
-                substitute_cols(t, subst);
-            }
-            if let Some(el) = else_ {
-                substitute_cols(el, subst);
-            }
-        }
-        PhysExpr::Cast { expr, .. } => substitute_cols(expr, subst),
-        PhysExpr::InList { expr, list, .. } => {
-            substitute_cols(expr, subst);
-            for l in list {
-                substitute_cols(l, subst);
-            }
-        }
-        PhysExpr::Between {
-            expr, low, high, ..
-        } => {
-            substitute_cols(expr, subst);
-            substitute_cols(low, subst);
-            substitute_cols(high, subst);
-        }
-        PhysExpr::IsNull { expr, .. } => substitute_cols(expr, subst),
-        PhysExpr::Like { expr, pattern, .. } => {
-            substitute_cols(expr, subst);
-            substitute_cols(pattern, subst);
-        }
+        PhysExpr::Col(i) => *e = exprs[*i].clone(),
+        _ => e.for_each_child_mut(&mut |c| substitute_cols(c, exprs)),
     }
 }
 
@@ -635,13 +309,6 @@ fn prune(plan: Plan, needed: Option<Vec<usize>>) -> Result<Plan, CdwError> {
         n
     });
     match plan {
-        Plan::Scan { table, schema } => {
-            let scan = Plan::Scan { table, schema };
-            Ok(match needed {
-                Some(cols) => narrow(scan, &cols),
-                None => scan,
-            })
-        }
         Plan::Project {
             input,
             exprs,
@@ -751,98 +418,15 @@ fn prune(plan: Plan, needed: Option<Vec<usize>>) -> Result<Plan, CdwError> {
                 None => agg,
             })
         }
-        // Remaining nodes are treated as boundaries: children keep their
-        // full schemas, and the parent's narrowing happens above the node.
-        Plan::Window {
-            input,
-            calls,
-            schema,
-        } => {
-            let w = Plan::Window {
-                input: Box::new(prune(*input, None)?),
-                calls,
-                schema,
-            };
+        // Every other node is a boundary: its inputs keep their full
+        // schemas, and the parent's narrowing happens above the node.
+        other => {
+            let node = other.map_inputs(|p| prune(p, None))?;
             Ok(match needed {
-                Some(cols) => narrow(w, &cols),
-                None => w,
+                Some(cols) => narrow(node, &cols),
+                None => node,
             })
         }
-        Plan::Join {
-            left,
-            right,
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            schema,
-        } => {
-            let j = Plan::Join {
-                left: Box::new(prune(*left, None)?),
-                right: Box::new(prune(*right, None)?),
-                kind,
-                left_keys,
-                right_keys,
-                residual,
-                schema,
-            };
-            Ok(match needed {
-                Some(cols) => narrow(j, &cols),
-                None => j,
-            })
-        }
-        Plan::Sort { input, keys } => {
-            let s = Plan::Sort {
-                input: Box::new(prune(*input, None)?),
-                keys,
-            };
-            Ok(match needed {
-                Some(cols) => narrow(s, &cols),
-                None => s,
-            })
-        }
-        Plan::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            let l = Plan::Limit {
-                input: Box::new(prune(*input, None)?),
-                limit,
-                offset,
-            };
-            Ok(match needed {
-                Some(cols) => narrow(l, &cols),
-                None => l,
-            })
-        }
-        Plan::UnionAll { inputs, schema } => {
-            let u = Plan::UnionAll {
-                inputs: inputs
-                    .into_iter()
-                    .map(|p| prune(p, None))
-                    .collect::<Result<_, _>>()?,
-                schema,
-            };
-            Ok(match needed {
-                Some(cols) => narrow(u, &cols),
-                None => u,
-            })
-        }
-        Plan::Distinct { input, mode } => {
-            let d = Plan::Distinct {
-                input: Box::new(prune(*input, None)?),
-                mode,
-            };
-            Ok(match needed {
-                Some(cols) => narrow(d, &cols),
-                None => d,
-            })
-        }
-        leaf => Ok(match needed {
-            Some(cols) => narrow(leaf, &cols),
-            None => leaf,
-        }),
     }
 }
 
@@ -877,138 +461,44 @@ fn partition_preserving(plan: &Plan) -> bool {
 /// inputs into `Final(Partial(input))` pairs. The split is decided purely
 /// by plan shape — never by the parallelism knob — so a query runs the
 /// identical plan (and produces bit-identical results) at any parallelism.
-fn split_two_phase(plan: Plan) -> Plan {
-    match plan {
+fn split_two_phase(plan: Plan) -> Result<Plan, CdwError> {
+    Ok(match plan.map_inputs(split_two_phase)? {
         Plan::Aggregate {
             input,
             groups,
             aggs,
             schema,
             mode: AggMode::Single,
-        } => {
-            let input = split_two_phase(*input);
-            if partition_preserving(&input) {
-                // The Final node restates the same spec as its Partial
-                // child; the executor fuses the pair and evaluates the
-                // child's expressions against the raw input partitions.
-                Plan::Aggregate {
-                    input: Box::new(Plan::Aggregate {
-                        input: Box::new(input),
-                        groups: groups.clone(),
-                        aggs: aggs.clone(),
-                        schema: schema.clone(),
-                        mode: AggMode::Partial,
-                    }),
-                    groups,
-                    aggs,
-                    schema,
-                    mode: AggMode::Final,
-                }
-            } else {
-                Plan::Aggregate {
-                    input: Box::new(input),
-                    groups,
-                    aggs,
-                    schema,
-                    mode: AggMode::Single,
-                }
+        } if partition_preserving(&input) => {
+            // The Final node restates the same spec as its Partial child;
+            // the executor fuses the pair and evaluates the child's
+            // expressions against the raw input partitions.
+            Plan::Aggregate {
+                input: Box::new(Plan::Aggregate {
+                    input,
+                    groups: groups.clone(),
+                    aggs: aggs.clone(),
+                    schema: schema.clone(),
+                    mode: AggMode::Partial,
+                }),
+                groups,
+                aggs,
+                schema,
+                mode: AggMode::Final,
             }
         }
         Plan::Distinct {
             input,
             mode: AggMode::Single,
-        } => {
-            let input = split_two_phase(*input);
-            if partition_preserving(&input) {
-                Plan::Distinct {
-                    input: Box::new(Plan::Distinct {
-                        input: Box::new(input),
-                        mode: AggMode::Partial,
-                    }),
-                    mode: AggMode::Final,
-                }
-            } else {
-                Plan::Distinct {
-                    input: Box::new(input),
-                    mode: AggMode::Single,
-                }
-            }
-        }
-        Plan::Aggregate {
-            input,
-            groups,
-            aggs,
-            schema,
-            mode,
-        } => Plan::Aggregate {
-            input: Box::new(split_two_phase(*input)),
-            groups,
-            aggs,
-            schema,
-            mode,
+        } if partition_preserving(&input) => Plan::Distinct {
+            input: Box::new(Plan::Distinct {
+                input,
+                mode: AggMode::Partial,
+            }),
+            mode: AggMode::Final,
         },
-        Plan::Distinct { input, mode } => Plan::Distinct {
-            input: Box::new(split_two_phase(*input)),
-            mode,
-        },
-        Plan::Filter { input, predicate } => Plan::Filter {
-            input: Box::new(split_two_phase(*input)),
-            predicate,
-        },
-        Plan::Project {
-            input,
-            exprs,
-            schema,
-        } => Plan::Project {
-            input: Box::new(split_two_phase(*input)),
-            exprs,
-            schema,
-        },
-        Plan::Window {
-            input,
-            calls,
-            schema,
-        } => Plan::Window {
-            input: Box::new(split_two_phase(*input)),
-            calls,
-            schema,
-        },
-        Plan::Join {
-            left,
-            right,
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            schema,
-        } => Plan::Join {
-            left: Box::new(split_two_phase(*left)),
-            right: Box::new(split_two_phase(*right)),
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            schema,
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(split_two_phase(*input)),
-            keys,
-        },
-        Plan::Limit {
-            input,
-            limit,
-            offset,
-        } => Plan::Limit {
-            input: Box::new(split_two_phase(*input)),
-            limit,
-            offset,
-        },
-        Plan::UnionAll { inputs, schema } => Plan::UnionAll {
-            inputs: inputs.into_iter().map(split_two_phase).collect(),
-            schema,
-        },
-        leaf @ (Plan::Scan { .. } | Plan::ResultScan { .. } | Plan::Values { .. }) => leaf,
-    }
+        other => other,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1044,25 +534,15 @@ fn granularity(plan: &Plan) -> &'static str {
     }
 }
 
-/// This node's own EXPLAIN label (first line of the subtree rendering).
-fn node_label(plan: &Plan) -> String {
-    plan.explain()
-        .lines()
-        .next()
-        .unwrap_or_default()
-        .trim_start()
-        .to_string()
-}
-
 /// One pipeline's operators in execution order:
 /// `source => stage => ... [=> sink]`.
 fn pipeline_line(source: &Plan, chain: &[&Plan], sink: Option<&Plan>) -> String {
-    let mut parts = vec![node_label(source)];
+    let mut parts = vec![source.label()];
     for node in chain.iter().rev() {
-        parts.push(node_label(node));
+        parts.push(node.label());
     }
     if let Some(s) = sink {
-        parts.push(format!("{} [sink]", node_label(s)));
+        parts.push(format!("{} [sink]", s.label()));
     }
     parts.join(" => ")
 }
@@ -1092,7 +572,7 @@ fn explain_pipelines_into(plan: &Plan, depth: usize, out: &mut String) {
             indent_by(out, depth);
             out.push_str(&format!(
                 "break: {} [{}]\n",
-                node_label(plan),
+                plan.label(),
                 granularity(plan)
             ));
             let (chain, source) = pinput.stream_chain();
@@ -1119,13 +599,13 @@ fn explain_pipelines_into(plan: &Plan, depth: usize, out: &mut String) {
     match plan {
         Plan::Scan { .. } | Plan::ResultScan { .. } | Plan::Values { .. } => {
             indent_by(out, depth);
-            out.push_str(&format!("source: {}\n", node_label(plan)));
+            out.push_str(&format!("source: {}\n", plan.label()));
         }
         Plan::Join { left, right, .. } => {
             indent_by(out, depth);
             out.push_str(&format!(
                 "break: {} [build: right, probe: left] [{}]\n",
-                node_label(plan),
+                plan.label(),
                 granularity(plan)
             ));
             explain_pipelines_into(left, depth + 1, out);
@@ -1134,11 +614,7 @@ fn explain_pipelines_into(plan: &Plan, depth: usize, out: &mut String) {
         Plan::UnionAll { inputs, .. } => {
             // Pass-through: the union keeps every input's partitions.
             indent_by(out, depth);
-            out.push_str(&format!(
-                "pass: {} [{}]\n",
-                node_label(plan),
-                granularity(plan)
-            ));
+            out.push_str(&format!("pass: {} [{}]\n", plan.label(), granularity(plan)));
             for input in inputs {
                 explain_pipelines_into(input, depth + 1, out);
             }
@@ -1148,11 +624,7 @@ fn explain_pipelines_into(plan: &Plan, depth: usize, out: &mut String) {
             mode: AggMode::Partial,
         } => {
             indent_by(out, depth);
-            out.push_str(&format!(
-                "pass: {} [{}]\n",
-                node_label(plan),
-                granularity(plan)
-            ));
+            out.push_str(&format!("pass: {} [{}]\n", plan.label(), granularity(plan)));
             explain_pipelines_into(input, depth + 1, out);
         }
         Plan::Aggregate { input, .. }
@@ -1163,7 +635,7 @@ fn explain_pipelines_into(plan: &Plan, depth: usize, out: &mut String) {
             indent_by(out, depth);
             out.push_str(&format!(
                 "break: {} [{}]\n",
-                node_label(plan),
+                plan.label(),
                 granularity(plan)
             ));
             explain_pipelines_into(input, depth + 1, out);

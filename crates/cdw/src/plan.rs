@@ -207,17 +207,120 @@ impl Plan {
 
     /// Number of nodes (used in optimizer tests and plan stats).
     pub fn node_count(&self) -> usize {
-        1 + match self {
-            Plan::Scan { .. } | Plan::ResultScan { .. } | Plan::Values { .. } => 0,
+        1 + self
+            .inputs()
+            .into_iter()
+            .map(Plan::node_count)
+            .sum::<usize>()
+    }
+
+    /// The node's direct inputs, left to right. This and
+    /// [`Plan::map_inputs`] are the one place that lists a node's
+    /// children; every walker that only recurses goes through them.
+    pub fn inputs(&self) -> Vec<&Plan> {
+        match self {
+            Plan::Scan { .. } | Plan::ResultScan { .. } | Plan::Values { .. } => Vec::new(),
             Plan::Project { input, .. }
             | Plan::Filter { input, .. }
             | Plan::Aggregate { input, .. }
             | Plan::Window { input, .. }
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. }
-            | Plan::Distinct { input, .. } => input.node_count(),
-            Plan::Join { left, right, .. } => left.node_count() + right.node_count(),
-            Plan::UnionAll { inputs, .. } => inputs.iter().map(Plan::node_count).sum(),
+            | Plan::Distinct { input, .. } => vec![input],
+            Plan::Join { left, right, .. } => vec![left, right],
+            Plan::UnionAll { inputs, .. } => inputs.iter().collect(),
+        }
+    }
+
+    /// Rebuild this node with each input replaced by `f(input)`, left to
+    /// right; the first error aborts the rewrite.
+    pub fn map_inputs<E>(mut self, mut f: impl FnMut(Plan) -> Result<Plan, E>) -> Result<Plan, E> {
+        let slots: Vec<&mut Plan> = match &mut self {
+            Plan::Scan { .. } | Plan::ResultScan { .. } | Plan::Values { .. } => Vec::new(),
+            Plan::Project { input, .. }
+            | Plan::Filter { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Window { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. }
+            | Plan::Distinct { input, .. } => vec![input],
+            Plan::Join { left, right, .. } => vec![left, right],
+            Plan::UnionAll { inputs, .. } => inputs.iter_mut().collect(),
+        };
+        for slot in slots {
+            // A childless stand-in holds the slot while `f` owns the input.
+            let hole = Plan::UnionAll {
+                inputs: Vec::new(),
+                schema: Arc::new(Schema::empty()),
+            };
+            *slot = f(std::mem::replace(slot, hole))?;
+        }
+        Ok(self)
+    }
+
+    /// Visit every expression this node holds — not its inputs'. Window
+    /// calls visit their args, then PARTITION BY, then ORDER BY; joins
+    /// their left keys, right keys, then residual.
+    pub fn for_each_expr_mut(&mut self, f: &mut dyn FnMut(&mut PhysExpr)) {
+        match self {
+            Plan::Scan { .. }
+            | Plan::ResultScan { .. }
+            | Plan::Values { .. }
+            | Plan::Limit { .. }
+            | Plan::UnionAll { .. }
+            | Plan::Distinct { .. } => {}
+            Plan::Project { exprs, .. } => exprs.iter_mut().for_each(f),
+            Plan::Filter { predicate, .. } => f(predicate),
+            Plan::Aggregate { groups, aggs, .. } => {
+                groups.iter_mut().for_each(&mut *f);
+                aggs.iter_mut().filter_map(|a| a.arg.as_mut()).for_each(f);
+            }
+            Plan::Window { calls, .. } => {
+                for c in calls {
+                    c.args.iter_mut().for_each(&mut *f);
+                    c.partition.iter_mut().for_each(&mut *f);
+                    c.order.iter_mut().for_each(|o| f(&mut o.expr));
+                }
+            }
+            Plan::Join {
+                left_keys,
+                right_keys,
+                residual,
+                ..
+            } => {
+                left_keys.iter_mut().for_each(&mut *f);
+                right_keys.iter_mut().for_each(&mut *f);
+                residual.iter_mut().for_each(f);
+            }
+            Plan::Sort { keys, .. } => keys.iter_mut().for_each(|k| f(&mut k.expr)),
+        }
+    }
+
+    /// This node's one EXPLAIN line (no indent, no inputs). Executor
+    /// stats ([`crate::OpStats::op`]) and EXPLAIN PIPELINES use it too.
+    pub fn label(&self) -> String {
+        match self {
+            Plan::Scan { table, .. } => format!("Scan {table}"),
+            Plan::ResultScan { id, .. } => format!("ResultScan {id}"),
+            Plan::Values { batch } => format!("Values ({} rows)", batch.num_rows()),
+            Plan::Project { exprs, .. } => format!("Project ({} exprs)", exprs.len()),
+            Plan::Filter { .. } => "Filter".to_string(),
+            Plan::Aggregate {
+                groups, aggs, mode, ..
+            } => format!(
+                "Aggregate{} (groups={}, aggs={})",
+                mode.label(),
+                groups.len(),
+                aggs.len()
+            ),
+            Plan::Window { calls, .. } => format!("Window ({} calls)", calls.len()),
+            Plan::Join {
+                kind, left_keys, ..
+            } => format!("Join {kind:?} ({} keys)", left_keys.len()),
+            Plan::Sort { keys, .. } => format!("Sort ({} keys)", keys.len()),
+            Plan::Limit { limit, offset, .. } => format!("Limit {limit:?} offset {offset}"),
+            Plan::UnionAll { .. } => "UnionAll".to_string(),
+            Plan::Distinct { mode, .. } => format!("Distinct{}", mode.label()),
         }
     }
 
@@ -293,72 +396,10 @@ impl Plan {
         for _ in 0..depth {
             out.push_str("  ");
         }
-        match self {
-            Plan::Scan { table, .. } => out.push_str(&format!("Scan {table}\n")),
-            Plan::ResultScan { id, .. } => out.push_str(&format!("ResultScan {id}\n")),
-            Plan::Values { batch } => {
-                out.push_str(&format!("Values ({} rows)\n", batch.num_rows()))
-            }
-            Plan::Project { input, exprs, .. } => {
-                out.push_str(&format!("Project ({} exprs)\n", exprs.len()));
-                input.explain_into(depth + 1, out);
-            }
-            Plan::Filter { input, .. } => {
-                out.push_str("Filter\n");
-                input.explain_into(depth + 1, out);
-            }
-            Plan::Aggregate {
-                input,
-                groups,
-                aggs,
-                mode,
-                ..
-            } => {
-                out.push_str(&format!(
-                    "Aggregate{} (groups={}, aggs={})\n",
-                    mode.label(),
-                    groups.len(),
-                    aggs.len()
-                ));
-                input.explain_into(depth + 1, out);
-            }
-            Plan::Window { input, calls, .. } => {
-                out.push_str(&format!("Window ({} calls)\n", calls.len()));
-                input.explain_into(depth + 1, out);
-            }
-            Plan::Join {
-                left,
-                right,
-                kind,
-                left_keys,
-                ..
-            } => {
-                out.push_str(&format!("Join {kind:?} ({} keys)\n", left_keys.len()));
-                left.explain_into(depth + 1, out);
-                right.explain_into(depth + 1, out);
-            }
-            Plan::Sort { input, keys } => {
-                out.push_str(&format!("Sort ({} keys)\n", keys.len()));
-                input.explain_into(depth + 1, out);
-            }
-            Plan::Limit {
-                input,
-                limit,
-                offset,
-            } => {
-                out.push_str(&format!("Limit {limit:?} offset {offset}\n"));
-                input.explain_into(depth + 1, out);
-            }
-            Plan::UnionAll { inputs, .. } => {
-                out.push_str("UnionAll\n");
-                for i in inputs {
-                    i.explain_into(depth + 1, out);
-                }
-            }
-            Plan::Distinct { input, mode } => {
-                out.push_str(&format!("Distinct{}\n", mode.label()));
-                input.explain_into(depth + 1, out);
-            }
+        out.push_str(&self.label());
+        out.push('\n');
+        for input in self.inputs() {
+            input.explain_into(depth + 1, out);
         }
     }
 }

@@ -459,16 +459,16 @@ impl<'a> Planner<'a> {
                 ));
             }
             for (e, _) in &mut projection {
-                *e = replace_subtrees(e, &mapping);
+                replace_subtrees(e, &mapping);
             }
             if let Some(h) = &mut having {
-                *h = replace_subtrees(h, &mapping);
+                replace_subtrees(h, &mapping);
             }
             if let Some(q) = &mut qualify {
-                *q = replace_subtrees(q, &mapping);
+                replace_subtrees(q, &mapping);
             }
             for o in &mut order_exprs {
-                o.expr = replace_subtrees(&o.expr, &mapping);
+                replace_subtrees(&mut o.expr, &mapping);
             }
             scope = Scope::single("#agg", agg_schema);
 
@@ -537,13 +537,13 @@ impl<'a> Planner<'a> {
                 ));
             }
             for (e, _) in &mut projection {
-                *e = replace_subtrees(e, &mapping);
+                replace_subtrees(e, &mapping);
             }
             if let Some(q) = &mut qualify {
-                *q = replace_subtrees(q, &mapping);
+                replace_subtrees(q, &mapping);
             }
             for o in &mut order_exprs {
-                o.expr = replace_subtrees(&o.expr, &mapping);
+                replace_subtrees(&mut o.expr, &mapping);
             }
             scope.push("#win", win_fragment);
         }
@@ -1143,8 +1143,10 @@ fn contains_agg(e: &SqlExpr) -> bool {
     found
 }
 
-/// Collect distinct aggregate subtrees; does not descend into window
-/// functions (their aggregate spellings execute as windows).
+/// Collect distinct aggregate subtrees. Window arguments, PARTITION BY
+/// and ORDER BY are searched too (e.g. `SUM(SUM(x)) OVER ()`); only the
+/// window call itself is never taken as an aggregate, since its aggregate
+/// spellings execute as windows.
 fn collect_aggs(e: &SqlExpr, out: &mut Vec<SqlExpr>) {
     match e {
         SqlExpr::Func { name, .. } if agg_func_for(name).is_some() => {
@@ -1152,19 +1154,7 @@ fn collect_aggs(e: &SqlExpr, out: &mut Vec<SqlExpr>) {
                 out.push(e.clone());
             }
         }
-        SqlExpr::WindowFunc { args, spec, .. } => {
-            // Window args may reference aggregates (e.g. SUM(SUM(x)) OVER).
-            for a in args {
-                collect_aggs(a, out);
-            }
-            for p in &spec.partition_by {
-                collect_aggs(p, out);
-            }
-            for o in &spec.order_by {
-                collect_aggs(&o.expr, out);
-            }
-        }
-        _ => walk_children(e, &mut |c| collect_aggs(c, out)),
+        _ => e.for_each_child(&mut |c| collect_aggs(c, out)),
     }
 }
 
@@ -1176,143 +1166,20 @@ fn collect_windows(e: &SqlExpr, out: &mut Vec<SqlExpr>) {
                 out.push(e.clone());
             }
         }
-        _ => walk_children(e, &mut |c| collect_windows(c, out)),
+        _ => e.for_each_child(&mut |c| collect_windows(c, out)),
     }
 }
 
-fn walk_sql(e: &SqlExpr, f: &mut impl FnMut(&SqlExpr)) {
+fn walk_sql(e: &SqlExpr, f: &mut dyn FnMut(&SqlExpr)) {
     f(e);
-    walk_children(e, &mut |c| walk_sql(c, f));
+    e.for_each_child(&mut |c| walk_sql(c, f));
 }
 
-fn walk_children(e: &SqlExpr, f: &mut impl FnMut(&SqlExpr)) {
-    match e {
-        SqlExpr::Literal(_) | SqlExpr::Column { .. } | SqlExpr::Star => {}
-        SqlExpr::Unary { expr, .. } => f(expr),
-        SqlExpr::Binary { left, right, .. } => {
-            f(left);
-            f(right);
-        }
-        SqlExpr::Func { args, .. } => {
-            for a in args {
-                f(a);
-            }
-        }
-        SqlExpr::WindowFunc { args, spec, .. } => {
-            for a in args {
-                f(a);
-            }
-            for p in &spec.partition_by {
-                f(p);
-            }
-            for o in &spec.order_by {
-                f(&o.expr);
-            }
-        }
-        SqlExpr::Case {
-            operand,
-            whens,
-            else_,
-        } => {
-            if let Some(o) = operand {
-                f(o);
-            }
-            for (w, t) in whens {
-                f(w);
-                f(t);
-            }
-            if let Some(e) = else_ {
-                f(e);
-            }
-        }
-        SqlExpr::Cast { expr, .. } => f(expr),
-        SqlExpr::InList { expr, list, .. } => {
-            f(expr);
-            for l in list {
-                f(l);
-            }
-        }
-        SqlExpr::Between {
-            expr, low, high, ..
-        } => {
-            f(expr);
-            f(low);
-            f(high);
-        }
-        SqlExpr::IsNull { expr, .. } => f(expr),
-        SqlExpr::Like { expr, pattern, .. } => {
-            f(expr);
-            f(pattern);
-        }
+/// Replace, in place, any subtree equal to a mapping key with its
+/// replacement (outermost match wins; a replacement is not searched).
+fn replace_subtrees(e: &mut SqlExpr, mapping: &[(SqlExpr, SqlExpr)]) {
+    match mapping.iter().find(|(from, _)| e == from) {
+        Some((_, to)) => *e = to.clone(),
+        None => e.for_each_child_mut(&mut |c| replace_subtrees(c, mapping)),
     }
-}
-
-/// Replace any subtree equal to a mapping key with its replacement.
-fn replace_subtrees(e: &SqlExpr, mapping: &[(SqlExpr, SqlExpr)]) -> SqlExpr {
-    for (from, to) in mapping {
-        if e == from {
-            return to.clone();
-        }
-    }
-    let mut out = e.clone();
-    match &mut out {
-        SqlExpr::Literal(_) | SqlExpr::Column { .. } | SqlExpr::Star => {}
-        SqlExpr::Unary { expr, .. } => **expr = replace_subtrees(expr, mapping),
-        SqlExpr::Binary { left, right, .. } => {
-            **left = replace_subtrees(left, mapping);
-            **right = replace_subtrees(right, mapping);
-        }
-        SqlExpr::Func { args, .. } => {
-            for a in args.iter_mut() {
-                *a = replace_subtrees(a, mapping);
-            }
-        }
-        SqlExpr::WindowFunc { args, spec, .. } => {
-            for a in args.iter_mut() {
-                *a = replace_subtrees(a, mapping);
-            }
-            for p in spec.partition_by.iter_mut() {
-                *p = replace_subtrees(p, mapping);
-            }
-            for o in spec.order_by.iter_mut() {
-                o.expr = replace_subtrees(&o.expr, mapping);
-            }
-        }
-        SqlExpr::Case {
-            operand,
-            whens,
-            else_,
-        } => {
-            if let Some(o) = operand {
-                **o = replace_subtrees(o, mapping);
-            }
-            for (w, t) in whens.iter_mut() {
-                *w = replace_subtrees(w, mapping);
-                *t = replace_subtrees(t, mapping);
-            }
-            if let Some(el) = else_ {
-                **el = replace_subtrees(el, mapping);
-            }
-        }
-        SqlExpr::Cast { expr, .. } => **expr = replace_subtrees(expr, mapping),
-        SqlExpr::InList { expr, list, .. } => {
-            **expr = replace_subtrees(expr, mapping);
-            for l in list.iter_mut() {
-                *l = replace_subtrees(l, mapping);
-            }
-        }
-        SqlExpr::Between {
-            expr, low, high, ..
-        } => {
-            **expr = replace_subtrees(expr, mapping);
-            **low = replace_subtrees(low, mapping);
-            **high = replace_subtrees(high, mapping);
-        }
-        SqlExpr::IsNull { expr, .. } => **expr = replace_subtrees(expr, mapping),
-        SqlExpr::Like { expr, pattern, .. } => {
-            **expr = replace_subtrees(expr, mapping);
-            **pattern = replace_subtrees(pattern, mapping);
-        }
-    }
-    out
 }

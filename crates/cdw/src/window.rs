@@ -9,7 +9,7 @@
 //! `FillDown` formula.
 //!
 //! Nothing here is per-row boxed: arguments are read as borrowed scalars,
-//! and a call's output is **typed** ([`WinOut`]) — ranks, counts and
+//! and a call's output is **typed** (`WinOut`) — ranks, counts and
 //! running sums are `Option<i64>`/`Option<f64>` vectors, navigation functions
 //! (`LAG`/`LEAD`/`FIRST_VALUE`/`LAST_VALUE`/`NTH_VALUE`) emit the *source
 //! row* their value comes from and the output column is one
@@ -24,7 +24,7 @@
 //! [`compute_window`] is the one entry point: expressions evaluate per
 //! morsel and partitions sort/compute in parallel on the executor's
 //! work-stealing scheduler, with the morsel height decided by
-//! [`crate::exec::ExecCtx::morsel_height`] like every other operator (one
+//! `crate::exec::ExecCtx::morsel_height` like every other operator (one
 //! whole-batch morsel when execution is serial).
 
 use std::cell::LazyCell;
@@ -142,7 +142,7 @@ fn partition_rows(part_cols: &[Column], rows: usize) -> (Vec<usize>, Vec<usize>)
 ///   columns concatenate to the same whole-batch columns one evaluation
 ///   pass produces (elementwise kernels).
 /// * **Partitioning** is one pass over the whole-batch key columns
-///   ([`partition_rows`]): first-seen partition order and ascending row
+///   (`partition_rows`): first-seen partition order and ascending row
 ///   lists by construction, whatever the morsel height.
 /// * **Per-partition sort + compute** runs in parallel over work items
 ///   of whole consecutive partitions, each about a morsel tall (so one
@@ -150,7 +150,7 @@ fn partition_rows(part_cols: &[Column], rows: usize) -> (Vec<usize>, Vec<usize>)
 ///   byte share. An item sorts its slice of the flat row list in place
 ///   and returns typed values in that order; they scatter into disjoint
 ///   row sets, so write order is irrelevant, and every value comes from
-///   the same [`compute_partition`] sequence however the items were cut.
+///   the same `compute_partition` sequence however the items were cut.
 pub fn compute_window(
     call: &WindowCall,
     batch: &Batch,

@@ -3,6 +3,8 @@
 
 use std::sync::Arc;
 
+use sigma_cdw::eval::PhysExpr;
+use sigma_cdw::plan::Plan;
 use sigma_cdw::Warehouse;
 use sigma_value::{Batch, Column, DataType, Field, Schema};
 
@@ -246,4 +248,79 @@ fn explain_pipelines_shows_fused_chains_and_breakers() {
         "{win}"
     );
     assert!(win.contains("break: Window (1 calls) [morsel]"), "{win}");
+}
+
+/// `OpStats::op` is `Plan::label`: executed operators with their depths
+/// read exactly as the optimized plan's EXPLAIN lines. The executor runs
+/// (and records) a join's build side before its probe side, so both lists
+/// are compared sorted.
+#[test]
+fn operator_stats_match_explain_lines() {
+    let wh = wh();
+    for q in [
+        "SELECT a FROM t ORDER BY a LIMIT 2",
+        "SELECT dim.label, SUM(t.b) AS s FROM t JOIN dim ON t.a = dim.k \
+         GROUP BY dim.label ORDER BY dim.label LIMIT 3 OFFSET 1",
+        "SELECT 1 AS x",
+    ] {
+        let mut ran: Vec<(usize, String)> = wh
+            .execute_sql(q)
+            .unwrap()
+            .operators
+            .into_iter()
+            .map(|o| (o.depth, o.op))
+            .collect();
+        let explain = wh.plan_sql(q).unwrap().explain();
+        let mut planned: Vec<(usize, String)> = explain
+            .lines()
+            .map(|l| {
+                let text = l.trim_start();
+                ((l.len() - text.len()) / 2, text.to_string())
+            })
+            .collect();
+        ran.sort();
+        planned.sort();
+        assert_eq!(ran, planned, "{q}\n{explain}");
+    }
+}
+
+/// Constant folding reaches every expression slot a node holds: a
+/// column-free `1 + 1` planted in each kind of slot must be gone from the
+/// optimized plan.
+#[test]
+fn constant_folding_reaches_every_expression_slot() {
+    let plan = wh()
+        .plan_sql(
+            "SELECT g, s + (1 + 1) AS p, \
+             SUM(s * (1 + 1)) OVER (PARTITION BY g + (1 + 1) ORDER BY s - (1 + 1)) AS w \
+             FROM (SELECT t.a % (1 + 1) AS g, SUM(t.b + (1 + 1)) AS s \
+                   FROM t JOIN dim ON t.a + (1 + 1) = dim.k AND t.b > dim.k + (1 + 1) \
+                   WHERE t.d > 1 + 1 GROUP BY t.a % (1 + 1)) x \
+             ORDER BY g * (1 + 1)",
+        )
+        .unwrap();
+    fn unfolded(e: &PhysExpr) -> bool {
+        let mut cols = Vec::new();
+        e.columns_used(&mut cols);
+        let mut found = cols.is_empty() && !matches!(e, PhysExpr::Literal(_));
+        e.for_each_child(&mut |c| found |= unfolded(c));
+        found
+    }
+    fn check(plan: &Plan, slots: &mut usize) {
+        plan.clone().for_each_expr_mut(&mut |e| {
+            *slots += 1;
+            assert!(!unfolded(e), "unfolded {e:?} in {}", plan.label());
+        });
+        plan.inputs().into_iter().for_each(|p| check(p, slots));
+    }
+    let mut slots = 0;
+    check(&plan, &mut slots);
+    assert!(slots >= 10, "{}", plan.explain());
+    // Independent of the visitors: no `1 + 1` survives anywhere.
+    let debug = format!("{plan:?}");
+    assert!(
+        !debug.contains("left: Literal(Int(1)), right: Literal(Int(1))"),
+        "{debug}"
+    );
+    assert!(debug.matches("Literal(Int(2))").count() >= 10, "{debug}");
 }

@@ -251,6 +251,109 @@ impl SqlExpr {
     pub fn conjunction(preds: impl IntoIterator<Item = SqlExpr>) -> Option<SqlExpr> {
         preds.into_iter().reduce(SqlExpr::and)
     }
+
+    /// Visit each direct child in source order (a window visits its args,
+    /// then PARTITION BY, then ORDER BY; a CASE its operand, each
+    /// WHEN/THEN pair, then ELSE). This is the one place that lists a
+    /// node's children; walkers recurse through it.
+    pub fn for_each_child(&self, f: &mut dyn FnMut(&SqlExpr)) {
+        match self {
+            SqlExpr::Literal(_) | SqlExpr::Column { .. } | SqlExpr::Star => {}
+            SqlExpr::Unary { expr, .. }
+            | SqlExpr::Cast { expr, .. }
+            | SqlExpr::IsNull { expr, .. } => f(expr),
+            SqlExpr::Binary {
+                left: a, right: b, ..
+            }
+            | SqlExpr::Like {
+                expr: a,
+                pattern: b,
+                ..
+            } => {
+                f(a);
+                f(b);
+            }
+            SqlExpr::Func { args, .. } => args.iter().for_each(f),
+            SqlExpr::WindowFunc { args, spec, .. } => {
+                args.iter().for_each(&mut *f);
+                spec.partition_by.iter().for_each(&mut *f);
+                spec.order_by.iter().for_each(|o| f(&o.expr));
+            }
+            SqlExpr::Case {
+                operand,
+                whens,
+                else_,
+            } => {
+                operand.iter().for_each(|o| f(o));
+                for (w, t) in whens {
+                    f(w);
+                    f(t);
+                }
+                else_.iter().for_each(|e| f(e));
+            }
+            SqlExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
+            SqlExpr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+        }
+    }
+
+    /// [`SqlExpr::for_each_child`], mutably.
+    pub fn for_each_child_mut(&mut self, f: &mut dyn FnMut(&mut SqlExpr)) {
+        match self {
+            SqlExpr::Literal(_) | SqlExpr::Column { .. } | SqlExpr::Star => {}
+            SqlExpr::Unary { expr, .. }
+            | SqlExpr::Cast { expr, .. }
+            | SqlExpr::IsNull { expr, .. } => f(expr),
+            SqlExpr::Binary {
+                left: a, right: b, ..
+            }
+            | SqlExpr::Like {
+                expr: a,
+                pattern: b,
+                ..
+            } => {
+                f(a);
+                f(b);
+            }
+            SqlExpr::Func { args, .. } => args.iter_mut().for_each(f),
+            SqlExpr::WindowFunc { args, spec, .. } => {
+                args.iter_mut().for_each(&mut *f);
+                spec.partition_by.iter_mut().for_each(&mut *f);
+                spec.order_by.iter_mut().for_each(|o| f(&mut o.expr));
+            }
+            SqlExpr::Case {
+                operand,
+                whens,
+                else_,
+            } => {
+                operand.iter_mut().for_each(|o| f(o));
+                for (w, t) in whens {
+                    f(w);
+                    f(t);
+                }
+                else_.iter_mut().for_each(|e| f(e));
+            }
+            SqlExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            SqlExpr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+        }
+    }
 }
 
 /// One item in a SELECT projection.
@@ -418,6 +521,53 @@ pub enum Statement {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One expression per variant with column `k`'s name spelled by slot
+    /// order: both child visitors must reach every slot, in order.
+    #[test]
+    fn child_visitors_reach_every_slot_in_order() {
+        let c = SqlExpr::col;
+        let b = |n| Box::new(SqlExpr::col(n));
+        let window = WindowSpec {
+            partition_by: vec![c("b"), c("c")],
+            order_by: vec![OrderExpr::asc(c("d"))],
+            frame: None,
+        };
+        #[rustfmt::skip]
+        let cases = [
+            (SqlExpr::lit(1), ""),
+            (c("a"), ""),
+            (SqlExpr::Star, ""),
+            (SqlExpr::Unary { op: SqlUnaryOp::Neg, expr: b("a") }, "a"),
+            (SqlExpr::binary(SqlBinaryOp::Add, c("a"), c("b")), "ab"),
+            (SqlExpr::func("f", vec![c("a"), c("b"), c("c")]), "abc"),
+            (SqlExpr::WindowFunc { name: "SUM".into(), args: vec![c("a")], ignore_nulls: false, spec: window }, "abcd"),
+            (SqlExpr::Case { operand: Some(b("a")), whens: vec![(c("b"), c("c")), (c("d"), c("e"))], else_: Some(b("f")) }, "abcdef"),
+            (SqlExpr::Cast { expr: b("a"), dtype: DataType::Int }, "a"),
+            (SqlExpr::InList { expr: b("a"), list: vec![c("b"), c("c")], negated: false }, "abc"),
+            (SqlExpr::Between { expr: b("a"), low: b("b"), high: b("c"), negated: false }, "abc"),
+            (SqlExpr::IsNull { expr: b("a"), negated: false }, "a"),
+            (SqlExpr::Like { expr: b("a"), pattern: b("b"), negated: false }, "ab"),
+        ];
+        let names = |e: &SqlExpr| {
+            let mut seen = String::new();
+            e.for_each_child(&mut |ch| {
+                if let SqlExpr::Column { name, .. } = ch {
+                    seen.push_str(name);
+                }
+            });
+            seen
+        };
+        for (mut e, slots) in cases {
+            assert_eq!(names(&e), slots, "{e:?}");
+            e.for_each_child_mut(&mut |ch| {
+                if let SqlExpr::Column { name, .. } = ch {
+                    name.make_ascii_uppercase();
+                }
+            });
+            assert_eq!(names(&e), slots.to_uppercase(), "{e:?}");
+        }
+    }
 
     #[test]
     fn conjunction_folds() {
