@@ -369,20 +369,36 @@ fn numeric_arith(op: BinOp, l: &Value, r: &Value) -> Result<Value, CdwError> {
     }
 }
 
-/// Functions that see NULL arguments; every other function is NULL as
-/// soon as one argument is.
-pub(crate) fn null_tolerant(func: ScalarFunc) -> bool {
-    use ScalarFunc::*;
-    matches!(
-        func,
-        Coalesce | Nullif | Concat | CurrentDate | CurrentTimestamp
-    )
+/// The largest REPEAT count and LPAD/RPAD target length: a larger one is
+/// clamped to it, so one formula literal cannot allocate without bound.
+pub const TEXT_REPEAT_CAP: i64 = 10_000;
+
+/// `x` rounded to `digits` decimal places, half away from zero. Only a
+/// negative `digits` changes an integer; once `10^-digits` overflows the
+/// answer is 0, and a result past `i64` wraps like integer arithmetic.
+fn round_int(x: i64, digits: i64) -> i64 {
+    if digits >= 0 {
+        return x;
+    }
+    let Some(factor) = u32::try_from(digits.unsigned_abs())
+        .ok()
+        .and_then(|p| 10i64.checked_pow(p))
+    else {
+        return 0;
+    };
+    let (q, r) = (x / factor, x % factor);
+    let away = if r.unsigned_abs() * 2 >= factor as u64 {
+        x.signum()
+    } else {
+        0
+    };
+    (q + away).wrapping_mul(factor)
 }
 
 /// Scalar function kernel over one row of argument values.
 pub fn eval_func_value(func: ScalarFunc, args: &[Value], ctx: &EvalCtx) -> Result<Value, CdwError> {
     use ScalarFunc::*;
-    if !null_tolerant(func) && args.iter().any(Value::is_null) {
+    if !func.def().null_tolerant && args.iter().any(Value::is_null) {
         return Ok(Value::Null);
     }
     let num = |i: usize| args[i].as_f64().ok_or_else(|| arg_err(func, i, &args[i]));
@@ -406,10 +422,12 @@ pub fn eval_func_value(func: ScalarFunc, args: &[Value], ctx: &EvalCtx) -> Resul
         },
         Round => {
             let digits = if args.len() > 1 { int(1)? } else { 0 };
-            let factor = 10f64.powi(digits as i32);
             match &args[0] {
-                Value::Int(i) if digits >= 0 => Value::Int(*i),
-                _ => Value::Float((num(0)? * factor).round() / factor),
+                Value::Int(i) => Value::Int(round_int(*i, digits)),
+                _ => {
+                    let factor = 10f64.powi(digits as i32);
+                    Value::Float((num(0)? * factor).round() / factor)
+                }
             }
         }
         Floor => Value::Int(num(0)?.floor() as i64),
@@ -507,7 +525,7 @@ pub fn eval_func_value(func: ScalarFunc, args: &[Value], ctx: &EvalCtx) -> Resul
         }
         Lpad | Rpad => {
             let s = text(0)?;
-            let target = int(1)?.max(0) as usize;
+            let target = int(1)?.clamp(0, TEXT_REPEAT_CAP) as usize;
             let pad = if args.len() > 2 {
                 text(2)?
             } else {
@@ -527,7 +545,7 @@ pub fn eval_func_value(func: ScalarFunc, args: &[Value], ctx: &EvalCtx) -> Resul
         }
         Repeat => {
             let s = text(0)?;
-            let n = int(1)?.clamp(0, 10_000) as usize;
+            let n = int(1)?.clamp(0, TEXT_REPEAT_CAP) as usize;
             Value::Text(s.repeat(n))
         }
         Coalesce => args

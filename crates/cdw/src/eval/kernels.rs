@@ -21,7 +21,7 @@ use std::cmp::Ordering;
 use sigma_value::calendar::{self, DateUnit};
 use sigma_value::{column::cast_value, Column, ColumnBuilder, DataType, Texts, Value};
 
-use super::interp::{eval_binary_value, eval_unary_value, null_tolerant};
+use super::interp::{eval_binary_value, eval_unary_value};
 use super::like::LikePattern;
 use super::planner::CVal;
 use super::{BinOp, ScalarFunc, UnOp};
@@ -1090,7 +1090,7 @@ pub(crate) fn func(func: ScalarFunc, args: &[CVal], out: DataType, n: usize) -> 
     use DataType as T;
     use ScalarFunc::*;
     let ty = |i: usize| args.get(i).and_then(CVal::dtype);
-    if !null_tolerant(func) && args.iter().any(CVal::is_null_scalar) {
+    if !func.def().null_tolerant && args.iter().any(CVal::is_null_scalar) {
         return Some(Column::nulls(out, n));
     }
     Some(match func {

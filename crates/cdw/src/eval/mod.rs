@@ -44,7 +44,7 @@ pub mod like;
 pub mod planner;
 mod selection;
 
-use sigma_value::{calendar, Batch, Column, DataType, Value};
+use sigma_value::{calendar, Batch, Column, DataType, ReturnType, Value};
 
 use crate::error::CdwError;
 
@@ -52,99 +52,107 @@ pub use interp::{eval_binary_value, eval_func_value, eval_interp};
 pub use like::{like_match, LikePattern};
 pub use planner::CompiledExpr;
 
-/// Scalar functions executed by the engine (generic-dialect spellings).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ScalarFunc {
-    Abs,
-    Round,
-    Floor,
-    Ceil,
-    Sqrt,
-    Exp,
-    Ln,
-    Log,
-    Power,
-    Mod,
-    Sign,
-    Greatest,
-    Least,
-    Concat,
-    Upper,
-    Lower,
-    Trim,
-    LTrim,
-    RTrim,
-    Length,
-    Left,
-    Right,
-    Substring,
-    Contains,
-    StartsWith,
-    EndsWith,
-    Replace,
-    SplitPart,
-    Lpad,
-    Rpad,
-    Repeat,
-    Coalesce,
-    Nullif,
-    DateTrunc,
-    DatePart,
-    DateAdd,
-    DateDiff,
-    MakeDate,
-    CurrentDate,
-    CurrentTimestamp,
+/// One engine scalar: how SQL spells it, what it returns, and whether it
+/// sees NULL arguments.
+#[derive(Debug)]
+pub struct ScalarDef {
+    pub func: ScalarFunc,
+    /// Generic-dialect SQL names, matched case-insensitively.
+    pub names: &'static [&'static str],
+    pub ret: ReturnType,
+    /// Sees NULL arguments; every other function is NULL as soon as one
+    /// argument is.
+    pub null_tolerant: bool,
 }
 
 impl ScalarFunc {
-    /// Resolve a generic-dialect SQL function name.
-    pub fn from_name(name: &str) -> Option<ScalarFunc> {
-        use ScalarFunc::*;
-        Some(match name.to_ascii_uppercase().as_str() {
-            "ABS" => Abs,
-            "ROUND" => Round,
-            "FLOOR" => Floor,
-            "CEIL" | "CEILING" => Ceil,
-            "SQRT" => Sqrt,
-            "EXP" => Exp,
-            "LN" => Ln,
-            "LOG" => Log,
-            "POWER" | "POW" => Power,
-            "MOD" => Mod,
-            "SIGN" => Sign,
-            "GREATEST" => Greatest,
-            "LEAST" => Least,
-            "CONCAT" => Concat,
-            "UPPER" => Upper,
-            "LOWER" => Lower,
-            "TRIM" => Trim,
-            "LTRIM" => LTrim,
-            "RTRIM" => RTrim,
-            "LENGTH" | "LEN" => Length,
-            "LEFT" => Left,
-            "RIGHT" => Right,
-            "SUBSTRING" | "SUBSTR" => Substring,
-            "CONTAINS" => Contains,
-            "STARTS_WITH" | "STARTSWITH" => StartsWith,
-            "ENDS_WITH" | "ENDSWITH" => EndsWith,
-            "REPLACE" => Replace,
-            "SPLIT_PART" => SplitPart,
-            "LPAD" => Lpad,
-            "RPAD" => Rpad,
-            "REPEAT" => Repeat,
-            "COALESCE" | "IFNULL" | "NVL" => Coalesce,
-            "NULLIF" => Nullif,
-            "DATE_TRUNC" => DateTrunc,
-            "DATE_PART" => DatePart,
-            "DATEADD" | "DATE_ADD" => DateAdd,
-            "DATEDIFF" | "DATE_DIFF" => DateDiff,
-            "MAKE_DATE" | "DATE_FROM_PARTS" => MakeDate,
-            "CURRENT_DATE" => CurrentDate,
-            "CURRENT_TIMESTAMP" | "NOW" => CurrentTimestamp,
-            _ => return None,
-        })
+    /// This function's row of [`SCALARS`].
+    pub fn def(self) -> &'static ScalarDef {
+        &SCALARS[self as usize]
     }
+}
+
+/// Resolve a SQL function name to its row of [`SCALARS`].
+pub fn scalar(name: &str) -> Option<&'static ScalarDef> {
+    SCALARS
+        .iter()
+        .find(|d| d.names.iter().any(|n| n.eq_ignore_ascii_case(name)))
+}
+
+/// Declares [`ScalarFunc`] and [`SCALARS`] from one list, so each engine
+/// scalar is one row and the two stay in the same order.
+macro_rules! scalars {
+    ($($func:ident $names:expr, $ret:expr, $null_tolerant:expr;)*) => {
+        /// Scalar functions executed by the engine.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum ScalarFunc {
+            $($func,)*
+        }
+
+        /// Every engine scalar, in [`ScalarFunc`] order.
+        ///
+        /// Adding one: its row here, an arm in
+        /// [`interp::eval_func_value`] (the oracle), and a typed arm in
+        /// `kernels::func` where one pays. Functions without a kernel run
+        /// the row-at-a-time `eval_func_value` loop: ROUND SQRT EXP LN LOG
+        /// POWER MOD GREATEST LEAST COALESCE NULLIF LPAD RPAD REPEAT
+        /// MAKE_DATE, and so do CONCAT over non-text, a non-literal date
+        /// unit and any operand type a kernel does not cover. A call whose
+        /// arguments are all literals runs `eval_func_value` once.
+        pub static SCALARS: &[ScalarDef] = {
+            use DataType as T;
+            use ReturnType::{ArgOr, First, Fixed, Unify, Widen};
+            &[$(ScalarDef {
+                func: ScalarFunc::$func,
+                names: $names,
+                ret: $ret,
+                null_tolerant: $null_tolerant,
+            },)*]
+        };
+    };
+}
+
+scalars! {
+    Abs              &["ABS"],                          ArgOr(0, T::Float),  false;
+    Round            &["ROUND"],                        ArgOr(0, T::Float),  false;
+    Floor            &["FLOOR"],                        Fixed(T::Int),       false;
+    Ceil             &["CEIL", "CEILING"],              Fixed(T::Int),       false;
+    Sqrt             &["SQRT"],                         Fixed(T::Float),     false;
+    Exp              &["EXP"],                          Fixed(T::Float),     false;
+    Ln               &["LN"],                           Fixed(T::Float),     false;
+    Log              &["LOG"],                          Fixed(T::Float),     false;
+    Power            &["POWER", "POW"],                 Fixed(T::Float),     false;
+    Mod              &["MOD"],                          Widen,               false;
+    Sign             &["SIGN"],                         Fixed(T::Int),       false;
+    Greatest         &["GREATEST"],                     Unify,               false;
+    Least            &["LEAST"],                        Unify,               false;
+    Concat           &["CONCAT"],                       Fixed(T::Text),      true;
+    Upper            &["UPPER"],                        Fixed(T::Text),      false;
+    Lower            &["LOWER"],                        Fixed(T::Text),      false;
+    Trim             &["TRIM"],                         Fixed(T::Text),      false;
+    LTrim            &["LTRIM"],                        Fixed(T::Text),      false;
+    RTrim            &["RTRIM"],                        Fixed(T::Text),      false;
+    Length           &["LENGTH", "LEN"],                Fixed(T::Int),       false;
+    Left             &["LEFT"],                         Fixed(T::Text),      false;
+    Right            &["RIGHT"],                        Fixed(T::Text),      false;
+    Substring        &["SUBSTRING", "SUBSTR"],          Fixed(T::Text),      false;
+    Contains         &["CONTAINS"],                     Fixed(T::Bool),      false;
+    StartsWith       &["STARTS_WITH", "STARTSWITH"],    Fixed(T::Bool),      false;
+    EndsWith         &["ENDS_WITH", "ENDSWITH"],        Fixed(T::Bool),      false;
+    Replace          &["REPLACE"],                      Fixed(T::Text),      false;
+    SplitPart        &["SPLIT_PART"],                   Fixed(T::Text),      false;
+    Lpad             &["LPAD"],                         Fixed(T::Text),      false;
+    Rpad             &["RPAD"],                         Fixed(T::Text),      false;
+    Repeat           &["REPEAT"],                       Fixed(T::Text),      false;
+    Coalesce         &["COALESCE", "IFNULL", "NVL"],    Unify,               true;
+    Nullif           &["NULLIF"],                       First,               true;
+    DateTrunc        &["DATE_TRUNC"],                   ArgOr(1, T::Date),   false;
+    DatePart         &["DATE_PART"],                    Fixed(T::Int),       false;
+    DateAdd          &["DATEADD", "DATE_ADD"],          ArgOr(2, T::Date),   false;
+    DateDiff         &["DATEDIFF", "DATE_DIFF"],        Fixed(T::Int),       false;
+    MakeDate         &["MAKE_DATE", "DATE_FROM_PARTS"], Fixed(T::Date),      false;
+    CurrentDate      &["CURRENT_DATE"],                 Fixed(T::Date),      true;
+    CurrentTimestamp &["CURRENT_TIMESTAMP", "NOW"],     Fixed(T::Timestamp), true;
 }
 
 /// Binary operators at the physical level (same set as the SQL AST).
@@ -381,7 +389,7 @@ pub fn infer_type(expr: &PhysExpr, input: &[DataType]) -> Result<Option<DataType
                 .iter()
                 .map(|a| infer_type(a, input))
                 .collect::<Result<_, _>>()?;
-            Ok(func_type(*func, &tys))
+            Ok(func.def().ret.resolve(&tys).unwrap_or(Some(DataType::Text)))
         }
         Case { whens, else_, .. } => {
             let mut acc: Option<DataType> = None;
@@ -426,34 +434,6 @@ pub(crate) fn binary_type(
         Div => Some(DataType::Float),
         Concat => Some(DataType::Text),
         Eq | NotEq | Lt | LtEq | Gt | GtEq | And | Or => Some(DataType::Bool),
-    }
-}
-
-pub(crate) fn func_type(func: ScalarFunc, tys: &[Option<DataType>]) -> Option<DataType> {
-    use ScalarFunc::*;
-    match func {
-        Abs | Round => tys[0].or(Some(DataType::Float)),
-        Floor | Ceil | Sign | Length | DatePart | DateDiff => Some(DataType::Int),
-        Sqrt | Exp | Ln | Log | Power => Some(DataType::Float),
-        Mod => match (tys[0], tys.get(1).copied().flatten()) {
-            (Some(DataType::Int), Some(DataType::Int)) => Some(DataType::Int),
-            _ => Some(DataType::Float),
-        },
-        Greatest | Least | Coalesce => {
-            let mut acc = None;
-            for &t in tys {
-                acc = unify_opt(acc, t);
-            }
-            acc
-        }
-        Nullif => tys[0],
-        Concat | Upper | Lower | Trim | LTrim | RTrim | Left | Right | Substring | Replace
-        | SplitPart | Lpad | Rpad | Repeat => Some(DataType::Text),
-        Contains | StartsWith | EndsWith => Some(DataType::Bool),
-        DateTrunc => tys[1].or(Some(DataType::Date)),
-        DateAdd => tys[2].or(Some(DataType::Date)),
-        MakeDate | CurrentDate => Some(DataType::Date),
-        CurrentTimestamp => Some(DataType::Timestamp),
     }
 }
 
@@ -924,6 +904,24 @@ mod tests {
             negated: false,
         };
         assert_eq!(ev(&null_bound).null_count(), 3);
+    }
+
+    #[test]
+    fn scalars_name_each_function_once() {
+        for def in SCALARS {
+            assert_eq!(scalar(&def.names[0].to_lowercase()).unwrap().func, def.func);
+        }
+        let names: Vec<&str> = SCALARS
+            .iter()
+            .flat_map(|d| d.names.iter().copied())
+            .collect();
+        for (i, a) in names.iter().enumerate() {
+            assert!(
+                !names[i + 1..].iter().any(|b| a.eq_ignore_ascii_case(b)),
+                "{a} names two functions"
+            );
+        }
+        assert!(scalar("NO_SUCH_FN").is_none());
     }
 
     /// Every scalar-function kernel against the row interpreter, bytes

@@ -14,7 +14,7 @@ use sigma_value::{Batch, ColumnBuilder, DataType, Field, Schema, Value};
 
 use crate::catalog::Catalog;
 use crate::error::CdwError;
-use crate::eval::{self, EvalCtx, PhysExpr, ScalarFunc};
+use crate::eval::{self, EvalCtx, PhysExpr};
 use crate::plan::{AggCall, AggFunc, AggMode, Plan, SortSpec, WinFunc, WindowCall};
 
 /// Equi-join decomposition: (left keys, right keys, residual predicate).
@@ -927,10 +927,10 @@ impl<'a> Planner<'a> {
                         "aggregate {name} is not allowed here"
                     )));
                 }
-                let func = ScalarFunc::from_name(name)
+                let def = eval::scalar(name)
                     .ok_or_else(|| CdwError::plan(format!("unknown function {name}")))?;
                 PhysExpr::Func {
-                    func,
+                    func: def.func,
                     args: args
                         .iter()
                         .map(|a| self.resolve(a, scope))

@@ -149,6 +149,42 @@ fn case_and_scalar_functions() {
 }
 
 #[test]
+fn round_an_integer_to_tens_half_away_from_zero() {
+    let wh = wh();
+    let b = q(
+        &wh,
+        "SELECT ROUND(id * 5 - 15, -1) AS r, ROUND(15, -1) AS a, ROUND(-25, -1) AS b, \
+         ROUND(id, -19) AS z, ROUND(id, 2) AS k FROM flights ORDER BY id",
+    );
+    assert_eq!(b.schema().fields()[0].dtype, DataType::Int);
+    let r: Vec<Value> = (0..6).map(|i| cell(&b, i, 0)).collect();
+    // id * 5 - 15 = -10, -5, 0, 5, 10, 15.
+    assert_eq!(
+        r,
+        [-10, -10, 0, 10, 10, 20].map(Value::Int).to_vec(),
+        "{r:?}"
+    );
+    assert_eq!(cell(&b, 0, 1), Value::Int(20));
+    assert_eq!(cell(&b, 0, 2), Value::Int(-30));
+    assert_eq!(cell(&b, 0, 3), Value::Int(0));
+    assert_eq!(cell(&b, 3, 4), Value::Int(4));
+}
+
+#[test]
+fn padding_is_capped_like_repeat() {
+    let wh = wh();
+    let b = q(
+        &wh,
+        "SELECT LENGTH(LPAD(carrier, 50000)) AS l, LENGTH(RPAD(carrier, 50000, 'ab')) AS r, \
+         LENGTH(REPEAT(carrier, 50000)) AS n, LPAD(carrier, 4, '*') AS p FROM flights",
+    );
+    assert_eq!(cell(&b, 0, 0), Value::Int(10_000));
+    assert_eq!(cell(&b, 0, 1), Value::Int(10_000));
+    assert_eq!(cell(&b, 0, 2), Value::Int(20_000));
+    assert_eq!(cell(&b, 0, 3), Value::Text("**AA".into()));
+}
+
+#[test]
 fn date_functions_in_sql() {
     let wh = wh();
     let b = q(

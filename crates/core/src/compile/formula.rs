@@ -3,10 +3,12 @@
 //! Lowering is parameterized by a [`Site`]: the stage CTE being built
 //! decides how column references resolve (inline, from the finer input,
 //! from a prior-phase CTE, or from a joined coarser level) and what the
-//! window partition/ordering is. The function mapping below is the
-//! spreadsheet-language → SQL dictionary.
+//! window partition/ordering is. A scalar that is one SQL call lowers
+//! through its `sigma_expr::FUNCTIONS` row; the mapping below covers the
+//! rest of the spreadsheet-language → SQL dictionary.
 
-use sigma_expr::{BinaryOp, ColumnRef, Formula, FunctionKind, UnaryOp};
+use sigma_expr::functions::{Arg, Sql};
+use sigma_expr::{BinaryOp, ColumnRef, Formula, FunctionDef, FunctionKind, UnaryOp};
 use sigma_sql::{FrameBound, SqlBinaryOp, SqlExpr, SqlUnaryOp, WindowFrame, WindowSpec};
 use sigma_value::{DataType, Value};
 
@@ -135,7 +137,7 @@ fn lower_call(func: &str, args: &[Formula], site: &dyn Site) -> Result<SqlExpr, 
     let def = sigma_expr::registry(func)
         .ok_or_else(|| CoreError::Unresolved(format!("function {func}")))?;
     match def.kind {
-        FunctionKind::Scalar => lower_scalar(def.name, args, site),
+        FunctionKind::Scalar => lower_scalar(def, args, site),
         FunctionKind::Aggregate => {
             if !site.allow_aggregate() {
                 return Err(CoreError::Compile(format!(
@@ -158,12 +160,8 @@ fn lower_call(func: &str, args: &[Formula], site: &dyn Site) -> Result<SqlExpr, 
     }
 }
 
-fn lower_all(args: &[Formula], site: &dyn Site) -> Result<Vec<SqlExpr>, CoreError> {
-    args.iter().map(|a| lower(a, site)).collect()
-}
-
-fn unit_arg(args: &[Formula]) -> Result<SqlExpr, CoreError> {
-    match &args[0] {
+fn unit_arg(arg: &Formula) -> Result<SqlExpr, CoreError> {
+    match arg {
         Formula::Literal(Value::Text(s)) => Ok(SqlExpr::lit(s.to_ascii_lowercase())),
         _ => Err(CoreError::Compile(
             "date units must be string literals like \"quarter\"".into(),
@@ -171,40 +169,26 @@ fn unit_arg(args: &[Formula]) -> Result<SqlExpr, CoreError> {
     }
 }
 
-fn lower_scalar(name: &str, args: &[Formula], site: &dyn Site) -> Result<SqlExpr, CoreError> {
+fn lower_scalar(
+    def: &FunctionDef,
+    args: &[Formula],
+    site: &dyn Site,
+) -> Result<SqlExpr, CoreError> {
     let a = |i: usize| lower(&args[i], site);
-    Ok(match name {
-        "Abs" => SqlExpr::func("ABS", lower_all(args, site)?),
-        "Round" => SqlExpr::func("ROUND", lower_all(args, site)?),
-        "Floor" | "Int" => SqlExpr::func("FLOOR", lower_all(args, site)?),
-        "Ceiling" => SqlExpr::func("CEIL", lower_all(args, site)?),
-        "Sqrt" => SqlExpr::func("SQRT", lower_all(args, site)?),
-        "Exp" => SqlExpr::func("EXP", lower_all(args, site)?),
-        "Ln" => SqlExpr::func("LN", lower_all(args, site)?),
-        "Log" => SqlExpr::func("LOG", lower_all(args, site)?),
-        "Power" => SqlExpr::func("POWER", lower_all(args, site)?),
-        "Mod" => SqlExpr::func("MOD", lower_all(args, site)?),
-        "Sign" => SqlExpr::func("SIGN", lower_all(args, site)?),
-        "Greatest" => SqlExpr::func("GREATEST", lower_all(args, site)?),
-        "Least" => SqlExpr::func("LEAST", lower_all(args, site)?),
-        "Concat" => SqlExpr::func("CONCAT", lower_all(args, site)?),
-        "Upper" => SqlExpr::func("UPPER", lower_all(args, site)?),
-        "Lower" => SqlExpr::func("LOWER", lower_all(args, site)?),
-        "Trim" => SqlExpr::func("TRIM", lower_all(args, site)?),
-        "LTrim" => SqlExpr::func("LTRIM", lower_all(args, site)?),
-        "RTrim" => SqlExpr::func("RTRIM", lower_all(args, site)?),
-        "Len" => SqlExpr::func("LENGTH", lower_all(args, site)?),
-        "Left" => SqlExpr::func("LEFT", lower_all(args, site)?),
-        "Right" => SqlExpr::func("RIGHT", lower_all(args, site)?),
-        "Mid" => SqlExpr::func("SUBSTRING", lower_all(args, site)?),
-        "Contains" => SqlExpr::func("CONTAINS", lower_all(args, site)?),
-        "StartsWith" => SqlExpr::func("STARTS_WITH", lower_all(args, site)?),
-        "EndsWith" => SqlExpr::func("ENDS_WITH", lower_all(args, site)?),
-        "Replace" => SqlExpr::func("REPLACE", lower_all(args, site)?),
-        "SplitPart" => SqlExpr::func("SPLIT_PART", lower_all(args, site)?),
-        "Lpad" => SqlExpr::func("LPAD", lower_all(args, site)?),
-        "Rpad" => SqlExpr::func("RPAD", lower_all(args, site)?),
-        "Repeat" => SqlExpr::func("REPEAT", lower_all(args, site)?),
+    if let (Some(sql), Some(sig)) = (def.sql, def.sig) {
+        let mut out = Vec::with_capacity(args.len() + 1);
+        if let Sql::Part(unit) = sql {
+            out.push(SqlExpr::lit(unit));
+        }
+        for (i, arg) in args.iter().enumerate() {
+            out.push(match sig.arg(i) {
+                Arg::Unit => unit_arg(arg)?,
+                _ => lower(arg, site)?,
+            });
+        }
+        return Ok(SqlExpr::func(sql.name(), out));
+    }
+    Ok(match def.name {
         "If" => {
             // If(c1, v1, [c2, v2, ...], [else]) -> searched CASE.
             let mut whens = Vec::new();
@@ -243,16 +227,10 @@ fn lower_scalar(name: &str, args: &[Formula], site: &dyn Site) -> Result<SqlExpr
                 else_,
             }
         }
-        "IsNull" => SqlExpr::IsNull {
+        "IsNull" | "IsNotNull" => SqlExpr::IsNull {
             expr: Box::new(a(0)?),
-            negated: false,
+            negated: def.name == "IsNotNull",
         },
-        "IsNotNull" => SqlExpr::IsNull {
-            expr: Box::new(a(0)?),
-            negated: true,
-        },
-        "Coalesce" | "IfNull" => SqlExpr::func("COALESCE", lower_all(args, site)?),
-        "Nullif" => SqlExpr::func("NULLIF", lower_all(args, site)?),
         "OneOf" => SqlExpr::InList {
             expr: Box::new(a(0)?),
             list: args[1..]
@@ -267,36 +245,15 @@ fn lower_scalar(name: &str, args: &[Formula], site: &dyn Site) -> Result<SqlExpr
             high: Box::new(a(2)?),
             negated: false,
         },
-        "Number" => SqlExpr::Cast {
+        "Number" | "Text" | "Date" | "DateTime" => SqlExpr::Cast {
             expr: Box::new(a(0)?),
-            dtype: DataType::Float,
+            dtype: match def.name {
+                "Number" => DataType::Float,
+                "Text" => DataType::Text,
+                "Date" => DataType::Date,
+                _ => DataType::Timestamp,
+            },
         },
-        "Text" => SqlExpr::Cast {
-            expr: Box::new(a(0)?),
-            dtype: DataType::Text,
-        },
-        "Date" => SqlExpr::Cast {
-            expr: Box::new(a(0)?),
-            dtype: DataType::Date,
-        },
-        "DateTime" => SqlExpr::Cast {
-            expr: Box::new(a(0)?),
-            dtype: DataType::Timestamp,
-        },
-        "Today" => SqlExpr::func("CURRENT_DATE", vec![]),
-        "Now" => SqlExpr::func("CURRENT_TIMESTAMP", vec![]),
-        "DateTrunc" => SqlExpr::func("DATE_TRUNC", vec![unit_arg(args)?, a(1)?]),
-        "DatePart" => SqlExpr::func("DATE_PART", vec![unit_arg(args)?, a(1)?]),
-        "DateAdd" => SqlExpr::func("DATEADD", vec![unit_arg(args)?, a(1)?, a(2)?]),
-        "DateDiff" => SqlExpr::func("DATEDIFF", vec![unit_arg(args)?, a(1)?, a(2)?]),
-        "Year" => SqlExpr::func("DATE_PART", vec![SqlExpr::lit("year"), a(0)?]),
-        "Quarter" => SqlExpr::func("DATE_PART", vec![SqlExpr::lit("quarter"), a(0)?]),
-        "Month" => SqlExpr::func("DATE_PART", vec![SqlExpr::lit("month"), a(0)?]),
-        "Week" => SqlExpr::func("DATE_PART", vec![SqlExpr::lit("week"), a(0)?]),
-        "Day" => SqlExpr::func("DATE_PART", vec![SqlExpr::lit("day"), a(0)?]),
-        "Hour" => SqlExpr::func("DATE_PART", vec![SqlExpr::lit("hour"), a(0)?]),
-        "Minute" => SqlExpr::func("DATE_PART", vec![SqlExpr::lit("minute"), a(0)?]),
-        "Second" => SqlExpr::func("DATE_PART", vec![SqlExpr::lit("second"), a(0)?]),
         "Weekday" => {
             // 1 = Sunday ... 7 = Saturday. 1970-01-04 was a Sunday.
             let diff = SqlExpr::func(
@@ -315,7 +272,6 @@ fn lower_scalar(name: &str, args: &[Formula], site: &dyn Site) -> Result<SqlExpr
                 SqlExpr::lit(1i64),
             )
         }
-        "MakeDate" => SqlExpr::func("MAKE_DATE", lower_all(args, site)?),
         other => {
             return Err(CoreError::Compile(format!(
                 "no SQL lowering for scalar function {other}"

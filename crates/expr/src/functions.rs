@@ -1,6 +1,11 @@
 //! The function registry: every function the formula language supports,
 //! with its category (single-row, aggregate, window, special — paper §3.1)
-//! and arity. Type rules live in [`crate::typecheck`].
+//! and arity. A scalar row whose rule fits one line also carries its
+//! argument kinds, result type and SQL; [`crate::typecheck`] spells out
+//! the rest.
+
+use sigma_value::DataType as T;
+use sigma_value::ReturnType::{self, ArgOr, First, Fixed, Unify, Widen};
 
 /// Function category. The compiler keys lowering decisions on this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -15,6 +20,58 @@ pub enum FunctionKind {
     Special,
 }
 
+/// What one argument position accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arg {
+    Any,
+    Num,
+    Text,
+    /// A date or a timestamp.
+    Temporal,
+    /// A string literal naming a date unit, like `"quarter"`.
+    Unit,
+}
+
+/// A scalar's type rule: the argument kinds and the result type.
+#[derive(Debug, Clone, Copy)]
+pub struct Signature {
+    /// One kind per position; the last one also covers every later
+    /// position, and an empty list accepts anything.
+    pub args: &'static [Arg],
+    pub ret: ReturnType,
+}
+
+impl Signature {
+    /// The kind argument `i` must have.
+    pub fn arg(&self, i: usize) -> Arg {
+        self.args
+            .get(i)
+            .or(self.args.last())
+            .copied()
+            .unwrap_or(Arg::Any)
+    }
+}
+
+/// A scalar's SQL when it is one call over its lowered arguments (a
+/// [`Arg::Unit`] argument lowers to its lower-cased literal).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sql {
+    /// `NAME(args...)`.
+    Call(&'static str),
+    /// `DATE_PART('unit', arg)`.
+    Part(&'static str),
+}
+
+impl Sql {
+    /// The SQL function called.
+    pub fn name(self) -> &'static str {
+        match self {
+            Sql::Call(name) => name,
+            Sql::Part(_) => "DATE_PART",
+        }
+    }
+}
+
 /// Registry entry for one function.
 #[derive(Debug, Clone, Copy)]
 pub struct FunctionDef {
@@ -26,6 +83,10 @@ pub struct FunctionDef {
     pub max_args: Option<usize>,
     /// One-line description surfaced in docs and error messages.
     pub doc: &'static str,
+    /// The type rule, when one row expresses it.
+    pub sig: Option<Signature>,
+    /// The SQL, when it is one call.
+    pub sql: Option<Sql>,
 }
 
 const fn f(
@@ -41,95 +102,70 @@ const fn f(
         min_args,
         max_args,
         doc,
+        sig: None,
+        sql: None,
     }
 }
 
+/// A scalar with a one-row type rule and, unless `sql` is `None`, a
+/// one-call lowering.
+const fn s(
+    name: &'static str,
+    min_args: usize,
+    max_args: Option<usize>,
+    args: &'static [Arg],
+    ret: ReturnType,
+    sql: Option<Sql>,
+    doc: &'static str,
+) -> FunctionDef {
+    FunctionDef {
+        sig: Some(Signature { args, ret }),
+        sql,
+        ..f(name, Scalar, min_args, max_args, doc)
+    }
+}
+
+use Arg::{Any, Num, Temporal, Text, Unit};
 use FunctionKind::{Aggregate, Scalar, Special, Window};
+use Sql::{Call, Part};
 
 /// Every supported function. Kept sorted by category for readability.
+#[rustfmt::skip]
 pub static FUNCTIONS: &[FunctionDef] = &[
     // --- math ---
-    f("Abs", Scalar, 1, Some(1), "Absolute value"),
-    f("Round", Scalar, 1, Some(2), "Round to N digits (default 0)"),
-    f("Floor", Scalar, 1, Some(1), "Round down to integer"),
-    f("Ceiling", Scalar, 1, Some(1), "Round up to integer"),
-    f(
-        "Int",
-        Scalar,
-        1,
-        Some(1),
-        "Truncate toward negative infinity",
-    ),
-    f("Sqrt", Scalar, 1, Some(1), "Square root"),
-    f("Exp", Scalar, 1, Some(1), "e raised to the argument"),
-    f("Ln", Scalar, 1, Some(1), "Natural logarithm"),
-    f("Log", Scalar, 1, Some(2), "Logarithm base 10, or base N"),
-    f("Power", Scalar, 2, Some(2), "x raised to y"),
-    f("Mod", Scalar, 2, Some(2), "Remainder of x / y"),
-    f("Sign", Scalar, 1, Some(1), "-1, 0, or 1"),
-    f("Greatest", Scalar, 1, None, "Largest of the arguments"),
-    f("Least", Scalar, 1, None, "Smallest of the arguments"),
+    s("Abs",        1, Some(1), &[Num],                 ArgOr(0, T::Float), Some(Call("ABS")), "Absolute value"),
+    s("Round",      1, Some(2), &[Num],                 ArgOr(0, T::Float), Some(Call("ROUND")), "Round to N digits (default 0); half away from zero"),
+    s("Floor",      1, Some(1), &[Num],                 Fixed(T::Int),      Some(Call("FLOOR")), "Round down to integer"),
+    s("Ceiling",    1, Some(1), &[Num],                 Fixed(T::Int),      Some(Call("CEIL")), "Round up to integer"),
+    s("Int",        1, Some(1), &[Num],                 Fixed(T::Int),      Some(Call("FLOOR")), "Truncate toward negative infinity"),
+    s("Sqrt",       1, Some(1), &[Num],                 Fixed(T::Float),    Some(Call("SQRT")), "Square root"),
+    s("Exp",        1, Some(1), &[Num],                 Fixed(T::Float),    Some(Call("EXP")), "e raised to the argument"),
+    s("Ln",         1, Some(1), &[Num],                 Fixed(T::Float),    Some(Call("LN")), "Natural logarithm"),
+    s("Log",        1, Some(2), &[Num],                 Fixed(T::Float),    Some(Call("LOG")), "Logarithm base 10, or base N"),
+    s("Power",      2, Some(2), &[Num],                 Fixed(T::Float),    Some(Call("POWER")), "x raised to y"),
+    s("Mod",        2, Some(2), &[Num],                 Widen,              Some(Call("MOD")), "Remainder of x / y"),
+    s("Sign",       1, Some(1), &[Num],                 Fixed(T::Int),      Some(Call("SIGN")), "-1, 0, or 1"),
+    s("Greatest",   1, None,    &[Any],                 Unify,              Some(Call("GREATEST")), "Largest of the arguments"),
+    s("Least",      1, None,    &[Any],                 Unify,              Some(Call("LEAST")), "Smallest of the arguments"),
     // --- text ---
-    f("Concat", Scalar, 1, None, "Concatenate as text"),
-    f("Upper", Scalar, 1, Some(1), "Uppercase"),
-    f("Lower", Scalar, 1, Some(1), "Lowercase"),
-    f(
-        "Trim",
-        Scalar,
-        1,
-        Some(1),
-        "Strip leading/trailing whitespace",
-    ),
-    f("LTrim", Scalar, 1, Some(1), "Strip leading whitespace"),
-    f("RTrim", Scalar, 1, Some(1), "Strip trailing whitespace"),
-    f("Len", Scalar, 1, Some(1), "Length in characters"),
-    f("Left", Scalar, 2, Some(2), "First N characters"),
-    f("Right", Scalar, 2, Some(2), "Last N characters"),
-    f(
-        "Mid",
-        Scalar,
-        3,
-        Some(3),
-        "Substring(start 1-based, length)",
-    ),
-    f(
-        "Contains",
-        Scalar,
-        2,
-        Some(2),
-        "True if text contains the fragment",
-    ),
-    f(
-        "StartsWith",
-        Scalar,
-        2,
-        Some(2),
-        "True if text starts with the fragment",
-    ),
-    f(
-        "EndsWith",
-        Scalar,
-        2,
-        Some(2),
-        "True if text ends with the fragment",
-    ),
-    f("Replace", Scalar, 3, Some(3), "Replace every occurrence"),
-    f(
-        "SplitPart",
-        Scalar,
-        3,
-        Some(3),
-        "Nth field after splitting on a delimiter",
-    ),
-    f(
-        "Lpad",
-        Scalar,
-        2,
-        Some(3),
-        "Left-pad to length (pad text defaults to space)",
-    ),
-    f("Rpad", Scalar, 2, Some(3), "Right-pad to length"),
-    f("Repeat", Scalar, 2, Some(2), "Repeat text N times"),
+    s("Concat",     1, None,    &[Any],                 Fixed(T::Text),     Some(Call("CONCAT")), "Concatenate as text"),
+    s("Upper",      1, Some(1), &[Text],                Fixed(T::Text),     Some(Call("UPPER")), "Uppercase"),
+    s("Lower",      1, Some(1), &[Text],                Fixed(T::Text),     Some(Call("LOWER")), "Lowercase"),
+    s("Trim",       1, Some(1), &[Text],                Fixed(T::Text),     Some(Call("TRIM")), "Strip leading/trailing whitespace"),
+    s("LTrim",      1, Some(1), &[Text],                Fixed(T::Text),     Some(Call("LTRIM")), "Strip leading whitespace"),
+    s("RTrim",      1, Some(1), &[Text],                Fixed(T::Text),     Some(Call("RTRIM")), "Strip trailing whitespace"),
+    s("Len",        1, Some(1), &[Text],                Fixed(T::Int),      Some(Call("LENGTH")), "Length in characters"),
+    s("Left",       2, Some(2), &[Text, Num],           Fixed(T::Text),     Some(Call("LEFT")), "First N characters"),
+    s("Right",      2, Some(2), &[Text, Num],           Fixed(T::Text),     Some(Call("RIGHT")), "Last N characters"),
+    s("Mid",        3, Some(3), &[Text, Num],           Fixed(T::Text),     Some(Call("SUBSTRING")), "Substring(start 1-based, length)"),
+    s("Contains",   2, Some(2), &[Text],                Fixed(T::Bool),     Some(Call("CONTAINS")), "True if text contains the fragment"),
+    s("StartsWith", 2, Some(2), &[Text],                Fixed(T::Bool),     Some(Call("STARTS_WITH")), "True if text starts with the fragment"),
+    s("EndsWith",   2, Some(2), &[Text],                Fixed(T::Bool),     Some(Call("ENDS_WITH")), "True if text ends with the fragment"),
+    s("Replace",    3, Some(3), &[Text],                Fixed(T::Text),     Some(Call("REPLACE")), "Replace every occurrence"),
+    s("SplitPart",  3, Some(3), &[Text, Text, Num],     Fixed(T::Text),     Some(Call("SPLIT_PART")), "Nth field after splitting on a delimiter"),
+    s("Lpad",       2, Some(3), &[Text, Num, Text],     Fixed(T::Text),     Some(Call("LPAD")), "Left-pad to length, at most 10,000 (pad text defaults to space)"),
+    s("Rpad",       2, Some(3), &[Text, Num, Text],     Fixed(T::Text),     Some(Call("RPAD")), "Right-pad to length, at most 10,000"),
+    s("Repeat",     2, Some(2), &[Text, Num],           Fixed(T::Text),     Some(Call("REPEAT")), "Repeat text N times, at most 10,000"),
     // --- logical / null handling ---
     f(
         "If",
@@ -145,35 +181,11 @@ pub static FUNCTIONS: &[FunctionDef] = &[
         None,
         "Switch(expr, case, value, ..., [default])",
     ),
-    f(
-        "IsNull",
-        Scalar,
-        1,
-        Some(1),
-        "True when the argument is null",
-    ),
-    f(
-        "IsNotNull",
-        Scalar,
-        1,
-        Some(1),
-        "True when the argument is not null",
-    ),
-    f("Coalesce", Scalar, 1, None, "First non-null argument"),
-    f(
-        "IfNull",
-        Scalar,
-        2,
-        Some(2),
-        "Second argument when the first is null",
-    ),
-    f(
-        "Nullif",
-        Scalar,
-        2,
-        Some(2),
-        "Null when the arguments are equal",
-    ),
+    s("IsNull",     1, Some(1), &[Any],                 Fixed(T::Bool),     None, "True when the argument is null"),
+    s("IsNotNull",  1, Some(1), &[Any],                 Fixed(T::Bool),     None, "True when the argument is not null"),
+    s("Coalesce",   1, None,    &[Any],                 Unify,              Some(Call("COALESCE")), "First non-null argument"),
+    s("IfNull",     2, Some(2), &[Any],                 Unify,              Some(Call("COALESCE")), "Second argument when the first is null"),
+    s("Nullif",     2, Some(2), &[Any],                 First,              Some(Call("NULLIF")), "Null when the arguments are equal"),
     f(
         "OneOf",
         Scalar,
@@ -183,57 +195,27 @@ pub static FUNCTIONS: &[FunctionDef] = &[
     ),
     f("Between", Scalar, 3, Some(3), "True when low <= x <= high"),
     // --- conversion ---
-    f("Number", Scalar, 1, Some(1), "Convert to a number"),
-    f("Text", Scalar, 1, Some(1), "Convert to text"),
-    f(
-        "Date",
-        Scalar,
-        1,
-        Some(1),
-        "Convert text/timestamp to a date",
-    ),
-    f(
-        "DateTime",
-        Scalar,
-        1,
-        Some(1),
-        "Convert text/date to a timestamp",
-    ),
+    s("Number",     1, Some(1), &[Any],                 Fixed(T::Float),    None, "Convert to a number"),
+    s("Text",       1, Some(1), &[Any],                 Fixed(T::Text),     None, "Convert to text"),
+    s("Date",       1, Some(1), &[Any],                 Fixed(T::Date),     None, "Convert text/timestamp to a date"),
+    s("DateTime",   1, Some(1), &[Any],                 Fixed(T::Timestamp), None, "Convert text/date to a timestamp"),
     // --- date & time ---
-    f("Today", Scalar, 0, Some(0), "Current date (session clock)"),
-    f(
-        "Now",
-        Scalar,
-        0,
-        Some(0),
-        "Current timestamp (session clock)",
-    ),
-    f(
-        "DateTrunc",
-        Scalar,
-        2,
-        Some(2),
-        "Truncate to a unit: DateTrunc(\"quarter\", d)",
-    ),
-    f("DatePart", Scalar, 2, Some(2), "Extract a unit as a number"),
-    f("DateAdd", Scalar, 3, Some(3), "DateAdd(\"month\", n, d)"),
-    f(
-        "DateDiff",
-        Scalar,
-        3,
-        Some(3),
-        "Unit boundaries crossed between two dates",
-    ),
-    f("Year", Scalar, 1, Some(1), "Year number"),
-    f("Quarter", Scalar, 1, Some(1), "Quarter number (1-4)"),
-    f("Month", Scalar, 1, Some(1), "Month number (1-12)"),
-    f("Week", Scalar, 1, Some(1), "ISO week number"),
-    f("Day", Scalar, 1, Some(1), "Day of month"),
-    f("Weekday", Scalar, 1, Some(1), "Day of week (1 = Sunday)"),
-    f("Hour", Scalar, 1, Some(1), "Hour of day"),
-    f("Minute", Scalar, 1, Some(1), "Minute of hour"),
-    f("Second", Scalar, 1, Some(1), "Second of minute"),
-    f("MakeDate", Scalar, 3, Some(3), "Date from year, month, day"),
+    s("Today",      0, Some(0), &[],                    Fixed(T::Date),     Some(Call("CURRENT_DATE")), "Current date (session clock)"),
+    s("Now",        0, Some(0), &[],                    Fixed(T::Timestamp), Some(Call("CURRENT_TIMESTAMP")), "Current timestamp (session clock)"),
+    s("DateTrunc",  2, Some(2), &[Unit, Temporal],      ArgOr(1, T::Date),  Some(Call("DATE_TRUNC")), "Truncate to a unit: DateTrunc(\"quarter\", d)"),
+    s("DatePart",   2, Some(2), &[Unit, Temporal],      Fixed(T::Int),      Some(Call("DATE_PART")), "Extract a unit as a number"),
+    s("DateAdd",    3, Some(3), &[Unit, Num, Temporal], ArgOr(2, T::Date),  Some(Call("DATEADD")), "DateAdd(\"month\", n, d)"),
+    s("DateDiff",   3, Some(3), &[Unit, Temporal],      Fixed(T::Int),      Some(Call("DATEDIFF")), "Unit boundaries crossed between two dates"),
+    s("Year",       1, Some(1), &[Temporal],            Fixed(T::Int),      Some(Part("year")), "Year number"),
+    s("Quarter",    1, Some(1), &[Temporal],            Fixed(T::Int),      Some(Part("quarter")), "Quarter number (1-4)"),
+    s("Month",      1, Some(1), &[Temporal],            Fixed(T::Int),      Some(Part("month")), "Month number (1-12)"),
+    s("Week",       1, Some(1), &[Temporal],            Fixed(T::Int),      Some(Part("week")), "ISO week number"),
+    s("Day",        1, Some(1), &[Temporal],            Fixed(T::Int),      Some(Part("day")), "Day of month"),
+    s("Weekday",    1, Some(1), &[Temporal],            Fixed(T::Int),      None, "Day of week (1 = Sunday)"),
+    s("Hour",       1, Some(1), &[Temporal],            Fixed(T::Int),      Some(Part("hour")), "Hour of day"),
+    s("Minute",     1, Some(1), &[Temporal],            Fixed(T::Int),      Some(Part("minute")), "Minute of hour"),
+    s("Second",     1, Some(1), &[Temporal],            Fixed(T::Int),      Some(Part("second")), "Second of minute"),
+    s("MakeDate",   3, Some(3), &[Num],                 Fixed(T::Date),     Some(Call("MAKE_DATE")), "Date from year, month, day"),
     // --- aggregates ---
     f("Sum", Aggregate, 1, Some(1), "Sum of non-null values"),
     f("Avg", Aggregate, 1, Some(1), "Mean of non-null values"),

@@ -6,10 +6,10 @@
 
 use std::fmt;
 
-use sigma_value::{DataType, Value};
+use sigma_value::{DataType, ReturnType, Value};
 
 use crate::ast::{BinaryOp, ColumnRef, Formula, UnaryOp};
-use crate::functions::{registry, FunctionKind};
+use crate::functions::{registry, Arg, Signature};
 
 /// Resolves column/control references to their types.
 pub trait TypeEnv {
@@ -121,7 +121,10 @@ pub fn infer_type(formula: &Formula, env: &dyn TypeEnv) -> Result<Ty, TypeError>
                 .iter()
                 .map(|a| infer_type(a, env))
                 .collect::<Result<_, _>>()?;
-            infer_call(def.name, def.kind, &tys, args)
+            match &def.sig {
+                Some(sig) => infer_signed(def.name, sig, &tys, args),
+                None => infer_call(def.name, &tys),
+            }
         }
     }
 }
@@ -181,93 +184,36 @@ fn infer_binary(op: BinaryOp, lt: Ty, rt: Ty) -> Result<Ty, TypeError> {
     }
 }
 
-fn infer_call(
+/// A scalar whose row carries its type rule.
+fn infer_signed(
     name: &str,
-    kind: FunctionKind,
+    sig: &Signature,
     tys: &[Ty],
     args: &[Formula],
 ) -> Result<Ty, TypeError> {
-    let numeric_ret = |t: Ty| t.or(Some(DataType::Float));
+    for (i, (&t, a)) in tys.iter().zip(args).enumerate() {
+        match sig.arg(i) {
+            Arg::Any => Ok(()),
+            Arg::Num => expect_numeric(t, name),
+            Arg::Text => expect_text(t, name),
+            Arg::Temporal => expect_temporal(t, name),
+            Arg::Unit => expect_unit_literal(a, name),
+        }?;
+    }
+    if let (ReturnType::First, [first, rest @ ..]) = (sig.ret, tys) {
+        // SQL NULLIF: the arguments must compare.
+        for &t in rest {
+            unify(*first, t, name)?;
+        }
+    }
+    sig.ret
+        .resolve(tys)
+        .map_err(|(x, y)| err(format!("{name}: incompatible types {x} and {y}")))
+}
+
+/// The functions whose type rule is not one row.
+fn infer_call(name: &str, tys: &[Ty]) -> Result<Ty, TypeError> {
     match name {
-        // math
-        "Abs" | "Round" | "Floor" | "Ceiling" | "Int" | "Sign" => {
-            expect_numeric(tys[0], name)?;
-            if name == "Round" && tys.len() > 1 {
-                expect_numeric(tys[1], name)?;
-            }
-            match name {
-                "Floor" | "Ceiling" | "Int" | "Sign" => Ok(Some(DataType::Int)),
-                _ => Ok(numeric_ret(tys[0])),
-            }
-        }
-        "Sqrt" | "Exp" | "Ln" | "Log" | "Power" => {
-            for &t in tys {
-                expect_numeric(t, name)?;
-            }
-            Ok(Some(DataType::Float))
-        }
-        "Mod" => {
-            expect_numeric(tys[0], name)?;
-            expect_numeric(tys[1], name)?;
-            match (tys[0], tys[1]) {
-                (Some(DataType::Int), Some(DataType::Int)) => Ok(Some(DataType::Int)),
-                _ => Ok(Some(DataType::Float)),
-            }
-        }
-        "Greatest" | "Least" => {
-            let mut acc = None;
-            for &t in tys {
-                acc = unify(acc, t, name)?;
-            }
-            Ok(acc)
-        }
-        // text
-        "Concat" => Ok(Some(DataType::Text)),
-        "Upper" | "Lower" | "Trim" | "LTrim" | "RTrim" => {
-            expect_text(tys[0], name)?;
-            Ok(Some(DataType::Text))
-        }
-        "Len" => {
-            expect_text(tys[0], name)?;
-            Ok(Some(DataType::Int))
-        }
-        "Left" | "Right" | "Repeat" => {
-            expect_text(tys[0], name)?;
-            expect_numeric(tys[1], name)?;
-            Ok(Some(DataType::Text))
-        }
-        "Mid" => {
-            expect_text(tys[0], name)?;
-            expect_numeric(tys[1], name)?;
-            expect_numeric(tys[2], name)?;
-            Ok(Some(DataType::Text))
-        }
-        "Contains" | "StartsWith" | "EndsWith" => {
-            expect_text(tys[0], name)?;
-            expect_text(tys[1], name)?;
-            Ok(Some(DataType::Bool))
-        }
-        "Replace" => {
-            for &t in &tys[..3] {
-                expect_text(t, name)?;
-            }
-            Ok(Some(DataType::Text))
-        }
-        "SplitPart" => {
-            expect_text(tys[0], name)?;
-            expect_text(tys[1], name)?;
-            expect_numeric(tys[2], name)?;
-            Ok(Some(DataType::Text))
-        }
-        "Lpad" | "Rpad" => {
-            expect_text(tys[0], name)?;
-            expect_numeric(tys[1], name)?;
-            if tys.len() > 2 {
-                expect_text(tys[2], name)?;
-            }
-            Ok(Some(DataType::Text))
-        }
-        // logical
         "If" => {
             // If(c1, v1, [c2, v2, ...], [else]): conditions at even slots.
             let mut result = None;
@@ -297,15 +243,6 @@ fn infer_call(
             }
             Ok(result)
         }
-        "IsNull" | "IsNotNull" => Ok(Some(DataType::Bool)),
-        "Coalesce" => {
-            let mut acc = None;
-            for &t in tys {
-                acc = unify(acc, t, name)?;
-            }
-            Ok(acc)
-        }
-        "IfNull" | "Nullif" => unify(tys[0], tys[1], name),
         "OneOf" => {
             for &t in &tys[1..] {
                 unify(tys[0], t, name)?;
@@ -315,47 +252,6 @@ fn infer_call(
         "Between" => {
             unify(unify(tys[0], tys[1], name)?, tys[2], name)?;
             Ok(Some(DataType::Bool))
-        }
-        // conversion
-        "Number" => Ok(Some(DataType::Float)),
-        "Text" => Ok(Some(DataType::Text)),
-        "Date" => Ok(Some(DataType::Date)),
-        "DateTime" => Ok(Some(DataType::Timestamp)),
-        // date & time
-        "Today" => Ok(Some(DataType::Date)),
-        "Now" => Ok(Some(DataType::Timestamp)),
-        "DateTrunc" => {
-            expect_unit_literal(&args[0], name)?;
-            expect_temporal(tys[1], name)?;
-            Ok(tys[1].or(Some(DataType::Date)))
-        }
-        "DatePart" => {
-            expect_unit_literal(&args[0], name)?;
-            expect_temporal(tys[1], name)?;
-            Ok(Some(DataType::Int))
-        }
-        "DateAdd" => {
-            expect_unit_literal(&args[0], name)?;
-            expect_numeric(tys[1], name)?;
-            expect_temporal(tys[2], name)?;
-            Ok(tys[2].or(Some(DataType::Date)))
-        }
-        "DateDiff" => {
-            expect_unit_literal(&args[0], name)?;
-            expect_temporal(tys[1], name)?;
-            expect_temporal(tys[2], name)?;
-            Ok(Some(DataType::Int))
-        }
-        "Year" | "Quarter" | "Month" | "Week" | "Day" | "Weekday" | "Hour" | "Minute"
-        | "Second" => {
-            expect_temporal(tys[0], name)?;
-            Ok(Some(DataType::Int))
-        }
-        "MakeDate" => {
-            for &t in tys {
-                expect_numeric(t, name)?;
-            }
-            Ok(Some(DataType::Date))
         }
         // aggregates
         "Sum" | "Avg" | "Median" | "StdDev" | "Variance" => {
@@ -448,7 +344,6 @@ fn infer_call(
         }
         other => {
             debug_assert!(false, "registry function {other} missing a type rule");
-            let _ = kind;
             Err(err(format!("no type rule for {other}")))
         }
     }
@@ -532,6 +427,26 @@ mod tests {
         assert_eq!(
             t("If(Revenue > 10, \"hi\", Revenue > 5, \"mid\", \"lo\")").unwrap(),
             Some(DataType::Text)
+        );
+    }
+
+    #[test]
+    fn scalar_rows() {
+        assert_eq!(t("Round(Flights, -1)").unwrap(), Some(DataType::Int));
+        assert_eq!(t("Round(Revenue)").unwrap(), Some(DataType::Float));
+        assert_eq!(t("Mod(Flights, Seats)").unwrap(), Some(DataType::Int));
+        assert_eq!(
+            t("Greatest(Flights, Revenue)").unwrap(),
+            Some(DataType::Float)
+        );
+        assert!(t("Lpad(Carrier, \"x\")").is_err());
+        // NULLIF keeps its first argument's type once the two compare.
+        assert_eq!(t("Nullif(Flights, Revenue)").unwrap(), Some(DataType::Int));
+        assert_eq!(t("Nullif(Null, Flights)").unwrap(), None);
+        assert!(t("Nullif(Flights, Carrier)").is_err());
+        assert_eq!(
+            t("IfNull(Flights, Revenue)").unwrap(),
+            Some(DataType::Float)
         );
     }
 

@@ -25,4 +25,4 @@ pub use batch::{Batch, Field, Schema};
 pub use codec::{decode_batch, encode_batch};
 pub use column::{Column, ColumnBuilder, Texts};
 pub use error::ValueError;
-pub use types::{DataType, Value, ValueRef};
+pub use types::{DataType, ReturnType, Value, ValueRef};

@@ -1,4 +1,5 @@
-//! Scalar types: [`DataType`] and [`Value`].
+//! Scalar types: [`DataType`], [`Value`], and the [`ReturnType`] rules of
+//! scalar functions.
 //!
 //! Dates are stored as days since 1970-01-01 (proleptic Gregorian);
 //! timestamps as microseconds since the epoch. Both match the encodings the
@@ -81,6 +82,52 @@ impl DataType {
 impl fmt::Display for DataType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// How a scalar function's result type follows from its argument types.
+/// The formula registry and the warehouse each keep one table of
+/// functions, and both spell each function's result in this vocabulary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReturnType {
+    /// Always this type.
+    Fixed(DataType),
+    /// Argument `i`'s type, or the fallback when it is an untyped NULL.
+    ArgOr(usize, DataType),
+    /// The first argument's type.
+    First,
+    /// Int when every argument is Int, else Float.
+    Widen,
+    /// The common supertype of every argument.
+    Unify,
+}
+
+impl ReturnType {
+    /// The result type over these argument types (`None` = untyped NULL).
+    /// `Unify` fails with the first pair of types that do not unify.
+    pub fn resolve(
+        self,
+        args: &[Option<DataType>],
+    ) -> Result<Option<DataType>, (DataType, DataType)> {
+        Ok(match self {
+            ReturnType::Fixed(t) => Some(t),
+            ReturnType::ArgOr(i, t) => args.get(i).copied().flatten().or(Some(t)),
+            ReturnType::First => args.first().copied().flatten(),
+            ReturnType::Widen if args.iter().all(|&t| t == Some(DataType::Int)) => {
+                Some(DataType::Int)
+            }
+            ReturnType::Widen => Some(DataType::Float),
+            ReturnType::Unify => {
+                let mut acc = None;
+                for &t in args {
+                    acc = match (acc, t) {
+                        (None, t) | (t, None) => t,
+                        (Some(x), Some(y)) => Some(x.unify(y).ok_or((x, y))?),
+                    };
+                }
+                acc
+            }
+        })
     }
 }
 
