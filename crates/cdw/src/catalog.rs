@@ -1,10 +1,10 @@
 //! The warehouse catalog: named tables and their metadata.
 //!
 //! Names are case-insensitive, matching the default collation of the
-//! warehouses Sigma targets. The catalog also tracks lightweight statistics
-//! (row counts, per-column distinct estimates) that the browser prefetch
-//! policy consults (paper §4: "lower cardinality tables" can be fully
-//! fetched and evaluated locally).
+//! warehouses Sigma targets. The catalog also reports lightweight
+//! statistics (row counts and byte sizes) that the browser prefetch policy
+//! consults (paper §4: "lower cardinality tables" can be fully fetched and
+//! evaluated locally).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,13 +14,11 @@ use sigma_value::{Batch, Schema};
 use crate::error::CdwError;
 use crate::storage::{StoredTable, DEFAULT_PARTITION_ROWS};
 
-/// Per-table statistics maintained on write.
+/// Per-table statistics, read off the stored partitions.
 #[derive(Debug, Clone, Default)]
 pub struct TableStats {
     pub row_count: usize,
     pub byte_size: usize,
-    /// Exact distinct counts per column, recomputed lazily on request.
-    pub distinct_counts: Option<Vec<usize>>,
 }
 
 /// A catalog of stored tables.
@@ -126,20 +124,12 @@ impl Catalog {
         Ok(())
     }
 
-    /// Current statistics for a table (recomputes distincts on each call;
-    /// callers cache as needed).
+    /// Current statistics for a table.
     pub fn stats(&self, name: &str) -> Result<TableStats, CdwError> {
         let table = self.get(name)?;
-        let batch = table.to_batch();
-        let distinct_counts = Some(
-            (0..batch.num_columns())
-                .map(|i| batch.column(i).distinct_count())
-                .collect(),
-        );
         Ok(TableStats {
             row_count: table.num_rows(),
             byte_size: table.byte_size(),
-            distinct_counts,
         })
     }
 }
@@ -193,6 +183,5 @@ mod tests {
         c.create_table_from_batch("t", sample(), false).unwrap();
         let s = c.stats("t").unwrap();
         assert_eq!(s.row_count, 3);
-        assert_eq!(s.distinct_counts.unwrap(), vec![3, 2]);
     }
 }

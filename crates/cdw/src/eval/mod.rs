@@ -44,6 +44,8 @@ pub mod like;
 pub mod planner;
 mod selection;
 
+use std::ops::RangeInclusive;
+
 use sigma_value::{calendar, Batch, Column, DataType, ReturnType, Value};
 
 use crate::error::CdwError;
@@ -52,23 +54,48 @@ pub use interp::{eval_binary_value, eval_func_value, eval_interp};
 pub use like::{like_match, LikePattern};
 pub use planner::CompiledExpr;
 
-/// One engine scalar: how SQL spells it, what it returns, and whether it
-/// sees NULL arguments.
+/// One engine scalar: how SQL spells it, how many arguments it takes,
+/// what it returns, and whether it sees NULL arguments.
 #[derive(Debug)]
 pub struct ScalarDef {
     pub func: ScalarFunc,
     /// Generic-dialect SQL names, matched case-insensitively.
     pub names: &'static [&'static str],
+    /// Argument counts it accepts; [`VARIADIC`] ends an open range.
+    pub args: RangeInclusive<usize>,
     pub ret: ReturnType,
     /// Sees NULL arguments; every other function is NULL as soon as one
     /// argument is.
     pub null_tolerant: bool,
 }
 
+/// The upper end of a variadic scalar's argument range.
+pub const VARIADIC: usize = usize::MAX;
+
 impl ScalarFunc {
     /// This function's row of [`SCALARS`].
     pub fn def(self) -> &'static ScalarDef {
         &SCALARS[self as usize]
+    }
+}
+
+impl ScalarDef {
+    /// Accept a call with `n` arguments, or name the function and the
+    /// counts it takes in a plan error.
+    pub fn check_arity(&self, n: usize) -> Result<(), CdwError> {
+        if self.args.contains(&n) {
+            return Ok(());
+        }
+        let (min, max) = (*self.args.start(), *self.args.end());
+        let expected = match max {
+            VARIADIC => format!("at least {min}"),
+            _ if max == min => min.to_string(),
+            _ => format!("{min} to {max}"),
+        };
+        Err(CdwError::plan(format!(
+            "{} takes {expected} argument(s), got {n}",
+            self.names[0]
+        )))
     }
 }
 
@@ -82,7 +109,7 @@ pub fn scalar(name: &str) -> Option<&'static ScalarDef> {
 /// Declares [`ScalarFunc`] and [`SCALARS`] from one list, so each engine
 /// scalar is one row and the two stay in the same order.
 macro_rules! scalars {
-    ($($func:ident $names:expr, $ret:expr, $null_tolerant:expr;)*) => {
+    ($($func:ident $names:expr, $args:expr, $ret:expr, $null_tolerant:expr;)*) => {
         /// Scalar functions executed by the engine.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         pub enum ScalarFunc {
@@ -91,7 +118,8 @@ macro_rules! scalars {
 
         /// Every engine scalar, in [`ScalarFunc`] order.
         ///
-        /// Adding one: its row here, an arm in
+        /// Adding one: its row here (names, argument counts, return
+        /// type, null tolerance), an arm in
         /// [`interp::eval_func_value`] (the oracle), and a typed arm in
         /// `kernels::func` where one pays. Functions without a kernel run
         /// the row-at-a-time `eval_func_value` loop: ROUND SQRT EXP LN LOG
@@ -102,9 +130,11 @@ macro_rules! scalars {
         pub static SCALARS: &[ScalarDef] = {
             use DataType as T;
             use ReturnType::{ArgOr, First, Fixed, Unify, Widen};
+            const N: usize = VARIADIC;
             &[$(ScalarDef {
                 func: ScalarFunc::$func,
                 names: $names,
+                args: $args,
                 ret: $ret,
                 null_tolerant: $null_tolerant,
             },)*]
@@ -113,46 +143,46 @@ macro_rules! scalars {
 }
 
 scalars! {
-    Abs              &["ABS"],                          ArgOr(0, T::Float),  false;
-    Round            &["ROUND"],                        ArgOr(0, T::Float),  false;
-    Floor            &["FLOOR"],                        Fixed(T::Int),       false;
-    Ceil             &["CEIL", "CEILING"],              Fixed(T::Int),       false;
-    Sqrt             &["SQRT"],                         Fixed(T::Float),     false;
-    Exp              &["EXP"],                          Fixed(T::Float),     false;
-    Ln               &["LN"],                           Fixed(T::Float),     false;
-    Log              &["LOG"],                          Fixed(T::Float),     false;
-    Power            &["POWER", "POW"],                 Fixed(T::Float),     false;
-    Mod              &["MOD"],                          Widen,               false;
-    Sign             &["SIGN"],                         Fixed(T::Int),       false;
-    Greatest         &["GREATEST"],                     Unify,               false;
-    Least            &["LEAST"],                        Unify,               false;
-    Concat           &["CONCAT"],                       Fixed(T::Text),      true;
-    Upper            &["UPPER"],                        Fixed(T::Text),      false;
-    Lower            &["LOWER"],                        Fixed(T::Text),      false;
-    Trim             &["TRIM"],                         Fixed(T::Text),      false;
-    LTrim            &["LTRIM"],                        Fixed(T::Text),      false;
-    RTrim            &["RTRIM"],                        Fixed(T::Text),      false;
-    Length           &["LENGTH", "LEN"],                Fixed(T::Int),       false;
-    Left             &["LEFT"],                         Fixed(T::Text),      false;
-    Right            &["RIGHT"],                        Fixed(T::Text),      false;
-    Substring        &["SUBSTRING", "SUBSTR"],          Fixed(T::Text),      false;
-    Contains         &["CONTAINS"],                     Fixed(T::Bool),      false;
-    StartsWith       &["STARTS_WITH", "STARTSWITH"],    Fixed(T::Bool),      false;
-    EndsWith         &["ENDS_WITH", "ENDSWITH"],        Fixed(T::Bool),      false;
-    Replace          &["REPLACE"],                      Fixed(T::Text),      false;
-    SplitPart        &["SPLIT_PART"],                   Fixed(T::Text),      false;
-    Lpad             &["LPAD"],                         Fixed(T::Text),      false;
-    Rpad             &["RPAD"],                         Fixed(T::Text),      false;
-    Repeat           &["REPEAT"],                       Fixed(T::Text),      false;
-    Coalesce         &["COALESCE", "IFNULL", "NVL"],    Unify,               true;
-    Nullif           &["NULLIF"],                       First,               true;
-    DateTrunc        &["DATE_TRUNC"],                   ArgOr(1, T::Date),   false;
-    DatePart         &["DATE_PART"],                    Fixed(T::Int),       false;
-    DateAdd          &["DATEADD", "DATE_ADD"],          ArgOr(2, T::Date),   false;
-    DateDiff         &["DATEDIFF", "DATE_DIFF"],        Fixed(T::Int),       false;
-    MakeDate         &["MAKE_DATE", "DATE_FROM_PARTS"], Fixed(T::Date),      false;
-    CurrentDate      &["CURRENT_DATE"],                 Fixed(T::Date),      true;
-    CurrentTimestamp &["CURRENT_TIMESTAMP", "NOW"],     Fixed(T::Timestamp), true;
+    Abs              &["ABS"],                           1..=1,  ArgOr(0, T::Float),  false;
+    Round            &["ROUND"],                         1..=2,  ArgOr(0, T::Float),  false;
+    Floor            &["FLOOR"],                         1..=1,  Fixed(T::Int),       false;
+    Ceil             &["CEIL", "CEILING"],               1..=1,  Fixed(T::Int),       false;
+    Sqrt             &["SQRT"],                          1..=1,  Fixed(T::Float),     false;
+    Exp              &["EXP"],                           1..=1,  Fixed(T::Float),     false;
+    Ln               &["LN"],                            1..=1,  Fixed(T::Float),     false;
+    Log              &["LOG"],                           1..=2,  Fixed(T::Float),     false;
+    Power            &["POWER", "POW"],                  2..=2,  Fixed(T::Float),     false;
+    Mod              &["MOD"],                           2..=2,  Widen,               false;
+    Sign             &["SIGN"],                          1..=1,  Fixed(T::Int),       false;
+    Greatest         &["GREATEST"],                      1..=N,  Unify,               false;
+    Least            &["LEAST"],                         1..=N,  Unify,               false;
+    Concat           &["CONCAT"],                        1..=N,  Fixed(T::Text),      true;
+    Upper            &["UPPER"],                         1..=1,  Fixed(T::Text),      false;
+    Lower            &["LOWER"],                         1..=1,  Fixed(T::Text),      false;
+    Trim             &["TRIM"],                          1..=1,  Fixed(T::Text),      false;
+    LTrim            &["LTRIM"],                         1..=1,  Fixed(T::Text),      false;
+    RTrim            &["RTRIM"],                         1..=1,  Fixed(T::Text),      false;
+    Length           &["LENGTH", "LEN"],                 1..=1,  Fixed(T::Int),       false;
+    Left             &["LEFT"],                          2..=2,  Fixed(T::Text),      false;
+    Right            &["RIGHT"],                         2..=2,  Fixed(T::Text),      false;
+    Substring        &["SUBSTRING", "SUBSTR"],           3..=3,  Fixed(T::Text),      false;
+    Contains         &["CONTAINS"],                      2..=2,  Fixed(T::Bool),      false;
+    StartsWith       &["STARTS_WITH", "STARTSWITH"],     2..=2,  Fixed(T::Bool),      false;
+    EndsWith         &["ENDS_WITH", "ENDSWITH"],         2..=2,  Fixed(T::Bool),      false;
+    Replace          &["REPLACE"],                       3..=3,  Fixed(T::Text),      false;
+    SplitPart        &["SPLIT_PART"],                    3..=3,  Fixed(T::Text),      false;
+    Lpad             &["LPAD"],                          2..=3,  Fixed(T::Text),      false;
+    Rpad             &["RPAD"],                          2..=3,  Fixed(T::Text),      false;
+    Repeat           &["REPEAT"],                        2..=2,  Fixed(T::Text),      false;
+    Coalesce         &["COALESCE", "IFNULL", "NVL"],     1..=N,  Unify,               true;
+    Nullif           &["NULLIF"],                        2..=2,  First,               true;
+    DateTrunc        &["DATE_TRUNC"],                    2..=2,  ArgOr(1, T::Date),   false;
+    DatePart         &["DATE_PART"],                     2..=2,  Fixed(T::Int),       false;
+    DateAdd          &["DATEADD", "DATE_ADD"],           3..=3,  ArgOr(2, T::Date),   false;
+    DateDiff         &["DATEDIFF", "DATE_DIFF"],         3..=3,  Fixed(T::Int),       false;
+    MakeDate         &["MAKE_DATE", "DATE_FROM_PARTS"],  3..=3,  Fixed(T::Date),      false;
+    CurrentDate      &["CURRENT_DATE"],                  0..=0,  Fixed(T::Date),      true;
+    CurrentTimestamp &["CURRENT_TIMESTAMP", "NOW"],      0..=0,  Fixed(T::Timestamp), true;
 }
 
 /// Binary operators at the physical level (same set as the SQL AST).
@@ -910,6 +940,7 @@ mod tests {
     fn scalars_name_each_function_once() {
         for def in SCALARS {
             assert_eq!(scalar(&def.names[0].to_lowercase()).unwrap().func, def.func);
+            assert!(!def.args.is_empty(), "{}", def.names[0]);
         }
         let names: Vec<&str> = SCALARS
             .iter()

@@ -28,9 +28,17 @@
 //!   morsel and sort/compute partitions in parallel, scattering values
 //!   back to disjoint rows.
 //!
-//! Every operator records an [`OpStats`] entry (rows in/out, partitions,
-//! elapsed, morsels) so `EXPLAIN`-style output and the bench harness can
-//! attribute time.
+//! ## One meter per operator, one ledger per query
+//!
+//! Each counter is recorded once, where it happens. An operator's work
+//! records into its `Meter` (expression time, morsels, and for a fused
+//! chain stage its rows out and own time) from whichever worker runs it;
+//! `ExecStats::close` turns the meter into the operator's [`OpStats`]
+//! entry. Everything query-wide — rows and partitions scanned, spilled
+//! bytes and rounds, scheduler tasks, own-queue pops, steals and unparks —
+//! is recorded straight into the query's ledger, [`ExecCtx::stats`].
+//! `ResultSet` and `explain_analyze` both read that ledger; nothing is
+//! copied on the way.
 //!
 //! ## Memory budget & spilling
 //!
@@ -63,10 +71,11 @@
 //! parallelism and morsel height (pinned by `tests/spill_oracle.rs`).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
 use sigma_sql::JoinKind;
 use sigma_value::hash::{self, KeyCols, KeyIndex};
 use sigma_value::{sort, Batch, Column, ColumnBuilder, DataType, Field, Schema, Value, ValueRef};
@@ -127,14 +136,45 @@ impl Part {
     }
 }
 
-/// Accumulate the wall-clock of one expression evaluation into an
-/// operator's cumulative `eval_ns` counter (atomic: partition/morsel
-/// workers record concurrently). Shared with the window executor.
-pub(crate) fn timed<T>(ns: &AtomicU64, f: impl FnOnce() -> T) -> T {
-    let started = Instant::now();
-    let out = f();
-    ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    out
+/// A count the executor bumps from any worker. Relaxed: totals are read
+/// only after the work that records them has joined.
+#[derive(Debug, Default)]
+pub(crate) struct Counter(AtomicUsize);
+
+impl Counter {
+    pub(crate) fn add(&self, n: usize) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    pub(crate) fn get(&self) -> usize {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// What one operator's work records while it runs, from any worker;
+/// [`ExecStats::close`] turns it into the operator's [`OpStats`] entry.
+#[derive(Debug, Default)]
+pub(crate) struct Meter {
+    /// Nanoseconds spent evaluating scalar expressions.
+    pub(crate) eval_ns: Counter,
+    /// Morsels the operator cut its input into.
+    pub(crate) morsels: Counter,
+    /// Rows the operator emitted.
+    pub(crate) rows_out: Counter,
+    /// Fused chain stages only: the time morsels spent inside the stage
+    /// (evaluation plus selection / batch assembly), which stands in for
+    /// the wall clock such a stage does not have.
+    pub(crate) wall_ns: Counter,
+}
+
+impl Meter {
+    /// Time one expression evaluation into `eval_ns`.
+    pub(crate) fn timed<T>(&self, f: impl FnOnce() -> T) -> T {
+        let started = Instant::now();
+        let out = f();
+        self.eval_ns.add(started.elapsed().as_nanos() as usize);
+        out
+    }
 }
 
 /// Execution context (read access to storage plus settings).
@@ -147,11 +187,11 @@ pub struct ExecCtx<'a> {
     /// How pipelines cut their input into morsels. Read only through
     /// `ExecCtx::morsel_height`.
     pub morsel_sizing: MorselSizing,
-    /// Per-operator memory budget and spill accounting.
+    /// The per-operator memory budget policy.
     pub memory: ExecMemoryTracker,
-    /// Per-query scheduler counters (tasks, own-queue hits, steals,
-    /// unparks) recorded by every `run_stealing` call this query makes.
-    pub sched: scheduler::SchedCounters,
+    /// The query's ledger: every operator, scan, spill and scheduler
+    /// call records into it.
+    pub stats: ExecStats,
 }
 
 impl ExecCtx<'_> {
@@ -168,21 +208,18 @@ impl ExecCtx<'_> {
     }
 }
 
-/// Accounts operator state against a configurable byte budget and records
-/// what spilled.
+/// The per-operator byte budget and what it implies for an operator's
+/// out-of-core plan.
 ///
 /// The budget is **per operator instance**: each aggregation, sort, or
 /// join build checks the bytes its in-memory state would need (estimated
 /// from its input — deterministic, never sampled) and runs out-of-core
-/// when the estimate exceeds the budget. Counters are atomics so
-/// partition-parallel workers can record spills without synchronization;
-/// totals are folded into [`ExecStats`] when the query completes.
-#[derive(Debug, Default)]
+/// when the estimate exceeds the budget. What spilled is recorded in the
+/// query's [`ExecStats`].
+#[derive(Debug)]
 pub struct ExecMemoryTracker {
     /// `None` = unbudgeted: all operator state stays in memory.
     budget: Option<usize>,
-    spilled_bytes: AtomicUsize,
-    spill_rounds: AtomicUsize,
 }
 
 /// Widest fan-out for spilling aggregation / Grace join buckets.
@@ -192,10 +229,7 @@ const MAX_SORT_RUNS: usize = 64;
 
 impl ExecMemoryTracker {
     pub fn new(budget: Option<usize>) -> ExecMemoryTracker {
-        ExecMemoryTracker {
-            budget,
-            ..Default::default()
-        }
+        ExecMemoryTracker { budget }
     }
 
     /// The configured per-operator budget (`None` = unbounded).
@@ -224,25 +258,6 @@ impl ExecMemoryTracker {
             .div_ceil(budget)
             .clamp(2, MAX_SORT_RUNS)
             .min(rows.max(2))
-    }
-
-    /// Charge bytes written to spill files.
-    pub fn record_spill(&self, bytes: usize) {
-        self.spilled_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Count spill rounds (one per aggregation/join bucket pass or sort
-    /// run).
-    pub fn record_rounds(&self, rounds: usize) {
-        self.spill_rounds.fetch_add(rounds, Ordering::Relaxed);
-    }
-
-    pub fn spilled_bytes(&self) -> usize {
-        self.spilled_bytes.load(Ordering::Relaxed)
-    }
-
-    pub fn spill_rounds(&self) -> usize {
-        self.spill_rounds.load(Ordering::Relaxed)
     }
 }
 
@@ -278,10 +293,53 @@ pub struct OpStats {
     pub morsels: usize,
 }
 
-impl OpStats {
-    fn started(op: String, depth: usize) -> OpStats {
-        OpStats {
-            op,
+/// One query's ledger: its per-operator entries and its query-wide
+/// counters, each recorded once where it happens (see the module docs).
+#[derive(Debug, Default)]
+pub struct ExecStats {
+    /// Per-operator breakdown in plan pre-order (root first), opened and
+    /// closed by [`ExecStats::open`] / [`ExecStats::close`].
+    operators: Mutex<Vec<OpStats>>,
+    pub(crate) rows_scanned: Counter,
+    pub(crate) partitions_scanned: Counter,
+    /// The memory budget the query ran under (`None` = unbounded).
+    memory_budget: Option<usize>,
+    /// Bytes written to spill files (0 when everything stayed in memory).
+    pub(crate) spilled_bytes: Counter,
+    /// Spill rounds taken: aggregation/join bucket passes plus sort runs.
+    pub(crate) spill_rounds: Counter,
+    /// Parallel tasks dispatched through the worker pool, serial inline
+    /// runs included.
+    pub(crate) sched_tasks: Counter,
+    /// Tasks a worker popped from its own deque (locality hits).
+    pub(crate) sched_local: Counter,
+    /// Tasks taken from another worker's deque.
+    pub(crate) sched_steals: Counter,
+    /// Parked pool workers woken for this query's jobs.
+    pub(crate) sched_unparks: Counter,
+}
+
+impl ExecStats {
+    /// An empty ledger for a query running under `memory_budget`.
+    pub fn new(memory_budget: Option<usize>) -> ExecStats {
+        ExecStats {
+            memory_budget,
+            ..ExecStats::default()
+        }
+    }
+
+    /// The per-operator breakdown, in plan pre-order.
+    pub fn into_operators(self) -> Vec<OpStats> {
+        self.operators.into_inner()
+    }
+
+    /// Open `plan`'s entry at `depth` and return its slot. Called before
+    /// anything below the operator records, so entries stay in plan
+    /// pre-order.
+    fn open(&self, plan: &Plan, depth: usize) -> usize {
+        let mut ops = self.operators.lock();
+        ops.push(OpStats {
+            op: plan.label(),
             depth,
             rows_in: 0,
             rows_out: 0,
@@ -289,58 +347,40 @@ impl OpStats {
             elapsed: Duration::ZERO,
             eval_ns: 0,
             morsels: 0,
-        }
+        });
+        ops.len() - 1
     }
-}
 
-/// Counters accumulated during one query execution.
-#[derive(Debug, Clone, Default)]
-pub struct ExecStats {
-    pub rows_scanned: usize,
-    pub partitions_scanned: usize,
-    /// Per-operator breakdown in plan pre-order (root first).
-    pub operators: Vec<OpStats>,
-    /// The memory budget the query ran under (`None` = unbounded).
-    pub memory_budget: Option<usize>,
-    /// Bytes written to spill files (0 when everything stayed in memory).
-    pub spilled_bytes: usize,
-    /// Spill rounds taken: aggregation/join bucket passes plus sort runs.
-    pub spill_rounds: usize,
-    /// Parallel tasks dispatched through the worker pool (0 = all serial).
-    pub sched_tasks: usize,
-    /// Tasks a worker popped from its own deque (locality hits).
-    pub sched_local: usize,
-    /// Tasks taken from another worker's deque.
-    pub sched_steals: usize,
-    /// Parked pool workers woken for this query's jobs.
-    pub sched_unparks: usize,
-}
+    /// Close the entry at `slot` from its operator's meter. Every child
+    /// closed before it, so `rows_in` sums their final `rows_out`.
+    fn close(&self, slot: usize, meter: &Meter, elapsed: Duration, partitions: usize) {
+        let mut ops = self.operators.lock();
+        let depth = ops[slot].depth;
+        let rows_in = ops[slot + 1..]
+            .iter()
+            .take_while(|o| o.depth > depth)
+            .filter(|o| o.depth == depth + 1)
+            .map(|o| o.rows_out)
+            .sum();
+        let op = &mut ops[slot];
+        op.rows_in = rows_in;
+        op.rows_out = meter.rows_out.get();
+        op.partitions = partitions;
+        op.elapsed = elapsed;
+        op.eval_ns = meter.eval_ns.get() as u64;
+        op.morsels = meter.morsels.get();
+    }
 
-impl ExecStats {
-    /// Fill in `rows_in` from each operator's immediate children.
-    fn finalize(&mut self) {
-        let n = self.operators.len();
-        for i in 0..n {
-            let d = self.operators[i].depth;
-            let mut rows_in = 0;
-            for j in i + 1..n {
-                let dj = self.operators[j].depth;
-                if dj <= d {
-                    break;
-                }
-                if dj == d + 1 {
-                    rows_in += self.operators[j].rows_out;
-                }
-            }
-            self.operators[i].rows_in = rows_in;
-        }
+    /// A closed entry's elapsed time.
+    fn elapsed(&self, slot: usize) -> Duration {
+        self.operators.lock()[slot].elapsed
     }
 
     /// Render the per-operator breakdown as an indented tree
-    /// (EXPLAIN ANALYZE-style), with a memory/spill footer.
+    /// (EXPLAIN ANALYZE-style), with memory and scheduler footers.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for op in &self.operators {
+        for op in self.operators.lock().iter() {
             for _ in 0..op.depth {
                 out.push_str("  ");
             }
@@ -364,29 +404,24 @@ impl ExecStats {
         };
         out.push_str(&format!(
             "memory: budget={budget} spilled_bytes={} spill_rounds={}\n",
-            self.spilled_bytes, self.spill_rounds,
+            self.spilled_bytes.get(),
+            self.spill_rounds.get(),
         ));
         out.push_str(&format!(
             "scheduler: tasks={} local={} steals={} unparks={}\n",
-            self.sched_tasks, self.sched_local, self.sched_steals, self.sched_unparks,
+            self.sched_tasks.get(),
+            self.sched_local.get(),
+            self.sched_steals.get(),
+            self.sched_unparks.get(),
         ));
         out
     }
 }
 
-/// Execute a plan to a single batch.
-pub fn execute(plan: &Plan, ctx: &ExecCtx, stats: &mut ExecStats) -> Result<Batch, CdwError> {
-    let schema = plan.schema();
-    let parts = execute_parts(plan, ctx, stats, 0)?;
-    stats.finalize();
-    stats.memory_budget = ctx.memory.budget();
-    stats.spilled_bytes = ctx.memory.spilled_bytes();
-    stats.spill_rounds = ctx.memory.spill_rounds();
-    stats.sched_tasks = ctx.sched.tasks();
-    stats.sched_local = ctx.sched.local();
-    stats.sched_steals = ctx.sched.steals();
-    stats.sched_unparks = ctx.sched.unparks();
-    concat_parts(parts, schema)
+/// Execute a plan to a single batch, recording into `ctx.stats`.
+pub fn execute(plan: &Plan, ctx: &ExecCtx) -> Result<Batch, CdwError> {
+    let parts = execute_parts(plan, ctx, 0)?;
+    concat_parts(parts, plan.schema())
 }
 
 /// Collapse a part list to one dense batch (an empty list yields zero
@@ -408,41 +443,50 @@ fn input_types(plan: &Plan) -> Vec<DataType> {
     plan.schema().fields().iter().map(|f| f.dtype).collect()
 }
 
-/// Execute retaining partition structure, recording one [`OpStats`] entry.
-fn execute_parts(
-    plan: &Plan,
+/// Record one operator: open its entry, run `body` on a fresh meter, and
+/// close the entry from the meter with the body's wall clock. `body`
+/// records the rows it emits into the meter and returns its output
+/// partition count with its output.
+fn metered<T>(
     ctx: &ExecCtx,
-    stats: &mut ExecStats,
+    plan: &Plan,
     depth: usize,
-) -> Result<Vec<Part>, CdwError> {
-    let slot = stats.operators.len();
-    stats.operators.push(OpStats::started(plan.label(), depth));
+    body: impl FnOnce(&Meter) -> Result<(usize, T), CdwError>,
+) -> Result<T, CdwError> {
+    let slot = ctx.stats.open(plan, depth);
     let started = Instant::now();
-    let eval_ns = AtomicU64::new(0);
-    let morsels = AtomicUsize::new(0);
-    let parts = execute_node(plan, ctx, stats, depth, &eval_ns, &morsels)?;
-    let op = &mut stats.operators[slot];
-    op.elapsed = started.elapsed();
-    op.rows_out = parts.iter().map(Part::rows).sum();
-    op.partitions = parts.len();
-    op.eval_ns = eval_ns.into_inner();
-    op.morsels = morsels.into_inner();
-    Ok(parts)
+    let meter = Meter::default();
+    let (partitions, out) = body(&meter)?;
+    ctx.stats.close(slot, &meter, started.elapsed(), partitions);
+    Ok(out)
+}
+
+/// Execute retaining partition structure, recording `plan`'s entry (a
+/// fused chain records one per node).
+fn execute_parts(plan: &Plan, ctx: &ExecCtx, depth: usize) -> Result<Vec<Part>, CdwError> {
+    match plan {
+        // The whole Filter/Project chain below this node fuses into one
+        // pipeline, which records every chain node's entry.
+        Plan::Filter { .. } | Plan::Project { .. } => pipeline::execute_chain(plan, ctx, depth),
+        _ => metered(ctx, plan, depth, |meter| {
+            let parts = execute_node(plan, ctx, depth, meter)?;
+            meter.rows_out.add(parts.iter().map(Part::rows).sum());
+            Ok((parts.len(), parts))
+        }),
+    }
 }
 
 fn execute_node(
     plan: &Plan,
     ctx: &ExecCtx,
-    stats: &mut ExecStats,
     depth: usize,
-    eval_ns: &AtomicU64,
-    morsels: &AtomicUsize,
+    meter: &Meter,
 ) -> Result<Vec<Part>, CdwError> {
     match plan {
         Plan::Scan { table, .. } => {
             let stored = ctx.catalog.get(table)?;
-            stats.rows_scanned += stored.num_rows();
-            stats.partitions_scanned += stored.partitions().len();
+            ctx.stats.rows_scanned.add(stored.num_rows());
+            ctx.stats.partitions_scanned.add(stored.partitions().len());
             Ok(stored.partitions().iter().cloned().map(Part::new).collect())
         }
         Plan::ResultScan { id, .. } => {
@@ -453,10 +497,8 @@ fn execute_node(
             Ok(vec![Part::new(batch.clone())])
         }
         Plan::Values { batch } => Ok(vec![Part::new(batch.clone())]),
-        // The whole Filter/Project chain below this node fuses into one
-        // pipeline (the chain's inner nodes never reach execute_node).
         Plan::Filter { .. } | Plan::Project { .. } => {
-            pipeline::execute_chain(plan, ctx, stats, depth, eval_ns, morsels)
+            unreachable!("execute_parts runs a chain through pipeline::execute_chain")
         }
         Plan::Aggregate {
             input,
@@ -478,61 +520,48 @@ fn execute_node(
                     ..
                 } = input.as_ref()
                 {
-                    let pslot = stats.operators.len();
-                    stats
-                        .operators
-                        .push(OpStats::started(input.label(), depth + 1));
-                    let pstarted = Instant::now();
-                    let peval_ns = AtomicU64::new(0);
-                    let pmorsels = AtomicUsize::new(0);
-                    let cagg = compile_agg_exprs(pgroups, paggs, &input_types(pinput))?;
-                    let global = pgroups.is_empty();
-                    // Unbudgeted, the Partial fuses with the streaming
-                    // chain below it. A budget needs that chain's output
-                    // first: the partial tables hold keys and values
-                    // derived from every input row, so total input bytes
-                    // is the deterministic upper-bound state estimate.
-                    let (batch, partial_rows, nparts) = if ctx.memory.budget().is_none() {
-                        let tables = pipeline::execute_fused_partial(
-                            pinput,
-                            &cagg,
-                            paggs,
-                            ctx,
-                            stats,
-                            depth + 2,
-                            &peval_ns,
-                            &pmorsels,
-                        )?;
-                        let nparts = tables.len();
-                        let (batch, rows) = merge_partials(tables, global, paggs, schema)?;
-                        (batch, rows, nparts)
-                    } else {
-                        let parts = execute_parts(pinput, ctx, stats, depth + 2)?;
-                        let est: usize = parts.iter().map(Part::est_bytes).sum();
-                        let (batch, rows) = if !global && ctx.memory.should_spill(est) {
-                            pipeline::morsel_spilled_aggregate(
-                                &parts, &cagg, paggs, schema, ctx, est, &peval_ns, &pmorsels,
-                            )?
-                        } else {
-                            let tables = pipeline::fold_partial(
-                                &parts,
-                                &Default::default(),
+                    let batch = metered(ctx, input, depth + 1, |pmeter| {
+                        let cagg = compile_agg_exprs(pgroups, paggs, &input_types(pinput))?;
+                        let global = pgroups.is_empty();
+                        // Unbudgeted, the Partial fuses with the streaming
+                        // chain below it. A budget needs that chain's
+                        // output first: the partial tables hold keys and
+                        // values derived from every input row, so total
+                        // input bytes is the deterministic upper-bound
+                        // state estimate.
+                        let (nparts, (batch, partial_rows)) = if ctx.memory.budget().is_none() {
+                            let tables = pipeline::execute_fused_partial(
+                                pinput,
                                 &cagg,
                                 paggs,
                                 ctx,
-                                &peval_ns,
-                                &pmorsels,
+                                depth + 2,
+                                pmeter,
                             )?;
-                            merge_partials(tables, global, paggs, schema)?
+                            (tables.len(), merge_partials(tables, global, paggs, schema)?)
+                        } else {
+                            let parts = execute_parts(pinput, ctx, depth + 2)?;
+                            let est: usize = parts.iter().map(Part::est_bytes).sum();
+                            let out = if !global && ctx.memory.should_spill(est) {
+                                pipeline::morsel_spilled_aggregate(
+                                    &parts, &cagg, paggs, schema, ctx, est, pmeter,
+                                )?
+                            } else {
+                                let tables = pipeline::fold_partial(
+                                    &parts,
+                                    &Default::default(),
+                                    &cagg,
+                                    paggs,
+                                    ctx,
+                                    pmeter,
+                                )?;
+                                merge_partials(tables, global, paggs, schema)?
+                            };
+                            (parts.len(), out)
                         };
-                        (batch, rows, parts.len())
-                    };
-                    let op = &mut stats.operators[pslot];
-                    op.elapsed = pstarted.elapsed();
-                    op.rows_out = partial_rows;
-                    op.partitions = nparts;
-                    op.eval_ns = peval_ns.into_inner();
-                    op.morsels = pmorsels.into_inner();
+                        pmeter.rows_out.add(partial_rows);
+                        Ok((nparts, batch))
+                    })?;
                     return Ok(vec![Part::new(batch)]);
                 }
             }
@@ -540,24 +569,15 @@ fn execute_node(
             // pair): one-shot aggregation over the concatenated input. One
             // logical partition means continuous per-group accumulation
             // with no partial merge, at every morsel height.
-            let parts = execute_parts(input, ctx, stats, depth + 1)?;
+            let parts = execute_parts(input, ctx, depth + 1)?;
             let cagg = compile_agg_exprs(groups, aggs, &input_types(input))?;
             let est: usize = parts.iter().map(Part::est_bytes).sum();
             let part = [Part::new(concat_parts(parts, input.schema())?)];
             let (batch, _) = if !groups.is_empty() && ctx.memory.should_spill(est) {
-                pipeline::morsel_spilled_aggregate(
-                    &part, &cagg, aggs, schema, ctx, est, eval_ns, morsels,
-                )?
+                pipeline::morsel_spilled_aggregate(&part, &cagg, aggs, schema, ctx, est, meter)?
             } else {
-                let tables = pipeline::fold_partial(
-                    &part,
-                    &Default::default(),
-                    &cagg,
-                    aggs,
-                    ctx,
-                    eval_ns,
-                    morsels,
-                )?;
+                let tables =
+                    pipeline::fold_partial(&part, &Default::default(), &cagg, aggs, ctx, meter)?;
                 merge_partials(tables, groups.is_empty(), aggs, schema)?
             };
             Ok(vec![Part::new(batch)])
@@ -567,12 +587,11 @@ fn execute_node(
             calls,
             schema,
         } => {
-            let batch = concat_parts(execute_parts(input, ctx, stats, depth + 1)?, input.schema())?;
+            let batch = concat_parts(execute_parts(input, ctx, depth + 1)?, input.schema())?;
             let mut cols: Vec<Column> = batch.columns().to_vec();
             for (i, call) in calls.iter().enumerate() {
                 let out_type = schema.field(batch.num_columns() + i).dtype;
-                let col =
-                    crate::window::compute_window(call, &batch, out_type, ctx, eval_ns, morsels)?;
+                let col = crate::window::compute_window(call, &batch, out_type, ctx, meter)?;
                 cols.push(col);
             }
             Ok(vec![Part::new(Batch::new(schema.clone(), cols)?)])
@@ -588,18 +607,17 @@ fn execute_node(
         } => {
             // Build side: materialized once, hash table shared across
             // probe morsels.
-            let right_batch =
-                concat_parts(execute_parts(right, ctx, stats, depth + 1)?, right.schema())?;
+            let right_batch = concat_parts(execute_parts(right, ctx, depth + 1)?, right.schema())?;
             // Probe partitions materialize here: the probe needs every
             // left column for output assembly anyway. Key expressions
             // still evaluate through the vectorized kernels.
-            let lparts: Vec<Batch> = execute_parts(left, ctx, stats, depth + 1)?
+            let lparts: Vec<Batch> = execute_parts(left, ctx, depth + 1)?
                 .into_iter()
                 .map(Part::materialize)
                 .collect();
             let keyed = *kind != JoinKind::Cross && !left_keys.is_empty();
             let rcols: Vec<Column> = if keyed {
-                timed(eval_ns, || {
+                meter.timed(|| {
                     right_keys
                         .iter()
                         .map(|k| eval_sel(k, &right_batch, None, &ctx.eval))
@@ -635,8 +653,7 @@ fn execute_node(
                     schema,
                     ctx,
                     est,
-                    eval_ns,
-                    morsels,
+                    meter,
                 )?
             } else {
                 let build = build_join_table(right_batch.num_rows(), &rcols, keyed);
@@ -649,8 +666,7 @@ fn execute_node(
                     cresidual.as_ref(),
                     schema,
                     ctx,
-                    eval_ns,
-                    morsels,
+                    meter,
                 )?
             };
             let mut parts = Vec::with_capacity(probes.len() + 1);
@@ -684,7 +700,7 @@ fn execute_node(
             Ok(parts)
         }
         Plan::Sort { input, keys } => {
-            let batch = concat_parts(execute_parts(input, ctx, stats, depth + 1)?, input.schema())?;
+            let batch = concat_parts(execute_parts(input, ctx, depth + 1)?, input.schema())?;
             let types = input_types(input);
             let compiled: Vec<CompiledExpr> = keys
                 .iter()
@@ -698,7 +714,7 @@ fn execute_node(
                 })
                 .collect();
             Ok(vec![Part::new(pipeline::morsel_sort(
-                &batch, &compiled, &sort_keys, ctx, eval_ns, morsels,
+                &batch, &compiled, &sort_keys, ctx, meter,
             )?)])
         }
         Plan::Limit {
@@ -706,7 +722,7 @@ fn execute_node(
             limit,
             offset,
         } => {
-            let batch = concat_parts(execute_parts(input, ctx, stats, depth + 1)?, input.schema())?;
+            let batch = concat_parts(execute_parts(input, ctx, depth + 1)?, input.schema())?;
             let start = (*offset as usize).min(batch.num_rows());
             let len = match limit {
                 Some(l) => (*l as usize).min(batch.num_rows() - start),
@@ -719,7 +735,7 @@ fn execute_node(
             // two-phase operators above the union stay parallel.
             let mut parts = Vec::new();
             for input in inputs {
-                for p in execute_parts(input, ctx, stats, depth + 1)? {
+                for p in execute_parts(input, ctx, depth + 1)? {
                     // Re-tag with the union schema (names from the first
                     // input); the selection survives re-tagging.
                     parts.push(Part {
@@ -731,7 +747,7 @@ fn execute_node(
             Ok(parts)
         }
         Plan::Distinct { input, mode } => {
-            let parts = execute_parts(input, ctx, stats, depth + 1)?;
+            let parts = execute_parts(input, ctx, depth + 1)?;
             match mode {
                 // Per-partition dedup, partitions retained — as a refined
                 // selection, so a filtered part still never materializes.
@@ -812,7 +828,7 @@ where
     T: Send,
     F: Fn(I) -> Result<T, CdwError> + Sync,
 {
-    scheduler::run_stealing(ctx.parallelism, parts, cost, f, &ctx.sched)
+    scheduler::run_stealing(ctx.parallelism, parts, cost, f, &ctx.stats)
 }
 
 // ---------------------------------------------------------------------
@@ -1692,7 +1708,7 @@ fn probe_pairs(
     build: Option<&KeyRows>,
     left_keys: &[CompiledExpr],
     ctx: &EvalCtx,
-    eval_ns: &AtomicU64,
+    meter: &Meter,
 ) -> Result<Vec<(usize, usize)>, CdwError> {
     let lrows = left.num_rows();
     let mut pairs: Vec<(usize, usize)> = Vec::new();
@@ -1705,7 +1721,7 @@ fn probe_pairs(
             }
         }
         Some(table) => {
-            let lcols: Vec<Column> = timed(eval_ns, || {
+            let lcols: Vec<Column> = meter.timed(|| {
                 left_keys
                     .iter()
                     .map(|k| k.eval(left, None, ctx))
@@ -1731,7 +1747,6 @@ fn probe_pairs(
 /// predicate applies row by row over the candidate rows stacked in the
 /// join schema, so the verdict for a pair cannot depend on which probe
 /// unit (partition or morsel) carried it.
-#[allow(clippy::too_many_arguments)]
 fn filter_residual_pairs(
     pairs: Vec<(usize, usize)>,
     left: &Batch,
@@ -1739,7 +1754,7 @@ fn filter_residual_pairs(
     residual: Option<&CompiledExpr>,
     schema: &Arc<Schema>,
     ctx: &EvalCtx,
-    eval_ns: &AtomicU64,
+    meter: &Meter,
 ) -> Result<Vec<(usize, usize)>, CdwError> {
     let Some(pred) = residual else {
         return Ok(pairs);
@@ -1750,7 +1765,7 @@ fn filter_residual_pairs(
     let lidx: Vec<usize> = pairs.iter().map(|p| p.0).collect();
     let ridx: Vec<usize> = pairs.iter().map(|p| p.1).collect();
     let candidate = hstack(schema, &left.take(&lidx), &right.take(&ridx))?;
-    let kept = timed(eval_ns, || pred.select(&candidate, None, ctx))?;
+    let kept = meter.timed(|| pred.select(&candidate, None, ctx))?;
     Ok(kept.into_iter().map(|i| pairs[i]).collect())
 }
 
@@ -1806,10 +1821,10 @@ fn assemble_probe_output(
     residual: Option<&CompiledExpr>,
     schema: &Arc<Schema>,
     ctx: &EvalCtx,
-    eval_ns: &AtomicU64,
+    meter: &Meter,
     lone: bool,
 ) -> Result<(Batch, Option<Batch>, Vec<usize>), CdwError> {
-    let pairs = filter_residual_pairs(pairs, left, right, residual, schema, ctx, eval_ns)?;
+    let pairs = filter_residual_pairs(pairs, left, right, residual, schema, ctx, meter)?;
     let matched_right: Vec<usize> = if kind == JoinKind::Full {
         pairs.iter().map(|p| p.1).collect()
     } else {
@@ -1910,7 +1925,7 @@ fn spill_key_material(
                 cols.push(Column::from_ints(vec![p as i64; idx.len()]));
             }
             let bytes = writers[b].append(&Batch::new(spill_schema.clone(), cols)?)?;
-            ctx.memory.record_spill(bytes);
+            ctx.stats.spilled_bytes.add(bytes);
         }
         start = end;
     }
@@ -1982,11 +1997,10 @@ fn spilled_join(
     schema: &Arc<Schema>,
     ctx: &ExecCtx,
     estimate: usize,
-    eval_ns: &AtomicU64,
-    morsels: &AtomicUsize,
+    meter: &Meter,
 ) -> Result<Vec<(Batch, Vec<usize>)>, CdwError> {
     let nbuckets = ctx.memory.bucket_count(estimate);
-    ctx.memory.record_rounds(nbuckets);
+    ctx.stats.spill_rounds.add(nbuckets);
     let kw = rcols.len();
 
     // Build-side files: [key cols..., __idx].
@@ -2012,7 +2026,7 @@ fn spilled_join(
         .map(|_| SpillWriter::create())
         .collect::<Result<_, _>>()?;
     for (p, left) in lparts.iter().enumerate() {
-        let lcols = pipeline::morsel_eval_columns(left, left_keys, ctx, eval_ns, morsels)?;
+        let lcols = pipeline::morsel_eval_columns(left, left_keys, ctx, meter)?;
         let mut pfields: Vec<Field> = lcols
             .iter()
             .enumerate()
@@ -2067,7 +2081,7 @@ fn spilled_join(
         |(left, pairs)| left.byte_size() + 16 * pairs.len(),
         |(left, pairs)| {
             let (batch, _, matched_right) = assemble_probe_output(
-                &left, right, pairs, kind, residual, schema, &ctx.eval, eval_ns, true,
+                &left, right, pairs, kind, residual, schema, &ctx.eval, meter, true,
             )?;
             Ok((batch, matched_right))
         },
@@ -2077,7 +2091,6 @@ fn spilled_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use sigma_value::Field;
 
     fn int_parts(n: usize) -> Vec<Batch> {
@@ -2104,7 +2117,7 @@ mod tests {
             parallelism: 4,
             morsel_sizing: MorselSizing::Derived,
             memory: ExecMemoryTracker::new(None),
-            sched: scheduler::SchedCounters::default(),
+            stats: ExecStats::default(),
         };
         let seen = Mutex::new(std::collections::HashSet::new());
         let out = par_map(
@@ -2137,7 +2150,7 @@ mod tests {
             parallelism: 1,
             morsel_sizing: MorselSizing::Derived,
             memory: ExecMemoryTracker::new(None),
-            sched: scheduler::SchedCounters::default(),
+            stats: ExecStats::default(),
         };
         let caller = std::thread::current().id();
         par_map(
@@ -2164,7 +2177,7 @@ mod tests {
             parallelism,
             morsel_sizing: MorselSizing::Derived,
             memory: ExecMemoryTracker::new(None),
-            sched: scheduler::SchedCounters::default(),
+            stats: ExecStats::default(),
         }
     }
 

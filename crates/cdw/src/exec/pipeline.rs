@@ -298,57 +298,90 @@ enum Stage {
     },
 }
 
-/// Per-stage counters, accumulated concurrently by morsel workers.
-#[derive(Default)]
-struct StageCounters {
-    rows_out: AtomicUsize,
-    eval_ns: AtomicU64,
-    /// Time morsels spent inside this stage (evaluation plus selection /
-    /// batch assembly) — what the fused chain's nodes report as their
-    /// own share of `elapsed`.
-    wall_ns: AtomicU64,
-}
-
-/// A Filter/Project chain compiled once for fused per-morsel execution.
-/// `stages` is in execution order — source side first, the reverse of
-/// the top-down plan order `Plan::stream_chain` returns. The default
-/// (empty) chain passes morsels through unchanged.
+/// A Filter/Project chain compiled once for fused per-morsel execution,
+/// each stage with the meter its node's entry closes from. `stages` is in
+/// execution order — source side first, the reverse of the top-down plan
+/// order `Plan::stream_chain` returns. The default (empty) chain passes
+/// morsels through unchanged.
 #[derive(Default)]
 pub(super) struct CompiledChain {
-    stages: Vec<Stage>,
-    counters: Vec<StageCounters>,
+    stages: Vec<(Stage, Meter)>,
+    /// The top node's entry; the deeper nodes' entries follow it.
+    top: usize,
 }
 
-fn compile_chain(chain: &[&Plan]) -> Result<CompiledChain, CdwError> {
-    let mut stages = Vec::with_capacity(chain.len());
-    for node in chain.iter().rev() {
-        stages.push(match node {
-            Plan::Filter { input, predicate } => {
-                Stage::Filter(CompiledExpr::compile(predicate, &input_types(input))?)
+impl CompiledChain {
+    /// Open an entry per node of `chain` (top-down, the top at `depth`)
+    /// and compile the nodes into stages.
+    fn open(chain: &[&Plan], ctx: &ExecCtx, depth: usize) -> Result<CompiledChain, CdwError> {
+        let mut top = 0;
+        for (i, node) in chain.iter().enumerate() {
+            let slot = ctx.stats.open(node, depth + i);
+            if i == 0 {
+                top = slot;
             }
-            Plan::Project {
-                input,
-                exprs,
-                schema,
-            } => Stage::Project {
-                exprs: exprs
-                    .iter()
-                    .map(|e| CompiledExpr::compile(e, &input_types(input)))
-                    .collect::<Result<_, _>>()?,
-                schema: schema.clone(),
-            },
-            other => {
-                return Err(CdwError::exec(format!(
-                    "not a streaming stage: {}",
-                    other.label()
-                )))
-            }
-        });
+        }
+        let mut stages = Vec::with_capacity(chain.len());
+        for node in chain.iter().rev() {
+            let stage = match node {
+                Plan::Filter { input, predicate } => {
+                    Stage::Filter(CompiledExpr::compile(predicate, &input_types(input))?)
+                }
+                Plan::Project {
+                    input,
+                    exprs,
+                    schema,
+                } => Stage::Project {
+                    exprs: exprs
+                        .iter()
+                        .map(|e| CompiledExpr::compile(e, &input_types(input)))
+                        .collect::<Result<_, _>>()?,
+                    schema: schema.clone(),
+                },
+                other => {
+                    return Err(CdwError::exec(format!(
+                        "not a streaming stage: {}",
+                        other.label()
+                    )))
+                }
+            };
+            stages.push((stage, Meter::default()));
+        }
+        Ok(CompiledChain { stages, top })
     }
-    let counters = (0..stages.len())
-        .map(|_| StageCounters::default())
-        .collect();
-    Ok(CompiledChain { stages, counters })
+
+    /// Cut `parts` into morsels ([`morselize`]), counting them on every
+    /// stage.
+    fn morselize<'p>(&self, parts: &'p [Part], ctx: &ExecCtx) -> (Vec<Morsel<'p>>, Vec<usize>) {
+        let (morsels, counts) = morselize(parts, ctx.morsel_height(|| InputShape::of_parts(parts)));
+        for (_, meter) in &self.stages {
+            meter.morsels.add(morsels.len());
+        }
+        (morsels, counts)
+    }
+
+    /// Close every node's entry from its stage's meter. A fused node has
+    /// no wall clock of its own: its elapsed is the source's (the entry
+    /// right after the chain's) plus the time morsels spent in it and the
+    /// stages below it, so each node's own share (elapsed minus child) is
+    /// its stage time. A chain that is a pipeline's top passes its wall
+    /// clock as `top_elapsed`.
+    fn close(self, ctx: &ExecCtx, partitions: usize, top_elapsed: Option<Duration>) {
+        let n = self.stages.len();
+        if n == 0 {
+            return;
+        }
+        let mut elapsed = ctx.stats.elapsed(self.top + n);
+        for (i, (_, meter)) in self.stages.iter().enumerate() {
+            elapsed += Duration::from_nanos(meter.wall_ns.get() as u64);
+            let slot = self.top + n - 1 - i;
+            let elapsed = match top_elapsed {
+                Some(wall) if slot == self.top => wall,
+                _ => elapsed,
+            };
+            ctx.stats.close(slot, meter, elapsed, partitions);
+        }
+    }
 }
 
 /// A morsel mid-pipeline: either still a selection over the source
@@ -388,15 +421,15 @@ fn apply_stages<'a>(
         batch: m.batch,
         sel: m.initial_sel(),
     };
-    for (stage, counters) in chain.stages.iter().zip(&chain.counters) {
+    for (stage, meter) in &chain.stages {
         let entered = Instant::now();
         state = match stage {
             Stage::Filter(pred) => {
                 let keep = {
                     let (batch, sel) = state.batch_and_sel();
-                    timed(&counters.eval_ns, || pred.select(batch, sel, &ctx.eval))?
+                    meter.timed(|| pred.select(batch, sel, &ctx.eval))?
                 };
-                counters.rows_out.fetch_add(keep.len(), Ordering::Relaxed);
+                meter.rows_out.add(keep.len());
                 match state {
                     MorselState::Source { batch, .. } => MorselState::Source {
                         batch,
@@ -414,17 +447,16 @@ fn apply_stages<'a>(
                     .iter()
                     .zip(schema.fields())
                     .map(|(e, f)| {
-                        let col = timed(&counters.eval_ns, || e.eval(batch, sel, &ctx.eval))?;
+                        let col = meter.timed(|| e.eval(batch, sel, &ctx.eval))?;
                         coerce_column(col, f.dtype)
                     })
                     .collect::<Result<_, _>>()?;
                 let out = Part::new(Batch::new(schema.clone(), cols)?);
-                counters.rows_out.fetch_add(out.rows(), Ordering::Relaxed);
+                meter.rows_out.add(out.rows());
                 MorselState::Owned(out)
             }
         };
-        let ns = entered.elapsed().as_nanos() as u64;
-        counters.wall_ns.fetch_add(ns, Ordering::Relaxed);
+        meter.wall_ns.add(entered.elapsed().as_nanos() as usize);
     }
     Ok(state)
 }
@@ -485,31 +517,27 @@ fn merge_partition(source: Part, mut outs: Vec<OutData>) -> Result<Part, CdwErro
 /// Execute the maximal streaming chain rooted at `plan` as one fused
 /// morsel pipeline, returning one part per source partition.
 ///
-/// Called from the executor's Filter/Project arm: the caller's wrapper
-/// already pushed `plan`'s own stats entry (fed through `eval_ns` /
-/// `morsels_out`); entries for the deeper chain nodes are pushed here in
-/// pre-order, then the source executes below them, so the stats tree
-/// mirrors the plan tree.
+/// Every chain node's entry opens here in pre-order, then the source
+/// executes below them, so the stats tree mirrors the plan tree. The top
+/// node keeps its wall clock; the nodes below it report derived times
+/// (see [`CompiledChain::close`]).
 pub(super) fn execute_chain(
     plan: &Plan,
     ctx: &ExecCtx,
-    stats: &mut ExecStats,
     depth: usize,
-    eval_ns: &AtomicU64,
-    morsels_out: &AtomicUsize,
 ) -> Result<Vec<Part>, CdwError> {
-    let (chain, source) = plan.stream_chain();
-    let inner_slots = push_chain_stats(&chain[1..], stats, depth + 1);
-    let parts = execute_parts(source, ctx, stats, depth + chain.len())?;
+    let started = Instant::now();
+    let (nodes, source) = plan.stream_chain();
+    let chain = CompiledChain::open(&nodes, ctx, depth)?;
+    let parts = execute_parts(source, ctx, depth + nodes.len())?;
     let nparts = parts.len();
-    let compiled = compile_chain(&chain)?;
 
-    let (morsels, counts) = morselize(&parts, ctx.morsel_height(|| InputShape::of_parts(&parts)));
+    let (morsels, counts) = chain.morselize(&parts, ctx);
     let outs: Vec<OutData> = par_map(
         ctx,
         morsels,
         |m| m.len().max(1),
-        |m| apply_stages(&compiled, &m, ctx),
+        |m| apply_stages(&chain, &m, ctx),
     )?
     .into_iter()
     .map(|state| match state {
@@ -519,8 +547,6 @@ pub(super) fn execute_chain(
         MorselState::Owned(p) => OutData::Part(p),
     })
     .collect();
-    let nmorsels = outs.len();
-    morsels_out.fetch_add(nmorsels, Ordering::Relaxed);
 
     let mut out_parts = Vec::with_capacity(nparts);
     let mut it = outs.into_iter();
@@ -528,55 +554,8 @@ pub(super) fn execute_chain(
         let group: Vec<OutData> = it.by_ref().take(count).collect();
         out_parts.push(merge_partition(part, group)?);
     }
-
-    // The top node (the last stage) feeds the caller's entry.
-    compiled.record_stats(inner_slots, stats, nparts, nmorsels);
-    let top = compiled.counters.last().expect("chain has a top node");
-    eval_ns.fetch_add(top.eval_ns.load(Ordering::Relaxed), Ordering::Relaxed);
+    chain.close(ctx, nparts, Some(started.elapsed()));
     Ok(out_parts)
-}
-
-/// Push one pending stats entry per chain node (top-down, pre-order) and
-/// return their slots; the chain's source lands in the slot after them.
-fn push_chain_stats(
-    chain: &[&Plan],
-    stats: &mut ExecStats,
-    depth: usize,
-) -> std::ops::Range<usize> {
-    let first = stats.operators.len();
-    for (i, node) in chain.iter().enumerate() {
-        stats
-            .operators
-            .push(OpStats::started(node.label(), depth + i));
-    }
-    first..stats.operators.len()
-}
-
-impl CompiledChain {
-    /// Fill the stats entries at `slots` — the chain's deepest
-    /// `slots.len()` nodes, top-down, the source's entry right after
-    /// them — from the per-stage counters. A fused node has no wall
-    /// clock of its own: its `elapsed` is the source's plus the time
-    /// morsels spent in it and the stages below it, so each node's own
-    /// share (elapsed minus child) is its stage time.
-    fn record_stats(
-        &self,
-        slots: std::ops::Range<usize>,
-        stats: &mut ExecStats,
-        nparts: usize,
-        nmorsels: usize,
-    ) {
-        let mut elapsed = stats.operators[slots.end].elapsed;
-        for (slot, c) in slots.rev().zip(&self.counters) {
-            elapsed += Duration::from_nanos(c.wall_ns.load(Ordering::Relaxed));
-            let op = &mut stats.operators[slot];
-            op.rows_out = c.rows_out.load(Ordering::Relaxed);
-            op.partitions = nparts;
-            op.elapsed = elapsed;
-            op.eval_ns = c.eval_ns.load(Ordering::Relaxed);
-            op.morsels = nmorsels;
-        }
-    }
 }
 
 /// Run the Partial half of a two-phase aggregate fused with the
@@ -584,28 +563,22 @@ impl CompiledChain {
 /// source to the per-partition group tables, no materialized chain
 /// output. Only usable without a memory budget — a budgeted aggregate
 /// needs the chain's output first to estimate its state, then calls
-/// [`fold_partial`] (or spills) over those parts.
-#[allow(clippy::too_many_arguments)]
+/// [`fold_partial`] (or spills) over those parts. The Partial's own
+/// entry is the caller's, recorded through `meter`; the chain's nodes
+/// record theirs here.
 pub(super) fn execute_fused_partial(
     pinput: &Plan,
     cagg: &CompiledAggExprs,
     aggs: &[AggCall],
     ctx: &ExecCtx,
-    stats: &mut ExecStats,
     depth: usize,
-    eval_ns: &AtomicU64,
-    morsels_out: &AtomicUsize,
+    meter: &Meter,
 ) -> Result<Vec<GroupTable>, CdwError> {
-    let (chain, source) = pinput.stream_chain();
-    // Chain node stats are all pushed here — the Partial's own entry is
-    // the caller's.
-    let slots = push_chain_stats(&chain, stats, depth);
-    let parts = execute_parts(source, ctx, stats, depth + chain.len())?;
-    let compiled = compile_chain(&chain)?;
-    let before = morsels_out.load(Ordering::Relaxed);
-    let tables = fold_partial(&parts, &compiled, cagg, aggs, ctx, eval_ns, morsels_out)?;
-    let nmorsels = morsels_out.load(Ordering::Relaxed) - before;
-    compiled.record_stats(slots, stats, parts.len(), nmorsels);
+    let (nodes, source) = pinput.stream_chain();
+    let chain = CompiledChain::open(&nodes, ctx, depth)?;
+    let parts = execute_parts(source, ctx, depth + nodes.len())?;
+    let tables = fold_partial(&parts, &chain, cagg, aggs, ctx, meter)?;
+    chain.close(ctx, parts.len(), None);
     Ok(tables)
 }
 
@@ -624,8 +597,7 @@ pub(super) fn fold_partial(
     cagg: &CompiledAggExprs,
     aggs: &[AggCall],
     ctx: &ExecCtx,
-    eval_ns: &AtomicU64,
-    morsels_out: &AtomicUsize,
+    meter: &Meter,
 ) -> Result<Vec<GroupTable>, CdwError> {
     /// One morsel's pre-evaluated aggregation inputs.
     struct EvaledMorsel {
@@ -633,8 +605,8 @@ pub(super) fn fold_partial(
         args: Vec<Option<Column>>,
         rows: usize,
     }
-    let (morsels, counts) = morselize(parts, ctx.morsel_height(|| InputShape::of_parts(parts)));
-    morsels_out.fetch_add(morsels.len(), Ordering::Relaxed);
+    let (morsels, counts) = chain.morselize(parts, ctx);
+    meter.morsels.add(morsels.len());
     let evaled: Vec<EvaledMorsel> = par_map(
         ctx,
         morsels,
@@ -644,7 +616,7 @@ pub(super) fn fold_partial(
             let rows = state.rows();
             let (batch, sel) = state.batch_and_sel();
             let (groups, args) =
-                timed(eval_ns, || eval_group_arg_cols(batch, sel, cagg, &ctx.eval))?;
+                meter.timed(|| eval_group_arg_cols(batch, sel, cagg, &ctx.eval))?;
             Ok(EvaledMorsel { groups, args, rows })
         },
     )?;
@@ -709,8 +681,7 @@ pub(super) fn morsel_probe(
     residual: Option<&CompiledExpr>,
     schema: &Arc<Schema>,
     ctx: &ExecCtx,
-    eval_ns: &AtomicU64,
-    morsels_out: &AtomicUsize,
+    meter: &Meter,
 ) -> Result<Vec<(Batch, Vec<usize>)>, CdwError> {
     let mrows = ctx.morsel_height(|| InputShape::of_batches(lparts));
     struct ProbeMorsel<'a> {
@@ -738,7 +709,7 @@ pub(super) fn morsel_probe(
         }
         counts.push(morsels.len() - before);
     }
-    morsels_out.fetch_add(morsels.len(), Ordering::Relaxed);
+    meter.morsels.add(morsels.len());
 
     let probes = par_map(
         ctx,
@@ -762,10 +733,10 @@ pub(super) fn morsel_probe(
             // Right-row indices are global, but unmatched-left indices
             // are slice-local and never escape (the tail batch is
             // assembled here).
-            let pairs = probe_pairs(lb, right.num_rows(), build, left_keys, &ctx.eval, eval_ns)?;
+            let pairs = probe_pairs(lb, right.num_rows(), build, left_keys, &ctx.eval, meter)?;
             let lone = m.range.is_none();
             assemble_probe_output(
-                lb, right, pairs, kind, residual, schema, &ctx.eval, eval_ns, lone,
+                lb, right, pairs, kind, residual, schema, &ctx.eval, meter, lone,
             )
         },
     )?;
@@ -828,7 +799,6 @@ pub(super) fn morsel_probe(
 ///
 /// Returns the finished batch plus the total partial-group count (the
 /// `rows_out` of the Partial operator in two-phase stats).
-#[allow(clippy::too_many_arguments)]
 pub(super) fn morsel_spilled_aggregate(
     parts: &[Part],
     cagg: &CompiledAggExprs,
@@ -836,11 +806,10 @@ pub(super) fn morsel_spilled_aggregate(
     schema: &Arc<Schema>,
     ctx: &ExecCtx,
     estimate: usize,
-    eval_ns: &AtomicU64,
-    morsels_out: &AtomicUsize,
+    meter: &Meter,
 ) -> Result<(Batch, usize), CdwError> {
     let nbuckets = ctx.memory.bucket_count(estimate);
-    ctx.memory.record_rounds(nbuckets);
+    ctx.stats.spill_rounds.add(nbuckets);
     let gw = cagg.groups.len();
     // Spill-record column layout: group cols, present agg args, row id,
     // partition id.
@@ -860,7 +829,7 @@ pub(super) fn morsel_spilled_aggregate(
     // Tag every morsel with its partition index and its dense row offset
     // within that partition's surviving rows (the `__row` coordinates).
     let (morsels, counts) = morselize(parts, ctx.morsel_height(|| InputShape::of_parts(parts)));
-    morsels_out.fetch_add(morsels.len(), Ordering::Relaxed);
+    meter.morsels.add(morsels.len());
     let mut meta: Vec<(usize, usize)> = Vec::with_capacity(morsels.len());
     {
         let mut mi = 0;
@@ -882,9 +851,8 @@ pub(super) fn morsel_spilled_aggregate(
         |(m, _)| byte_cost(m.len(), m.batch.byte_size(), m.batch.num_rows()),
         |(m, (pidx, base))| {
             let sel = m.initial_sel();
-            let (group_cols, arg_cols) = timed(eval_ns, || {
-                eval_group_arg_cols(m.batch, sel.as_deref(), cagg, &ctx.eval)
-            })?;
+            let (group_cols, arg_cols) =
+                meter.timed(|| eval_group_arg_cols(m.batch, sel.as_deref(), cagg, &ctx.eval))?;
             let mut fields: Vec<Field> = group_cols
                 .iter()
                 .enumerate()
@@ -934,7 +902,7 @@ pub(super) fn morsel_spilled_aggregate(
         for (b, rec) in per_bucket.into_iter().enumerate() {
             if let Some(rec) = rec {
                 let bytes = writers[b].append(&rec)?;
-                ctx.memory.record_spill(bytes);
+                ctx.stats.spilled_bytes.add(bytes);
             }
         }
     }
@@ -1019,12 +987,11 @@ pub(crate) fn morsel_eval_columns(
     batch: &Batch,
     compiled: &[CompiledExpr],
     ctx: &ExecCtx,
-    eval_ns: &AtomicU64,
-    morsels_out: &AtomicUsize,
+    meter: &Meter,
 ) -> Result<Vec<Column>, CdwError> {
     let rows = batch.num_rows();
     let chunks = range_chunks(rows, ctx.morsel_height(|| InputShape::of_batches([batch])));
-    morsels_out.fetch_add(chunks.len(), Ordering::Relaxed);
+    meter.morsels.add(chunks.len());
     let total_bytes = LazyCell::new(|| batch.byte_size());
     let per_chunk: Vec<Vec<Column>> = par_map(
         ctx,
@@ -1036,7 +1003,7 @@ pub(crate) fn morsel_eval_columns(
             } else {
                 Some(r.collect())
             };
-            timed(eval_ns, || {
+            meter.timed(|| {
                 compiled
                     .iter()
                     .map(|k| k.eval(batch, sel.as_deref(), &ctx.eval))
@@ -1086,11 +1053,10 @@ pub(super) fn morsel_sort(
     compiled_keys: &[CompiledExpr],
     sort_keys: &[sort::SortKey],
     ctx: &ExecCtx,
-    eval_ns: &AtomicU64,
-    morsels_out: &AtomicUsize,
+    meter: &Meter,
 ) -> Result<Batch, CdwError> {
     let rows = batch.num_rows();
-    let key_cols = morsel_eval_columns(batch, compiled_keys, ctx, eval_ns, morsels_out)?;
+    let key_cols = morsel_eval_columns(batch, compiled_keys, ctx, meter)?;
     // Sort-state estimate: key columns plus the 8-byte index per row the
     // permutation holds.
     let est = key_cols.iter().map(Column::byte_size).sum::<usize>() + 8 * rows;
@@ -1127,9 +1093,9 @@ pub(super) fn morsel_sort(
                     let mut cols: Vec<Column> = key_cols.iter().map(|c| c.take(chunk)).collect();
                     cols.push(Column::from_ints(chunk.iter().map(|&r| r as i64).collect()));
                     let bytes = writer.append(&Batch::new(spill_schema.clone(), cols)?)?;
-                    ctx.memory.record_spill(bytes);
+                    ctx.stats.spilled_bytes.add(bytes);
                 }
-                ctx.memory.record_rounds(1);
+                ctx.stats.spill_rounds.add(1);
                 writer.finish()
             },
         )?;
@@ -1299,7 +1265,7 @@ mod tests {
             parallelism: usize::MAX,
             morsel_sizing: MorselSizing::Derived,
             memory: ExecMemoryTracker::new(None),
-            sched: scheduler::SchedCounters::default(),
+            stats: ExecStats::default(),
         };
         loop {
             // Other tests in this binary may grow the pool target

@@ -33,6 +33,11 @@
 //!   release build runs no execution threads at all until the first
 //!   parallel query — and a fixed number ever after.
 //!
+//! Every call records its tasks, own-queue pops, steals and unparks
+//! straight into the submitting query's [`ExecStats`] ledger, which
+//! `explain_analyze` renders as `scheduler: tasks=.. local=.. steals=..
+//! unparks=..`.
+//!
 //! Determinism: results are written to per-item slots and returned in
 //! input order, so *which* participant ran an item — and in what order —
 //! can never change the output. Errors are reported first-by-input-index,
@@ -49,6 +54,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
+use super::ExecStats;
 use crate::error::CdwError;
 
 /// Assign `costs.len()` items to `bins` workers by longest-processing-time:
@@ -69,38 +75,6 @@ pub(crate) fn lpt_assign(costs: &[usize], bins: usize) -> Vec<Vec<usize>> {
         assignment[b].push(i);
     }
     assignment
-}
-
-/// Per-query scheduler counters (atomics so every participant can record
-/// without synchronization). Folded into
-/// [`ExecStats`](crate::exec::ExecStats) when a query completes and
-/// rendered by `explain_analyze` as `scheduler: tasks=.. local=..
-/// steals=.. unparks=..`.
-#[derive(Debug, Default)]
-pub struct SchedCounters {
-    /// Items executed (serial fallbacks included).
-    pub tasks: AtomicUsize,
-    /// Items a participant popped from its own seeded deque.
-    pub local: AtomicUsize,
-    /// Items taken from another participant's deque.
-    pub steals: AtomicUsize,
-    /// Parked pool workers woken for this query's jobs.
-    pub unparks: AtomicUsize,
-}
-
-impl SchedCounters {
-    pub fn tasks(&self) -> usize {
-        self.tasks.load(Ordering::Relaxed)
-    }
-    pub fn local(&self) -> usize {
-        self.local.load(Ordering::Relaxed)
-    }
-    pub fn steals(&self) -> usize {
-        self.steals.load(Ordering::Relaxed)
-    }
-    pub fn unparks(&self) -> usize {
-        self.unparks.load(Ordering::Relaxed)
-    }
 }
 
 /// Ring neighbours a thief probes before falling back to the globally
@@ -298,7 +272,7 @@ fn claim_job(st: &mut PoolState) -> Option<(Arc<JobEntry>, usize)> {
 /// first, then spawn (lazily, never past the budget). The submitter is
 /// about to participate inline, so a recruit shortfall only costs
 /// parallelism, never progress.
-fn submit(entry: Arc<JobEntry>, extra: usize, counters: &SchedCounters) {
+fn submit(entry: Arc<JobEntry>, extra: usize, stats: &ExecStats) {
     let pool = pool();
     let mut st = pool.state.lock().expect("pool state");
     st.jobs.push(entry);
@@ -306,7 +280,7 @@ fn submit(entry: Arc<JobEntry>, extra: usize, counters: &SchedCounters) {
     for _ in 0..wake {
         pool.work.notify_one();
     }
-    counters.unparks.fetch_add(wake, Ordering::Relaxed);
+    stats.sched_unparks.add(wake);
     let target = pool.target.load(Ordering::SeqCst);
     let spawn = extra
         .saturating_sub(wake)
@@ -349,7 +323,7 @@ struct Job<'a, I, T, F> {
     deques: Vec<Mutex<VecDeque<usize>>>,
     poisoned: AtomicBool,
     f: &'a F,
-    counters: &'a SchedCounters,
+    stats: &'a ExecStats,
 }
 
 impl<I, T, F> Job<'_, I, T, F>
@@ -374,7 +348,7 @@ where
             match catch_unwind(AssertUnwindSafe(|| (self.f)(item))) {
                 Ok(res) => {
                     *self.results[idx].lock().expect("result lock") = Some(res);
-                    self.counters.tasks.fetch_add(1, Ordering::Relaxed);
+                    self.stats.sched_tasks.add(1);
                 }
                 Err(_) => {
                     self.poisoned.store(true, Ordering::SeqCst);
@@ -390,13 +364,13 @@ where
     fn next_index(&self, vslot: usize) -> Option<usize> {
         let v = self.deques.len();
         if let Some(i) = self.deques[vslot].lock().expect("deque lock").pop_front() {
-            self.counters.local.fetch_add(1, Ordering::Relaxed);
+            self.stats.sched_local.add(1);
             return Some(i);
         }
         for step in 1..=STEAL_NEIGHBORHOOD.min(v.saturating_sub(1)) {
             let nb = (vslot + step) % v;
             if let Some(i) = self.deques[nb].lock().expect("deque lock").pop_back() {
-                self.counters.steals.fetch_add(1, Ordering::Relaxed);
+                self.stats.sched_steals.add(1);
                 return Some(i);
             }
         }
@@ -405,7 +379,7 @@ where
             .max_by_key(|&w| (self.deques[w].lock().expect("deque lock").len(), w));
         if let Some(i) = victim.and_then(|w| self.deques[w].lock().expect("deque lock").pop_back())
         {
-            self.counters.steals.fetch_add(1, Ordering::Relaxed);
+            self.stats.sched_steals.add(1);
             return Some(i);
         }
         None
@@ -429,12 +403,13 @@ where
 /// ran what; on failure the error of the smallest-index failing item is
 /// returned (matching serial semantics). When the pool budget or the item
 /// count caps the call to one participant, it runs serial inline.
+/// Scheduler counters record into `stats`.
 pub(crate) fn run_stealing<I, T, F>(
     threads: usize,
     items: Vec<I>,
     cost: impl Fn(&I) -> usize,
     f: F,
-    counters: &SchedCounters,
+    stats: &ExecStats,
 ) -> Result<Vec<T>, CdwError>
 where
     I: Send,
@@ -444,8 +419,8 @@ where
     let n = items.len();
     let workers = effective_workers(threads).min(n.max(1));
     if workers <= 1 || n <= 1 {
-        counters.tasks.fetch_add(n, Ordering::Relaxed);
-        counters.local.fetch_add(n, Ordering::Relaxed);
+        stats.sched_tasks.add(n);
+        stats.sched_local.add(n);
         return items.into_iter().map(f).collect();
     }
     let costs: Vec<usize> = items.iter().map(&cost).collect();
@@ -459,7 +434,7 @@ where
             .collect(),
         poisoned: AtomicBool::new(false),
         f: &f,
-        counters,
+        stats,
     };
     let erased: *const (dyn RunJob + '_) = &job;
     let entry = Arc::new(JobEntry {
@@ -474,7 +449,7 @@ where
         active: Mutex::new(0),
         exited: Condvar::new(),
     });
-    submit(entry.clone(), workers - 1, counters);
+    submit(entry.clone(), workers - 1, stats);
     job.work(0);
     retire(&entry);
 
@@ -560,11 +535,11 @@ mod tests {
     #[test]
     fn stealing_preserves_input_order_and_first_error() {
         grow_worker_pool_target(4);
-        let c = SchedCounters::default();
+        let c = ExecStats::default();
         let out = run_stealing(4, (0..32).collect(), |_| 1, |i| Ok(i * 10), &c).unwrap();
         assert_eq!(out, (0..32).map(|i| i * 10).collect::<Vec<i32>>());
-        assert_eq!(c.tasks(), 32);
-        assert_eq!(c.local() + c.steals(), 32);
+        assert_eq!(c.sched_tasks.get(), 32);
+        assert_eq!(c.sched_local.get() + c.sched_steals.get(), 32);
 
         let err = run_stealing(
             4,
@@ -577,7 +552,7 @@ mod tests {
                     Ok(i)
                 }
             },
-            &SchedCounters::default(),
+            &ExecStats::default(),
         )
         .unwrap_err();
         // Smallest failing index is 3 regardless of completion order.
@@ -597,7 +572,7 @@ mod tests {
                 }
                 Ok(i)
             },
-            &SchedCounters::default(),
+            &ExecStats::default(),
         )
         .unwrap_err();
         assert!(
@@ -623,7 +598,7 @@ mod tests {
                 done.fetch_add(1, Ordering::SeqCst);
                 Ok(i)
             },
-            &SchedCounters::default(),
+            &ExecStats::default(),
         )
         .unwrap();
         assert_eq!(out.len(), 64);
@@ -650,7 +625,7 @@ mod tests {
                 }
                 Ok(i)
             },
-            &SchedCounters::default(),
+            &ExecStats::default(),
         )
         .unwrap();
         assert!(
@@ -680,7 +655,7 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(1));
                     Ok(i)
                 },
-                &SchedCounters::default(),
+                &ExecStats::default(),
             )
             .unwrap();
             seen.into_inner().unwrap()
@@ -715,7 +690,7 @@ mod tests {
     #[test]
     fn counters_record_local_hits_and_steals() {
         grow_worker_pool_target(2);
-        let c = SchedCounters::default();
+        let c = ExecStats::default();
         let done = AtomicUsize::new(0);
         let out = run_stealing(
             2,
@@ -736,22 +711,22 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.len(), 8);
-        assert_eq!(c.tasks(), 8);
-        assert!(c.local() >= 1, "seeded pops must be counted");
+        assert_eq!(c.sched_tasks.get(), 8);
+        assert!(c.sched_local.get() >= 1, "seeded pops must be counted");
         assert!(
-            c.steals() >= 1,
+            c.sched_steals.get() >= 1,
             "blocked submitter's seeds require steals: local={} steals={}",
-            c.local(),
-            c.steals()
+            c.sched_local.get(),
+            c.sched_steals.get()
         );
-        assert_eq!(c.local() + c.steals(), 8);
+        assert_eq!(c.sched_local.get() + c.sched_steals.get(), 8);
     }
 
     /// A budget of 1 means serial inline: no job is posted, the items run
     /// on the caller, and the counters still account for them.
     #[test]
     fn budget_of_one_runs_inline() {
-        let c = SchedCounters::default();
+        let c = ExecStats::default();
         let caller = std::thread::current().id();
         let out = run_stealing(
             1,
@@ -765,8 +740,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(c.tasks(), 4);
-        assert_eq!(c.local(), 4);
-        assert_eq!(c.steals(), 0);
+        assert_eq!(c.sched_tasks.get(), 4);
+        assert_eq!(c.sched_local.get(), 4);
+        assert_eq!(c.sched_steals.get(), 0);
     }
 }

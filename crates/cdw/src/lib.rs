@@ -38,13 +38,15 @@
 //!   filter→project→filter chains and aggregation inputs evaluate only
 //!   over surviving row indices,
 //! * memory-budgeted out-of-core execution: an `ExecMemoryTracker`
-//!   (`WarehouseConfig::memory_budget`) spills aggregation hash tables,
-//!   sort runs, and hash-join build sides to disk when they would exceed
-//!   the per-operator budget — with results bit-identical to in-memory
-//!   execution at any budget and parallelism,
-//! * per-operator execution stats (`ExecStats`/`OpStats`, plus
-//!   `spilled_bytes`/`spill_rounds`, rendered by
-//!   `Warehouse::explain_analyze`) for attributing query time,
+//!   budget policy (`WarehouseConfig::memory_budget`) spills aggregation
+//!   hash tables, sort runs, and hash-join build sides to disk when they
+//!   would exceed the per-operator budget — with results bit-identical to
+//!   in-memory execution at any budget and parallelism,
+//! * one ledger per query (`ExecStats`): each operator's `OpStats` entry
+//!   closed from its meter, plus the scan, spill and scheduler counters,
+//!   each recorded once where it happens; `ResultSet` and
+//!   `Warehouse::explain_analyze` both read it, for attributing query
+//!   time,
 //! * DDL/DML (materialization, CSV upload, editable-table edit propagation),
 //! * persisted result sets addressable by query id (`RESULT_SCAN`), which
 //!   the service's query-directory cache relies on (paper §4).
@@ -67,7 +69,7 @@ pub mod window;
 pub use error::CdwError;
 pub use exec::scheduler::{
     grow_worker_pool_target, set_worker_pool_target, worker_pool_stats, worker_pool_target,
-    SchedCounters, WorkerPoolStats,
+    WorkerPoolStats,
 };
 pub use exec::{ExecMemoryTracker, ExecStats, MorselSizing, OpStats};
 pub use session::{ResultSet, Warehouse, WarehouseConfig};

@@ -929,6 +929,7 @@ impl<'a> Planner<'a> {
                 }
                 let def = eval::scalar(name)
                     .ok_or_else(|| CdwError::plan(format!("unknown function {name}")))?;
+                def.check_arity(args.len())?;
                 PhysExpr::Func {
                     func: def.func,
                     args: args

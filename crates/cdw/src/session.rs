@@ -14,7 +14,7 @@ use sigma_value::Batch;
 use crate::catalog::{Catalog, TableStats};
 use crate::error::CdwError;
 use crate::eval::{self, kernels, EvalCtx, PhysExpr};
-use crate::exec::{execute, ExecCtx, ExecStats, MorselSizing, OpStats};
+use crate::exec::{execute, ExecCtx, ExecMemoryTracker, ExecStats, MorselSizing, OpStats};
 use crate::optimizer::optimize;
 use crate::plan::Plan;
 use crate::planner::{Planner, Scope};
@@ -65,8 +65,10 @@ pub struct ResultSet {
     /// Number of rows affected, for DML (0 for queries).
     pub rows_affected: usize,
     /// Per-operator breakdown (rows in/out, partitions, elapsed) in plan
-    /// pre-order; empty for DDL/DML. Render via [`Warehouse::explain_analyze`]
-    /// or inspect directly for time attribution.
+    /// pre-order; empty for statements that run no query (DDL, UPDATE,
+    /// DELETE), while CTAS and INSERT ... SELECT report their query's.
+    /// Render via [`Warehouse::explain_analyze`] or inspect directly for
+    /// time attribution.
     pub operators: Vec<OpStats>,
     /// Bytes this query wrote to spill files (0 when every operator fit
     /// the memory budget, always 0 when unbudgeted).
@@ -238,22 +240,13 @@ impl Warehouse {
     pub fn execute_statement(&self, stmt: &Statement) -> Result<ResultSet, CdwError> {
         let started = Instant::now();
         self.queries_executed.fetch_add(1, Ordering::Relaxed);
-        let mut stats = ExecStats::default();
-        let outcome = match stmt {
+        let empty = || Batch::empty(Arc::new(sigma_value::Schema::empty()));
+        // The batch a query returns, rows a DML statement affected, and
+        // the ledger of whatever query the statement ran.
+        let (batch, rows_affected, stats) = match stmt {
             Statement::Query(q) => {
-                let (batch, _) = self.run_query(q, &[], &mut stats)?;
-                let query_id = self.install_result(batch.clone());
-                ResultSet {
-                    query_id,
-                    batch,
-                    rows_scanned: stats.rows_scanned,
-                    partitions_scanned: stats.partitions_scanned,
-                    elapsed: started.elapsed(),
-                    rows_affected: 0,
-                    operators: std::mem::take(&mut stats.operators),
-                    spilled_bytes: stats.spilled_bytes,
-                    spill_rounds: stats.spill_rounds,
-                }
+                let (batch, _, stats) = self.run_query(q, &[])?;
+                (batch, 0, stats)
             }
             Statement::CreateTable {
                 name,
@@ -266,47 +259,37 @@ impl Warehouse {
                     .collect();
                 self.catalog.write().create_table(
                     &name.to_dotted(),
-                    std::sync::Arc::new(sigma_value::Schema::new(fields)),
+                    Arc::new(sigma_value::Schema::new(fields)),
                     *if_not_exists,
                 )?;
-                self.empty_result(started)
+                (empty(), 0, ExecStats::default())
             }
             Statement::CreateTableAs {
                 name,
                 query,
                 or_replace,
             } => {
-                let (batch, _) = self.run_query(query, &[], &mut stats)?;
+                let (batch, _, stats) = self.run_query(query, &[])?;
                 let rows = batch.num_rows();
                 self.catalog.write().create_table_from_batch(
                     &name.to_dotted(),
                     batch,
                     *or_replace,
                 )?;
-                ResultSet {
-                    rows_affected: rows,
-                    spilled_bytes: stats.spilled_bytes,
-                    spill_rounds: stats.spill_rounds,
-                    ..self.empty_result(started)
-                }
+                (empty(), rows, stats)
             }
             Statement::Insert {
                 table,
                 columns,
                 source,
             } => {
-                let (batch, _) = self.run_query(source, &[], &mut stats)?;
+                let (batch, _, stats) = self.run_query(source, &[])?;
                 let rows = batch.num_rows();
                 let mut catalog = self.catalog.write();
                 let stored = catalog.get_mut(&table.to_dotted())?;
                 let batch = align_insert(stored.schema(), columns.as_deref(), batch)?;
                 stored.append(batch)?;
-                ResultSet {
-                    rows_affected: rows,
-                    spilled_bytes: stats.spilled_bytes,
-                    spill_rounds: stats.spill_rounds,
-                    ..self.empty_result(started)
-                }
+                (empty(), rows, stats)
             }
             Statement::Update {
                 table,
@@ -314,28 +297,34 @@ impl Warehouse {
                 selection,
             } => {
                 let rows = self.run_update(&table.to_dotted(), assignments, selection.as_ref())?;
-                ResultSet {
-                    rows_affected: rows,
-                    ..self.empty_result(started)
-                }
+                (empty(), rows, ExecStats::default())
             }
             Statement::Delete { table, selection } => {
                 let rows = self.run_delete(&table.to_dotted(), selection.as_ref())?;
-                ResultSet {
-                    rows_affected: rows,
-                    ..self.empty_result(started)
-                }
+                (empty(), rows, ExecStats::default())
             }
             Statement::DropTable { name, if_exists } => {
                 self.catalog
                     .write()
                     .drop_table(&name.to_dotted(), *if_exists)?;
-                self.empty_result(started)
+                (empty(), 0, ExecStats::default())
             }
         };
+        let query_id = match stmt {
+            Statement::Query(_) => self.install_result(batch.clone()),
+            _ => self.fresh_query_id(),
+        };
+        // The one place a ledger reaches a `ResultSet`.
         Ok(ResultSet {
+            query_id,
+            batch,
+            rows_scanned: stats.rows_scanned.get(),
+            partitions_scanned: stats.partitions_scanned.get(),
             elapsed: started.elapsed(),
-            ..outcome
+            rows_affected,
+            spilled_bytes: stats.spilled_bytes.get(),
+            spill_rounds: stats.spill_rounds.get(),
+            operators: stats.into_operators(),
         })
     }
 
@@ -347,8 +336,7 @@ impl Warehouse {
         let Statement::Query(q) = stmt else {
             return Err(CdwError::plan("EXPLAIN ANALYZE supports only queries"));
         };
-        let mut stats = ExecStats::default();
-        self.run_query(&q, &[], &mut stats)?;
+        let (_, _, stats) = self.run_query(&q, &[])?;
         Ok(stats.render())
     }
 
@@ -392,15 +380,16 @@ impl Warehouse {
         query: &Query,
         inputs: &[(&str, &Batch)],
     ) -> Result<(Batch, bool), CdwError> {
-        self.run_query(query, inputs, &mut ExecStats::default())
+        let (batch, chain, _) = self.run_query(query, inputs)?;
+        Ok((batch, chain))
     }
 
+    /// [`Warehouse::execute_over`], plus the query's ledger.
     fn run_query(
         &self,
         q: &Query,
         inputs: &[(&str, &Batch)],
-        stats: &mut ExecStats,
-    ) -> Result<(Batch, bool), CdwError> {
+    ) -> Result<(Batch, bool, ExecStats), CdwError> {
         let catalog = self.catalog.read();
         let results = self.results.read();
         let plan = Planner::new(&catalog, &results).plan_query(q, inputs)?;
@@ -420,10 +409,11 @@ impl Warehouse {
             eval: self.eval_ctx(),
             parallelism: config.parallelism,
             morsel_sizing: config.morsel_sizing,
-            memory: crate::exec::ExecMemoryTracker::new(config.memory_budget),
-            sched: crate::exec::scheduler::SchedCounters::default(),
+            memory: ExecMemoryTracker::new(config.memory_budget),
+            stats: ExecStats::new(config.memory_budget),
         };
-        Ok((execute(&plan, &ctx, stats)?, chain))
+        let batch = execute(&plan, &ctx)?;
+        Ok((batch, chain, ctx.stats))
     }
 
     fn run_update(
@@ -499,20 +489,6 @@ impl Warehouse {
             .get_mut(table)?
             .replace_all(full.filter(&keep), DEFAULT_PARTITION_ROWS);
         Ok(deleted.len())
-    }
-
-    fn empty_result(&self, started: Instant) -> ResultSet {
-        ResultSet {
-            query_id: self.fresh_query_id(),
-            batch: Batch::empty(std::sync::Arc::new(sigma_value::Schema::empty())),
-            rows_scanned: 0,
-            partitions_scanned: 0,
-            elapsed: started.elapsed(),
-            rows_affected: 0,
-            operators: Vec::new(),
-            spilled_bytes: 0,
-            spill_rounds: 0,
-        }
     }
 
     fn fresh_query_id(&self) -> String {

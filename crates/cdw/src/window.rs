@@ -21,14 +21,13 @@
 //! non-null argument positions are listed once and each row finds its
 //! answer by binary search in that list.
 //!
-//! [`compute_window`] is the one entry point: expressions evaluate per
+//! `compute_window` is the one entry point: expressions evaluate per
 //! morsel and partitions sort/compute in parallel on the executor's
 //! work-stealing scheduler, with the morsel height decided by
 //! `crate::exec::ExecCtx::morsel_height` like every other operator (one
 //! whole-batch morsel when execution is serial).
 
 use std::cell::LazyCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use sigma_sql::{FrameBound, WindowFrame};
 use sigma_value::hash::{KeyCols, KeyIndex};
@@ -38,7 +37,7 @@ use sigma_value::{Batch, Column, ColumnBuilder, DataType, Value, ValueRef};
 use crate::error::CdwError;
 use crate::eval::{CompiledExpr, PhysExpr};
 use crate::exec::pipeline::{byte_cost, concat_morsel_columns, range_chunks, InputShape};
-use crate::exec::{coerce_column, par_map, timed, AggState, ExecCtx};
+use crate::exec::{coerce_column, par_map, AggState, ExecCtx, Meter};
 use crate::plan::{AggFunc, WinFunc, WindowCall};
 
 /// One work item's output, one entry per row in the item's
@@ -134,8 +133,8 @@ fn partition_rows(part_cols: &[Column], rows: usize) -> (Vec<usize>, Vec<usize>)
 }
 
 /// Compute one window call over a batch, returning the appended column.
-/// `eval_ns` accumulates the nanoseconds spent evaluating the call's
-/// partition / order / argument expressions (per-operator stats).
+/// The call's partition / order / argument evaluation time and its
+/// morsels record into the Window operator's `meter`.
 ///
 /// * **Expression evaluation** (partition / order / argument columns)
 ///   runs per morsel on the work-stealing scheduler; the per-morsel
@@ -151,13 +150,12 @@ fn partition_rows(part_cols: &[Column], rows: usize) -> (Vec<usize>, Vec<usize>)
 ///   and returns typed values in that order; they scatter into disjoint
 ///   row sets, so write order is irrelevant, and every value comes from
 ///   the same `compute_partition` sequence however the items were cut.
-pub fn compute_window(
+pub(crate) fn compute_window(
     call: &WindowCall,
     batch: &Batch,
     out_type: DataType,
     ctx: &ExecCtx,
-    eval_ns: &AtomicU64,
-    morsels_out: &AtomicUsize,
+    meter: &Meter,
 ) -> Result<Column, CdwError> {
     let rows = batch.num_rows();
     if rows == 0 {
@@ -178,7 +176,7 @@ pub fn compute_window(
 
     let height = ctx.morsel_height(|| InputShape::of_batches([batch]));
     let chunks = range_chunks(rows, height);
-    morsels_out.fetch_add(chunks.len(), Ordering::Relaxed);
+    meter.morsels.add(chunks.len());
     let total_bytes = LazyCell::new(|| batch.byte_size());
     type Cols = [Vec<Column>; 3];
     let evaled: Vec<Cols> = par_map(
@@ -197,9 +195,7 @@ pub fn compute_window(
                     .map(|e| e.eval(batch, sel.as_deref(), &ctx.eval))
                     .collect::<Result<Vec<_>, _>>()
             };
-            timed(eval_ns, || {
-                Ok::<_, CdwError>([eval(&cpart)?, eval(&corder)?, eval(&carg)?])
-            })
+            meter.timed(|| Ok::<_, CdwError>([eval(&cpart)?, eval(&corder)?, eval(&carg)?]))
         },
     )?;
     // Per-morsel columns concatenate to whole-batch ones.

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use sigma_cdw::{Warehouse, WarehouseConfig};
+use sigma_cdw::{CdwError, Warehouse, WarehouseConfig};
 use sigma_value::{calendar, Batch, Column, DataType, Field, Schema, Value};
 
 fn wh() -> Warehouse {
@@ -694,4 +694,28 @@ fn aggregate_of_expression_and_group_expr_reuse() {
     assert_eq!(b.num_rows(), 3);
     assert_eq!(cell(&b, 0, 0), Value::Int(1));
     assert_eq!(cell(&b, 0, 1), Value::Float(40.0)); // (5+15)*2
+}
+
+/// A scalar called with the wrong number of arguments is a plan error
+/// naming the function, not a panic on an argument index: raw-SQL
+/// workbook sources reach the engine without the formula parser's arity
+/// check. Covers constant calls (folded at plan time), column arguments
+/// (evaluated per batch) and too many arguments.
+#[test]
+fn wrong_arity_is_a_plan_error_naming_the_function() {
+    let wh = wh();
+    for (sql, func) in [
+        ("SELECT ABS()", "ABS"),
+        ("SELECT UPPER()", "UPPER"),
+        ("SELECT ROUND()", "ROUND"),
+        ("SELECT SUBSTRING('abc')", "SUBSTRING"),
+        ("SELECT DATE_TRUNC('day')", "DATE_TRUNC"),
+        ("SELECT LEFT(carrier) FROM flights", "LEFT"),
+        ("SELECT ABS(delay, delay) FROM flights", "ABS"),
+    ] {
+        match wh.execute_sql(sql) {
+            Err(CdwError::Plan(msg)) => assert!(msg.contains(func), "{sql}: {msg}"),
+            other => panic!("{sql}: expected a plan error, got {other:?}"),
+        }
+    }
 }
