@@ -70,7 +70,6 @@
 //! reorders bookkeeping, results are **bit-identical** at any budget,
 //! parallelism and morsel height (pinned by `tests/spill_oracle.rs`).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -80,7 +79,6 @@ use sigma_sql::JoinKind;
 use sigma_value::hash::{self, KeyCols, KeyIndex};
 use sigma_value::{sort, Batch, Column, ColumnBuilder, DataType, Field, Schema, Value, ValueRef};
 
-use crate::catalog::Catalog;
 use crate::error::CdwError;
 use crate::eval::{eval_sel, CompiledExpr, EvalCtx, PhysExpr};
 use crate::plan::{AggCall, AggFunc, AggMode, Plan};
@@ -177,10 +175,10 @@ impl Meter {
     }
 }
 
-/// Execution context (read access to storage plus settings).
-pub struct ExecCtx<'a> {
-    pub catalog: &'a Catalog,
-    pub results: &'a HashMap<String, Batch>,
+/// Execution context: settings plus the query's ledger. It borrows no
+/// store — a plan carries every batch it reads (see
+/// [`crate::planner::Planner`]), so no lock is held while a query runs.
+pub struct ExecCtx {
     pub eval: EvalCtx,
     /// Worker threads for partition-parallel stages (1 = serial).
     pub parallelism: usize,
@@ -194,7 +192,7 @@ pub struct ExecCtx<'a> {
     pub stats: ExecStats,
 }
 
-impl ExecCtx<'_> {
+impl ExecCtx {
     /// Worker slots this query can actually occupy: the configured
     /// per-query `parallelism` clamped to the process-wide pool target.
     pub fn effective_parallelism(&self) -> usize {
@@ -483,18 +481,10 @@ fn execute_node(
     meter: &Meter,
 ) -> Result<Vec<Part>, CdwError> {
     match plan {
-        Plan::Scan { table, .. } => {
-            let stored = ctx.catalog.get(table)?;
+        Plan::Scan { stored, .. } => {
             ctx.stats.rows_scanned.add(stored.num_rows());
             ctx.stats.partitions_scanned.add(stored.partitions().len());
             Ok(stored.partitions().iter().cloned().map(Part::new).collect())
-        }
-        Plan::ResultScan { id, .. } => {
-            let batch = ctx
-                .results
-                .get(id)
-                .ok_or_else(|| CdwError::catalog(format!("persisted result not found: {id}")))?;
-            Ok(vec![Part::new(batch.clone())])
         }
         Plan::Values { batch } => Ok(vec![Part::new(batch.clone())]),
         Plan::Filter { .. } | Plan::Project { .. } => {
@@ -2108,11 +2098,7 @@ mod tests {
     #[test]
     fn par_map_distributes_across_threads() {
         scheduler::grow_worker_pool_target(4);
-        let catalog = Catalog::new();
-        let results = HashMap::new();
         let ctx = ExecCtx {
-            catalog: &catalog,
-            results: &results,
             eval: EvalCtx::default(),
             parallelism: 4,
             morsel_sizing: MorselSizing::Derived,
@@ -2141,11 +2127,7 @@ mod tests {
     /// Serial mode must not spawn workers at all.
     #[test]
     fn par_map_serial_stays_on_caller_thread() {
-        let catalog = Catalog::new();
-        let results = HashMap::new();
         let ctx = ExecCtx {
-            catalog: &catalog,
-            results: &results,
             eval: EvalCtx::default(),
             parallelism: 1,
             morsel_sizing: MorselSizing::Derived,
@@ -2165,14 +2147,8 @@ mod tests {
         .unwrap();
     }
 
-    fn test_ctx<'a>(
-        catalog: &'a Catalog,
-        results: &'a HashMap<String, Batch>,
-        parallelism: usize,
-    ) -> ExecCtx<'a> {
+    fn test_ctx(parallelism: usize) -> ExecCtx {
         ExecCtx {
-            catalog,
-            results,
             eval: EvalCtx::default(),
             parallelism,
             morsel_sizing: MorselSizing::Derived,
@@ -2202,9 +2178,7 @@ mod tests {
     fn killed_spill_worker_leaves_no_temp_files() {
         scheduler::grow_worker_pool_target(4);
         let _guard = crate::storage::spill_test_support::lock();
-        let catalog = Catalog::new();
-        let results = HashMap::new();
-        let ctx = test_ctx(&catalog, &results, 4);
+        let ctx = test_ctx(4);
         let items: Vec<(usize, SpillHandle)> =
             sealed_spill_files(4).into_iter().enumerate().collect();
         assert_eq!(
@@ -2241,9 +2215,7 @@ mod tests {
     fn spill_worker_error_propagates_and_cleans_up() {
         scheduler::grow_worker_pool_target(4);
         let _guard = crate::storage::spill_test_support::lock();
-        let catalog = Catalog::new();
-        let results = HashMap::new();
-        let ctx = test_ctx(&catalog, &results, 4);
+        let ctx = test_ctx(4);
         let items: Vec<(usize, SpillHandle)> =
             sealed_spill_files(6).into_iter().enumerate().collect();
         let err = par_map(

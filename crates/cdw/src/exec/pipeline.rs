@@ -1256,11 +1256,7 @@ mod tests {
         // stealable units each), not like 16 (625). Asking for more
         // threads than any pool has resolves to the pool target.
         assert_eq!(derived(16, 100_000, 1_600_000, 40_000), 625);
-        let catalog = Catalog::new();
-        let results = HashMap::new();
         let ctx = ExecCtx {
-            catalog: &catalog,
-            results: &results,
             eval: EvalCtx::default(),
             parallelism: usize::MAX,
             morsel_sizing: MorselSizing::Derived,

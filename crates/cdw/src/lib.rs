@@ -49,7 +49,10 @@
 //!   time,
 //! * DDL/DML (materialization, CSV upload, editable-table edit propagation),
 //! * persisted result sets addressable by query id (`RESULT_SCAN`), which
-//!   the service's query-directory cache relies on (paper §4).
+//!   the service's query-directory cache relies on (paper §4), kept in
+//!   one LRU. A plan owns every batch it reads — table partitions and
+//!   `RESULT_SCAN` results are bound when it is planned — so no store is
+//!   locked while a query runs.
 //!
 //! The substitution rationale is recorded in DESIGN.md: the compiler's
 //! contract is SQL text, so any engine with standard semantics exercises

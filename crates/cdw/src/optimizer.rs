@@ -597,7 +597,7 @@ fn explain_pipelines_into(plan: &Plan, depth: usize, out: &mut String) {
         return;
     }
     match plan {
-        Plan::Scan { .. } | Plan::ResultScan { .. } | Plan::Values { .. } => {
+        Plan::Scan { .. } | Plan::Values { .. } => {
             indent_by(out, depth);
             out.push_str(&format!("source: {}\n", plan.label()));
         }

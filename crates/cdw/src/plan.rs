@@ -6,6 +6,7 @@ use sigma_sql::{JoinKind, WindowFrame};
 use sigma_value::{Batch, DataType, Schema};
 
 use crate::eval::PhysExpr;
+use crate::storage::StoredTable;
 
 /// Execution phase of an [`Plan::Aggregate`] or [`Plan::Distinct`] node.
 ///
@@ -121,13 +122,13 @@ pub struct WindowCall {
 }
 
 /// A logical plan node. Every node knows its output schema.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Plan {
-    /// Scan a catalog table.
-    Scan { table: String, schema: Arc<Schema> },
-    /// Scan a persisted result set by query id (RESULT_SCAN).
-    ResultScan { id: String, schema: Arc<Schema> },
-    /// Inline rows.
+    /// Scan a catalog table: its partitions as of planning, so the
+    /// executor reads no catalog.
+    Scan { table: String, stored: StoredTable },
+    /// Inline rows: VALUES, the FROM-less row, a bound input, or a
+    /// persisted result set read by `RESULT_SCAN`.
     Values { batch: Batch },
     Project {
         input: Box<Plan>,
@@ -190,8 +191,7 @@ impl Plan {
     /// Output schema of this node.
     pub fn schema(&self) -> Arc<Schema> {
         match self {
-            Plan::Scan { schema, .. } => schema.clone(),
-            Plan::ResultScan { schema, .. } => schema.clone(),
+            Plan::Scan { stored, .. } => stored.schema().clone(),
             Plan::Values { batch } => batch.schema().clone(),
             Plan::Project { schema, .. } => schema.clone(),
             Plan::Filter { input, .. } => input.schema(),
@@ -219,7 +219,7 @@ impl Plan {
     /// children; every walker that only recurses goes through them.
     pub fn inputs(&self) -> Vec<&Plan> {
         match self {
-            Plan::Scan { .. } | Plan::ResultScan { .. } | Plan::Values { .. } => Vec::new(),
+            Plan::Scan { .. } | Plan::Values { .. } => Vec::new(),
             Plan::Project { input, .. }
             | Plan::Filter { input, .. }
             | Plan::Aggregate { input, .. }
@@ -236,7 +236,7 @@ impl Plan {
     /// right; the first error aborts the rewrite.
     pub fn map_inputs<E>(mut self, mut f: impl FnMut(Plan) -> Result<Plan, E>) -> Result<Plan, E> {
         let slots: Vec<&mut Plan> = match &mut self {
-            Plan::Scan { .. } | Plan::ResultScan { .. } | Plan::Values { .. } => Vec::new(),
+            Plan::Scan { .. } | Plan::Values { .. } => Vec::new(),
             Plan::Project { input, .. }
             | Plan::Filter { input, .. }
             | Plan::Aggregate { input, .. }
@@ -264,7 +264,6 @@ impl Plan {
     pub fn for_each_expr_mut(&mut self, f: &mut dyn FnMut(&mut PhysExpr)) {
         match self {
             Plan::Scan { .. }
-            | Plan::ResultScan { .. }
             | Plan::Values { .. }
             | Plan::Limit { .. }
             | Plan::UnionAll { .. }
@@ -301,7 +300,6 @@ impl Plan {
     pub fn label(&self) -> String {
         match self {
             Plan::Scan { table, .. } => format!("Scan {table}"),
-            Plan::ResultScan { id, .. } => format!("ResultScan {id}"),
             Plan::Values { batch } => format!("Values ({} rows)", batch.num_rows()),
             Plan::Project { exprs, .. } => format!("Project ({} exprs)", exprs.len()),
             Plan::Filter { .. } => "Filter".to_string(),

@@ -9,7 +9,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use sigma_sql::{JoinKind, OrderExpr, Query, Select, SelectItem, SetExpr, SqlExpr, TableRef};
+use sigma_value::lru::Lru;
 use sigma_value::{Batch, ColumnBuilder, DataType, Field, Schema, Value};
 
 use crate::catalog::Catalog;
@@ -88,11 +90,14 @@ impl Scope {
     }
 }
 
-/// Planner over a catalog plus the persisted-result directory (for
-/// `RESULT_SCAN` schemas).
+/// Planner over a catalog plus the persisted result sets. A plan owns
+/// every batch it reads: a table reference binds the table's partitions
+/// as they are now, and `RESULT_SCAN('<id>')` binds the result's batch,
+/// so executing the plan reads neither store.
 pub struct Planner<'a> {
     pub catalog: &'a Catalog,
-    pub results: &'a HashMap<String, Batch>,
+    /// Read with [`Lru::peek`]: planning does not promote a result.
+    pub results: &'a Mutex<Lru<String, Batch>>,
 }
 
 const AGG_NAMES: &[(&str, AggFunc)] = &[
@@ -139,7 +144,7 @@ fn win_func_for(name: &str) -> Option<WinFunc> {
 }
 
 impl<'a> Planner<'a> {
-    pub fn new(catalog: &'a Catalog, results: &'a HashMap<String, Batch>) -> Planner<'a> {
+    pub fn new(catalog: &'a Catalog, results: &'a Mutex<Lru<String, Batch>>) -> Planner<'a> {
         Planner { catalog, results }
     }
 
@@ -667,15 +672,10 @@ impl<'a> Planner<'a> {
                         return Ok((plan, Scope::single(binding, schema)));
                     }
                 }
-                let table = self.catalog.get(&name.to_dotted())?;
-                let schema = table.schema().clone();
-                Ok((
-                    Plan::Scan {
-                        table: name.to_dotted(),
-                        schema: schema.clone(),
-                    },
-                    Scope::single(binding, schema),
-                ))
+                let table = name.to_dotted();
+                let stored = self.catalog.get(&table)?.clone();
+                let scope = Scope::single(binding, stored.schema().clone());
+                Ok((Plan::Scan { table, stored }, scope))
             }
             TableRef::Subquery { query, alias } => {
                 let plan = self.plan_query_env(query, ctes)?;
@@ -690,18 +690,12 @@ impl<'a> Planner<'a> {
                     Some(SqlExpr::Literal(Value::Text(s))) => s.clone(),
                     _ => return Err(CdwError::plan("RESULT_SCAN expects a query id string")),
                 };
-                let batch = self.results.get(&id).ok_or_else(|| {
+                let batch = self.results.lock().peek(&id).cloned().ok_or_else(|| {
                     CdwError::catalog(format!("persisted result not found: {id}"))
                 })?;
-                let schema = batch.schema().clone();
                 let binding = alias.clone().unwrap_or_else(|| "result".to_string());
-                Ok((
-                    Plan::ResultScan {
-                        id,
-                        schema: schema.clone(),
-                    },
-                    Scope::single(binding, schema),
-                ))
+                let scope = Scope::single(binding, batch.schema().clone());
+                Ok((Plan::Values { batch }, scope))
             }
         }
     }

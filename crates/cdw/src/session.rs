@@ -1,12 +1,11 @@
 //! The warehouse facade: parse → plan → optimize → execute, plus DDL/DML,
 //! persisted result sets, and the engine's configuration knobs.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use sigma_sql::{parse_statement, Dialect, Query, Statement};
 use sigma_value::lru::Lru;
 use sigma_value::Batch;
@@ -79,17 +78,16 @@ pub struct ResultSet {
 
 /// An in-process cloud data warehouse.
 pub struct Warehouse {
+    /// Tables by name. A query holds the read lock only while it is
+    /// planned: its plan takes the partitions it reads along.
     catalog: RwLock<Catalog>,
-    /// Persisted result sets by query id. Kept apart from `retention`
-    /// because every query holds a read lock on it for its whole
-    /// execution, and promoting a result must not wait for that.
-    results: RwLock<HashMap<String, Batch>>,
-    /// Recency of `results`' keys, capped at `max_persisted_results`:
-    /// re-fetching a result via [`Warehouse::persisted_result`] or
-    /// [`Warehouse::touch_result`] promotes it, so results that stage
-    /// caching keeps re-serving via `RESULT_SCAN` are not evicted in
-    /// insertion order.
-    retention: RwLock<Lru<String, ()>>,
+    /// Persisted result sets by query id, at most `max_persisted_results`
+    /// of them. Re-fetching a result via [`Warehouse::persisted_result`]
+    /// or [`Warehouse::touch_result`] promotes it, so results that stage
+    /// caching keeps re-serving are not evicted in insertion order;
+    /// planning a `RESULT_SCAN` reads without promoting. Every access is
+    /// one short locked call — no query holds it while it runs.
+    results: Mutex<Lru<String, Batch>>,
     next_query_id: AtomicU64,
     config: RwLock<WarehouseConfig>,
     /// Total statements executed.
@@ -106,8 +104,7 @@ impl Warehouse {
     pub fn new(config: WarehouseConfig) -> Warehouse {
         Warehouse {
             catalog: RwLock::new(Catalog::new()),
-            results: RwLock::new(HashMap::new()),
-            retention: RwLock::new(Lru::new(config.max_persisted_results)),
+            results: Mutex::new(Lru::new(config.max_persisted_results)),
             next_query_id: AtomicU64::new(1),
             config: RwLock::new(config),
             queries_executed: AtomicU64::new(0),
@@ -213,21 +210,14 @@ impl Warehouse {
     /// most-recently-used so stage results under active reuse stay
     /// addressable.
     pub fn persisted_result(&self, query_id: &str) -> Option<Batch> {
-        let hit = self.results.read().get(query_id).cloned();
-        if hit.is_some() {
-            self.retention.write().get_mut(query_id);
-        }
-        hit
+        self.results.lock().get_mut(query_id).cloned()
     }
 
     /// Whether a result set is still addressable via `RESULT_SCAN`,
     /// promoting it if so (the stage cache's liveness probe — no batch
     /// clone).
     pub fn touch_result(&self, query_id: &str) -> bool {
-        if !self.results.read().contains_key(query_id) {
-            return false;
-        }
-        self.retention.write().get_mut(query_id).is_some()
+        self.results.lock().get_mut(query_id).is_some()
     }
 
     /// Execute one SQL statement.
@@ -353,10 +343,7 @@ impl Warehouse {
         let Statement::Query(q) = stmt else {
             return Err(CdwError::plan("EXPLAIN supports only queries"));
         };
-        let catalog = self.catalog.read();
-        let results = self.results.read();
-        let planner = Planner::new(&catalog, &results);
-        let plan = planner.plan_query(&q, &[])?;
+        let plan = Planner::new(&self.catalog.read(), &self.results).plan_query(&q, &[])?;
         optimize(plan, &self.eval_ctx())
     }
 
@@ -373,8 +360,8 @@ impl Warehouse {
     /// nodes over one of the inputs ([`Plan::chain_source`]) — the
     /// browser tier tells a delta edit from a residual one by it.
     ///
-    /// Nothing is persisted: the result store is read (for `RESULT_SCAN`)
-    /// but never written, so no query id is assigned.
+    /// Nothing is persisted: the result store is read (for `RESULT_SCAN`,
+    /// without promoting) but never written, so no query id is assigned.
     pub fn execute_over(
         &self,
         query: &Query,
@@ -390,12 +377,12 @@ impl Warehouse {
         q: &Query,
         inputs: &[(&str, &Batch)],
     ) -> Result<(Batch, bool, ExecStats), CdwError> {
-        let catalog = self.catalog.read();
-        let results = self.results.read();
-        let plan = Planner::new(&catalog, &results).plan_query(q, inputs)?;
+        // The plan owns every batch it reads, so the catalog guard drops
+        // here and neither store is locked while the query runs.
+        let plan = Planner::new(&self.catalog.read(), &self.results).plan_query(q, inputs)?;
         // A bound input's leaf shares the input's schema allocation; the
-        // planner's own `Values` leaves (VALUES rows, the FROM-less dual
-        // row) each build a fresh one.
+        // planner's other `Values` leaves (VALUES rows, the FROM-less dual
+        // row, a `RESULT_SCAN`) carry their own.
         let chain = plan.chain_source().is_some_and(|source| {
             inputs
                 .iter()
@@ -404,8 +391,6 @@ impl Warehouse {
         let plan = optimize(plan, &self.eval_ctx())?;
         let config = self.config.read().clone();
         let ctx = ExecCtx {
-            catalog: &catalog,
-            results: &results,
             eval: self.eval_ctx(),
             parallelism: config.parallelism,
             morsel_sizing: config.morsel_sizing,
@@ -423,10 +408,9 @@ impl Warehouse {
         selection: Option<&sigma_sql::SqlExpr>,
     ) -> Result<usize, CdwError> {
         let mut catalog = self.catalog.write();
-        let results = self.results.read();
         let schema = catalog.get(table)?.schema().clone();
         let full = catalog.get(table)?.to_batch();
-        let planner = Planner::new(&catalog, &results);
+        let planner = Planner::new(&catalog, &self.results);
         let scope = Scope::single(table, schema.clone());
         let ctx = self.eval_ctx();
         let predicate = match selection {
@@ -471,12 +455,11 @@ impl Warehouse {
         selection: Option<&sigma_sql::SqlExpr>,
     ) -> Result<usize, CdwError> {
         let mut catalog = self.catalog.write();
-        let results = self.results.read();
         let schema = catalog.get(table)?.schema().clone();
         let full = catalog.get(table)?.to_batch();
         let predicate = match selection {
             Some(sel) => {
-                Planner::new(&catalog, &results).resolve(sel, &Scope::single(table, schema))?
+                Planner::new(&catalog, &self.results).resolve(sel, &Scope::single(table, schema))?
             }
             None => PhysExpr::lit(true),
         };
@@ -504,20 +487,15 @@ impl Warehouse {
     /// instead — nothing to clean up.)
     pub fn install_result(&self, batch: Batch) -> String {
         let id = self.fresh_query_id();
-        let mut results = self.results.write();
-        results.insert(id.clone(), batch);
-        for (evicted, ()) in self.retention.write().insert(id.clone(), (), 1) {
-            results.remove(&evicted);
-        }
+        // Evicted batches drop after the lock is released.
+        let _evicted = self.results.lock().insert(id.clone(), batch, 1);
         id
     }
 
     /// Drop a persisted result by query id (ephemeral-table cleanup).
     /// Returns whether it was present.
     pub fn evict_result(&self, query_id: &str) -> bool {
-        let mut results = self.results.write();
-        self.retention.write().remove(query_id);
-        results.remove(query_id).is_some()
+        self.results.lock().remove(query_id).is_some()
     }
 }
 

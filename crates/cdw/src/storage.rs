@@ -32,11 +32,24 @@ use crate::error::CdwError;
 /// Default number of rows per partition for bulk loads.
 pub const DEFAULT_PARTITION_ROWS: usize = 65_536;
 
-/// One stored table.
-#[derive(Debug, Clone)]
+/// One stored table. Cloning it bumps one `Arc` per column per
+/// partition, which is how a [`crate::plan::Plan::Scan`] holds the rows
+/// it was planned against.
+#[derive(Clone)]
 pub struct StoredTable {
     schema: Arc<Schema>,
     partitions: Vec<Batch>,
+}
+
+/// The shape, not the rows: a plan's `Debug` text stays readable.
+impl std::fmt::Debug for StoredTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StoredTable")
+            .field("schema", &self.schema)
+            .field("rows", &self.num_rows())
+            .field("partitions", &self.partitions.len())
+            .finish()
+    }
 }
 
 impl StoredTable {

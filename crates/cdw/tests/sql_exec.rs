@@ -719,3 +719,60 @@ fn wrong_arity_is_a_plan_error_naming_the_function() {
         }
     }
 }
+
+/// The persisted-result store keeps `max_persisted_results` results in
+/// recency order. Re-fetching a result (`persisted_result`,
+/// `touch_result`) promotes it; planning a `RESULT_SCAN` over it does
+/// not. A `RESULT_SCAN` of an evicted id is an error naming the id, and
+/// the leaf a live one plans as reports its EXPLAIN line.
+#[test]
+fn result_store_promotes_on_fetch_but_not_on_plan() {
+    let wh = Warehouse::new(WarehouseConfig {
+        max_persisted_results: 2,
+        ..WarehouseConfig::default()
+    });
+    let rows = |n: i64| {
+        let schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Int)]));
+        Batch::new(schema, vec![Column::from_ints((0..n).collect())]).unwrap()
+    };
+    let scan = |id: &str| format!("SELECT x FROM TABLE(RESULT_SCAN('{id}')) AS r");
+    let r1 = wh.install_result(rows(1));
+    let r2 = wh.install_result(rows(2));
+
+    // Planning reads r1 without promoting it, so the next install evicts it.
+    wh.plan_sql(&scan(&r1)).unwrap();
+    let r3 = wh.install_result(rows(3));
+    assert!(wh.persisted_result(&r1).is_none());
+    for err in [
+        wh.plan_sql(&scan(&r1)).unwrap_err(),
+        wh.execute_sql(&scan(&r1)).unwrap_err(),
+    ] {
+        match err {
+            CdwError::Catalog(msg) => assert!(msg.contains(&r1), "{msg}"),
+            other => panic!("expected a catalog error naming {r1}, got {other:?}"),
+        }
+    }
+
+    // persisted_result promotes r2 past r3: the next install evicts r3.
+    assert_eq!(wh.persisted_result(&r2), Some(rows(2)));
+    let r4 = wh.install_result(rows(4));
+    assert!(!wh.touch_result(&r3));
+    // touch_result promotes r2 past r4: the next install evicts r4.
+    assert!(wh.touch_result(&r2));
+    let r5 = wh.install_result(rows(5));
+    assert!(!wh.touch_result(&r4));
+    assert!(wh.touch_result(&r5));
+
+    // The RESULT_SCAN leaf is a Values node over the stored batch.
+    let sql = scan(&r2);
+    let explain = wh.plan_sql(&sql).unwrap().explain();
+    let leaf = explain.lines().last().unwrap().trim_start();
+    assert_eq!(leaf, "Values (2 rows)", "{explain}");
+    let ran = wh.execute_sql(&sql).unwrap();
+    assert_eq!(ran.batch, rows(2));
+    assert!(
+        ran.operators.iter().any(|o| o.op == leaf),
+        "{:?}",
+        ran.operators
+    );
+}

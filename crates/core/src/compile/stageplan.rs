@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use sigma_sql::printer::print_query;
-use sigma_sql::{Dialect, Query, SetExpr, TableRef};
+use sigma_sql::{Dialect, Query, TableRef};
 
 /// A 128-bit content fingerprint (FNV-1a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -259,7 +259,20 @@ fn build_node(
 ) -> StageNode {
     let mut inputs: Vec<usize> = Vec::new();
     let mut tables: Vec<String> = Vec::new();
-    collect_refs(&query, index, &mut inputs, &mut tables);
+    // Split FROM/JOIN references into earlier stages (CTE names) and
+    // warehouse tables. Stage queries are emitted with an empty CTE
+    // prologue, but raw-SQL sources may carry their own WITH clauses,
+    // whose bodies are walked too (their local names shadow nothing here).
+    query.for_each_table_ref(&mut |t| {
+        let TableRef::Table { name, .. } = t else {
+            return;
+        };
+        let dotted = name.to_dotted().to_ascii_lowercase();
+        match index.get(&dotted) {
+            Some(&i) if name.0.len() == 1 => inputs.push(i),
+            _ => tables.push(dotted),
+        }
+    });
     inputs.sort_unstable();
     inputs.dedup();
     tables.sort();
@@ -288,60 +301,6 @@ fn build_node(
         tables,
         all_tables,
         fingerprint: fp,
-    }
-}
-
-/// Walk a query for `FROM`/`JOIN` relations, splitting references into
-/// earlier stages (CTE names) and warehouse tables.
-fn collect_refs(
-    query: &Query,
-    index: &HashMap<String, usize>,
-    inputs: &mut Vec<usize>,
-    tables: &mut Vec<String>,
-) {
-    // Stage queries are emitted with an empty CTE prologue, but walk any
-    // nested prologue defensively (raw-SQL sources may carry their own
-    // WITH clauses, whose local names shadow nothing here).
-    for (_, cte) in &query.ctes {
-        collect_refs(cte, index, inputs, tables);
-    }
-    collect_refs_in_set(&query.body, index, inputs, tables);
-}
-
-fn collect_refs_in_set(
-    body: &SetExpr,
-    index: &HashMap<String, usize>,
-    inputs: &mut Vec<usize>,
-    tables: &mut Vec<String>,
-) {
-    match body {
-        SetExpr::Select(s) => {
-            let mut visit = |t: &TableRef| match t {
-                TableRef::Table { name, .. } => {
-                    let dotted = name.to_dotted().to_ascii_lowercase();
-                    if name.0.len() == 1 {
-                        if let Some(&i) = index.get(&dotted) {
-                            inputs.push(i);
-                            return;
-                        }
-                    }
-                    tables.push(dotted);
-                }
-                TableRef::Subquery { query, .. } => collect_refs(query, index, inputs, tables),
-                TableRef::Function { .. } => {}
-            };
-            if let Some(from) = &s.from {
-                visit(from);
-            }
-            for j in &s.joins {
-                visit(&j.relation);
-            }
-        }
-        SetExpr::UnionAll(l, r) => {
-            collect_refs_in_set(l, index, inputs, tables);
-            collect_refs_in_set(r, index, inputs, tables);
-        }
-        SetExpr::Values(_) => {}
     }
 }
 

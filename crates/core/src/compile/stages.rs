@@ -124,7 +124,15 @@ impl<'a, 'b> Builder<'a, 'b> {
         for (name, _) in &query.ctes {
             renames.insert(name.to_ascii_lowercase(), format!("{prefix}{name}"));
         }
-        rename_tables_in_query(&mut query, &renames);
+        query.for_each_table_ref_mut(&mut |t| {
+            if let TableRef::Table { name, .. } = t {
+                if let [base] = name.0.as_mut_slice() {
+                    if let Some(new) = renames.get(&base.to_ascii_lowercase()) {
+                        *base = new.clone();
+                    }
+                }
+            }
+        });
         let ctes = std::mem::take(&mut query.ctes);
         for (name, cte) in ctes {
             let new_name = renames
@@ -1380,45 +1388,4 @@ fn lower_agg_call(agg: &Formula, arg_site: &dyn Site) -> Result<SqlExpr, CoreErr
         }
     }
     lower(agg, &AggOnly { inner: arg_site })
-}
-
-/// Rewrite CTE-name references inside a query (used when embedding another
-/// element's compiled query under a prefix).
-fn rename_tables_in_query(q: &mut Query, renames: &HashMap<String, String>) {
-    for (_, cte) in &mut q.ctes {
-        rename_tables_in_query(cte, renames);
-    }
-    rename_tables_in_set(&mut q.body, renames);
-}
-
-fn rename_tables_in_set(body: &mut SetExpr, renames: &HashMap<String, String>) {
-    match body {
-        SetExpr::Select(s) => {
-            if let Some(from) = &mut s.from {
-                rename_table_ref(from, renames);
-            }
-            for j in &mut s.joins {
-                rename_table_ref(&mut j.relation, renames);
-            }
-        }
-        SetExpr::UnionAll(l, r) => {
-            rename_tables_in_set(l, renames);
-            rename_tables_in_set(r, renames);
-        }
-        SetExpr::Values(_) => {}
-    }
-}
-
-fn rename_table_ref(t: &mut TableRef, renames: &HashMap<String, String>) {
-    match t {
-        TableRef::Table { name, .. } => {
-            if name.0.len() == 1 {
-                if let Some(new) = renames.get(&name.0[0].to_ascii_lowercase()) {
-                    name.0[0] = new.clone();
-                }
-            }
-        }
-        TableRef::Subquery { query, .. } => rename_tables_in_query(query, renames),
-        TableRef::Function { .. } => {}
-    }
 }

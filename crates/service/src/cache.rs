@@ -198,13 +198,6 @@ impl QueryDirectory {
         self.entries.lock().remove(&key.into()).is_some()
     }
 
-    /// Drop everything (the conservative fallback).
-    pub fn invalidate_all(&self) -> usize {
-        let n = self.entries.lock().retain(|_, _| false);
-        self.stats.lock().invalidated += n as u64;
-        n
-    }
-
     /// Targeted invalidation: drop entries whose results read any of the
     /// given warehouse tables — plus entries with *unknown* dependencies,
     /// which must be dropped conservatively. Table names are compared
@@ -365,14 +358,13 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_all_and_key() {
+    fn invalidate_key() {
         let dir = QueryDirectory::new(10);
         dir.insert("a", "q-1");
         dir.insert("b", "q-2");
         assert!(dir.invalidate_key("a"));
         assert!(!dir.invalidate_key("a"));
-        assert_eq!(dir.invalidate_all(), 1);
-        assert!(dir.is_empty());
+        assert_eq!(dir.lookup("b"), Some("q-2".into()));
     }
 
     #[test]

@@ -481,6 +481,64 @@ impl Query {
             offset: None,
         }
     }
+
+    /// Visit every FROM/JOIN relation: each CTE body's in order, then the
+    /// body's (a union's left arm before its right, a SELECT's FROM before
+    /// its joins). A subquery relation is visited, then the relations
+    /// inside it. This is the one place that walks a query's relations.
+    pub fn for_each_table_ref(&self, f: &mut dyn FnMut(&TableRef)) {
+        for (_, cte) in &self.ctes {
+            cte.for_each_table_ref(f);
+        }
+        self.body.for_each_table_ref(f);
+    }
+
+    /// [`Query::for_each_table_ref`], mutably.
+    pub fn for_each_table_ref_mut(&mut self, f: &mut dyn FnMut(&mut TableRef)) {
+        for (_, cte) in &mut self.ctes {
+            cte.for_each_table_ref_mut(f);
+        }
+        self.body.for_each_table_ref_mut(f);
+    }
+}
+
+impl SetExpr {
+    fn for_each_table_ref(&self, f: &mut dyn FnMut(&TableRef)) {
+        match self {
+            SetExpr::Select(s) => {
+                for t in s.from.iter().chain(s.joins.iter().map(|j| &j.relation)) {
+                    f(t);
+                    if let TableRef::Subquery { query, .. } = t {
+                        query.for_each_table_ref(f);
+                    }
+                }
+            }
+            SetExpr::UnionAll(l, r) => {
+                l.for_each_table_ref(f);
+                r.for_each_table_ref(f);
+            }
+            SetExpr::Values(_) => {}
+        }
+    }
+
+    fn for_each_table_ref_mut(&mut self, f: &mut dyn FnMut(&mut TableRef)) {
+        match self {
+            SetExpr::Select(s) => {
+                let joins = s.joins.iter_mut().map(|j| &mut j.relation);
+                for t in s.from.iter_mut().chain(joins) {
+                    f(t);
+                    if let TableRef::Subquery { query, .. } = t {
+                        query.for_each_table_ref_mut(f);
+                    }
+                }
+            }
+            SetExpr::UnionAll(l, r) => {
+                l.for_each_table_ref_mut(f);
+                r.for_each_table_ref_mut(f);
+            }
+            SetExpr::Values(_) => {}
+        }
+    }
 }
 
 /// Top-level statements the warehouse accepts.
@@ -582,5 +640,30 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// Relations named in visit order: CTE bodies first, a union's left
+    /// arm before its right, FROM before joins, a subquery before its
+    /// insides. Both visitors see the same sequence.
+    #[test]
+    fn table_ref_visitors_reach_every_relation_in_order() {
+        let mut q = crate::parser::parse_query(
+            "WITH c1 AS (SELECT x FROM a JOIN b ON a.k = b.k) \
+             SELECT x FROM c1 JOIN (SELECT x FROM d UNION ALL SELECT x FROM e) AS s ON c1.x = s.x \
+             UNION ALL SELECT x FROM TABLE(RESULT_SCAN('q-1')) AS r JOIN f ON r.x = f.x",
+        )
+        .unwrap();
+        let label = |t: &TableRef| match t {
+            TableRef::Table { name, .. } => name.to_dotted(),
+            TableRef::Subquery { alias, .. } => format!("({alias})"),
+            TableRef::Function { name, .. } => name.clone(),
+        };
+        let want = ["a", "b", "c1", "(s)", "d", "e", "RESULT_SCAN", "f"];
+        let mut seen = Vec::new();
+        q.for_each_table_ref(&mut |t| seen.push(label(t)));
+        assert_eq!(seen, want);
+        let mut seen = Vec::new();
+        q.for_each_table_ref_mut(&mut |t| seen.push(label(t)));
+        assert_eq!(seen, want);
     }
 }

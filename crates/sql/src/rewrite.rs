@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use crate::ast::{Query, SetExpr, SqlExpr, TableRef};
+use crate::ast::{Query, SqlExpr, TableRef};
 
 /// Replace every single-part table reference whose (lower-cased) name is a
 /// key of `scans` with a `TABLE(RESULT_SCAN('<query-id>'))` call. The
@@ -14,51 +14,25 @@ use crate::ast::{Query, SetExpr, SqlExpr, TableRef};
 /// references still resolve. Returns how many references were rewritten.
 pub fn substitute_result_scans(query: &mut Query, scans: &HashMap<String, String>) -> usize {
     let mut n = 0;
-    for (_, cte) in &mut query.ctes {
-        n += substitute_result_scans(cte, scans);
-    }
-    n += substitute_in_set(&mut query.body, scans);
+    query.for_each_table_ref_mut(&mut |t| {
+        let TableRef::Table { name, alias } = t else {
+            return;
+        };
+        let [base] = name.0.as_slice() else {
+            return;
+        };
+        let Some(query_id) = scans.get(&base.to_ascii_lowercase()) else {
+            return;
+        };
+        let binding = alias.clone().unwrap_or_else(|| base.clone());
+        *t = TableRef::Function {
+            name: "RESULT_SCAN".into(),
+            args: vec![SqlExpr::lit(query_id.clone())],
+            alias: Some(binding),
+        };
+        n += 1;
+    });
     n
-}
-
-fn substitute_in_set(body: &mut SetExpr, scans: &HashMap<String, String>) -> usize {
-    match body {
-        SetExpr::Select(s) => {
-            let mut n = 0;
-            if let Some(from) = &mut s.from {
-                n += substitute_table_ref(from, scans);
-            }
-            for j in &mut s.joins {
-                n += substitute_table_ref(&mut j.relation, scans);
-            }
-            n
-        }
-        SetExpr::UnionAll(l, r) => substitute_in_set(l, scans) + substitute_in_set(r, scans),
-        SetExpr::Values(_) => 0,
-    }
-}
-
-fn substitute_table_ref(t: &mut TableRef, scans: &HashMap<String, String>) -> usize {
-    match t {
-        TableRef::Table { name, alias } => {
-            if name.0.len() != 1 {
-                return 0;
-            }
-            let key = name.0[0].to_ascii_lowercase();
-            let Some(query_id) = scans.get(&key) else {
-                return 0;
-            };
-            let binding = alias.clone().unwrap_or_else(|| name.0[0].clone());
-            *t = TableRef::Function {
-                name: "RESULT_SCAN".into(),
-                args: vec![SqlExpr::lit(query_id.clone())],
-                alias: Some(binding),
-            };
-            1
-        }
-        TableRef::Subquery { query, .. } => substitute_result_scans(query, scans),
-        TableRef::Function { .. } => 0,
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The one LRU every cache in the workspace is a use of: the browser's
 //! result and stage caches (entries weighted by batch bytes), the service's
-//! query directory and the warehouse's persisted-result retention (every
-//! entry weighs 1, so the budget is a count).
+//! query directory and the warehouse's persisted result sets (every entry
+//! weighs 1, so the budget is a count).
 //!
 //! Entries live in a `HashMap` beside a `BTreeMap` recency index keyed by a
 //! monotone sequence number, so lookup, promotion, insertion and each
@@ -56,6 +56,15 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 
     pub fn budget(&self) -> usize {
         self.budget
+    }
+
+    /// The value under `key`, leaving its recency as it is.
+    pub fn peek<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.entries.get(key).map(|slot| &slot.value)
     }
 
     /// The value under `key`, promoted to most-recently-used.

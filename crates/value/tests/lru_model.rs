@@ -1,9 +1,9 @@
 //! Model test for `sigma_value::lru::Lru`: random sequences of `insert`
 //! (weights from 0 to past the budget, keys repeating), `get_mut`,
-//! `remove` and `retain`, run against a naive `Vec` kept in recency order,
-//! least-recently-used first. After every step both sides must hold the
-//! same entries in the same order with the same total weight, and every
-//! call must return the same thing.
+//! `peek`, `remove` and `retain`, run against a naive `Vec` kept in
+//! recency order, least-recently-used first. After every step both sides
+//! must hold the same entries in the same order with the same total
+//! weight, and every call must return the same thing.
 
 use proptest::prelude::*;
 use sigma_value::lru::Lru;
@@ -28,6 +28,10 @@ impl Model {
         let entry = self.entries.remove(i);
         self.entries.push(entry);
         Some(entry.1)
+    }
+
+    fn peek(&self, key: usize) -> Option<usize> {
+        Some(self.entries[self.position(key)?].1)
     }
 
     fn remove(&mut self, key: usize) -> Option<usize> {
@@ -58,7 +62,7 @@ proptest! {
     #[test]
     fn lru_matches_recency_ordered_vec_model(
         budget in 0usize..12,
-        ops in proptest::collection::vec((0usize..8, 0usize..8, 0usize..16), 1..64),
+        ops in proptest::collection::vec((0usize..9, 0usize..8, 0usize..16), 1..64),
     ) {
         let mut lru = Lru::new(budget);
         let mut model = Model { entries: Vec::new(), budget: budget.max(1) };
@@ -75,6 +79,7 @@ proptest! {
                 }
                 4 | 5 => prop_assert_eq!(lru.get_mut(&key).copied(), model.get_mut(key)),
                 6 => prop_assert_eq!(lru.remove(&key), model.remove(key)),
+                7 => prop_assert_eq!(lru.peek(&key).copied(), model.peek(key)),
                 _ => {
                     let m = arg % 4 + 2;
                     let keep = |k: usize| k % m != key % m;
