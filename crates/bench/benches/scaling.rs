@@ -1,6 +1,7 @@
 //! Aggregation / join / distinct scaling vs. the parallelism knob, plus
-//! the **skewed-input sweep** pitting morsel-driven work stealing against
-//! never splitting a partition — two morsel sizings of the one executor.
+//! the **skewed-input sweep** pitting morsels claimed from one
+//! cost-ordered queue against never splitting a partition — two morsel
+//! sizings of the one executor.
 //!
 //! Before the two-phase refactor only the Scan→Filter→Project prefix ran
 //! partition-parallel; GROUP BY, JOIN, and DISTINCT collapsed to one
@@ -12,11 +13,11 @@
 //! The skewed sweep loads one partition with ~90% of the rows (plus empty
 //! partitions and 1-row tails) — the layout whole-partition units handle
 //! worst, since no assignment can split the big partition across threads.
-//! Derived morsel sizing breaks it into stealable morsels. Both lanes run
-//! at parallelism 4 on the same engine and differ only in
-//! `MorselSizing` (`WholePartition` vs `Derived`); the JSON keeps the
-//! historical field names `static_p4_ms` / `morsel_p4_ms` for them so
-//! records stay comparable across PRs. Besides the streaming
+//! Derived morsel sizing breaks it into morsels claimed from one
+//! cost-ordered queue. Both lanes run at parallelism 4 on the same
+//! engine and differ only in `MorselSizing` (`WholePartition` vs
+//! `Derived`); the JSON keeps the historical field names `static_p4_ms` /
+//! `morsel_p4_ms` for them so records stay comparable across PRs. Besides the streaming
 //! filter/project pipeline and the fused aggregate, the sweep covers the
 //! long tail: a LEFT join probe (per-morsel probes with regrouped
 //! unmatched tails), an ORDER BY (per-morsel sorted runs, k-way merge),
@@ -25,10 +26,10 @@
 //! the host's core count — so `parallelism 4` on a single-core host has
 //! an effective width of 1, the height function returns whole partitions
 //! for every sizing, and the two lanes are the *same schedule* (parity by
-//! construction), while multi-core hosts get real stealing. Results (the
-//! cut-vs-uncut speedup plus the cut lane's scheduler counters) are
-//! recorded to `BENCH_<date>_scaling.json` at the repo root (override with
-//! `SCALING_BENCH_OUT`). Gates: on hosts with >= 4 CPUs the
+//! construction), while multi-core hosts spread the morsels over real
+//! workers. Results (the cut-vs-uncut speedup plus the cut lane's
+//! scheduler task count) are recorded to `BENCH_<date>_scaling.json` at
+//! the repo root (override with `SCALING_BENCH_OUT`). Gates: on hosts with >= 4 CPUs the
 //! streaming-pipeline case must show >= 1.5x speedup of derived over
 //! whole-partition sizing at parallelism 4 and at least one of the
 //! long-tail trio {left_join, sort, window} must clear the same bar; with
@@ -117,7 +118,7 @@ fn parallelism_sweep() {
 }
 
 // ---------------------------------------------------------------------
-// skewed-input sweep: derived morsels (stealing) vs whole partitions
+// skewed-input sweep: derived morsels vs whole partitions
 // ---------------------------------------------------------------------
 
 const SKEW_ROWS: usize = 400_000;
@@ -125,7 +126,7 @@ const SKEW_ITERS: usize = 5;
 
 /// The gated case: a fully streaming Scan→Filter→Project pipeline, where
 /// every morsel is independent end-to-end (no partition-granular fold),
-/// so stealing should reclaim nearly all the imbalance.
+/// so claiming morsels should reclaim nearly all the imbalance.
 const SKEW_FILTER_SQL: &str = "SELECT g, v * 2.0 + 1.0 AS x FROM skew WHERE v * 3.0 + k < 220.0";
 /// Recorded (not gated): fused partial aggregation parallelizes its
 /// per-morsel expression evaluation, but each partition's states still
@@ -233,8 +234,8 @@ fn median_ms(wh: &Warehouse, sql: &str) -> (f64, Batch) {
 }
 
 /// Pull one `key=value` counter off the `scheduler:` line that
-/// `explain_analyze` renders (satellite of the persistent-pool work: the
-/// bench records how much stealing the morsel lane actually did).
+/// `explain_analyze` renders (the bench records how many tasks the
+/// morsel lane dispatched).
 fn sched_counter(analyzed: &str, key: &str) -> usize {
     analyzed
         .lines()
@@ -279,19 +280,14 @@ fn skewed_morsel_sweep() {
         assert_bit_identical(&oracle, &static_batch, case);
         assert_bit_identical(&oracle, &morsel_batch, case);
         // One instrumented run of the morsel lane for the record: how many
-        // tasks the pool dispatched and how many were stolen vs taken from
-        // the worker's own queue.
+        // tasks the pool dispatched.
         let analyzed = wh.explain_analyze(sql).expect("explain analyze");
-        let (tasks, local, steals) = (
-            sched_counter(&analyzed, "tasks="),
-            sched_counter(&analyzed, "local="),
-            sched_counter(&analyzed, "steals="),
-        );
+        let tasks = sched_counter(&analyzed, "tasks=");
 
         let speedup = static_ms / morsel_ms;
         println!(
             "{case:<16} {:<8} {static_ms:>12.2} {morsel_ms:>12.2} {speedup:>8.2}x  \
-             (tasks={tasks} local={local} steals={steals})",
+             (tasks={tasks})",
             4
         );
         if gate == "each" && cpus >= 4 {
@@ -335,8 +331,7 @@ fn skewed_morsel_sweep() {
             "    {{ \"case\": \"skew_{case}\", \"serial_ms\": {serial_ms:.3}, \
              \"static_p4_ms\": {static_ms:.3}, \"morsel_p4_ms\": {morsel_ms:.3}, \
              \"morsel_vs_static_speedup\": {speedup:.3}, \"gate\": \"{gate}\", \
-             \"sched_tasks\": {tasks}, \"sched_local\": {local}, \
-             \"sched_steals\": {steals} }}"
+             \"sched_tasks\": {tasks} }}"
         ));
     }
     if cpus >= 4 {
@@ -353,8 +348,9 @@ fn skewed_morsel_sweep() {
          sizings of the one executor at parallelism 4 over {SKEW_ROWS} rows with ~90% of them in \
          a single partition (plus empty partitions and 1-row tails), median of {SKEW_ITERS} \
          runs. static_p4_ms = MorselSizing::WholePartition (never split a partition), \
-         morsel_p4_ms = MorselSizing::Derived (stealable morsels); the field names predate the \
-         removal of the separate static executor and are kept so records stay comparable. \
+         morsel_p4_ms = MorselSizing::Derived (morsels claimed from one cost-ordered queue); \
+         the field names predate the removal of the separate static executor and are kept so \
+         records stay comparable. \
          Every lane is asserted bit-identical to the serial uncut reference (serial_ms). \
          Both lanes run on the shared persistent worker pool (target = host cores): at an \
          effective width of 1 the height function never cuts and the lanes are the \
@@ -362,8 +358,8 @@ fn skewed_morsel_sweep() {
          streaming filter_project case must show >= 1.5x derived-vs-whole-partition speedup \
          (gate=each) and at least one of the long-tail trio left_join/sort/window must clear \
          the same bar (gate=group). On every host left_join gates whole-partition p4 <= 1.2x \
-         serial (the old per-cell-allocation join regression). sched_* fields are the derived \
-         lane's scheduler counters from one instrumented run. Regenerate with: \
+         serial (the old per-cell-allocation join regression). sched_tasks is the derived \
+         lane's scheduler task count from one instrumented run. Regenerate with: \
          cargo bench -p sigma-bench --bench scaling.\",\n  \"cpus\": {cpus},\n  \
          \"iters\": {SKEW_ITERS},\n  \"cells\": [\n{cells}\n  ]\n}}\n"
     );

@@ -5,12 +5,12 @@
 //! pool (the `parallelism` knob the scaling bench sweeps,
 //! clamped to the pool's execution budget — see [`scheduler`]).
 //! There is one work-distribution engine: every operator cuts its input
-//! into morsels, runs them on an LPT-seeded work-stealing queue, and
+//! into morsels, runs them from one cost-ordered claim queue, and
 //! regroups the outputs per partition in morsel order (see `pipeline`
 //! and [`scheduler`]). How tall a morsel is comes from one function,
 //! `pipeline::morsel_height`; at an effective width of one worker it
 //! is the whole partition, so serial execution is the same code with
-//! every split, regroup and steal degenerate — not a second executor:
+//! every split, regroup and claim degenerate — not a second executor:
 //!
 //! * Scan → Filter → Project chains fuse into one pipeline per morsel.
 //! * `UnionAll` concatenates its inputs' partitions without collapsing.
@@ -35,7 +35,7 @@
 //! chain stage its rows out and own time) from whichever worker runs it;
 //! `ExecStats::close` turns the meter into the operator's [`OpStats`]
 //! entry. Everything query-wide — rows and partitions scanned, spilled
-//! bytes and rounds, scheduler tasks, own-queue pops, steals and unparks —
+//! bytes and rounds, scheduler tasks and unparks —
 //! is recorded straight into the query's ledger, [`ExecCtx::stats`].
 //! `ResultSet` and `explain_analyze` both read that ledger; nothing is
 //! copied on the way.
@@ -86,6 +86,7 @@ use crate::storage::{SpillHandle, SpillReader, SpillWriter};
 
 pub(crate) mod pipeline;
 pub mod scheduler;
+pub(crate) use scheduler::par_map;
 
 pub use pipeline::MorselSizing;
 
@@ -309,10 +310,6 @@ pub struct ExecStats {
     /// Parallel tasks dispatched through the worker pool, serial inline
     /// runs included.
     pub(crate) sched_tasks: Counter,
-    /// Tasks a worker popped from its own deque (locality hits).
-    pub(crate) sched_local: Counter,
-    /// Tasks taken from another worker's deque.
-    pub(crate) sched_steals: Counter,
     /// Parked pool workers woken for this query's jobs.
     pub(crate) sched_unparks: Counter,
 }
@@ -406,10 +403,8 @@ impl ExecStats {
             self.spill_rounds.get(),
         ));
         out.push_str(&format!(
-            "scheduler: tasks={} local={} steals={} unparks={}\n",
+            "scheduler: tasks={} unparks={}\n",
             self.sched_tasks.get(),
-            self.sched_local.get(),
-            self.sched_steals.get(),
             self.sched_unparks.get(),
         ));
         out
@@ -800,25 +795,6 @@ pub(crate) fn coerce_column(col: Column, target: DataType) -> Result<Column, Cdw
     // Columns that are entirely null can be retyped freely; typed columns
     // may widen (the cast kernels handle Int->Float and Date->Timestamp).
     crate::eval::kernels::cast(&col, target, true)
-}
-
-/// Map over work items (partitions, spill buckets, ...) in parallel when
-/// configured and worthwhile. `cost` is a deterministic size estimate
-/// (bytes, rows) used to seed the LPT assignment; work stealing absorbs
-/// whatever the estimate gets wrong. Output order always matches input
-/// order — which worker ran an item can never change the result.
-pub(crate) fn par_map<I, T, F>(
-    ctx: &ExecCtx,
-    parts: Vec<I>,
-    cost: impl Fn(&I) -> usize,
-    f: F,
-) -> Result<Vec<T>, CdwError>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> Result<T, CdwError> + Sync,
-{
-    scheduler::run_stealing(ctx.parallelism, parts, cost, f, &ctx.stats)
 }
 
 // ---------------------------------------------------------------------
@@ -1974,8 +1950,8 @@ fn grace_bucket_pairs(
 /// The two hot phases parallelize without touching the spilled layout:
 /// probe-side key expressions evaluate per morsel (the concatenated
 /// columns — and therefore the bucket files — are the same at every
-/// morsel height), and bucket passes run on the work-stealing scheduler
-/// (byte-seeded), commuting as documented on [`grace_bucket_pairs`].
+/// morsel height), and bucket passes run through `par_map`, largest
+/// bucket first, commuting as documented on [`grace_bucket_pairs`].
 #[allow(clippy::too_many_arguments)]
 fn spilled_join(
     lparts: &[Batch],
@@ -2092,7 +2068,7 @@ mod tests {
 
     /// `par_map` must actually distribute work across worker threads (the
     /// wall-clock benches can't prove this on a single-core machine;
-    /// thread identity can). Under work stealing one worker *could* drain
+    /// thread identity can). With one shared cursor one worker *could* drain
     /// the queue before the others start, so the tasks hold a latch open
     /// until a second thread arrives, bounded by a deadline.
     #[test]
@@ -2173,7 +2149,7 @@ mod tests {
     /// worker mid-pass must surface as a single exec error AND leave the
     /// process spill directory empty — the handle held by the dying worker
     /// drops during its unwind, and every unclaimed handle drops when the
-    /// scheduler's slots unwind out of `run_stealing`.
+    /// scheduler's slots unwind out of `par_map`.
     #[test]
     fn killed_spill_worker_leaves_no_temp_files() {
         scheduler::grow_worker_pool_target(4);

@@ -19,21 +19,21 @@
 //! pipeline's input shape. No operator branches on a mode:
 //!
 //! * At effective width 1 the height is "whole partition" for every
-//!   sizing: with nobody to steal, cutting is pure overhead. Each
+//!   sizing: with nobody to share with, cutting is pure overhead. Each
 //!   partition is then one whole-batch morsel ([`Morsel::initial_sel`]
 //!   is `None`, so the kernels take their no-selection path), every
 //!   regroup is the identity ([`merge_partition`] returns a lone output
-//!   untouched) and [`scheduler::run_stealing`] runs inline on the
+//!   untouched) and [`scheduler::par_map`] runs inline on the
 //!   caller. This is what every default-configured warehouse executes.
-//! * Wider, `Derived` cuts by byte target and stealable-unit count,
+//! * Wider, `Derived` cuts by byte target and morsels per worker,
 //!   `Fixed(n)` cuts every `n` rows (the oracle sweeps force 3-row
 //!   morsels), and `WholePartition` never cuts.
 //!
-//! Morsels are distributed by the LPT-seeded work-stealing scheduler
-//! ([`super::scheduler`]), so one oversized partition does not serialize
-//! a query: its morsels spread across all workers.
+//! Morsels are claimed from one cost-ordered queue ([`super::scheduler`]),
+//! so one oversized partition does not serialize a query: its morsels
+//! spread across all workers.
 //!
-//! ## Why cutting and stealing can't change results
+//! ## Why cutting and claim order can't change results
 //!
 //! Execution order is free; *merge* order is pinned. Every morsel is
 //! tagged by `(partition, morsel index)` at creation, results land in
@@ -75,8 +75,8 @@
 //!
 //! The equivalence oracles compare a cut schedule against the uncut one
 //! (`parallelism = 1`, [`MorselSizing::WholePartition`]): same engine,
-//! every split/regroup/steal step degenerate. What they pin is that
-//! cutting, regrouping, stealing, pooling and spilling never change a
+//! every split/regroup/claim step degenerate. What they pin is that
+//! cutting, regrouping, claim order, pooling and spilling never change a
 //! byte; what a query *means* is pinned independently by `sql_exec`,
 //! `eval_oracle`, the scenario suites and sigma-e2e's flattened-SQL check.
 
@@ -105,7 +105,7 @@ pub enum MorselSizing {
 /// and selection bookkeeping dominate the kernel work.
 const MIN_MORSEL_ROWS: usize = 256;
 /// Ceiling for derived morsel heights: above this a skewed partition
-/// yields too few stealable units to balance.
+/// yields too few morsels to balance.
 const MAX_MORSEL_ROWS: usize = 64 * 1024;
 /// Bytes one derived morsel should cover — roughly cache-resident for a
 /// handful of columns, amortizing dispatch without evicting the working
@@ -155,12 +155,12 @@ impl InputShape {
 /// ([`ExecCtx::effective_parallelism`]), never the requested one.
 ///
 /// At width 1 the answer is [`WHOLE_PARTITION`] for every sizing — with
-/// nobody to steal, cutting buys nothing. `shape` is only measured when
-/// deriving.
+/// nobody to share with, cutting buys nothing. `shape` is only measured
+/// when deriving.
 ///
 /// `Derived` picks a height small enough that [`MORSEL_TARGET_BYTES`] of
 /// input fit in one morsel *and* that the largest partition splits into
-/// at least four stealable units per worker (so one oversized partition
+/// at least four morsels per worker (so one oversized partition
 /// cannot serialize the tail of a query), clamped to
 /// `[MIN_MORSEL_ROWS, MAX_MORSEL_ROWS]`. Purely a scheduling choice:
 /// every sink merges per-morsel outputs in morsel order, so results are
@@ -189,10 +189,10 @@ pub(crate) fn morsel_height(
     }
 }
 
-/// Per-item cost for LPT seeding: `rows`' share of an input of
+/// Per-item cost for the claim order: `rows`' share of an input of
 /// `total_bytes` over `total_rows`. Sorted runs, window partitions, and
-/// probe morsels seed with real byte estimates — not bare row counts —
-/// so one giant item can't land last on an already-loaded worker.
+/// probe morsels are ordered by real byte estimates — not bare row
+/// counts — so one giant item is claimed early, not last.
 pub(crate) fn byte_cost(rows: usize, total_bytes: usize, total_rows: usize) -> usize {
     rows.saturating_mul((total_bytes / total_rows.max(1)).max(1))
         .max(1)
@@ -656,11 +656,11 @@ pub(super) fn fold_partial(
 }
 
 /// Probe for hash joins of every kind: each left partition splits into
-/// dense row-range morsels probed independently (stealing absorbs a
-/// skewed build of probe work), and per-partition outputs re-concatenate
-/// in morsel order — exactly the left-row-ascending order an uncut probe
-/// emits, so downstream operators see one output part per left partition
-/// at every morsel height.
+/// dense row-range morsels probed independently (the shared claim queue
+/// absorbs a skewed build of probe work), and per-partition outputs
+/// re-concatenate in morsel order — exactly the left-row-ascending order
+/// an uncut probe emits, so downstream operators see one output part per
+/// left partition at every morsel height.
 ///
 /// LEFT/FULL: an uncut probe emits all matches (ascending left row) then
 /// the partition's null-extended unmatched lefts (ascending). A morsel
@@ -714,7 +714,7 @@ pub(super) fn morsel_probe(
     let probes = par_map(
         ctx,
         morsels,
-        // Byte-seeded LPT: probe work scales with the morsel's share of
+        // Byte-ordered claims: probe work scales with the morsel's share of
         // its partition's bytes, not just its row count.
         |m| {
             let rows = m.batch.num_rows();
@@ -780,7 +780,7 @@ pub(super) fn morsel_probe(
 /// aggregate (the caller passes the concatenated input as one
 /// "partition" for `AggMode::Single`, and the chain's output parts for a
 /// `Final`-over-`Partial` pair). Phase 1 — the hot phase — runs per
-/// morsel on the work-stealing scheduler: each morsel evaluates its
+/// morsel through `par_map`: each morsel evaluates its
 /// group and argument expressions, routes its rows to buckets by
 /// group-key hash, and builds its per-bucket spill records (tagged with
 /// the partition-relative row id and the partition index); only the file
@@ -1195,7 +1195,7 @@ mod tests {
 
     /// Derived sizing tracks input shape: wide rows shrink the morsel
     /// toward the byte target, a dominant partition shrinks it so every
-    /// worker sees at least four stealable units of it, and the result
+    /// worker sees at least four morsels of it, and the result
     /// always lands inside the `[MIN, MAX]` clamp. Width 1 never cuts,
     /// whatever the sizing.
     #[test]
@@ -1253,7 +1253,7 @@ mod tests {
 
         // The width is the *effective* one: `parallelism = 16` on a
         // 4-slot pool must size like 4 workers (2_500 rows, four
-        // stealable units each), not like 16 (625). Asking for more
+        // morsels each), not like 16 (625). Asking for more
         // threads than any pool has resolves to the pool target.
         assert_eq!(derived(16, 100_000, 1_600_000, 40_000), 625);
         let ctx = ExecCtx {

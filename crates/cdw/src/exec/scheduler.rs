@@ -1,29 +1,24 @@
 //! Work distribution for partition- and morsel-parallel stages.
 //!
-//! Three layers:
+//! Two layers:
 //!
-//! * `lpt_assign` — longest-processing-time seeding: items sorted by
-//!   descending cost estimate, each placed on the least-loaded worker.
-//!   This replaces the old static `i % threads` round-robin, which skewed
-//!   badly on heterogeneous costs (one oversized Grace-join bucket or
-//!   storage partition stalled the whole query behind a single thread).
-//!   LPT guarantees no worker is assigned more than `mean + max_item`
-//!   cost; when no single item dominates (`max_item <= mean`), that is at
-//!   most **2x the mean** — the bound `lpt_no_thread_exceeds_twice_mean`
-//!   pins.
-//! * `run_stealing` — LPT only seeds the deques; while running, a
-//!   participant that drains its own queue **steals**: first from the
-//!   tail of a small ring neighbourhood of its own queue (HyPer-style
-//!   locality — a thief keeps returning to the same victims, so the
-//!   cache lines it pulls stay warm), then from the globally longest
-//!   queue. Cost estimates are proxies (byte sizes, row counts), so
-//!   stealing absorbs what the estimate missed.
+//! * `par_map` — the one fan-out. Item indices are sorted once by
+//!   descending cost estimate (input index breaks ties) into a claim
+//!   order, and every participant, the submitter and pool workers alike,
+//!   claims the next position with one `fetch_add` on a shared cursor
+//!   until the order runs out. Handing the largest remaining item to
+//!   whichever participant is free is greedy LPT list scheduling: the
+//!   last item to finish was claimed while every participant was busy,
+//!   so the job ends within `mean + max_item` of real run time. Cost
+//!   estimates are proxies (byte sizes, row counts); because claims
+//!   happen at run time, a participant stuck on an underestimated item
+//!   simply stops claiming while the others drain the rest.
 //! * The **persistent worker pool** — one process-wide set of long-lived
 //!   workers shared by every operator, pipeline, and concurrent server
-//!   session. `run_stealing` no longer spawns threads: the submitting
-//!   thread participates inline (so progress never depends on pool
-//!   capacity, and nested calls are trivially deadlock-free) while idle
-//!   pool workers unpark and claim the remaining virtual worker slots.
+//!   session. `par_map` spawns no threads: the submitting thread
+//!   participates inline (so progress never depends on pool capacity,
+//!   and nested calls are trivially deadlock-free) while idle pool
+//!   workers unpark and claim the remaining participant tickets.
 //!   The pool's size is the process's one execution budget
 //!   ([`set_worker_pool_target`]); admission control and per-query
 //!   `parallelism` both resolve against it via `effective_workers`, so
@@ -33,10 +28,9 @@
 //!   release build runs no execution threads at all until the first
 //!   parallel query — and a fixed number ever after.
 //!
-//! Every call records its tasks, own-queue pops, steals and unparks
-//! straight into the submitting query's [`ExecStats`] ledger, which
-//! `explain_analyze` renders as `scheduler: tasks=.. local=.. steals=..
-//! unparks=..`.
+//! Every call records its tasks and unparks straight into the submitting
+//! query's [`ExecStats`] ledger, which `explain_analyze` renders as
+//! `scheduler: tasks=.. unparks=..`.
 //!
 //! Determinism: results are written to per-item slots and returned in
 //! input order, so *which* participant ran an item — and in what order —
@@ -49,39 +43,20 @@
 //! `effective_workers` width and stops cutting partitions, instead of
 //! paying scheduling overhead no hardware will repay.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-use super::ExecStats;
+use super::{ExecCtx, ExecStats};
 use crate::error::CdwError;
 
-/// Assign `costs.len()` items to `bins` workers by longest-processing-time:
-/// process items in descending cost order (input index breaks ties, so the
-/// assignment is deterministic), always placing on the least-loaded bin.
-/// Returns per-bin item-index lists; within a bin, indices are ordered by
-/// descending cost — the order the worker should process them so the
-/// largest items start earliest.
-pub(crate) fn lpt_assign(costs: &[usize], bins: usize) -> Vec<Vec<usize>> {
-    let bins = bins.max(1);
+/// The order participants claim items in: indices by descending cost,
+/// input index breaking ties, so the order is deterministic.
+fn claim_order(costs: &[usize]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..costs.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-    let mut assignment: Vec<Vec<usize>> = (0..bins).map(|_| Vec::new()).collect();
-    let mut loads: Vec<usize> = vec![0; bins];
-    for i in order {
-        let b = (0..bins).min_by_key(|&b| (loads[b], b)).expect("bins >= 1");
-        loads[b] += costs[i];
-        assignment[b].push(i);
-    }
-    assignment
+    order
 }
-
-/// Ring neighbours a thief probes before falling back to the globally
-/// longest queue. Small on purpose: repeated steals from the same victims
-/// keep the thief's working set (the victim's deque + the batches it
-/// references) warm, which is the HyPer steal-locality observation.
-const STEAL_NEIGHBORHOOD: usize = 2;
 
 // ---------------------------------------------------------------------------
 // The persistent pool.
@@ -113,13 +88,13 @@ struct PoolState {
 /// A submitted job on the board. `task` is a lifetime-erased pointer into
 /// the submitter's stack frame; the retire protocol (remove from board →
 /// wait for `active == 0`) guarantees no worker touches it after
-/// `run_stealing` returns.
+/// `par_map` returns.
 struct JobEntry {
     task: ErasedJob,
-    /// Virtual worker slots (deques) this job was seeded with.
+    /// Participants this job admits, the submitter included.
     max: usize,
-    /// Next virtual slot to hand to a pool worker (slot 0 is the
-    /// submitter's). Only mutated under the pool state lock.
+    /// Participant tickets handed out (the submitter holds the first).
+    /// Only mutated under the pool state lock.
     tickets: AtomicUsize,
     retired: AtomicBool,
     /// Pool workers currently inside `task.run`.
@@ -128,14 +103,14 @@ struct JobEntry {
 }
 
 struct ErasedJob(*const (dyn RunJob + 'static));
-// SAFETY: the pointee is a `Job` (Sync: slots/results/deques are mutexes,
-// `f` is Sync) and the retire protocol bounds every dereference within the
-// submitting call's lifetime.
+// SAFETY: the pointee is a `Job` (Sync: slots/results are mutexes, the
+// cursor is atomic, `f` is Sync) and the retire protocol bounds every
+// dereference within the submitting call's lifetime.
 unsafe impl Send for ErasedJob {}
 unsafe impl Sync for ErasedJob {}
 
 trait RunJob: Sync {
-    fn run(&self, vslot: usize);
+    fn run(&self);
 }
 
 fn pool() -> &'static Pool {
@@ -148,22 +123,13 @@ fn pool() -> &'static Pool {
             next_worker: 0,
         }),
         work: Condvar::new(),
-        target: AtomicUsize::new(default_target()),
+        target: AtomicUsize::new(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        ),
         parks: AtomicUsize::new(0),
     })
-}
-
-/// Default execution budget: the hardware's, overridable via
-/// `SIGMA_WORKERS` (benches and CI use it to pin pool sizes).
-fn default_target() -> usize {
-    if let Ok(v) = std::env::var("SIGMA_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Set the process-wide execution budget (clamped to >= 1). Shrinking
@@ -195,8 +161,6 @@ pub struct WorkerPoolStats {
     pub target: usize,
     /// Pool workers alive (parked or running).
     pub live: usize,
-    /// Pool workers currently parked.
-    pub idle: usize,
     /// Lifetime park events.
     pub parks: usize,
 }
@@ -207,7 +171,6 @@ pub fn worker_pool_stats() -> WorkerPoolStats {
     WorkerPoolStats {
         target: pool.target.load(Ordering::SeqCst),
         live: st.live,
-        idle: st.idle,
         parks: pool.parks.load(Ordering::Relaxed),
     }
 }
@@ -223,15 +186,15 @@ pub(crate) fn effective_workers(requested: usize) -> usize {
 fn worker_main() {
     let pool = pool();
     loop {
-        let (entry, vslot) = {
+        let entry = {
             let mut st = pool.state.lock().expect("pool state");
             loop {
                 if st.live > pool.target.load(Ordering::SeqCst) {
                     st.live -= 1;
                     return;
                 }
-                if let Some(claim) = claim_job(&mut st) {
-                    break claim;
+                if let Some(entry) = claim_job(&mut st) {
+                    break entry;
                 }
                 st.idle += 1;
                 pool.parks.fetch_add(1, Ordering::Relaxed);
@@ -242,7 +205,7 @@ fn worker_main() {
         // SAFETY: `active` was incremented under the state lock before the
         // submitter could retire the entry, so the pointee is alive until
         // we decrement it below.
-        unsafe { (*entry.task.0).run(vslot) };
+        unsafe { (*entry.task.0).run() };
         let mut active = entry.active.lock().expect("job active");
         *active -= 1;
         if *active == 0 {
@@ -252,20 +215,14 @@ fn worker_main() {
 }
 
 /// Under the pool state lock: find the oldest job with an unclaimed
-/// virtual slot, claim one ticket, and mark this worker active on it.
-fn claim_job(st: &mut PoolState) -> Option<(Arc<JobEntry>, usize)> {
+/// participant ticket, claim it, and mark this worker active on it.
+fn claim_job(st: &mut PoolState) -> Option<Arc<JobEntry>> {
     st.jobs
         .retain(|e| !e.retired.load(Ordering::SeqCst) && e.tickets.load(Ordering::SeqCst) < e.max);
-    for entry in &st.jobs {
-        let ticket = entry.tickets.load(Ordering::SeqCst);
-        if ticket >= entry.max {
-            continue;
-        }
-        entry.tickets.store(ticket + 1, Ordering::SeqCst);
-        *entry.active.lock().expect("job active") += 1;
-        return Some((entry.clone(), ticket));
-    }
-    None
+    let entry = st.jobs.first()?;
+    entry.tickets.fetch_add(1, Ordering::SeqCst);
+    *entry.active.lock().expect("job active") += 1;
+    Some(entry.clone())
 }
 
 /// Post a job and recruit up to `extra` pool workers: wake parked ones
@@ -311,40 +268,40 @@ fn retire(entry: &Arc<JobEntry>) {
 }
 
 // ---------------------------------------------------------------------------
-// One job: LPT-seeded virtual deques + locality-aware stealing.
+// One job: a cost-ordered claim list and one cursor.
 // ---------------------------------------------------------------------------
 
 struct Job<'a, I, T, F> {
-    /// Items move into per-slot cells so any participant can claim any
-    /// index; the slot is the single claim point.
+    /// Items move into per-index cells so any participant can take the
+    /// index it claimed.
     slots: Vec<Mutex<Option<I>>>,
-    /// Results land in per-slot cells so completion order is irrelevant.
+    /// Results land in per-index cells so completion order is irrelevant.
     results: Vec<Mutex<Option<Result<T, CdwError>>>>,
-    deques: Vec<Mutex<VecDeque<usize>>>,
+    /// Item indices in claim order ([`claim_order`]).
+    order: Vec<usize>,
+    /// The next position of `order` to claim.
+    cursor: AtomicUsize,
     poisoned: AtomicBool,
     f: &'a F,
     stats: &'a ExecStats,
 }
 
-impl<I, T, F> Job<'_, I, T, F>
+impl<I, T, F> RunJob for Job<'_, I, T, F>
 where
     I: Send,
     T: Send,
     F: Fn(I) -> Result<T, CdwError> + Sync,
 {
-    fn work(&self, vslot: usize) {
-        loop {
-            if self.poisoned.load(Ordering::SeqCst) {
-                return;
-            }
-            let Some(idx) = self.next_index(vslot) else {
+    fn run(&self) {
+        while !self.poisoned.load(Ordering::SeqCst) {
+            let Some(&idx) = self.order.get(self.cursor.fetch_add(1, Ordering::SeqCst)) else {
                 return;
             };
-            // A stolen index may race with its owner between `len`
-            // reads; the slot is the single claim point.
-            let Some(item) = self.slots[idx].lock().expect("slot lock").take() else {
-                continue;
-            };
+            let item = self.slots[idx]
+                .lock()
+                .expect("slot lock")
+                .take()
+                .expect("each position is claimed once");
             match catch_unwind(AssertUnwindSafe(|| (self.f)(item))) {
                 Ok(res) => {
                     *self.results[idx].lock().expect("result lock") = Some(res);
@@ -357,70 +314,33 @@ where
             }
         }
     }
-
-    /// Own queue front first (largest remaining seed), then steal from
-    /// the tails of a small ring neighbourhood, then from the globally
-    /// longest queue.
-    fn next_index(&self, vslot: usize) -> Option<usize> {
-        let v = self.deques.len();
-        if let Some(i) = self.deques[vslot].lock().expect("deque lock").pop_front() {
-            self.stats.sched_local.add(1);
-            return Some(i);
-        }
-        for step in 1..=STEAL_NEIGHBORHOOD.min(v.saturating_sub(1)) {
-            let nb = (vslot + step) % v;
-            if let Some(i) = self.deques[nb].lock().expect("deque lock").pop_back() {
-                self.stats.sched_steals.add(1);
-                return Some(i);
-            }
-        }
-        let victim = (0..v)
-            .filter(|&w| w != vslot)
-            .max_by_key(|&w| (self.deques[w].lock().expect("deque lock").len(), w));
-        if let Some(i) = victim.and_then(|w| self.deques[w].lock().expect("deque lock").pop_back())
-        {
-            self.stats.sched_steals.add(1);
-            return Some(i);
-        }
-        None
-    }
 }
 
-impl<I, T, F> RunJob for Job<'_, I, T, F>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> Result<T, CdwError> + Sync,
-{
-    fn run(&self, vslot: usize) {
-        self.work(vslot);
-    }
-}
-
-/// Run `f` over every item with LPT-seeded deques and locality-aware work
-/// stealing on the persistent pool (the submitter participates inline).
-/// Results come back in **input order** regardless of which participant
-/// ran what; on failure the error of the smallest-index failing item is
-/// returned (matching serial semantics). When the pool budget or the item
-/// count caps the call to one participant, it runs serial inline.
-/// Scheduler counters record into `stats`.
-pub(crate) fn run_stealing<I, T, F>(
-    threads: usize,
+/// Map `f` over work items (partitions, morsels, spill buckets, ...) on
+/// the persistent pool, the submitter participating inline. `cost` is a
+/// deterministic size estimate (bytes, rows) that orders the claims,
+/// largest first. Results come back in **input order** regardless of
+/// which participant ran what; on failure the error of the
+/// smallest-index failing item is returned (matching serial semantics).
+/// When the pool budget or the item count caps the call to one
+/// participant, it runs serial inline. Scheduler counters record into
+/// `ctx.stats`.
+pub(crate) fn par_map<I, T, F>(
+    ctx: &ExecCtx,
     items: Vec<I>,
     cost: impl Fn(&I) -> usize,
     f: F,
-    stats: &ExecStats,
 ) -> Result<Vec<T>, CdwError>
 where
     I: Send,
     T: Send,
     F: Fn(I) -> Result<T, CdwError> + Sync,
 {
+    let stats = &ctx.stats;
     let n = items.len();
-    let workers = effective_workers(threads).min(n.max(1));
-    if workers <= 1 || n <= 1 {
+    let workers = effective_workers(ctx.parallelism).min(n.max(1));
+    if workers <= 1 {
         stats.sched_tasks.add(n);
-        stats.sched_local.add(n);
         return items.into_iter().map(f).collect();
     }
     let costs: Vec<usize> = items.iter().map(&cost).collect();
@@ -428,10 +348,8 @@ where
     let job = Job {
         slots: items.into_iter().map(|i| Mutex::new(Some(i))).collect(),
         results: (0..n).map(|_| Mutex::new(None)).collect(),
-        deques: lpt_assign(&costs, workers)
-            .into_iter()
-            .map(|idx| Mutex::new(idx.into()))
-            .collect(),
+        order: claim_order(&costs),
+        cursor: AtomicUsize::new(0),
         poisoned: AtomicBool::new(false),
         f: &f,
         stats,
@@ -450,7 +368,7 @@ where
         exited: Condvar::new(),
     });
     submit(entry.clone(), workers - 1, stats);
-    job.work(0);
+    job.run();
     retire(&entry);
 
     if job.poisoned.load(Ordering::SeqCst) {
@@ -471,78 +389,52 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::EvalCtx;
+    use crate::exec::{ExecMemoryTracker, MorselSizing};
     use std::collections::HashSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
 
-    /// The satellite regression: with heterogeneous costs where no single
-    /// item dominates (max <= mean), LPT must leave every worker at or
-    /// under 2x the mean load. The old round-robin fails this on the
-    /// alternating-cost pattern (all the big items landed on one thread).
-    #[test]
-    fn lpt_no_thread_exceeds_twice_mean() {
-        // Every big item lands on index 0 mod 4: round-robin at 4 threads
-        // piles all of them onto thread 0.
-        let adversarial: Vec<usize> = (0..16)
-            .map(|i| if i % 4 == 0 { 10_000 } else { 1 })
-            .collect();
-        let cases: Vec<(Vec<usize>, usize)> = vec![
-            (adversarial.clone(), 4),
-            // Descending sizes (sorted storage partitions).
-            ((1..=9).rev().map(|i| i * 1024).collect(), 4),
-            // One partition per thread plus a tail of small ones.
-            (vec![5000, 5000, 5000, 5000, 100, 90, 80, 70, 60, 50], 4),
-            // Uniform costs degrade to round-robin.
-            (vec![256; 16], 4),
-        ];
-        for (costs, threads) in cases {
-            let total: usize = costs.iter().sum();
-            let mean = total / threads;
-            let max_item = *costs.iter().max().unwrap();
-            assert!(max_item <= mean, "case must not be dominated by one item");
-            let assignment = lpt_assign(&costs, threads);
-            for (b, idx) in assignment.iter().enumerate() {
-                let load: usize = idx.iter().map(|&i| costs[i]).sum();
-                assert!(
-                    load <= 2 * mean,
-                    "thread {b} got {load} bytes, mean {mean} ({costs:?})"
-                );
-            }
+    fn ctx(parallelism: usize) -> ExecCtx {
+        ExecCtx {
+            eval: EvalCtx::default(),
+            parallelism,
+            morsel_sizing: MorselSizing::Derived,
+            memory: ExecMemoryTracker::new(None),
+            stats: ExecStats::default(),
         }
-        // Round-robin on the adversarial case really is worse — document
-        // the bug being fixed.
-        let mean: usize = adversarial.iter().sum::<usize>() / 4;
-        let rr_load: usize = adversarial.iter().step_by(4).sum();
-        assert!(rr_load > 2 * mean, "round-robin baseline should skew");
     }
 
-    /// Every index appears exactly once across bins, in descending-cost
-    /// order within each bin.
+    /// The claim order is a permutation of the items, in descending cost
+    /// with ties broken by input index.
     #[test]
-    fn lpt_assignment_is_a_partition_of_items() {
-        let costs = vec![7, 3, 9, 1, 4, 4, 2, 8];
-        let assignment = lpt_assign(&costs, 3);
-        let mut seen: Vec<usize> = assignment.iter().flatten().copied().collect();
+    fn claim_order_is_descending_cost_then_index() {
+        let costs = vec![7, 3, 9, 1, 4, 4, 2, 8, 3];
+        let order = claim_order(&costs);
+        assert_eq!(order, vec![2, 7, 0, 4, 5, 1, 8, 6, 3]);
+        let mut seen = order.clone();
         seen.sort_unstable();
         assert_eq!(seen, (0..costs.len()).collect::<Vec<_>>());
-        for bin in &assignment {
-            for pair in bin.windows(2) {
-                assert!(costs[pair[0]] >= costs[pair[1]], "bin order: {bin:?}");
-            }
+        for pair in order.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            assert!(
+                costs[a] > costs[b] || (costs[a] == costs[b] && a < b),
+                "{order:?}"
+            );
         }
+        assert_eq!(claim_order(&[5; 4]), vec![0, 1, 2, 3]);
+        assert!(claim_order(&[]).is_empty());
     }
 
     #[test]
-    fn stealing_preserves_input_order_and_first_error() {
+    fn results_keep_input_order_and_first_error() {
         grow_worker_pool_target(4);
-        let c = ExecStats::default();
-        let out = run_stealing(4, (0..32).collect(), |_| 1, |i| Ok(i * 10), &c).unwrap();
+        let c = ctx(4);
+        let out = par_map(&c, (0..32).collect(), |_| 1, |i| Ok(i * 10)).unwrap();
         assert_eq!(out, (0..32).map(|i| i * 10).collect::<Vec<i32>>());
-        assert_eq!(c.sched_tasks.get(), 32);
-        assert_eq!(c.sched_local.get() + c.sched_steals.get(), 32);
+        assert_eq!(c.stats.sched_tasks.get(), 32);
 
-        let err = run_stealing(
-            4,
+        let err = par_map(
+            &ctx(4),
             (0..32).collect::<Vec<i32>>(),
             |_| 1,
             |i| {
@@ -552,7 +444,6 @@ mod tests {
                     Ok(i)
                 }
             },
-            &ExecStats::default(),
         )
         .unwrap_err();
         // Smallest failing index is 3 regardless of completion order.
@@ -562,8 +453,8 @@ mod tests {
     #[test]
     fn worker_panic_is_one_exec_error() {
         grow_worker_pool_target(2);
-        let err = run_stealing(
-            2,
+        let err = par_map(
+            &ctx(2),
             vec![0usize, 1, 2, 3],
             |_| 1,
             |i| {
@@ -572,7 +463,6 @@ mod tests {
                 }
                 Ok(i)
             },
-            &ExecStats::default(),
         )
         .unwrap_err();
         assert!(
@@ -581,27 +471,23 @@ mod tests {
         );
     }
 
-    /// Stealing rebalances: participants that finish their seed keep
-    /// pulling from busier queues, so a many-morsel queue finishes even
-    /// when the seed was maximally skewed (all items on one worker's
-    /// deque is impossible under LPT, so skew the costs instead).
+    /// One "huge" item claimed first, everything else tiny: every item
+    /// still runs exactly once and comes back in input order.
     #[test]
-    fn stealing_drains_a_skewed_queue() {
+    fn skewed_costs_drain() {
         grow_worker_pool_target(4);
         let done = AtomicUsize::new(0);
-        let out = run_stealing(
-            4,
+        let out = par_map(
+            &ctx(4),
             (0..64usize).collect(),
-            // One "huge" item; everything else tiny.
             |&i| if i == 0 { 1 << 20 } else { 1 },
             |i| {
                 done.fetch_add(1, Ordering::SeqCst);
                 Ok(i)
             },
-            &ExecStats::default(),
         )
         .unwrap();
-        assert_eq!(out.len(), 64);
+        assert_eq!(out, (0..64).collect::<Vec<_>>());
         assert_eq!(done.load(Ordering::SeqCst), 64);
     }
 
@@ -613,8 +499,8 @@ mod tests {
     fn multiple_workers_participate() {
         grow_worker_pool_target(4);
         let seen = Mutex::new(HashSet::new());
-        run_stealing(
-            4,
+        par_map(
+            &ctx(4),
             (0..8usize).collect(),
             |_| 1,
             |i| {
@@ -625,7 +511,6 @@ mod tests {
                 }
                 Ok(i)
             },
-            &ExecStats::default(),
         )
         .unwrap();
         assert!(
@@ -642,8 +527,8 @@ mod tests {
         grow_worker_pool_target(2);
         let worker_ids = |n: usize| {
             let seen = Mutex::new(HashSet::new());
-            run_stealing(
-                2,
+            par_map(
+                &ctx(2),
                 (0..n).collect::<Vec<usize>>(),
                 |_| 1,
                 |i| {
@@ -655,7 +540,6 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(1));
                     Ok(i)
                 },
-                &ExecStats::default(),
             )
             .unwrap();
             seen.into_inner().unwrap()
@@ -682,24 +566,27 @@ mod tests {
         );
     }
 
-    /// The per-query counters fire: own-queue hits for seeded work,
-    /// steals when one participant's seeds must drain through another.
-    /// Item 0 (the submitter's first seed) blocks until every other item
-    /// has run, so the submitter's remaining seeds can only finish by
-    /// being stolen.
+    /// A participant stuck on one item does not hold back the rest: item
+    /// 0 (claimed first) waits until the other seven are done, so they
+    /// can only finish if the other participant keeps claiming past it.
     #[test]
-    fn counters_record_local_hits_and_steals() {
+    fn a_stuck_participant_does_not_hold_back_the_rest() {
         grow_worker_pool_target(2);
-        let c = ExecStats::default();
+        let c = ctx(2);
         let done = AtomicUsize::new(0);
-        let out = run_stealing(
-            2,
+        let released = AtomicBool::new(false);
+        let out = par_map(
+            &c,
             (0..8usize).collect(),
             |_| 1,
             |i| {
                 if i == 0 {
                     let deadline = Instant::now() + Duration::from_secs(10);
-                    while done.load(Ordering::SeqCst) < 7 && Instant::now() < deadline {
+                    while Instant::now() < deadline {
+                        if done.load(Ordering::SeqCst) == 7 {
+                            released.store(true, Ordering::SeqCst);
+                            break;
+                        }
                         std::thread::yield_now();
                     }
                 } else {
@@ -707,41 +594,34 @@ mod tests {
                 }
                 Ok(i)
             },
-            &c,
         )
         .unwrap();
-        assert_eq!(out.len(), 8);
-        assert_eq!(c.sched_tasks.get(), 8);
-        assert!(c.sched_local.get() >= 1, "seeded pops must be counted");
+        assert_eq!(out, (0..8).collect::<Vec<_>>());
         assert!(
-            c.sched_steals.get() >= 1,
-            "blocked submitter's seeds require steals: local={} steals={}",
-            c.sched_local.get(),
-            c.sched_steals.get()
+            released.load(Ordering::SeqCst),
+            "item 0 waited out its deadline: the other items did not run past it"
         );
-        assert_eq!(c.sched_local.get() + c.sched_steals.get(), 8);
+        assert_eq!(c.stats.sched_tasks.get(), 8);
     }
 
     /// A budget of 1 means serial inline: no job is posted, the items run
     /// on the caller, and the counters still account for them.
     #[test]
     fn budget_of_one_runs_inline() {
-        let c = ExecStats::default();
+        let c = ctx(1);
         let caller = std::thread::current().id();
-        let out = run_stealing(
-            1,
+        let out = par_map(
+            &c,
             (0..4usize).collect(),
             |_| 1,
             |i| {
                 assert_eq!(std::thread::current().id(), caller);
                 Ok(i)
             },
-            &c,
         )
         .unwrap();
         assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(c.sched_tasks.get(), 4);
-        assert_eq!(c.sched_local.get(), 4);
-        assert_eq!(c.sched_steals.get(), 0);
+        assert_eq!(c.stats.sched_tasks.get(), 4);
+        assert_eq!(c.stats.sched_unparks.get(), 0);
     }
 }

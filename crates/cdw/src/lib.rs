@@ -24,9 +24,9 @@
 //! * a vectorized, morsel-driven executor — one engine at every setting:
 //!   filter/project chains, partial aggregation, hash-join probes, sort
 //!   runs and window evaluation cut their input partitions into morsels
-//!   and run them on a persistent, locality-aware work-stealing worker
-//!   pool shared by every query in the process (the `parallelism` knob
-//!   requests threads per query; `set_worker_pool_target` caps the
+//!   and run them on a persistent worker pool shared by every query in
+//!   the process, claimed largest first from one queue (the
+//!   `parallelism` knob requests threads per query; `set_worker_pool_target` caps the
 //!   process). One function decides morsel height; at an effective width
 //!   of one worker it is the whole partition, so serial execution is the
 //!   same code, uncut and inline. Outputs regroup in (partition, morsel)

@@ -171,7 +171,7 @@ impl Warehouse {
     /// [`load_table_partitioned`](Self::load_table_partitioned)'s uniform
     /// split, the caller controls each partition's size — the skew tests
     /// feed one giant partition next to empty and single-row ones to
-    /// exercise the work-stealing scheduler's worst cases.
+    /// exercise the scheduler's worst cases.
     pub fn load_table_parts(&self, name: &str, parts: Vec<Batch>) -> Result<(), CdwError> {
         self.catalog
             .write()

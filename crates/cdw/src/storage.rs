@@ -14,7 +14,7 @@
 //! deleted when their handle drops, so even a panicking query leaks at
 //! most the files of its own process lifetime. Ownership keeps cleanup
 //! panic-safe without registries: writers and handles live either on the
-//! query thread or inside the work-stealing scheduler's slots, so any
+//! query thread or inside the scheduler's per-item slots, so any
 //! unwind — a worker killed mid-read, an I/O error mid-write — drops
 //! them and removes their files. Whichever drop empties the directory
 //! also removes it, so a finished process leaves no residue at all.

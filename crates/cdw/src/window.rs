@@ -22,8 +22,8 @@
 //! answer by binary search in that list.
 //!
 //! `compute_window` is the one entry point: expressions evaluate per
-//! morsel and partitions sort/compute in parallel on the executor's
-//! work-stealing scheduler, with the morsel height decided by
+//! morsel and partitions sort/compute in parallel through the
+//! executor's `par_map`, with the morsel height decided by
 //! `crate::exec::ExecCtx::morsel_height` like every other operator (one
 //! whole-batch morsel when execution is serial).
 
@@ -137,19 +137,20 @@ fn partition_rows(part_cols: &[Column], rows: usize) -> (Vec<usize>, Vec<usize>)
 /// morsels record into the Window operator's `meter`.
 ///
 /// * **Expression evaluation** (partition / order / argument columns)
-///   runs per morsel on the work-stealing scheduler; the per-morsel
-///   columns concatenate to the same whole-batch columns one evaluation
-///   pass produces (elementwise kernels).
+///   runs per morsel through `par_map`; the per-morsel columns
+///   concatenate to the same whole-batch columns one evaluation pass
+///   produces (elementwise kernels).
 /// * **Partitioning** is one pass over the whole-batch key columns
 ///   (`partition_rows`): first-seen partition order and ascending row
 ///   lists by construction, whatever the morsel height.
 /// * **Per-partition sort + compute** runs in parallel over work items
 ///   of whole consecutive partitions, each about a morsel tall (so one
-///   giant partition of a skewed input is its own item), LPT-seeded by
-///   byte share. An item sorts its slice of the flat row list in place
-///   and returns typed values in that order; they scatter into disjoint
-///   row sets, so write order is irrelevant, and every value comes from
-///   the same `compute_partition` sequence however the items were cut.
+///   giant partition of a skewed input is its own item), claimed largest
+///   first by byte share. An item sorts its slice of the flat row list
+///   in place and returns typed values in that order; they scatter into
+///   disjoint row sets, so write order is irrelevant, and every value
+///   comes from the same `compute_partition` sequence however the items
+///   were cut.
 pub(crate) fn compute_window(
     call: &WindowCall,
     batch: &Batch,
