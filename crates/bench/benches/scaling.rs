@@ -19,8 +19,8 @@
 //! `Derived`); the JSON keeps the historical field names `static_p4_ms` /
 //! `morsel_p4_ms` for them so records stay comparable across PRs. Besides the streaming
 //! filter/project pipeline and the fused aggregate, the sweep covers the
-//! long tail: a LEFT join probe (per-morsel probes with regrouped
-//! unmatched tails), an ORDER BY (per-morsel sorted runs, k-way merge),
+//! long tail: a LEFT join (per-morsel probes, then one output gather
+//! per partition), an ORDER BY (per-morsel sorted runs, k-way merge),
 //! and a window (per-morsel eval, partition-parallel compute). All lanes
 //! execute on the shared persistent worker pool, whose target defaults to
 //! the host's core count — so `parallelism 4` on a single-core host has
@@ -136,8 +136,9 @@ const SKEW_AGG_SQL: &str = "SELECT g, COUNT(*) AS n, SUM(v) AS s, AVG(v) AS a \
                             FROM skew GROUP BY g";
 /// Long-tail trio (group-gated: at least one must clear the 1.5x bar on
 /// multi-core hosts). LEFT join: per-morsel probes of the shared build
-/// table, unmatched tails regrouped per (partition, morsel) — 20% of the
-/// fact keys dangle past the dimension's 0..800 range.
+/// table pair the left rows, then each partition's output (unmatched
+/// rows included) is gathered once — 20% of the fact keys dangle past
+/// the dimension's 0..800 range.
 const SKEW_LEFT_SQL: &str = "SELECT skew.g, skew.v, sd.lab \
                              FROM skew LEFT JOIN sd ON skew.k = sd.k";
 /// Sort: per-morsel sorted runs k-way merged by (keys, row id).
@@ -301,8 +302,9 @@ fn skewed_morsel_sweep() {
             // Effective width 1: the height function never cuts, so both
             // lanes ran the identical schedule and anything past timer
             // noise is a bug in it. (With 2-3 workers the lanes really
-            // differ and cutting may not pay — a LEFT join's regroup
-            // copies its output once more — so those hosts only record.)
+            // differ and cutting may not pay — a LEFT join still gathers
+            // the big partition's output on one worker — so those hosts
+            // only record.)
             assert!(
                 speedup >= 0.95,
                 "{case}: derived {morsel_ms:.2}ms vs whole-partition {static_ms:.2}ms with a \
@@ -359,7 +361,8 @@ fn skewed_morsel_sweep() {
          (gate=each) and at least one of the long-tail trio left_join/sort/window must clear \
          the same bar (gate=group). On every host left_join gates whole-partition p4 <= 1.2x \
          serial (the old per-cell-allocation join regression). sched_tasks is the derived \
-         lane's scheduler task count from one instrumented run. Regenerate with: \
+         lane's scheduler task count from one instrumented run. Recorded on a {cpus}-cpu \
+         host. Regenerate with: \
          cargo bench -p sigma-bench --bench scaling.\",\n  \"cpus\": {cpus},\n  \
          \"iters\": {SKEW_ITERS},\n  \"cells\": [\n{cells}\n  ]\n}}\n"
     );

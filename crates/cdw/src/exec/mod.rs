@@ -20,9 +20,9 @@
 //!   partition-index order, on the coordinating thread — so results are
 //!   bit-identical at any parallelism and morsel height.
 //! * Hash joins build the right side once and share it across
-//!   per-partition probe morsels running in parallel (every join kind,
-//!   LEFT/FULL tails regrouped per partition), emitting one output part
-//!   per probe partition.
+//!   per-partition probe morsels running in parallel (every join kind);
+//!   each partition's matched pairs then assemble once, emitting one
+//!   output part per probe partition.
 //! * Sort generates sorted runs per morsel in parallel and k-way merges
 //!   them by `(keys, row id)`; windows evaluate their expressions per
 //!   morsel and sort/compute partitions in parallel, scattering values
@@ -62,8 +62,9 @@
 //! * **Join** Grace-partitions the build side's key material into bucket
 //!   files, builds one bucket's hash table at a time (bucket passes run
 //!   on the scheduler), probes every left partition against it, then
-//!   restores the in-memory output order by sorting each partition's
-//!   matches by `(left row, right row)`.
+//!   restores the in-memory probe order by sorting each partition's
+//!   pairs by `(left row, right row)` and hands them to the same
+//!   per-partition assembly.
 //!
 //! Because every spilled variant performs the *same floating-point
 //! operations in the same order* as its in-memory counterpart and only
@@ -627,33 +628,32 @@ fn execute_node(
             // index per right row.
             let est =
                 rcols.iter().map(Column::byte_size).sum::<usize>() + 8 * right_batch.num_rows();
-            let probes = if keyed && ctx.memory.should_spill(est) {
-                spilled_join(
-                    &lparts,
-                    &right_batch,
-                    &rcols,
-                    *kind,
-                    &lkeys,
-                    cresidual.as_ref(),
-                    schema,
-                    ctx,
-                    est,
-                    meter,
-                )?
+            let rrows = right_batch.num_rows();
+            let pairs = if keyed && ctx.memory.should_spill(est) {
+                spilled_join(&lparts, &rcols, rrows, &lkeys, ctx, est, meter)?
             } else {
-                let build = build_join_table(right_batch.num_rows(), &rcols, keyed);
-                pipeline::morsel_probe(
-                    &lparts,
-                    &right_batch,
-                    build.as_ref(),
-                    *kind,
-                    &lkeys,
-                    cresidual.as_ref(),
-                    schema,
-                    ctx,
-                    meter,
-                )?
+                let build = build_join_table(rrows, &rcols, keyed);
+                pipeline::morsel_probe(&lparts, rrows, build.as_ref(), &lkeys, ctx, meter)?
             };
+            // Either path's pairs assemble once per left partition, the
+            // partitions in parallel.
+            let probes = par_map(
+                ctx,
+                lparts.iter().zip(pairs).collect(),
+                |(left, pairs)| left.byte_size() + 16 * pairs.len(),
+                |(left, pairs)| {
+                    assemble_probe_output(
+                        left,
+                        &right_batch,
+                        pairs,
+                        *kind,
+                        cresidual.as_ref(),
+                        schema,
+                        &ctx.eval,
+                        meter,
+                    )
+                },
+            )?;
             let mut parts = Vec::with_capacity(probes.len() + 1);
             let mut matched_right = if *kind == JoinKind::Full {
                 vec![false; right_batch.num_rows()]
@@ -1662,45 +1662,48 @@ fn build_join_table(right_rows: usize, rcols: &[Column], keyed: bool) -> Option<
     Some(table)
 }
 
-/// Candidate `(left, right)` pairs for one probe unit — a whole left
-/// partition or a morsel slice of one. Hash probes visit left rows in
+/// Candidate `(left, right)` pairs for the left rows `rows` of one
+/// partition, in partition coordinates. Hash probes visit left rows in
 /// ascending order (per-key right matches accumulate in build order), and
-/// keyless/cross joins emit the full cartesian product, so splitting a
-/// partition into morsels concatenates to exactly the whole-partition
-/// pair sequence.
+/// keyless/cross joins emit the full cartesian product, so cutting a
+/// partition into row ranges concatenates to exactly the whole-partition
+/// pair sequence. Keys evaluate through a selection of the range (none
+/// for a whole partition), so no morsel copies its rows.
 fn probe_pairs(
     left: &Batch,
+    rows: std::ops::Range<usize>,
     rrows: usize,
     build: Option<&KeyRows>,
     left_keys: &[CompiledExpr],
     ctx: &EvalCtx,
     meter: &Meter,
 ) -> Result<Vec<(usize, usize)>, CdwError> {
-    let lrows = left.num_rows();
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     match build {
         None => {
-            for li in 0..lrows {
+            for li in rows {
                 for ri in 0..rrows {
                     pairs.push((li, ri));
                 }
             }
         }
         Some(table) => {
+            let sel: Option<Vec<usize>> =
+                (rows.len() < left.num_rows()).then(|| rows.clone().collect());
             let lcols: Vec<Column> = meter.timed(|| {
                 left_keys
                     .iter()
-                    .map(|k| k.eval(left, None, ctx))
+                    .map(|k| k.eval(left, sel.as_deref(), ctx))
                     .collect::<Result<_, _>>()
             })?;
             let lrefs: Vec<&Column> = lcols.iter().collect();
             let keys = KeyCols::new(&lrefs);
             let mut key = Vec::new();
-            for li in 0..lrows {
-                if keys.any_null(li) {
+            for (i, li) in rows.enumerate() {
+                if keys.any_null(i) {
                     continue;
                 }
-                let matches = table.get(keys.key(li, &mut key));
+                let matches = table.get(keys.key(i, &mut key));
                 pairs.extend(matches.iter().map(|&ri| (li, ri)));
             }
         }
@@ -1708,89 +1711,43 @@ fn probe_pairs(
     Ok(pairs)
 }
 
-/// Drop candidate pairs whose residual predicate is not TRUE (by
-/// [`CompiledExpr::select`], the Filter operator's own definition). The
-/// predicate applies row by row over the candidate rows stacked in the
-/// join schema, so the verdict for a pair cannot depend on which probe
-/// unit (partition or morsel) carried it.
-fn filter_residual_pairs(
-    pairs: Vec<(usize, usize)>,
-    left: &Batch,
-    right: &Batch,
-    residual: Option<&CompiledExpr>,
-    schema: &Arc<Schema>,
-    ctx: &EvalCtx,
-    meter: &Meter,
-) -> Result<Vec<(usize, usize)>, CdwError> {
-    let Some(pred) = residual else {
-        return Ok(pairs);
-    };
-    if pairs.is_empty() {
-        return Ok(pairs);
-    }
-    let lidx: Vec<usize> = pairs.iter().map(|p| p.0).collect();
-    let ridx: Vec<usize> = pairs.iter().map(|p| p.1).collect();
-    let candidate = hstack(schema, &left.take(&lidx), &right.take(&ridx))?;
-    let kept = meter.timed(|| pred.select(&candidate, None, ctx))?;
-    Ok(kept.into_iter().map(|i| pairs[i]).collect())
-}
-
-/// Gather join output columns for `(left idx, optional right idx)` rows;
-/// a `None` right index null-extends the right half (LEFT/FULL).
+/// One left partition's join output from its candidate `(left, right)`
+/// pairs in probe order (ascending left row, partition coordinates): the
+/// one assembly both the in-memory probe and the Grace join end in.
 ///
-/// Assembly is a vectorized gather per column ([`Column::take`] /
+/// It drops pairs whose residual is not TRUE (by
+/// [`CompiledExpr::select`], the Filter operator's own definition, row by
+/// row over the candidates stacked in the join schema), appends the
+/// null-extended unmatched left rows (ascending) for LEFT/FULL, and
+/// gathers every output column once. It also returns the matched right
+/// rows: FULL's unmatched-right sweep needs only their union across
+/// partitions.
+///
+/// The gather is vectorized per column ([`Column::take`] /
 /// [`Column::take_opt`]), not a per-cell `Value` push — the old builder
 /// loop allocated a `String` for every Text cell, and that malloc churn
 /// (multiplied across probe workers) was what made parallel LEFT-join
 /// probes slower than serial. `take_opt` writes builder-default payloads
 /// into null slots, so the output stays byte-identical to the builder
-/// loop it replaces.
-fn assemble_join_columns(
-    left: &Batch,
-    right: &Batch,
-    lidx: &[usize],
-    ridx: &[Option<usize>],
-    schema: &Arc<Schema>,
-) -> Result<Batch, CdwError> {
-    let lwidth = left.num_columns();
-    let mut columns: Vec<Column> = Vec::with_capacity(schema.len());
-    for (c, field) in schema.fields().iter().enumerate() {
-        let col = if c < lwidth {
-            left.column(c).take(lidx)
-        } else {
-            right.column(c - lwidth).take_opt(ridx)
-        };
-        columns.push(coerce_column(col, field.dtype)?);
-    }
-    Batch::new(schema.clone(), columns).map_err(CdwError::from)
-}
-
-/// Turn one probe unit's candidate `(left, right)` pairs (ascending left
-/// row) into output: residual filtering, LEFT/FULL null-extension of
-/// unmatched left rows, and column assembly. Returns the matches, the
-/// null-extended unmatched-left tail, and the matched right rows (FULL's
-/// unmatched-right sweep needs only their union across units).
-///
-/// An uncut partition emits all matches followed by all unmatched lefts
-/// (both ascending). A unit that is the `lone` one of its partition
-/// gathers exactly that in one batch (no tail). Otherwise the tail stays
-/// **separate**, so the per-partition regroup — every morsel's matches
-/// in morsel order, then every morsel's tail in morsel order —
-/// concatenates to the same bytes. The Grace join feeds whole-partition
-/// pairs sorted into probe order through the `lone` form.
+/// loop it replaced.
 #[allow(clippy::too_many_arguments)]
 fn assemble_probe_output(
     left: &Batch,
     right: &Batch,
-    pairs: Vec<(usize, usize)>,
+    mut pairs: Vec<(usize, usize)>,
     kind: JoinKind,
     residual: Option<&CompiledExpr>,
     schema: &Arc<Schema>,
     ctx: &EvalCtx,
     meter: &Meter,
-    lone: bool,
-) -> Result<(Batch, Option<Batch>, Vec<usize>), CdwError> {
-    let pairs = filter_residual_pairs(pairs, left, right, residual, schema, ctx, meter)?;
+) -> Result<(Batch, Vec<usize>), CdwError> {
+    if let Some(pred) = residual.filter(|_| !pairs.is_empty()) {
+        let lidx: Vec<usize> = pairs.iter().map(|p| p.0).collect();
+        let ridx: Vec<usize> = pairs.iter().map(|p| p.1).collect();
+        let candidate = hstack(schema, &left.take(&lidx), &right.take(&ridx))?;
+        let kept = meter.timed(|| pred.select(&candidate, None, ctx))?;
+        pairs = kept.iter().map(|&i| pairs[i]).collect();
+    }
     let matched_right: Vec<usize> = if kind == JoinKind::Full {
         pairs.iter().map(|p| p.1).collect()
     } else {
@@ -1798,28 +1755,25 @@ fn assemble_probe_output(
     };
     let mut lidx: Vec<usize> = pairs.iter().map(|p| p.0).collect();
     let mut ridx: Vec<Option<usize>> = pairs.iter().map(|p| Some(p.1)).collect();
-    let mut tail = None;
     if matches!(kind, JoinKind::Left | JoinKind::Full) {
         let mut matched_left = vec![false; left.num_rows()];
-        for &(li, _) in &pairs {
+        for &li in &lidx {
             matched_left[li] = true;
         }
-        let unmatched = (0..left.num_rows()).filter(|&li| !matched_left[li]);
-        if lone {
-            lidx.extend(unmatched);
-            ridx.resize(lidx.len(), None);
-        } else {
-            let t_lidx: Vec<usize> = unmatched.collect();
-            if !t_lidx.is_empty() {
-                let t_ridx = vec![None; t_lidx.len()];
-                tail = Some(assemble_join_columns(
-                    left, right, &t_lidx, &t_ridx, schema,
-                )?);
-            }
-        }
+        lidx.extend((0..left.num_rows()).filter(|&li| !matched_left[li]));
+        ridx.resize(lidx.len(), None);
     }
-    let matches = assemble_join_columns(left, right, &lidx, &ridx, schema)?;
-    Ok((matches, tail, matched_right))
+    let lwidth = left.num_columns();
+    let mut columns: Vec<Column> = Vec::with_capacity(schema.len());
+    for (c, field) in schema.fields().iter().enumerate() {
+        let col = if c < lwidth {
+            left.column(c).take(&lidx)
+        } else {
+            right.column(c - lwidth).take_opt(&ridx)
+        };
+        columns.push(coerce_column(col, field.dtype)?);
+    }
+    Ok((Batch::new(schema.clone(), columns)?, matched_right))
 }
 
 /// FULL OUTER tail: right rows no probe partition matched, null-extended
@@ -1937,34 +1891,29 @@ fn grace_bucket_pairs(
     Ok(pairs_per_part)
 }
 
-/// Grace-style memory-budgeted hash join: both sides' key material is
-/// hash-partitioned into spilled bucket files; one bucket's build table
-/// is resident at a time. Matched pairs carry global row indices, so
-/// sorting each probe partition's pairs by `(left row, right row)`
-/// restores exactly the order the in-memory probe emits (per-key right
-/// matches accumulate in ascending right-row order on both paths), and
-/// the shared [`assemble_probe_output`] does the rest. Returns one
-/// `(batch, matched right rows)` per left partition, like the in-memory
-/// probe fan-out.
+/// Grace-style memory-budgeted hash join pairing: both sides' key
+/// material is hash-partitioned into spilled bucket files; one bucket's
+/// build table is resident at a time. Matched pairs carry partition row
+/// indices, so sorting each left partition's pairs by `(left row, right
+/// row)` restores exactly the order the in-memory probe emits (per-key
+/// right matches accumulate in ascending right-row order on both paths).
+/// Returns those pairs per left partition, like [`pipeline::morsel_probe`],
+/// for the shared [`assemble_probe_output`].
 ///
 /// The two hot phases parallelize without touching the spilled layout:
 /// probe-side key expressions evaluate per morsel (the concatenated
 /// columns — and therefore the bucket files — are the same at every
 /// morsel height), and bucket passes run through `par_map`, largest
 /// bucket first, commuting as documented on [`grace_bucket_pairs`].
-#[allow(clippy::too_many_arguments)]
 fn spilled_join(
     lparts: &[Batch],
-    right: &Batch,
     rcols: &[Column],
-    kind: JoinKind,
+    rrows: usize,
     left_keys: &[CompiledExpr],
-    residual: Option<&CompiledExpr>,
-    schema: &Arc<Schema>,
     ctx: &ExecCtx,
     estimate: usize,
     meter: &Meter,
-) -> Result<Vec<(Batch, Vec<usize>)>, CdwError> {
+) -> Result<Vec<Vec<(usize, usize)>>, CdwError> {
     let nbuckets = ctx.memory.bucket_count(estimate);
     ctx.stats.spill_rounds.add(nbuckets);
     let kw = rcols.len();
@@ -1980,7 +1929,7 @@ fn spilled_join(
     let mut bwriters: Vec<SpillWriter> = (0..nbuckets)
         .map(|_| SpillWriter::create())
         .collect::<Result<_, _>>()?;
-    spill_key_material(&mut bwriters, rcols, right.num_rows(), &bschema, None, ctx)?;
+    spill_key_material(&mut bwriters, rcols, rrows, &bschema, None, ctx)?;
     let bhandles: Vec<SpillHandle> = bwriters
         .into_iter()
         .map(SpillWriter::finish)
@@ -2030,28 +1979,11 @@ fn spilled_join(
             pairs_per_part[p].extend(pairs);
         }
     }
-
-    // Restore in-memory probe order, then assemble (parallel across
-    // partitions, like the in-memory fan-out).
-    let items: Vec<(Batch, Vec<(usize, usize)>)> = lparts
-        .iter()
-        .cloned()
-        .zip(pairs_per_part.into_iter().map(|mut pairs| {
-            pairs.sort_unstable();
-            pairs
-        }))
-        .collect();
-    par_map(
-        ctx,
-        items,
-        |(left, pairs)| left.byte_size() + 16 * pairs.len(),
-        |(left, pairs)| {
-            let (batch, _, matched_right) = assemble_probe_output(
-                &left, right, pairs, kind, residual, schema, &ctx.eval, meter, true,
-            )?;
-            Ok((batch, matched_right))
-        },
-    )
+    // Restore in-memory probe order.
+    for pairs in &mut pairs_per_part {
+        pairs.sort_unstable();
+    }
+    Ok(pairs_per_part)
 }
 
 #[cfg(test)]

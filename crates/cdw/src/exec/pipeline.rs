@@ -55,11 +55,10 @@
 //!   as one whole-partition pass. Partials still merge in
 //!   partition-index order.
 //! * **Join probe** (every kind): left-partition morsels probe the
-//!   shared build table independently; per-partition outputs
-//!   re-concatenate in morsel order, exactly the left-row-ascending
-//!   order an uncut probe emits. LEFT/FULL morsels keep their
-//!   null-extended unmatched tails separate so the regroup emits all of
-//!   a partition's matches first, then its tails, both in morsel order
+//!   shared build table independently and return candidate pairs in
+//!   partition coordinates; a partition's pair lists concatenate in
+//!   morsel order, exactly the left-row-ascending sequence an uncut
+//!   probe emits, and the partition's output is assembled from them once
 //!   (see [`morsel_probe`]).
 //!
 //! Sort and window run through [`morsel_sort`] and
@@ -655,59 +654,28 @@ pub(super) fn fold_partial(
     )
 }
 
-/// Probe for hash joins of every kind: each left partition splits into
-/// dense row-range morsels probed independently (the shared claim queue
-/// absorbs a skewed build of probe work), and per-partition outputs
-/// re-concatenate in morsel order — exactly the left-row-ascending order
-/// an uncut probe emits, so downstream operators see one output part per
-/// left partition at every morsel height.
-///
-/// LEFT/FULL: an uncut probe emits all matches (ascending left row) then
-/// the partition's null-extended unmatched lefts (ascending). A morsel
-/// that is only part of its partition therefore keeps its unmatched tail
-/// **separate** from its matches ([`assemble_probe_output`]); regrouping
-/// concatenates every morsel's matches first, then every morsel's tail,
-/// both in morsel order — reproducing the uncut order exactly. A morsel
-/// covering its whole partition assembles matches and tail in one gather
-/// and skips the regroup. FULL's matched-right sets union across a
-/// partition's morsels for the caller's unmatched-right sweep.
-#[allow(clippy::too_many_arguments)]
+/// Candidate pairs for hash and cross joins of every kind: each left
+/// partition splits into dense row-range morsels probed independently
+/// (the shared claim queue absorbs a skewed build of probe work), and a
+/// partition's morsel pair lists concatenate in morsel order — exactly
+/// the ascending-left-row sequence an uncut probe emits, in partition
+/// coordinates. Output assembly is the caller's, once per partition
+/// ([`assemble_probe_output`]).
 pub(super) fn morsel_probe(
     lparts: &[Batch],
-    right: &Batch,
+    rrows: usize,
     build: Option<&KeyRows>,
-    kind: JoinKind,
     left_keys: &[CompiledExpr],
-    residual: Option<&CompiledExpr>,
-    schema: &Arc<Schema>,
     ctx: &ExecCtx,
     meter: &Meter,
-) -> Result<Vec<(Batch, Vec<usize>)>, CdwError> {
+) -> Result<Vec<Vec<(usize, usize)>>, CdwError> {
     let mrows = ctx.morsel_height(|| InputShape::of_batches(lparts));
-    struct ProbeMorsel<'a> {
-        batch: &'a Batch,
-        /// `None` = probe the whole partition batch (no slice copy).
-        range: Option<std::ops::Range<usize>>,
-    }
     let mut morsels = Vec::new();
     let mut counts = Vec::with_capacity(lparts.len());
     for lb in lparts {
-        let before = morsels.len();
-        let rows = lb.num_rows();
-        if rows <= mrows {
-            morsels.push(ProbeMorsel {
-                batch: lb,
-                range: None,
-            });
-        } else {
-            for range in range_chunks(rows, mrows) {
-                morsels.push(ProbeMorsel {
-                    batch: lb,
-                    range: Some(range),
-                });
-            }
-        }
-        counts.push(morsels.len() - before);
+        let ranges = range_chunks(lb.num_rows(), mrows);
+        counts.push(ranges.len());
+        morsels.extend(ranges.into_iter().map(|r| (lb, r)));
     }
     meter.morsels.add(morsels.len());
 
@@ -716,56 +684,22 @@ pub(super) fn morsel_probe(
         morsels,
         // Byte-ordered claims: probe work scales with the morsel's share of
         // its partition's bytes, not just its row count.
-        |m| {
-            let rows = m.batch.num_rows();
-            let len = m.range.as_ref().map_or(rows, |r| r.len());
-            byte_cost(len, m.batch.byte_size(), rows)
-        },
-        |m| {
-            let sliced;
-            let lb = match &m.range {
-                Some(r) => {
-                    sliced = m.batch.slice(r.start, r.len());
-                    &sliced
-                }
-                None => m.batch,
-            };
-            // Right-row indices are global, but unmatched-left indices
-            // are slice-local and never escape (the tail batch is
-            // assembled here).
-            let pairs = probe_pairs(lb, right.num_rows(), build, left_keys, &ctx.eval, meter)?;
-            let lone = m.range.is_none();
-            assemble_probe_output(
-                lb, right, pairs, kind, residual, schema, &ctx.eval, meter, lone,
-            )
-        },
+        |(lb, r)| byte_cost(r.len(), lb.byte_size(), lb.num_rows()),
+        |(lb, r)| probe_pairs(lb, r, rrows, build, left_keys, &ctx.eval, meter),
     )?;
-
-    let mut out = Vec::with_capacity(lparts.len());
     let mut it = probes.into_iter();
-    for count in counts {
-        let mut group = it.by_ref().take(count);
-        if count == 1 {
-            // An uncut partition: its tail is already inside the batch.
-            let (batch, _, matched) = group.next().expect("one probe per morsel");
-            out.push((batch, matched));
-            continue;
-        }
-        let mut matched = Vec::new();
-        let mut batches: Vec<Batch> = Vec::with_capacity(count);
-        let mut tails: Vec<Batch> = Vec::new();
-        for (b, tail, m) in group {
-            matched.extend(m);
-            batches.push(b);
-            tails.extend(tail);
-        }
-        // Uncut order: all matches (morsel order), then all
-        // null-extended unmatched-left tails (morsel order).
-        batches.extend(tails);
-        let refs: Vec<&Batch> = batches.iter().collect();
-        out.push((Batch::concat(&refs)?, matched));
-    }
-    Ok(out)
+    Ok(counts
+        .into_iter()
+        .map(|count| {
+            it.by_ref()
+                .take(count)
+                .reduce(|mut pairs, more| {
+                    pairs.extend(more);
+                    pairs
+                })
+                .unwrap_or_default()
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------

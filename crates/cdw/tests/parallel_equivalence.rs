@@ -65,9 +65,16 @@ const QUERIES: &[&str] = &[
      FROM t LEFT JOIN u ON t.jk = u.k GROUP BY u.lab",
     // Aggregation over UNION ALL (parts from both inputs retained).
     "SELECT g, SUM(v) AS s FROM (SELECT g, v FROM t UNION ALL SELECT g, v FROM t) x GROUP BY g",
-    // FULL join: unmatched lefts regroup per (partition, morsel) and the
-    // matched-right flags union across probe morsels.
+    // FULL join: a partition's morsel pairs concatenate before its one
+    // assembly appends the unmatched lefts, and the matched-right rows
+    // union across partitions.
     "SELECT t.g, t.v, u.lab FROM t FULL JOIN u ON t.jk = u.k",
+    // Join residuals, evaluated once per partition over its candidate
+    // pairs: a LEFT join whose non-equi conjunct reads a nullable column
+    // (a NULL or false verdict leaves the left row unmatched), and a FULL
+    // join whose residual also decides which right rows go unmatched.
+    "SELECT t.g, t.v, u.lab FROM t LEFT JOIN u ON t.jk = u.k AND t.v > u.k",
+    "SELECT t.g, t.v, u.k, u.lab FROM t FULL JOIN u ON t.jk = u.k AND t.v < u.k + 3",
     // ORDER BY: per-morsel sorted runs k-way merged by (keys, row id).
     "SELECT g, v, d FROM t ORDER BY v DESC, d, g",
     "SELECT g, v FROM t ORDER BY g",

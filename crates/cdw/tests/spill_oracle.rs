@@ -43,6 +43,12 @@ const QUERIES: &[&str] = &[
     "SELECT t.g, t.v, u.lab FROM t JOIN u ON t.jk = u.k",
     "SELECT t.g, u.lab FROM t LEFT JOIN u ON t.jk = u.k",
     "SELECT t.g, u.lab FROM t FULL JOIN u ON t.jk = u.k",
+    // Grace joins with residuals: the bucket passes pair by key only and
+    // the shared per-partition assembly filters. LEFT with a non-equi
+    // conjunct over the nullable `v`; FULL with a residual that also
+    // decides which right rows go unmatched.
+    "SELECT t.g, t.v, u.lab FROM t LEFT JOIN u ON t.jk = u.k AND t.v > u.k",
+    "SELECT t.g, t.v, u.k, u.lab FROM t FULL JOIN u ON t.jk = u.k AND t.v < u.k + 3",
     // Aggregation over a join (spilled join feeding two-phase aggregate).
     "SELECT u.lab, COUNT(*) AS n, SUM(t.v) AS s \
      FROM t LEFT JOIN u ON t.jk = u.k GROUP BY u.lab",
