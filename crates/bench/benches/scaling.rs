@@ -17,11 +17,14 @@
 //! cost-ordered queue. Both lanes run at parallelism 4 on the same
 //! engine and differ only in `MorselSizing` (`WholePartition` vs
 //! `Derived`); the JSON keeps the historical field names `static_p4_ms` /
-//! `morsel_p4_ms` for them so records stay comparable across PRs. Besides the streaming
-//! filter/project pipeline and the fused aggregate, the sweep covers the
-//! long tail: a LEFT join (per-morsel probes, then one output gather
-//! per partition), an ORDER BY (per-morsel sorted runs, k-way merge),
-//! and a window (per-morsel eval, partition-parallel compute). All lanes
+//! `morsel_p4_ms` for them so records stay comparable across PRs. Only a
+//! pipeline's streaming chain (and the partial aggregate it feeds) cuts
+//! morsels; the breakers take whole partitions. Besides the streaming
+//! filter/project pipeline and the fused aggregate with and without a
+//! filter, the sweep covers the long tail: a LEFT join (one probe and
+//! one output gather per partition), an ORDER BY (one stable sort), and
+//! a window (one expression pass, partition-parallel compute in work
+//! items sized by the morsel height). All lanes
 //! execute on the shared persistent worker pool, whose target defaults to
 //! the host's core count — so `parallelism 4` on a single-core host has
 //! an effective width of 1, the height function returns whole partitions
@@ -31,8 +34,9 @@
 //! scheduler task count) are recorded to `BENCH_<date>_scaling.json` at
 //! the repo root (override with `SCALING_BENCH_OUT`). Gates: on hosts with >= 4 CPUs the
 //! streaming-pipeline case must show >= 1.5x speedup of derived over
-//! whole-partition sizing at parallelism 4 and at least one of the
-//! long-tail trio {left_join, sort, window} must clear the same bar; with
+//! whole-partition sizing at parallelism 4 and so must the window, the
+//! one long-tail case whose two lanes differ (the LEFT join and the sort
+//! run one schedule in both, so they only record); with
 //! a 1-slot pool every case must stay at parity (>= 0.95x, the lanes
 //! being the same schedule there); hosts in between only record. On every host
 //! the left_join case gates whole-partition p4 <= 1.2x serial — the
@@ -134,17 +138,23 @@ const SKEW_FILTER_SQL: &str = "SELECT g, v * 2.0 + 1.0 AS x FROM skew WHERE v * 
 /// informative rather than a hard bar.
 const SKEW_AGG_SQL: &str = "SELECT g, COUNT(*) AS n, SUM(v) AS s, AVG(v) AS a \
                             FROM skew GROUP BY g";
-/// Long-tail trio (group-gated: at least one must clear the 1.5x bar on
-/// multi-core hosts). LEFT join: per-morsel probes of the shared build
-/// table pair the left rows, then each partition's output (unmatched
-/// rows included) is gathered once — 20% of the fact keys dangle past
-/// the dimension's 0..800 range.
+/// Recorded (not gated): the same fused partial aggregate fed by the
+/// filter case's predicate. Here the cut streaming chain carries the
+/// work, so this is the case the aggregate's morsel cut pays on.
+const SKEW_FILTER_AGG_SQL: &str = "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM skew \
+                                   WHERE v * 3.0 + k < 220.0 GROUP BY g";
+/// Recorded (not gated): LEFT join. Each left partition probes the
+/// shared build table once, then its output (unmatched rows included) is
+/// gathered once — 20% of the fact keys dangle past the dimension's
+/// 0..800 range. Both p4 lanes run the same whole-partition schedule.
 const SKEW_LEFT_SQL: &str = "SELECT skew.g, skew.v, sd.lab \
                              FROM skew LEFT JOIN sd ON skew.k = sd.k";
-/// Sort: per-morsel sorted runs k-way merged by (keys, row id).
+/// Recorded (not gated): one stable sort of the whole input by the keys;
+/// both p4 lanes run the same schedule.
 const SKEW_SORT_SQL: &str = "SELECT g, k, v FROM skew ORDER BY v DESC, k";
-/// Window: per-morsel expression eval + partition grouping, then
-/// partition-parallel sort/compute (64 groups).
+/// Window (gate=group, the long-tail gate): one expression pass, then
+/// partition-parallel sort/compute (64 groups) in work items at least a
+/// morsel tall, so whole-partition sizing puts every group in one item.
 const SKEW_WINDOW_SQL: &str = "SELECT g, SUM(v) OVER (PARTITION BY g ORDER BY v) AS w FROM skew";
 
 /// ~90% of rows in one partition, two empty partitions, eight 1-row
@@ -257,13 +267,15 @@ fn skewed_morsel_sweep() {
     );
     // Gate kinds: "each" must individually clear 1.5x on >=4-cpu hosts;
     // "group" cases are gated collectively (at least one of the long-tail
-    // trio must clear the bar); "none" is recorded for context only.
+    // group, now the window alone, must clear the bar); "none" is
+    // recorded for context only.
     let mut group_speedups: Vec<(&str, f64)> = Vec::new();
     for (case, sql, gate) in [
         ("filter_project", SKEW_FILTER_SQL, "each"),
         ("aggregate", SKEW_AGG_SQL, "none"),
-        ("left_join", SKEW_LEFT_SQL, "group"),
-        ("sort", SKEW_SORT_SQL, "group"),
+        ("filter_aggregate", SKEW_FILTER_AGG_SQL, "none"),
+        ("left_join", SKEW_LEFT_SQL, "none"),
+        ("sort", SKEW_SORT_SQL, "none"),
         ("window", SKEW_WINDOW_SQL, "group"),
     ] {
         // Serial uncut run = the reference every lane must reproduce
@@ -302,9 +314,8 @@ fn skewed_morsel_sweep() {
             // Effective width 1: the height function never cuts, so both
             // lanes ran the identical schedule and anything past timer
             // noise is a bug in it. (With 2-3 workers the lanes really
-            // differ and cutting may not pay — a LEFT join still gathers
-            // the big partition's output on one worker — so those hosts
-            // only record.)
+            // differ for the chain, the aggregate and the window, and
+            // cutting may not pay, so those hosts only record.)
             assert!(
                 speedup >= 0.95,
                 "{case}: derived {morsel_ms:.2}ms vs whole-partition {static_ms:.2}ms with a \
@@ -339,7 +350,7 @@ fn skewed_morsel_sweep() {
     if cpus >= 4 {
         assert!(
             group_speedups.iter().any(|&(_, s)| s >= 1.5),
-            "long-tail gate: none of {group_speedups:?} reached a 1.5x \
+            "long-tail gate: {group_speedups:?} did not reach a 1.5x \
              derived-vs-whole-partition speedup at p4 on a {cpus}-cpu host"
         );
     }
@@ -351,6 +362,9 @@ fn skewed_morsel_sweep() {
          a single partition (plus empty partitions and 1-row tails), median of {SKEW_ITERS} \
          runs. static_p4_ms = MorselSizing::WholePartition (never split a partition), \
          morsel_p4_ms = MorselSizing::Derived (morsels claimed from one cost-ordered queue); \
+         only the streaming chain, the partial aggregate it feeds and the window's work \
+         items take the morsel height, so left_join and sort run one whole-partition \
+         schedule in both lanes; \
          the field names predate the removal of the separate static executor and are kept so \
          records stay comparable. \
          Every lane is asserted bit-identical to the serial uncut reference (serial_ms). \
@@ -358,8 +372,9 @@ fn skewed_morsel_sweep() {
          effective width of 1 the height function never cuts and the lanes are the \
          identical schedule and the gate is parity (>= 0.95x); on >= 4 cpus the \
          streaming filter_project case must show >= 1.5x derived-vs-whole-partition speedup \
-         (gate=each) and at least one of the long-tail trio left_join/sort/window must clear \
-         the same bar (gate=group). On every host left_join gates whole-partition p4 <= 1.2x \
+         (gate=each) and the window must clear the same bar (gate=group); aggregate, \
+         filter_aggregate, left_join and sort only record (gate=none). On every host \
+         left_join gates whole-partition p4 <= 1.2x \
          serial (the old per-cell-allocation join regression). sched_tasks is the derived \
          lane's scheduler task count from one instrumented run. Recorded on a {cpus}-cpu \
          host. Regenerate with: \

@@ -4,13 +4,15 @@
 //! allows it, so work spreads across the persistent process-wide worker
 //! pool (the `parallelism` knob the scaling bench sweeps,
 //! clamped to the pool's execution budget — see [`scheduler`]).
-//! There is one work-distribution engine: every operator cuts its input
-//! into morsels, runs them from one cost-ordered claim queue, and
-//! regroups the outputs per partition in morsel order (see `pipeline`
-//! and [`scheduler`]). How tall a morsel is comes from one function,
-//! `pipeline::morsel_height`; at an effective width of one worker it
-//! is the whole partition, so serial execution is the same code with
-//! every split, regroup and claim degenerate — not a second executor:
+//! There is one work-distribution engine: every parallel step runs its
+//! items from one cost-ordered claim queue (see [`scheduler`]). Only a
+//! pipeline's streaming chain cuts partitions into morsels and regroups
+//! the outputs per partition in morsel order (see `pipeline`); every
+//! breaker works on whole partitions. How tall a morsel is comes from
+//! one function, `pipeline::morsel_height`; at an effective width of one
+//! worker it is the whole partition, so serial execution is the same
+//! code with every split, regroup and claim degenerate — not a second
+//! executor:
 //!
 //! * Scan → Filter → Project chains fuse into one pipeline per morsel.
 //! * `UnionAll` concatenates its inputs' partitions without collapsing.
@@ -19,14 +21,13 @@
 //!   partial states build in parallel and merge associatively, in
 //!   partition-index order, on the coordinating thread — so results are
 //!   bit-identical at any parallelism and morsel height.
-//! * Hash joins build the right side once and share it across
-//!   per-partition probe morsels running in parallel (every join kind);
-//!   each partition's matched pairs then assemble once, emitting one
-//!   output part per probe partition.
-//! * Sort generates sorted runs per morsel in parallel and k-way merges
-//!   them by `(keys, row id)`; windows evaluate their expressions per
-//!   morsel and sort/compute partitions in parallel, scattering values
-//!   back to disjoint rows.
+//! * Hash joins build the right side once and share it across the left
+//!   partitions, each probed once in parallel (every join kind); each
+//!   partition's matched pairs then assemble once, emitting one output
+//!   part per probe partition.
+//! * Sort is one stable sort of its input by the key columns; windows
+//!   evaluate their expressions once and sort/compute partitions in
+//!   parallel work items, scattering values back to disjoint rows.
 //!
 //! ## One meter per operator, one ledger per query
 //!
@@ -51,11 +52,11 @@
 //! format:
 //!
 //! * **Aggregate** hash-partitions input rows by group key into spilled
-//!   bucket files per morsel, aggregates bucket by bucket (rebuilding the
+//!   bucket files per partition, aggregates bucket by bucket (rebuilding the
 //!   exact per-partition partial/merge structure of the in-memory fold
 //!   inside each bucket), and interleaves the per-bucket groups back into
 //!   global first-seen order by each group's first `(partition, row)`
-//!   (`pipeline::morsel_spilled_aggregate`).
+//!   (`pipeline::spilled_aggregate`).
 //! * **Sort** spills sorted runs (key columns + original row ids) in
 //!   pages from parallel workers and k-way merges them by `(keys, row
 //!   id)` — exactly the total order a stable in-memory sort produces.
@@ -157,7 +158,7 @@ impl Counter {
 pub(crate) struct Meter {
     /// Nanoseconds spent evaluating scalar expressions.
     pub(crate) eval_ns: Counter,
-    /// Morsels the operator cut its input into.
+    /// Work units the operator ran (see [`OpStats::morsels`]).
     pub(crate) morsels: Counter,
     /// Rows the operator emitted.
     pub(crate) rows_out: Counter,
@@ -202,7 +203,8 @@ impl ExecCtx {
     }
 
     /// Morsel height for a pipeline over an input of `shape` — every
-    /// operator asks here, nothing else looks at `morsel_sizing`.
+    /// caller (streaming chains, the fused partial aggregate, window
+    /// items) asks here, nothing else looks at `morsel_sizing`.
     pub(crate) fn morsel_height(&self, shape: impl FnOnce() -> pipeline::InputShape) -> usize {
         pipeline::morsel_height(self.morsel_sizing, self.effective_parallelism(), shape)
     }
@@ -287,9 +289,10 @@ pub struct OpStats {
     /// exceed `elapsed` under parallelism. This is the counter the
     /// vectorized-expression win shows up in per query.
     pub eval_ns: u64,
-    /// Morsels this operator cut its input into (an uncut partition
-    /// counts as one; 0 for operators that take no morsels — scans,
-    /// limits, unions, distinct).
+    /// Work units this operator ran: the morsels a streaming stage or
+    /// partial aggregate cut its input into (an uncut partition counts
+    /// as one), one per left partition for a join, one for a sort, a
+    /// window's work items; 0 for scans, limits, unions, distinct.
     pub morsels: usize,
 }
 
@@ -529,7 +532,7 @@ fn execute_node(
                             let parts = execute_parts(pinput, ctx, depth + 2)?;
                             let est: usize = parts.iter().map(Part::est_bytes).sum();
                             let out = if !global && ctx.memory.should_spill(est) {
-                                pipeline::morsel_spilled_aggregate(
+                                pipeline::spilled_aggregate(
                                     &parts, &cagg, paggs, schema, ctx, est, pmeter,
                                 )?
                             } else {
@@ -560,7 +563,7 @@ fn execute_node(
             let est: usize = parts.iter().map(Part::est_bytes).sum();
             let part = [Part::new(concat_parts(parts, input.schema())?)];
             let (batch, _) = if !groups.is_empty() && ctx.memory.should_spill(est) {
-                pipeline::morsel_spilled_aggregate(&part, &cagg, aggs, schema, ctx, est, meter)?
+                pipeline::spilled_aggregate(&part, &cagg, aggs, schema, ctx, est, meter)?
             } else {
                 let tables =
                     pipeline::fold_partial(&part, &Default::default(), &cagg, aggs, ctx, meter)?;
@@ -592,7 +595,7 @@ fn execute_node(
             schema,
         } => {
             // Build side: materialized once, hash table shared across
-            // probe morsels.
+            // the left partitions' probes.
             let right_batch = concat_parts(execute_parts(right, ctx, depth + 1)?, right.schema())?;
             // Probe partitions materialize here: the probe needs every
             // left column for output assembly anyway. Key expressions
@@ -629,11 +632,18 @@ fn execute_node(
             let est =
                 rcols.iter().map(Column::byte_size).sum::<usize>() + 8 * right_batch.num_rows();
             let rrows = right_batch.num_rows();
+            // Either path pairs each left partition whole.
+            meter.morsels.add(lparts.len());
             let pairs = if keyed && ctx.memory.should_spill(est) {
                 spilled_join(&lparts, &rcols, rrows, &lkeys, ctx, est, meter)?
             } else {
                 let build = build_join_table(rrows, &rcols, keyed);
-                pipeline::morsel_probe(&lparts, rrows, build.as_ref(), &lkeys, ctx, meter)?
+                par_map(
+                    ctx,
+                    lparts.iter().collect(),
+                    |left| left.byte_size(),
+                    |left| probe_pairs(left, rrows, build.as_ref(), &lkeys, &ctx.eval, meter),
+                )?
             };
             // Either path's pairs assemble once per left partition, the
             // partitions in parallel.
@@ -698,7 +708,7 @@ fn execute_node(
                     nulls_last: k.nulls_last.unwrap_or(k.descending),
                 })
                 .collect();
-            Ok(vec![Part::new(pipeline::morsel_sort(
+            Ok(vec![Part::new(pipeline::sort_batch(
                 &batch, &compiled, &sort_keys, ctx, meter,
             )?)])
         }
@@ -1302,10 +1312,19 @@ fn compile_agg_exprs(
     })
 }
 
+/// Evaluate `exprs` over every row of `batch`.
+pub(crate) fn eval_columns(
+    exprs: &[CompiledExpr],
+    batch: &Batch,
+    ctx: &EvalCtx,
+) -> Result<Vec<Column>, CdwError> {
+    exprs.iter().map(|e| e.eval(batch, None, ctx)).collect()
+}
+
 /// Evaluate the compiled GROUP BY expressions and aggregate arguments
-/// over one morsel's surviving rows (dense output columns). Expressions
-/// evaluate through the selection vector — a filtered partition never
-/// materializes.
+/// over one morsel's or partition's surviving rows (dense output
+/// columns). Expressions evaluate through the selection vector — a
+/// filtered partition never materializes.
 #[allow(clippy::type_complexity)]
 fn eval_group_arg_cols(
     batch: &Batch,
@@ -1331,7 +1350,8 @@ fn eval_group_arg_cols(
 /// aggregation perform identical floating-point operations. Called once
 /// per morsel of a partition, in morsel order, with `row_base` tracking
 /// the partition-relative row offset: the per-row update sequence is the
-/// same however the partition was cut. `global` forces the single
+/// same however the partition was cut (the spilled path calls it once
+/// per partition's bucket record). `global` forces the single
 /// no-GROUP-BY entry (even over zero rows).
 ///
 /// Two passes, neither allocating per row: first every row resolves to
@@ -1619,7 +1639,7 @@ fn merge_spilled_runs(
 
 /// Key → the rows holding it, ascending, in first-seen key order: a hash
 /// join's build side (constructed once over the whole right input, then
-/// probed concurrently by left morsels) and one Grace bucket's.
+/// probed concurrently by the left partitions) and one Grace bucket's.
 #[derive(Default)]
 struct KeyRows {
     index: KeyIndex,
@@ -1662,16 +1682,12 @@ fn build_join_table(right_rows: usize, rcols: &[Column], keyed: bool) -> Option<
     Some(table)
 }
 
-/// Candidate `(left, right)` pairs for the left rows `rows` of one
-/// partition, in partition coordinates. Hash probes visit left rows in
-/// ascending order (per-key right matches accumulate in build order), and
-/// keyless/cross joins emit the full cartesian product, so cutting a
-/// partition into row ranges concatenates to exactly the whole-partition
-/// pair sequence. Keys evaluate through a selection of the range (none
-/// for a whole partition), so no morsel copies its rows.
+/// Candidate `(left, right)` pairs for one left partition, in partition
+/// coordinates. Hash probes visit left rows in ascending order (per-key
+/// right matches accumulate in build order), and keyless/cross joins
+/// emit the full cartesian product.
 fn probe_pairs(
     left: &Batch,
-    rows: std::ops::Range<usize>,
     rrows: usize,
     build: Option<&KeyRows>,
     left_keys: &[CompiledExpr],
@@ -1681,29 +1697,22 @@ fn probe_pairs(
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     match build {
         None => {
-            for li in rows {
+            for li in 0..left.num_rows() {
                 for ri in 0..rrows {
                     pairs.push((li, ri));
                 }
             }
         }
         Some(table) => {
-            let sel: Option<Vec<usize>> =
-                (rows.len() < left.num_rows()).then(|| rows.clone().collect());
-            let lcols: Vec<Column> = meter.timed(|| {
-                left_keys
-                    .iter()
-                    .map(|k| k.eval(left, sel.as_deref(), ctx))
-                    .collect::<Result<_, _>>()
-            })?;
+            let lcols = meter.timed(|| eval_columns(left_keys, left, ctx))?;
             let lrefs: Vec<&Column> = lcols.iter().collect();
             let keys = KeyCols::new(&lrefs);
             let mut key = Vec::new();
-            for (i, li) in rows.enumerate() {
-                if keys.any_null(i) {
+            for li in 0..left.num_rows() {
+                if keys.any_null(li) {
                     continue;
                 }
-                let matches = table.get(keys.key(i, &mut key));
+                let matches = table.get(keys.key(li, &mut key));
                 pairs.extend(matches.iter().map(|&ri| (li, ri)));
             }
         }
@@ -1897,14 +1906,12 @@ fn grace_bucket_pairs(
 /// indices, so sorting each left partition's pairs by `(left row, right
 /// row)` restores exactly the order the in-memory probe emits (per-key
 /// right matches accumulate in ascending right-row order on both paths).
-/// Returns those pairs per left partition, like [`pipeline::morsel_probe`],
-/// for the shared [`assemble_probe_output`].
+/// Returns those pairs per left partition, like the in-memory
+/// [`probe_pairs`], for the shared [`assemble_probe_output`].
 ///
-/// The two hot phases parallelize without touching the spilled layout:
-/// probe-side key expressions evaluate per morsel (the concatenated
-/// columns — and therefore the bucket files — are the same at every
-/// morsel height), and bucket passes run through `par_map`, largest
-/// bucket first, commuting as documented on [`grace_bucket_pairs`].
+/// Probe-side key expressions evaluate once per left partition; bucket
+/// passes run through `par_map`, largest bucket first, commuting as
+/// documented on [`grace_bucket_pairs`].
 fn spilled_join(
     lparts: &[Batch],
     rcols: &[Column],
@@ -1941,7 +1948,7 @@ fn spilled_join(
         .map(|_| SpillWriter::create())
         .collect::<Result<_, _>>()?;
     for (p, left) in lparts.iter().enumerate() {
-        let lcols = pipeline::morsel_eval_columns(left, left_keys, ctx, meter)?;
+        let lcols = meter.timed(|| eval_columns(left_keys, left, &ctx.eval))?;
         let mut pfields: Vec<Field> = lcols
             .iter()
             .enumerate()

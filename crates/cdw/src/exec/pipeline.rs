@@ -1,5 +1,5 @@
-//! Push-based morsel pipelines over the selection-vector kernels — the
-//! executor's only work-distribution engine.
+//! Push-based morsel pipelines over the selection-vector kernels, and
+//! the whole-partition sinks that end them.
 //!
 //! A physical plan decomposes into pipelines broken only at the operators
 //! that must see their whole input (sort, merging aggregate/distinct,
@@ -10,13 +10,23 @@
 //! every stage while hot, filters refining a selection vector over the
 //! shared partition batch without copying.
 //!
-//! ## One engine, one height function
+//! ## Only the streaming chain cuts
 //!
-//! How tall a morsel is — and therefore whether a partition is cut at
-//! all — is decided in exactly one place, [`morsel_height`], from the
-//! configured [`MorselSizing`], the *effective* worker width (the
+//! A partition is cut into morsels only where the cut measured a gain:
+//! the chain's stages ([`execute_chain`]) and, when a partial aggregate
+//! sinks the chain, the chain plus the group/argument evaluation feeding
+//! it ([`fold_partial`]). A chain that only selects columns is not cut:
+//! uncut it copies nothing. Every breaker works on whole partitions: a join
+//! probes each left partition once, a sort is one stable sort over its
+//! input, a window evaluates its expressions once (only its partition
+//! work items take their size from the morsel height, see
+//! [`crate::window::compute_window`]), and a spilling aggregate writes
+//! one record set per partition.
+//!
+//! How tall a morsel is comes from one function, [`morsel_height`], given
+//! the configured [`MorselSizing`], the *effective* worker width (the
 //! per-query `parallelism` clamped to the pool budget) and the
-//! pipeline's input shape. No operator branches on a mode:
+//! pipeline's input shape:
 //!
 //! * At effective width 1 the height is "whole partition" for every
 //!   sizing: with nobody to share with, cutting is pure overhead. Each
@@ -30,8 +40,8 @@
 //!   morsels), and `WholePartition` never cuts.
 //!
 //! Morsels are claimed from one cost-ordered queue ([`super::scheduler`]),
-//! so one oversized partition does not serialize a query: its morsels
-//! spread across all workers.
+//! so one oversized partition does not serialize a streaming chain: its
+//! morsels spread across all workers.
 //!
 //! ## Why cutting and claim order can't change results
 //!
@@ -39,7 +49,7 @@
 //! tagged by `(partition, morsel index)` at creation, results land in
 //! per-morsel slots, and outputs regroup per partition in morsel order —
 //! a pure function of the input, independent of which worker ran what
-//! when. Three sinks consume morsels:
+//! when. Two sinks consume morsels:
 //!
 //! * **Collect** (generic consumers): a partition's morsel outputs merge
 //!   back into one part per source partition — filter chains by
@@ -54,23 +64,17 @@
 //!   row-visit order (and therefore the same FP accumulation sequence)
 //!   as one whole-partition pass. Partials still merge in
 //!   partition-index order.
-//! * **Join probe** (every kind): left-partition morsels probe the
-//!   shared build table independently and return candidate pairs in
-//!   partition coordinates; a partition's pair lists concatenate in
-//!   morsel order, exactly the left-row-ascending sequence an uncut
-//!   probe emits, and the partition's output is assembled from them once
-//!   (see [`morsel_probe`]).
 //!
-//! Sort and window run through [`morsel_sort`] and
-//! [`crate::window::compute_window`]: per-morsel key/expression
-//! evaluation in parallel, then stable k-way merges / partition-parallel
-//! compute pinned to the `(keys, row id)` total order.
+//! The breakers never see a morsel, so the height cannot reach their
+//! results: join pairs come from one probe per left partition, sort and
+//! window order rows by `(keys, row id)` over whole-batch key columns,
+//! and spill records carry partition coordinates.
 //!
 //! Under a memory budget the sinks spill **per pipeline**: budgeted
-//! aggregation routes and spills bucket records per morsel
-//! ([`morsel_spilled_aggregate`]), budgeted sorts generate their
-//! budget-derived runs on parallel workers, and the Grace join's key
-//! evaluation and bucket passes distribute via the same scheduler.
+//! aggregation routes and spills bucket records per partition
+//! ([`spilled_aggregate`]), budgeted sorts generate their
+//! budget-derived runs on parallel workers, and the Grace join's bucket
+//! passes distribute via the same scheduler.
 //!
 //! The equivalence oracles compare a cut schedule against the uncut one
 //! (`parallelism = 1`, [`MorselSizing::WholePartition`]): same engine,
@@ -78,8 +82,6 @@
 //! cutting, regrouping, claim order, pooling and spilling never change a
 //! byte; what a query *means* is pinned independently by `sql_exec`,
 //! `eval_oracle`, the scenario suites and sigma-e2e's flattened-SQL check.
-
-use std::cell::LazyCell;
 
 use super::*;
 
@@ -162,7 +164,8 @@ impl InputShape {
 /// at least four morsels per worker (so one oversized partition
 /// cannot serialize the tail of a query), clamped to
 /// `[MIN_MORSEL_ROWS, MAX_MORSEL_ROWS]`. Purely a scheduling choice:
-/// every sink merges per-morsel outputs in morsel order, so results are
+/// both morsel sinks merge per-morsel outputs in morsel order, and the
+/// window's work items scatter to disjoint rows, so results are
 /// bit-identical at any height (the equivalence oracles sweep explicit
 /// sizes to prove it).
 pub(crate) fn morsel_height(
@@ -189,9 +192,9 @@ pub(crate) fn morsel_height(
 }
 
 /// Per-item cost for the claim order: `rows`' share of an input of
-/// `total_bytes` over `total_rows`. Sorted runs, window partitions, and
-/// probe morsels are ordered by real byte estimates — not bare row
-/// counts — so one giant item is claimed early, not last.
+/// `total_bytes` over `total_rows`. Spilled sort runs and window items
+/// are ordered by real byte estimates — not bare row counts — so one
+/// giant item is claimed early, not last.
 pub(crate) fn byte_cost(rows: usize, total_bytes: usize, total_rows: usize) -> usize {
     rows.saturating_mul((total_bytes / total_rows.max(1)).max(1))
         .max(1)
@@ -349,10 +352,20 @@ impl CompiledChain {
         Ok(CompiledChain { stages, top })
     }
 
-    /// Cut `parts` into morsels ([`morselize`]), counting them on every
-    /// stage.
-    fn morselize<'p>(&self, parts: &'p [Part], ctx: &ExecCtx) -> (Vec<Morsel<'p>>, Vec<usize>) {
-        let (morsels, counts) = morselize(parts, ctx.morsel_height(|| InputShape::of_parts(parts)));
+    /// Cut `parts` into morsels ([`morselize`]) — one per partition
+    /// unless `cut` — counting them on every stage.
+    fn morselize<'p>(
+        &self,
+        parts: &'p [Part],
+        ctx: &ExecCtx,
+        cut: bool,
+    ) -> (Vec<Morsel<'p>>, Vec<usize>) {
+        let height = if cut {
+            ctx.morsel_height(|| InputShape::of_parts(parts))
+        } else {
+            WHOLE_PARTITION
+        };
+        let (morsels, counts) = morselize(parts, height);
         for (_, meter) in &self.stages {
             meter.morsels.add(morsels.len());
         }
@@ -531,7 +544,10 @@ pub(super) fn execute_chain(
     let parts = execute_parts(source, ctx, depth + nodes.len())?;
     let nparts = parts.len();
 
-    let (morsels, counts) = chain.morselize(&parts, ctx);
+    // Cut, a column selection would gather every morsel and concatenate
+    // the morsels again.
+    let cut = !nodes.iter().all(|n| n.is_column_selection());
+    let (morsels, counts) = chain.morselize(&parts, ctx, cut);
     let outs: Vec<OutData> = par_map(
         ctx,
         morsels,
@@ -604,7 +620,7 @@ pub(super) fn fold_partial(
         args: Vec<Option<Column>>,
         rows: usize,
     }
-    let (morsels, counts) = chain.morselize(parts, ctx);
+    let (morsels, counts) = chain.morselize(parts, ctx, true);
     meter.morsels.add(morsels.len());
     let evaled: Vec<EvaledMorsel> = par_map(
         ctx,
@@ -654,54 +670,6 @@ pub(super) fn fold_partial(
     )
 }
 
-/// Candidate pairs for hash and cross joins of every kind: each left
-/// partition splits into dense row-range morsels probed independently
-/// (the shared claim queue absorbs a skewed build of probe work), and a
-/// partition's morsel pair lists concatenate in morsel order — exactly
-/// the ascending-left-row sequence an uncut probe emits, in partition
-/// coordinates. Output assembly is the caller's, once per partition
-/// ([`assemble_probe_output`]).
-pub(super) fn morsel_probe(
-    lparts: &[Batch],
-    rrows: usize,
-    build: Option<&KeyRows>,
-    left_keys: &[CompiledExpr],
-    ctx: &ExecCtx,
-    meter: &Meter,
-) -> Result<Vec<Vec<(usize, usize)>>, CdwError> {
-    let mrows = ctx.morsel_height(|| InputShape::of_batches(lparts));
-    let mut morsels = Vec::new();
-    let mut counts = Vec::with_capacity(lparts.len());
-    for lb in lparts {
-        let ranges = range_chunks(lb.num_rows(), mrows);
-        counts.push(ranges.len());
-        morsels.extend(ranges.into_iter().map(|r| (lb, r)));
-    }
-    meter.morsels.add(morsels.len());
-
-    let probes = par_map(
-        ctx,
-        morsels,
-        // Byte-ordered claims: probe work scales with the morsel's share of
-        // its partition's bytes, not just its row count.
-        |(lb, r)| byte_cost(r.len(), lb.byte_size(), lb.num_rows()),
-        |(lb, r)| probe_pairs(lb, r, rrows, build, left_keys, &ctx.eval, meter),
-    )?;
-    let mut it = probes.into_iter();
-    Ok(counts
-        .into_iter()
-        .map(|count| {
-            it.by_ref()
-                .take(count)
-                .reduce(|mut pairs, more| {
-                    pairs.extend(more);
-                    pairs
-                })
-                .unwrap_or_default()
-        })
-        .collect())
-}
-
 // ---------------------------------------------------------------------
 // spilling aggregation
 // ---------------------------------------------------------------------
@@ -714,26 +682,22 @@ pub(super) fn morsel_probe(
 /// aggregate (the caller passes the concatenated input as one
 /// "partition" for `AggMode::Single`, and the chain's output parts for a
 /// `Final`-over-`Partial` pair). Phase 1 — the hot phase — runs per
-/// morsel through `par_map`: each morsel evaluates its
-/// group and argument expressions, routes its rows to buckets by
-/// group-key hash, and builds its per-bucket spill records (tagged with
-/// the partition-relative row id and the partition index); only the file
-/// appends run sequentially, in `(partition, morsel)` order. Phase 2
+/// partition through `par_map`: each partition evaluates its group and
+/// argument expressions, routes its rows to buckets by group-key hash,
+/// and builds its per-bucket spill records (tagged with the row id in
+/// the partition's surviving rows and the partition index); only the
+/// file appends run sequentially, in partition order. Phase 2
 /// aggregates buckets in parallel: inside a bucket, each partition's
-/// records fold **in morsel order into one continuing group table** —
-/// the identical row-visit (and FP accumulation) sequence of the
-/// in-memory fold restricted to the bucket's groups — then partition
-/// tables merge in partition order and buckets interleave back into
-/// first-seen order by each group's first `(partition, row)`, which is
-/// exactly the order the in-memory merge emits.
-///
-/// Spilled byte/record totals depend on the morsel height (records are
-/// per morsel); group values and output order do not, which is what
-/// `spill_oracle` pins.
+/// records fold into one group table — the identical row-visit (and FP
+/// accumulation) sequence of the in-memory fold restricted to the
+/// bucket's groups — then partition tables merge in partition order and
+/// buckets interleave back into first-seen order by each group's first
+/// `(partition, row)`, which is exactly the order the in-memory merge
+/// emits.
 ///
 /// Returns the finished batch plus the total partial-group count (the
 /// `rows_out` of the Partial operator in two-phase stats).
-pub(super) fn morsel_spilled_aggregate(
+pub(super) fn spilled_aggregate(
     parts: &[Part],
     cagg: &CompiledAggExprs,
     aggs: &[AggCall],
@@ -760,33 +724,15 @@ pub(super) fn morsel_spilled_aggregate(
     let row_slot = next_slot;
     let part_slot = row_slot + 1;
 
-    // Tag every morsel with its partition index and its dense row offset
-    // within that partition's surviving rows (the `__row` coordinates).
-    let (morsels, counts) = morselize(parts, ctx.morsel_height(|| InputShape::of_parts(parts)));
-    meter.morsels.add(morsels.len());
-    let mut meta: Vec<(usize, usize)> = Vec::with_capacity(morsels.len());
-    {
-        let mut mi = 0;
-        for (p, &count) in counts.iter().enumerate() {
-            let mut base = 0usize;
-            for _ in 0..count {
-                meta.push((p, base));
-                base += morsels[mi].len();
-                mi += 1;
-            }
-        }
-    }
-    let items: Vec<(Morsel<'_>, (usize, usize))> = morsels.into_iter().zip(meta).collect();
-
-    // Phase 1 (parallel per morsel): evaluate, route, build records.
+    // Phase 1 (parallel per partition): evaluate, route, build records.
+    meter.morsels.add(parts.len());
     let routed: Vec<Vec<Option<Batch>>> = par_map(
         ctx,
-        items,
-        |(m, _)| byte_cost(m.len(), m.batch.byte_size(), m.batch.num_rows()),
-        |(m, (pidx, base))| {
-            let sel = m.initial_sel();
+        parts.iter().enumerate().collect(),
+        |(_, part)| part.est_bytes(),
+        |(pidx, part)| {
             let (group_cols, arg_cols) =
-                meter.timed(|| eval_group_arg_cols(m.batch, sel.as_deref(), cagg, &ctx.eval))?;
+                meter.timed(|| eval_group_arg_cols(&part.batch, part.sel(), cagg, &ctx.eval))?;
             let mut fields: Vec<Field> = group_cols
                 .iter()
                 .enumerate()
@@ -807,7 +753,7 @@ pub(super) fn morsel_spilled_aggregate(
             let keys = KeyCols::new(&refs);
             let mut route: Vec<Vec<usize>> = vec![Vec::new(); nbuckets];
             let mut key = Vec::new();
-            for row in 0..m.len() {
+            for row in 0..part.rows() {
                 route[key_bucket(keys.key(row, &mut key), nbuckets)].push(row);
             }
             let mut per_bucket: Vec<Option<Batch>> = Vec::with_capacity(nbuckets);
@@ -817,9 +763,7 @@ pub(super) fn morsel_spilled_aggregate(
                     continue;
                 }
                 let mut cols: Vec<Column> = spill_cols.iter().map(|c| c.take(rows)).collect();
-                cols.push(Column::from_ints(
-                    rows.iter().map(|&r| (base + r) as i64).collect(),
-                ));
+                cols.push(Column::from_ints(rows.iter().map(|&r| r as i64).collect()));
                 cols.push(Column::from_ints(vec![pidx as i64; rows.len()]));
                 per_bucket.push(Some(Batch::new(spill_schema.clone(), cols)?));
             }
@@ -827,8 +771,7 @@ pub(super) fn morsel_spilled_aggregate(
         },
     )?;
 
-    // Sequential appends in (partition, morsel) order, so each bucket
-    // file's per-partition record subsequence stays in morsel order.
+    // Sequential appends in partition order.
     let mut writers: Vec<SpillWriter> = (0..nbuckets)
         .map(|_| SpillWriter::create())
         .collect::<Result<_, _>>()?;
@@ -845,25 +788,21 @@ pub(super) fn morsel_spilled_aggregate(
         .map(SpillWriter::finish)
         .collect::<Result<_, _>>()?;
 
-    // Phase 2 (parallel across buckets): fold each partition's records in
-    // morsel order into one continuing table, then merge partitions in
-    // partition order — the in-memory fold's exact arithmetic structure.
-    // A bucket yields its finished groups plus, per group, the
-    // `(partition, row)` where the group first appeared.
+    // Phase 2 (parallel across buckets): a bucket holds at most one
+    // record per partition, in partition order. Each folds into its own
+    // table, merged in partition order — the in-memory fold's exact
+    // arithmetic structure. A bucket yields its finished groups plus,
+    // per group, the `(partition, row)` where the group first appeared.
     type BucketGroups = (Batch, Vec<(usize, i64)>, usize);
     let arg_slots = &arg_slots;
-    let nparts = parts.len();
     let per_bucket: Vec<BucketGroups> = par_map(
         ctx,
         handles,
         |h| h.bytes() as usize,
         |handle| {
-            // Per partition: continuing table, firsts (in concatenated
-            // record coordinates), and the concatenated `__row` ids that
-            // map those coordinates back to partition rows.
-            let mut ptables: Vec<(GroupTable, Vec<usize>, Vec<i64>)> = (0..nparts)
-                .map(|_| (GroupTable::new(aggs), Vec::new(), Vec::new()))
-                .collect();
+            let mut acc = GroupTable::new(aggs);
+            let mut first_seen: Vec<(usize, i64)> = Vec::new();
+            let mut partial_rows = 0usize;
             for rec in handle.read_all()? {
                 let p = rec.column(part_slot).ints().expect("__part column")[0] as usize;
                 let group_cols = rec.columns()[..gw].to_vec();
@@ -871,23 +810,19 @@ pub(super) fn morsel_spilled_aggregate(
                     .iter()
                     .map(|s| s.map(|i| rec.column(i).clone()))
                     .collect();
-                let (table, firsts, row_ids) = &mut ptables[p];
+                let mut table = GroupTable::new(aggs);
+                let mut firsts = Vec::new();
                 accumulate_into(
-                    table,
-                    firsts,
-                    row_ids.len(),
+                    &mut table,
+                    &mut firsts,
+                    0,
                     &group_cols,
                     &arg_cols,
                     aggs,
                     rec.num_rows(),
                     false,
                 );
-                row_ids.extend(rec.column(row_slot).ints().expect("row-id column"));
-            }
-            let mut acc = GroupTable::new(aggs);
-            let mut first_seen: Vec<(usize, i64)> = Vec::new();
-            let mut partial_rows = 0usize;
-            for (p, (table, firsts, row_ids)) in ptables.into_iter().enumerate() {
+                let row_ids = rec.column(row_slot).ints().expect("row-id column");
                 partial_rows += table.len();
                 acc.merge_from(table, |g| first_seen.push((p, row_ids[firsts[g]])));
             }
@@ -913,76 +848,15 @@ pub(super) fn morsel_spilled_aggregate(
 // sort
 // ---------------------------------------------------------------------
 
-/// Evaluate `compiled` expressions over `batch` per morsel in parallel
-/// and concatenate to whole-batch columns — identical to one whole-batch
-/// evaluation pass (the kernels are elementwise). The shared first phase
-/// of the sort and the Grace join's probe-side key spill.
-pub(crate) fn morsel_eval_columns(
-    batch: &Batch,
-    compiled: &[CompiledExpr],
-    ctx: &ExecCtx,
-    meter: &Meter,
-) -> Result<Vec<Column>, CdwError> {
-    let rows = batch.num_rows();
-    let chunks = range_chunks(rows, ctx.morsel_height(|| InputShape::of_batches([batch])));
-    meter.morsels.add(chunks.len());
-    let total_bytes = LazyCell::new(|| batch.byte_size());
-    let per_chunk: Vec<Vec<Column>> = par_map(
-        ctx,
-        chunks,
-        |r| byte_cost(r.len(), *total_bytes, rows),
-        |r| {
-            let sel: Option<Vec<usize>> = if r.start == 0 && r.end == rows {
-                None
-            } else {
-                Some(r.collect())
-            };
-            meter.timed(|| {
-                compiled
-                    .iter()
-                    .map(|k| k.eval(batch, sel.as_deref(), &ctx.eval))
-                    .collect::<Result<Vec<_>, _>>()
-            })
-        },
-    )?;
-    concat_morsel_columns(per_chunk)
-}
-
-/// Concatenate per-morsel column sets (one `Vec<Column>` per morsel, in
-/// morsel order) into whole-input columns. A lone morsel's columns pass
-/// through uncopied.
-pub(crate) fn concat_morsel_columns(
-    mut per_morsel: Vec<Vec<Column>>,
-) -> Result<Vec<Column>, CdwError> {
-    if per_morsel.len() == 1 {
-        return Ok(per_morsel.pop().expect("one morsel"));
-    }
-    let width = per_morsel.first().map_or(0, Vec::len);
-    (0..width)
-        .map(|k| {
-            let refs: Vec<&Column> = per_morsel.iter().map(|c| &c[k]).collect();
-            Column::concat(&refs).map_err(CdwError::from)
-        })
-        .collect()
-}
-
-/// Sort over the concatenated input. Run generation — the hot phase —
-/// spreads across workers:
+/// Sort over the concatenated input: the key columns evaluate once, then
 ///
-/// * **Key evaluation** happens per morsel in parallel; the per-morsel
-///   key columns concatenate to the same whole-input columns (and the
-///   same spill estimate) one whole-batch evaluation produces, since the
-///   kernels are elementwise.
-/// * **In memory**: each morsel-sized run sorts stably in parallel, then
-///   a k-way heap merge by `(keys, row id)` — a *unique* total order, so
-///   the merged permutation equals the stable whole-input sort (ties
-///   keep ascending row id) however the input was cut. A single run *is*
-///   that sort and skips the merge.
-/// * **Budgeted**: run boundaries come from `run_count` — *not* from the
-///   morsel height, so the spilled run/page layout is the same at every
-///   height — the runs sort and spill in parallel, then the
-///   [`merge_spilled_runs`] cursor merge finishes the job.
-pub(super) fn morsel_sort(
+/// * **In memory**: one stable sort of every row index by the keys, so
+///   ties keep ascending row id.
+/// * **Budgeted**: run boundaries come from `run_count`, the runs sort
+///   and spill on parallel workers, then the [`merge_spilled_runs`]
+///   cursor merge by `(keys, row id)` — the same total order — finishes
+///   the job.
+pub(super) fn sort_batch(
     batch: &Batch,
     compiled_keys: &[CompiledExpr],
     sort_keys: &[sort::SortKey],
@@ -990,13 +864,13 @@ pub(super) fn morsel_sort(
     meter: &Meter,
 ) -> Result<Batch, CdwError> {
     let rows = batch.num_rows();
-    let key_cols = morsel_eval_columns(batch, compiled_keys, ctx, meter)?;
+    meter.morsels.add(1);
+    let key_cols = meter.timed(|| eval_columns(compiled_keys, batch, &ctx.eval))?;
     // Sort-state estimate: key columns plus the 8-byte index per row the
     // permutation holds.
     let est = key_cols.iter().map(Column::byte_size).sum::<usize>() + 8 * rows;
     let refs: Vec<&Column> = key_cols.iter().collect();
-    // The comparator resolves its key columns once for every run and the
-    // merge.
+    // The comparator resolves its key columns once for every run.
     let order = sort::RowOrder::new(&refs, sort_keys);
 
     if rows > 1 && ctx.memory.should_spill(est) {
@@ -1037,82 +911,9 @@ pub(super) fn morsel_sort(
         return Ok(batch.take(&merged));
     }
 
-    // In-memory: sort each morsel-run in parallel, then heap-merge.
-    let mut runs: Vec<Vec<usize>> = par_map(
-        ctx,
-        range_chunks(rows, ctx.morsel_height(|| InputShape::of_batches([batch]))),
-        |r| byte_cost(r.len(), est, rows),
-        |r| {
-            let mut idx: Vec<usize> = r.collect();
-            order.sort(&mut idx);
-            Ok(idx)
-        },
-    )?;
-    let merged = if runs.len() == 1 {
-        runs.pop().expect("one run")
-    } else {
-        kway_merge_runs(&runs, &order, rows)
-    };
-    Ok(batch.take(&merged))
-}
-
-/// Merge disjoint sorted runs of row indices into one permutation with a
-/// binary min-heap keyed by `(sort keys, row id)`. Row ids are distinct,
-/// so the comparator is a unique total order and the result equals the
-/// stable whole-input sort's permutation no matter how the input was cut
-/// into runs.
-fn kway_merge_runs(runs: &[Vec<usize>], order: &sort::RowOrder<'_>, rows: usize) -> Vec<usize> {
-    let less = |a: usize, b: usize| -> bool {
-        match order.compare(a, b) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => a < b,
-        }
-    };
-    // Heap entries are (current row, run index), ordered by row.
-    fn sift_down(heap: &mut [(usize, usize)], mut i: usize, less: &impl Fn(usize, usize) -> bool) {
-        loop {
-            let l = 2 * i + 1;
-            let r = l + 1;
-            let mut m = i;
-            if l < heap.len() && less(heap[l].0, heap[m].0) {
-                m = l;
-            }
-            if r < heap.len() && less(heap[r].0, heap[m].0) {
-                m = r;
-            }
-            if m == i {
-                return;
-            }
-            heap.swap(i, m);
-            i = m;
-        }
-    }
-    let mut pos = vec![0usize; runs.len()];
-    let mut heap: Vec<(usize, usize)> = runs
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.is_empty())
-        .map(|(i, r)| (r[0], i))
-        .collect();
-    for i in (0..heap.len() / 2).rev() {
-        sift_down(&mut heap, i, &less);
-    }
-    let mut merged = Vec::with_capacity(rows);
-    while let Some(&(row, run)) = heap.first() {
-        merged.push(row);
-        pos[run] += 1;
-        if pos[run] < runs[run].len() {
-            heap[0] = (runs[run][pos[run]], run);
-        } else {
-            let last = heap.len() - 1;
-            heap.swap(0, last);
-            heap.pop();
-        }
-        sift_down(&mut heap, 0, &less);
-    }
-    debug_assert_eq!(merged.len(), rows);
-    merged
+    let mut idx: Vec<usize> = (0..rows).collect();
+    order.sort(&mut idx);
+    Ok(batch.take(&idx))
 }
 
 #[cfg(test)]
@@ -1235,30 +1036,6 @@ mod tests {
                 next = r.end;
             }
             assert_eq!(next, rows);
-        }
-    }
-
-    /// The k-way heap merge must equal the stable whole-input sort for
-    /// arbitrary run boundaries, including duplicate keys (row-id
-    /// tiebreak) and empty runs.
-    #[test]
-    fn kway_merge_equals_stable_sort() {
-        let keys = Column::from_ints(vec![3, 1, 3, 2, 1, 3, 2, 1, 0, 3]);
-        let refs = vec![&keys];
-        let sort_keys = vec![sort::SortKey {
-            descending: false,
-            nulls_last: false,
-        }];
-        let expected = sort::sort_indices(&refs, &sort_keys);
-        for cuts in [vec![0usize, 10], vec![0, 3, 10], vec![0, 3, 3, 7, 10]] {
-            let order = sort::RowOrder::new(&refs, &sort_keys);
-            let mut runs: Vec<Vec<usize>> = Vec::new();
-            for w in cuts.windows(2) {
-                let mut idx: Vec<usize> = (w[0]..w[1]).collect();
-                order.sort(&mut idx);
-                runs.push(idx);
-            }
-            assert_eq!(kway_merge_runs(&runs, &order, 10), expected);
         }
     }
 }

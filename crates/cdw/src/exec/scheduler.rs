@@ -40,8 +40,9 @@
 //! surfaces as one executor error. When the pool budget caps a call to a
 //! single participant, it runs inline on the submitter — and the morsel
 //! height function (`super::pipeline::morsel_height`) sees the same
-//! `effective_workers` width and stops cutting partitions, instead of
-//! paying scheduling overhead no hardware will repay.
+//! `effective_workers` width, so streaming chains stop cutting partitions
+//! and a window makes one work item, instead of paying scheduling
+//! overhead no hardware will repay.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -517,19 +517,15 @@ pub fn explain_pipelines(plan: &Plan) -> String {
     out
 }
 
-/// Execution granularity annotation: operators the executor feeds
-/// morsels (stream chains, probes of every join kind, sort run
-/// generation, window evaluation, aggregation in every mode, spilling or
-/// not) vs the ones that work partition-at-a-time or on one collapsed
-/// batch (limit, distinct, union, scans).
+/// Execution granularity annotation: operators whose work the morsel
+/// height cuts (the in-memory aggregate's fused chain and group/argument
+/// evaluation, the window's partition work items) vs the ones that work
+/// partition-at-a-time or on one collapsed batch (join probes, sort,
+/// limit, distinct, union, scans). Stream chains annotate their own
+/// pipeline line.
 fn granularity(plan: &Plan) -> &'static str {
     match plan {
-        Plan::Filter { .. }
-        | Plan::Project { .. }
-        | Plan::Join { .. }
-        | Plan::Sort { .. }
-        | Plan::Window { .. }
-        | Plan::Aggregate { .. } => "morsel",
+        Plan::Window { .. } | Plan::Aggregate { .. } => "morsel",
         _ => "partition",
     }
 }
@@ -585,12 +581,18 @@ fn explain_pipelines_into(plan: &Plan, depth: usize, out: &mut String) {
             return;
         }
     }
-    // A maximal streaming chain is one fused pipeline.
+    // A maximal streaming chain is one fused pipeline; one that only
+    // selects columns runs on whole partitions.
     if plan.is_streaming_stage() {
         let (chain, source) = plan.stream_chain();
+        let unit = if chain.iter().all(|n| n.is_column_selection()) {
+            "partition"
+        } else {
+            "morsel"
+        };
         indent_by(out, depth);
         out.push_str(&format!(
-            "pipeline: {} [morsel]\n",
+            "pipeline: {} [{unit}]\n",
             pipeline_line(source, &chain, None)
         ));
         explain_pipelines_into(source, depth + 1, out);

@@ -329,6 +329,14 @@ impl Plan {
         matches!(self, Plan::Filter { .. } | Plan::Project { .. })
     }
 
+    /// A Project that only selects input columns. A streaming chain made
+    /// of nothing else has no work to share, so it runs on whole
+    /// partitions: uncut, its output columns are its input's.
+    pub fn is_column_selection(&self) -> bool {
+        matches!(self, Plan::Project { exprs, .. }
+            if exprs.iter().all(|e| matches!(e, PhysExpr::Col(_))))
+    }
+
     /// Pipeline breakers must see their whole input before emitting a
     /// row, so a pipeline ends (and its output materializes) here: sorts,
     /// merging aggregates/distincts, windows, and limits. A `Join` breaks

@@ -21,11 +21,11 @@
 //! non-null argument positions are listed once and each row finds its
 //! answer by binary search in that list.
 //!
-//! `compute_window` is the one entry point: expressions evaluate per
-//! morsel and partitions sort/compute in parallel through the
-//! executor's `par_map`, with the morsel height decided by
-//! `crate::exec::ExecCtx::morsel_height` like every other operator (one
-//! whole-batch morsel when execution is serial).
+//! `compute_window` is the one entry point: expressions evaluate once
+//! over the whole batch, and partitions sort/compute in parallel work
+//! items through the executor's `par_map`, the items sized by
+//! `crate::exec::ExecCtx::morsel_height` (one item of every partition
+//! when execution is serial).
 
 use std::cell::LazyCell;
 
@@ -36,8 +36,8 @@ use sigma_value::{Batch, Column, ColumnBuilder, DataType, Value, ValueRef};
 
 use crate::error::CdwError;
 use crate::eval::{CompiledExpr, PhysExpr};
-use crate::exec::pipeline::{byte_cost, concat_morsel_columns, range_chunks, InputShape};
-use crate::exec::{coerce_column, par_map, AggState, ExecCtx, Meter};
+use crate::exec::pipeline::{byte_cost, InputShape};
+use crate::exec::{coerce_column, eval_columns, par_map, AggState, ExecCtx, Meter};
 use crate::plan::{AggFunc, WinFunc, WindowCall};
 
 /// One work item's output, one entry per row in the item's
@@ -133,16 +133,14 @@ fn partition_rows(part_cols: &[Column], rows: usize) -> (Vec<usize>, Vec<usize>)
 }
 
 /// Compute one window call over a batch, returning the appended column.
-/// The call's partition / order / argument evaluation time and its
-/// morsels record into the Window operator's `meter`.
+/// The call's partition / order / argument evaluation time and its work
+/// item count (as `morsels`) record into the Window operator's `meter`.
 ///
 /// * **Expression evaluation** (partition / order / argument columns)
-///   runs per morsel through `par_map`; the per-morsel columns
-///   concatenate to the same whole-batch columns one evaluation pass
-///   produces (elementwise kernels).
-/// * **Partitioning** is one pass over the whole-batch key columns
+///   is one pass over the whole batch.
+/// * **Partitioning** is one pass over those key columns
 ///   (`partition_rows`): first-seen partition order and ascending row
-///   lists by construction, whatever the morsel height.
+///   lists by construction.
 /// * **Per-partition sort + compute** runs in parallel over work items
 ///   of whole consecutive partitions, each about a morsel tall (so one
 ///   giant partition of a skewed input is its own item), claimed largest
@@ -175,40 +173,10 @@ pub(crate) fn compute_window(
     let corder = compile(call.order.iter().map(|o| &o.expr), &types)?;
     let carg = compile(call.args.iter(), &types)?;
 
-    let height = ctx.morsel_height(|| InputShape::of_batches([batch]));
-    let chunks = range_chunks(rows, height);
-    meter.morsels.add(chunks.len());
-    let total_bytes = LazyCell::new(|| batch.byte_size());
-    type Cols = [Vec<Column>; 3];
-    let evaled: Vec<Cols> = par_map(
-        ctx,
-        chunks,
-        |r| byte_cost(r.len(), *total_bytes, rows),
-        |r| {
-            let sel: Option<Vec<usize>> = if r.start == 0 && r.end == rows {
-                None
-            } else {
-                Some(r.collect())
-            };
-            let eval = |exprs: &[CompiledExpr]| {
-                exprs
-                    .iter()
-                    .map(|e| e.eval(batch, sel.as_deref(), &ctx.eval))
-                    .collect::<Result<Vec<_>, _>>()
-            };
-            meter.timed(|| Ok::<_, CdwError>([eval(&cpart)?, eval(&corder)?, eval(&carg)?]))
-        },
-    )?;
-    // Per-morsel columns concatenate to whole-batch ones.
-    let (mut parts, mut orders, mut args) = (Vec::new(), Vec::new(), Vec::new());
-    for [p, o, a] in evaled {
-        parts.push(p);
-        orders.push(o);
-        args.push(a);
-    }
-    let part_cols = concat_morsel_columns(parts)?;
-    let order_cols = concat_morsel_columns(orders)?;
-    let arg_cols = concat_morsel_columns(args)?;
+    let [part_cols, order_cols, arg_cols] = meter.timed(|| {
+        let eval = |exprs: &[CompiledExpr]| eval_columns(exprs, batch, &ctx.eval);
+        Ok::<_, CdwError>([eval(&cpart)?, eval(&corder)?, eval(&carg)?])
+    })?;
 
     let (mut flat, bounds) = partition_rows(&part_cols, rows);
     let sort_keys: Vec<SortKey> = call
@@ -225,6 +193,7 @@ pub(crate) fn compute_window(
     // Work items: runs of whole partitions, each at least `height` rows
     // unless the partitions run out. An item carries its partitions'
     // bounds (relative to its own slice of `flat`).
+    let height = ctx.morsel_height(|| InputShape::of_batches([batch]));
     let mut items: Vec<(&mut [usize], Vec<usize>)> = Vec::new();
     let mut rest = flat.as_mut_slice();
     let mut g = 0;
@@ -239,6 +208,8 @@ pub(crate) fn compute_window(
         items.push((head, cuts));
         rest = tail;
     }
+    meter.morsels.add(items.len());
+    let total_bytes = LazyCell::new(|| batch.byte_size());
     let arg_type = arg_cols.first().map(Column::dtype);
     let outputs: Vec<WinOut> = par_map(
         ctx,

@@ -207,9 +207,9 @@ fn explain_pipelines_shows_fused_chains_and_breakers() {
         .unwrap();
     assert!(agg.contains("break: Sort"), "{agg}");
     assert!(agg.contains("break: Aggregate[final]"), "{agg}");
-    // Granularity annotations: sort and the fused two-phase aggregate run
-    // morsel-driven.
-    assert!(agg.contains("break: Sort (1 keys) [morsel]"), "{agg}");
+    // Granularity annotations: sort takes whole partitions, the fused
+    // two-phase aggregate runs morsel-driven.
+    assert!(agg.contains("break: Sort (1 keys) [partition]"), "{agg}");
     assert!(
         agg.contains("Aggregate[partial]") && agg.contains("[sink] [morsel]"),
         "{agg}"
@@ -235,11 +235,19 @@ fn explain_pipelines_shows_fused_chains_and_breakers() {
     assert!(join.contains("pipeline: Scan t => Filter"), "{join}");
     assert!(join.contains("source: Scan dim"), "{join}");
     assert!(
-        join.contains("[build: right, probe: left] [morsel]"),
+        join.contains("[build: right, probe: left] [partition]"),
         "{join}"
     );
+    // A chain that filters is cut into morsels; the column selection
+    // above the join has no work to share and runs on whole partitions.
+    assert!(
+        join.contains("pipeline: Scan t => Filter [morsel]"),
+        "{join}"
+    );
+    assert!(join.contains("=> Project (2 exprs) [partition]"), "{join}");
 
-    // Window probes morselize; LIMIT still collapses partition-granular.
+    // Window work items take the morsel height; LIMIT still collapses
+    // partition-granular.
     let win = wh
         .explain_pipelines("SELECT a, SUM(b) OVER (PARTITION BY c) AS r FROM t LIMIT 5")
         .unwrap();

@@ -8,10 +8,11 @@
 //! nothing cut; each generated table/query runs additionally at `(∞, 4)`,
 //! `(1 byte, 1)` and `(1 byte, 4)` (a 1-byte budget forces every
 //! aggregation, sort, and hash-join build out of core), each both uncut
-//! and with 3-row morsels — the latter drives the spilling sinks through
-//! multi-morsel partitions (per-morsel bucket routing into the spilled
-//! aggregate, parallel sorted-run spills, morsel-evaluated Grace probe
-//! keys). A deterministic companion test pins the
+//! and with 3-row morsels — the latter cuts the streaming chains that
+//! feed the spilling sinks, while the sinks themselves take whole
+//! partitions (one record set per partition into the spilled aggregate,
+//! budget-sized sorted runs, Grace probe keys evaluated once per
+//! partition). A deterministic companion test pins the
 //! observability half of the contract: forced-spill runs report nonzero
 //! `spilled_bytes` and ≥2 `spill_rounds` for aggregate, sort, and join —
 //! and unbudgeted runs report exactly zero — through both `ResultSet` and
@@ -253,10 +254,11 @@ fn forced_spill_reports_rounds_and_bytes() {
     wh.set_memory_budget(None);
 }
 
-/// The spilling sinks must actually consume cut input: with 3-row
-/// morsels and a 1-byte budget, the spill-capable operators both spill
-/// (nonzero bytes) and take more morsels than they have input partitions
-/// — while reproducing the unbudgeted uncut serial reference bit-for-bit.
+/// The spilling sinks take whole partitions at every morsel height: with
+/// 3-row morsels and a 1-byte budget at p4, the spill-capable operators
+/// spill exactly the bytes and rounds the uncut lane spills, and count
+/// exactly its morsels (one per input partition, one for a sort) —
+/// while reproducing the unbudgeted uncut serial reference bit-for-bit.
 #[test]
 fn morselized_spilling_spills_and_counts_morsels() {
     let rows: Vec<(i64, Option<i64>, i64)> = (0..400)
@@ -267,14 +269,16 @@ fn morselized_spilling_spills_and_counts_morsels() {
         (
             "Aggregate[partial]",
             "SELECT g, SUM(v) AS s, AVG(d) AS a FROM t GROUP BY g",
+            7,
         ),
-        ("Sort", "SELECT g, v, d FROM t ORDER BY v DESC, g"),
+        ("Sort", "SELECT g, v, d FROM t ORDER BY v DESC, g", 1),
         (
             "Join Inner",
             "SELECT t.g, u.lab FROM t JOIN u ON t.jk = u.k",
+            7,
         ),
     ];
-    for (op_prefix, sql) in cases {
+    for (op_prefix, sql, uncut_morsels) in cases {
         wh.set_memory_budget(None);
         wh.set_parallelism(1);
         wh.set_morsel_sizing(MorselSizing::WholePartition);
@@ -282,19 +286,19 @@ fn morselized_spilling_spills_and_counts_morsels() {
 
         wh.set_memory_budget(Some(1));
         wh.set_parallelism(4);
+        let uncut = wh.execute_sql(sql).unwrap();
         wh.set_morsel_sizing(MorselSizing::Fixed(3));
         let run = wh.execute_sql(sql).unwrap();
         assert!(run.spilled_bytes > 0, "budget did not force a spill: {sql}");
+        assert_eq!(run.spilled_bytes, uncut.spilled_bytes, "{sql}");
+        assert_eq!(run.spill_rounds, uncut.spill_rounds, "{sql}");
         assert_bit_identical(&oracle.batch, &run.batch, sql);
         let op = run
             .operators
             .iter()
             .find(|o| o.op.starts_with(op_prefix))
             .unwrap_or_else(|| panic!("no {op_prefix} op: {:?}", run.operators));
-        assert!(
-            op.morsels > 7,
-            "spilling sink did not take cut input: {op:?} {sql}"
-        );
+        assert_eq!(op.morsels, uncut_morsels, "{op:?} {sql}");
     }
     wh.set_memory_budget(None);
 }
