@@ -16,11 +16,12 @@
 //!
 //! * Scan → Filter → Project chains fuse into one pipeline per morsel.
 //! * `UnionAll` concatenates its inputs' partitions without collapsing.
-//! * Aggregation and DISTINCT run two-phase when the optimizer placed a
-//!   `Partial`/`Final` split (see [`crate::plan::AggMode`]): per-partition
-//!   partial states build in parallel and merge associatively, in
-//!   partition-index order, on the coordinating thread — so results are
-//!   bit-identical at any parallelism and morsel height.
+//! * Aggregation folds each input partition into its own group table in
+//!   parallel (fused with the streaming chain below it), and the tables
+//!   merge associatively, in partition-index order, on the coordinating
+//!   thread — so results are bit-identical at any parallelism and morsel
+//!   height. DISTINCT dedups each partition in parallel, then the
+//!   survivors once more across partitions, in partition order.
 //! * Hash joins build the right side once and share it across the left
 //!   partitions, each probed once in parallel (every join kind); each
 //!   partition's matched pairs then assemble once, emitting one output
@@ -53,7 +54,7 @@
 //!
 //! * **Aggregate** hash-partitions input rows by group key into spilled
 //!   bucket files per partition, aggregates bucket by bucket (rebuilding the
-//!   exact per-partition partial/merge structure of the in-memory fold
+//!   exact per-partition fold and ordered merge of the in-memory path
 //!   inside each bucket), and interleaves the per-bucket groups back into
 //!   global first-seen order by each group's first `(partition, row)`
 //!   (`pipeline::spilled_aggregate`).
@@ -83,7 +84,7 @@ use sigma_value::{sort, Batch, Column, ColumnBuilder, DataType, Field, Schema, V
 
 use crate::error::CdwError;
 use crate::eval::{eval_sel, CompiledExpr, EvalCtx, PhysExpr};
-use crate::plan::{AggCall, AggFunc, AggMode, Plan};
+use crate::plan::{AggCall, AggFunc, Plan};
 use crate::storage::{SpillHandle, SpillReader, SpillWriter};
 
 pub(crate) mod pipeline;
@@ -203,7 +204,7 @@ impl ExecCtx {
     }
 
     /// Morsel height for a pipeline over an input of `shape` — every
-    /// caller (streaming chains, the fused partial aggregate, window
+    /// caller (streaming chains, the fused aggregate fold, window
     /// items) asks here, nothing else looks at `morsel_sizing`.
     pub(crate) fn morsel_height(&self, shape: impl FnOnce() -> pipeline::InputShape) -> usize {
         pipeline::morsel_height(self.morsel_sizing, self.effective_parallelism(), shape)
@@ -268,7 +269,7 @@ impl ExecMemoryTracker {
 #[derive(Debug, Clone)]
 pub struct OpStats {
     /// The operator's [`Plan::label`], its line in [`Plan::explain`]
-    /// (e.g. `Aggregate[partial] (groups=1, aggs=2)`).
+    /// (e.g. `Aggregate (groups=1, aggs=2)`).
     pub op: String,
     /// Depth in the plan tree (0 = root), for tree rendering.
     pub depth: usize,
@@ -290,7 +291,7 @@ pub struct OpStats {
     /// vectorized-expression win shows up in per query.
     pub eval_ns: u64,
     /// Work units this operator ran: the morsels a streaming stage or
-    /// partial aggregate cut its input into (an uncut partition counts
+    /// an aggregate cut its input into (an uncut partition counts
     /// as one), one per left partition for a join, one for a sort, a
     /// window's work items; 0 for scans, limits, unions, distinct.
     pub morsels: usize,
@@ -494,80 +495,37 @@ fn execute_node(
             groups,
             aggs,
             schema,
-            mode,
         } => {
-            // The Final half of an optimizer-placed split fuses with its
-            // Partial child: partition group tables build in parallel and
-            // merge in partition-index order (deterministic at any
-            // parallelism).
-            if *mode == AggMode::Final {
-                if let Plan::Aggregate {
-                    input: pinput,
-                    groups: pgroups,
-                    aggs: paggs,
-                    mode: AggMode::Partial,
-                    ..
-                } = input.as_ref()
-                {
-                    let batch = metered(ctx, input, depth + 1, |pmeter| {
-                        let cagg = compile_agg_exprs(pgroups, paggs, &input_types(pinput))?;
-                        let global = pgroups.is_empty();
-                        // Unbudgeted, the Partial fuses with the streaming
-                        // chain below it. A budget needs that chain's
-                        // output first: the partial tables hold keys and
-                        // values derived from every input row, so total
-                        // input bytes is the deterministic upper-bound
-                        // state estimate.
-                        let (nparts, (batch, partial_rows)) = if ctx.memory.budget().is_none() {
-                            let tables = pipeline::execute_fused_partial(
-                                pinput,
-                                &cagg,
-                                paggs,
-                                ctx,
-                                depth + 2,
-                                pmeter,
-                            )?;
-                            (tables.len(), merge_partials(tables, global, paggs, schema)?)
-                        } else {
-                            let parts = execute_parts(pinput, ctx, depth + 2)?;
-                            let est: usize = parts.iter().map(Part::est_bytes).sum();
-                            let out = if !global && ctx.memory.should_spill(est) {
-                                pipeline::spilled_aggregate(
-                                    &parts, &cagg, paggs, schema, ctx, est, pmeter,
-                                )?
-                            } else {
-                                let tables = pipeline::fold_partial(
-                                    &parts,
-                                    &Default::default(),
-                                    &cagg,
-                                    paggs,
-                                    ctx,
-                                    pmeter,
-                                )?;
-                                merge_partials(tables, global, paggs, schema)?
-                            };
-                            (parts.len(), out)
-                        };
-                        pmeter.rows_out.add(partial_rows);
-                        Ok((nparts, batch))
-                    })?;
-                    return Ok(vec![Part::new(batch)]);
-                }
-            }
-            // Single placement (or a Partial/Final the optimizer did not
-            // pair): one-shot aggregation over the concatenated input. One
-            // logical partition means continuous per-group accumulation
-            // with no partial merge, at every morsel height.
-            let parts = execute_parts(input, ctx, depth + 1)?;
+            // Each input part folds into its own group table, the parts
+            // in parallel; the tables merge in part order (deterministic
+            // at any parallelism).
             let cagg = compile_agg_exprs(groups, aggs, &input_types(input))?;
-            let est: usize = parts.iter().map(Part::est_bytes).sum();
-            let part = [Part::new(concat_parts(parts, input.schema())?)];
-            let (batch, _) = if !groups.is_empty() && ctx.memory.should_spill(est) {
-                pipeline::spilled_aggregate(&part, &cagg, aggs, schema, ctx, est, meter)?
-            } else {
+            let global = groups.is_empty();
+            // Unbudgeted, the fold fuses with the streaming chain below
+            // it. A budget needs that chain's output first: the group
+            // tables hold keys and values derived from every input row,
+            // so total input bytes is the deterministic upper-bound state
+            // estimate.
+            let batch = if ctx.memory.budget().is_none() {
                 let tables =
-                    pipeline::fold_partial(&part, &Default::default(), &cagg, aggs, ctx, meter)?;
-                merge_partials(tables, groups.is_empty(), aggs, schema)?
+                    pipeline::execute_fused_partial(input, &cagg, aggs, ctx, depth + 1, meter)?;
+                finish_groups(merge_group_tables(tables, global, aggs), schema)?
+            } else {
+                let parts = execute_parts(input, ctx, depth + 1)?;
+                let est: usize = parts.iter().map(Part::est_bytes).sum();
+                if !global && ctx.memory.should_spill(est) {
+                    pipeline::spilled_aggregate(&parts, &cagg, aggs, schema, ctx, est, meter)?
+                } else {
+                    let tables = pipeline::fold_partial(
+                        &parts,
+                        &Default::default(),
+                        &cagg,
+                        aggs,
+                        ctx,
+                        meter,
+                    )?;
+                    finish_groups(merge_group_tables(tables, global, aggs), schema)?
+                }
             };
             Ok(vec![Part::new(batch)])
         }
@@ -727,7 +685,7 @@ fn execute_node(
         }
         Plan::UnionAll { inputs, schema } => {
             // Keep every input's partition structure (no collapsing), so
-            // two-phase operators above the union stay parallel.
+            // an aggregate or distinct above the union stays parallel.
             let mut parts = Vec::new();
             for input in inputs {
                 for p in execute_parts(input, ctx, depth + 1)? {
@@ -741,41 +699,38 @@ fn execute_node(
             }
             Ok(parts)
         }
-        Plan::Distinct { input, mode } => {
-            let parts = execute_parts(input, ctx, depth + 1)?;
-            match mode {
-                // Per-partition dedup, partitions retained — as a refined
-                // selection, so a filtered part still never materializes.
-                // Keys already deduplicated here never re-allocate in the
-                // Final merge.
-                AggMode::Partial => par_map(
-                    ctx,
-                    parts,
-                    |p| p.est_bytes(),
-                    |p| {
-                        let keep = distinct_indices(&p.batch, p.sel(), &mut KeyIndex::new());
-                        Ok(Part {
+        Plan::Distinct { input } => {
+            // Each part dedups in parallel, as a refined selection, so a
+            // filtered part never materializes; with more than one part
+            // the survivors then dedup globally, in part order.
+            let parts = par_map(
+                ctx,
+                execute_parts(input, ctx, depth + 1)?,
+                |p| p.est_bytes(),
+                |p| {
+                    let keep = distinct_indices(&p.batch, p.sel(), &mut KeyIndex::new());
+                    Ok(Part {
+                        batch: p.batch,
+                        sel: Some(keep),
+                    })
+                },
+            )?;
+            let parts = if parts.len() > 1 {
+                let mut seen = KeyIndex::new();
+                parts
+                    .into_iter()
+                    .map(|p| {
+                        let keep = distinct_indices(&p.batch, p.sel(), &mut seen);
+                        Part {
                             batch: p.batch,
                             sel: Some(keep),
-                        })
-                    },
-                ),
-                // Global dedup across parts in partition order.
-                AggMode::Single | AggMode::Final => {
-                    let mut seen = KeyIndex::new();
-                    let mut kept = Vec::new();
-                    for p in &parts {
-                        let keep = distinct_indices(&p.batch, p.sel(), &mut seen);
-                        if !keep.is_empty() {
-                            kept.push(Part {
-                                batch: p.batch.clone(),
-                                sel: Some(keep),
-                            });
                         }
-                    }
-                    Ok(vec![Part::new(concat_parts(kept, input.schema())?)])
-                }
-            }
+                    })
+                    .collect()
+            } else {
+                parts
+            };
+            Ok(vec![Part::new(concat_parts(parts, input.schema())?)])
         }
     }
 }
@@ -1484,20 +1439,6 @@ fn finish_groups(table: GroupTable, schema: &Arc<Schema>) -> Result<Batch, CdwEr
     }
     columns.extend(builders.into_iter().map(ColumnBuilder::finish));
     Batch::new(schema.clone(), columns).map_err(CdwError::from)
-}
-
-/// Merge per-partition partial tables and finish them. Returns the
-/// batch plus the total partial-group count (the Partial operator's
-/// `rows_out`) — the same pair the spilling aggregate returns.
-fn merge_partials(
-    tables: Vec<GroupTable>,
-    global: bool,
-    aggs: &[AggCall],
-    schema: &Arc<Schema>,
-) -> Result<(Batch, usize), CdwError> {
-    let partial_rows = tables.iter().map(GroupTable::len).sum();
-    let merged = merge_group_tables(tables, global, aggs);
-    Ok((finish_groups(merged, schema)?, partial_rows))
 }
 
 // ---------------------------------------------------------------------

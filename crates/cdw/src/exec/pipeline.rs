@@ -2,9 +2,8 @@
 //! the whole-partition sinks that end them.
 //!
 //! A physical plan decomposes into pipelines broken only at the operators
-//! that must see their whole input (sort, merging aggregate/distinct,
-//! window, limit, and a join's build side — see
-//! [`Plan::is_pipeline_breaker`]). Inside a pipeline, the maximal
+//! that must see their whole input (sort, aggregate, distinct, window,
+//! limit, and a join's build side). Inside a pipeline, the maximal
 //! Filter/Project chain ([`Plan::stream_chain`]) compiles once and runs
 //! **fused per morsel**: each slice of a source partition flows through
 //! every stage while hot, filters refining a selection vector over the
@@ -13,9 +12,9 @@
 //! ## Only the streaming chain cuts
 //!
 //! A partition is cut into morsels only where the cut measured a gain:
-//! the chain's stages ([`execute_chain`]) and, when a partial aggregate
-//! sinks the chain, the chain plus the group/argument evaluation feeding
-//! it ([`fold_partial`]). A chain that only selects columns is not cut:
+//! the chain's stages ([`execute_chain`]) and, when an aggregate sinks
+//! the chain, the chain plus the group/argument evaluation feeding it
+//! ([`fold_partial`]). A chain that only selects columns is not cut:
 //! uncut it copies nothing. Every breaker works on whole partitions: a join
 //! probes each left partition once, a sort is one stable sort over its
 //! input, a window evaluates its expressions once (only its partition
@@ -56,13 +55,13 @@
 //!   concatenating the (disjoint, ascending) per-morsel selections over
 //!   the original batch, projected chains by concatenating the dense
 //!   morsel batches. Downstream operators therefore see the *identical
-//!   partition structure* at every height, which the two-phase aggregate
-//!   merge relies on for bit-identical floats.
-//! * **Partial aggregation**: group/argument expressions evaluate per
-//!   morsel in parallel, but each partition's pre-evaluated morsels fold
+//!   partition structure* at every height, which the aggregate's
+//!   ordered merge relies on for bit-identical floats.
+//! * **Aggregation**: group/argument expressions evaluate per morsel in
+//!   parallel, but each partition's pre-evaluated morsels fold
 //!   *sequentially in morsel order* into one group table — the same
 //!   row-visit order (and therefore the same FP accumulation sequence)
-//!   as one whole-partition pass. Partials still merge in
+//!   as one whole-partition pass. The per-partition tables merge in
 //!   partition-index order.
 //!
 //! The breakers never see a morsel, so the height cannot reach their
@@ -573,23 +572,23 @@ pub(super) fn execute_chain(
     Ok(out_parts)
 }
 
-/// Run the Partial half of a two-phase aggregate fused with the
-/// streaming chain below it (`pinput`): one pipeline from the chain's
-/// source to the per-partition group tables, no materialized chain
-/// output. Only usable without a memory budget — a budgeted aggregate
-/// needs the chain's output first to estimate its state, then calls
-/// [`fold_partial`] (or spills) over those parts. The Partial's own
-/// entry is the caller's, recorded through `meter`; the chain's nodes
-/// record theirs here.
+/// Run an aggregate's per-partition fold fused with the streaming chain
+/// below it (`input`; an empty chain when the input is no Filter or
+/// Project): one pipeline from the chain's source to the per-partition
+/// group tables, no materialized chain output. Only usable without a
+/// memory budget — a budgeted aggregate needs the chain's output first
+/// to estimate its state, then calls [`fold_partial`] (or spills) over
+/// those parts. The aggregate's own entry is the caller's, recorded
+/// through `meter`; the chain's nodes record theirs here.
 pub(super) fn execute_fused_partial(
-    pinput: &Plan,
+    input: &Plan,
     cagg: &CompiledAggExprs,
     aggs: &[AggCall],
     ctx: &ExecCtx,
     depth: usize,
     meter: &Meter,
 ) -> Result<Vec<GroupTable>, CdwError> {
-    let (nodes, source) = pinput.stream_chain();
+    let (nodes, source) = input.stream_chain();
     let chain = CompiledChain::open(&nodes, ctx, depth)?;
     let parts = execute_parts(source, ctx, depth + nodes.len())?;
     let tables = fold_partial(&parts, &chain, cagg, aggs, ctx, meter)?;
@@ -679,9 +678,7 @@ pub(super) fn fold_partial(
 /// interleave the per-bucket groups back into first-seen order.
 ///
 /// `parts` carries the partition structure the in-memory fold would
-/// aggregate (the caller passes the concatenated input as one
-/// "partition" for `AggMode::Single`, and the chain's output parts for a
-/// `Final`-over-`Partial` pair). Phase 1 — the hot phase — runs per
+/// aggregate: the input's parts. Phase 1 — the hot phase — runs per
 /// partition through `par_map`: each partition evaluates its group and
 /// argument expressions, routes its rows to buckets by group-key hash,
 /// and builds its per-bucket spill records (tagged with the row id in
@@ -694,9 +691,6 @@ pub(super) fn fold_partial(
 /// buckets interleave back into first-seen order by each group's first
 /// `(partition, row)`, which is exactly the order the in-memory merge
 /// emits.
-///
-/// Returns the finished batch plus the total partial-group count (the
-/// `rows_out` of the Partial operator in two-phase stats).
 pub(super) fn spilled_aggregate(
     parts: &[Part],
     cagg: &CompiledAggExprs,
@@ -705,7 +699,7 @@ pub(super) fn spilled_aggregate(
     ctx: &ExecCtx,
     estimate: usize,
     meter: &Meter,
-) -> Result<(Batch, usize), CdwError> {
+) -> Result<Batch, CdwError> {
     let nbuckets = ctx.memory.bucket_count(estimate);
     ctx.stats.spill_rounds.add(nbuckets);
     let gw = cagg.groups.len();
@@ -793,7 +787,7 @@ pub(super) fn spilled_aggregate(
     // table, merged in partition order — the in-memory fold's exact
     // arithmetic structure. A bucket yields its finished groups plus,
     // per group, the `(partition, row)` where the group first appeared.
-    type BucketGroups = (Batch, Vec<(usize, i64)>, usize);
+    type BucketGroups = (Batch, Vec<(usize, i64)>);
     let arg_slots = &arg_slots;
     let per_bucket: Vec<BucketGroups> = par_map(
         ctx,
@@ -802,7 +796,6 @@ pub(super) fn spilled_aggregate(
         |handle| {
             let mut acc = GroupTable::new(aggs);
             let mut first_seen: Vec<(usize, i64)> = Vec::new();
-            let mut partial_rows = 0usize;
             for rec in handle.read_all()? {
                 let p = rec.column(part_slot).ints().expect("__part column")[0] as usize;
                 let group_cols = rec.columns()[..gw].to_vec();
@@ -823,25 +816,23 @@ pub(super) fn spilled_aggregate(
                     false,
                 );
                 let row_ids = rec.column(row_slot).ints().expect("row-id column");
-                partial_rows += table.len();
                 acc.merge_from(table, |g| first_seen.push((p, row_ids[firsts[g]])));
             }
-            Ok((finish_groups(acc, schema)?, first_seen, partial_rows))
+            Ok((finish_groups(acc, schema)?, first_seen))
         },
     )?;
 
     // Interleave buckets back into global first-seen order: stack the
     // bucket outputs, then gather by each group's first `(partition, row)`.
-    let partial_rows = per_bucket.iter().map(|(_, _, n)| n).sum();
     let mut order: Vec<((usize, i64), usize)> = per_bucket
         .iter()
-        .flat_map(|(_, first_seen, _)| first_seen.iter().copied())
+        .flat_map(|(_, first_seen)| first_seen.iter().copied())
         .zip(0..)
         .collect();
     order.sort_unstable();
-    let stacked: Vec<&Batch> = per_bucket.iter().map(|(b, _, _)| b).collect();
+    let stacked: Vec<&Batch> = per_bucket.iter().map(|(b, _)| b).collect();
     let gather: Vec<usize> = order.into_iter().map(|(_, at)| at).collect();
-    Ok((Batch::concat(&stacked)?.take(&gather), partial_rows))
+    Ok(Batch::concat(&stacked)?.take(&gather))
 }
 
 // ---------------------------------------------------------------------

@@ -12,9 +12,8 @@
 //!   caller-bound input batches (`Warehouse::execute_over`, how the
 //!   browser tier recomputes an edited stage from cached results) and
 //!   UPDATE/DELETE expressions all resolve through it,
-//! * a rule-based optimizer (predicate pushdown, projection pruning,
-//!   constant folding, and a two-phase partial/final split of aggregation
-//!   and DISTINCT over partition-preserving inputs),
+//! * a rule-based optimizer (predicate pushdown, projection pruning and
+//!   constant folding),
 //! * a vectorized expression engine (`eval/`): a physical-expression
 //!   planner compiles scalar expressions into typed columnar kernels
 //!   (monomorphic i64/f64/bool/str loops, validity-bitmap nulls, literal
@@ -22,16 +21,16 @@
 //!   the boxed-`Value` row interpreter retained as the semantic oracle
 //!   (`tests/eval_oracle.rs` pins them bit-identical),
 //! * a vectorized, morsel-driven executor — one engine at every setting:
-//!   filter/project chains, partial aggregation, hash-join probes, sort
-//!   runs and window evaluation cut their input partitions into morsels
-//!   and run them on a persistent worker pool shared by every query in
+//!   filter/project chains and the aggregation they feed cut their input
+//!   partitions into morsels, and every parallel step runs on a
+//!   persistent worker pool shared by every query in
 //!   the process, claimed largest first from one queue (the
 //!   `parallelism` knob requests threads per query; `set_worker_pool_target` caps the
 //!   process). One function decides morsel height; at an effective width
 //!   of one worker it is the whole partition, so serial execution is the
 //!   same code, uncut and inline. Outputs regroup in (partition, morsel)
-//!   order and partial aggregate states merge associatively in partition
-//!   order, so results are bit-identical at any parallelism and morsel
+//!   order and per-partition aggregate states merge associatively in
+//!   partition order, so results are bit-identical at any parallelism and morsel
 //!   height — this is the stand-in for the CDW elasticity the paper
 //!   leans on;
 //!   filters emit **selection vectors** instead of materializing, so

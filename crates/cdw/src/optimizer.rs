@@ -1,6 +1,6 @@
 //! Rule-based logical optimizer.
 //!
-//! Four rewrites, applied to fixpoint-ish (one bottom-up pass each, in
+//! Three rewrites, applied to fixpoint-ish (one bottom-up pass each, in
 //! order, which suffices for the shapes the compiler emits):
 //!
 //! 1. **Constant folding** — column-free subexpressions evaluate at plan
@@ -8,11 +8,8 @@
 //! 2. **Predicate pushdown** — filters slide through projections, sorts,
 //!    unions, and into the inner side(s) of joins.
 //! 3. **Projection pruning** — scans materialize only the columns the rest
-//!    of the plan consumes (a narrow `Project` is inserted over the scan).
-//! 4. **Two-phase split** — `Aggregate` and `Distinct` nodes over
-//!    partition-preserving inputs split into a per-partition `Partial`
-//!    under a merging `Final`, so the executor can run the hash-build
-//!    phase partition-parallel (see `plan::AggMode` and DESIGN.md).
+//!    of the plan consumes (a narrow `Project` is inserted over the scan),
+//!    and a column-selecting `Project` folds into the `Project` above it.
 
 use std::sync::Arc;
 
@@ -21,14 +18,13 @@ use sigma_value::{Batch, DataType, Field, Schema};
 
 use crate::error::CdwError;
 use crate::eval::{self, EvalCtx, PhysExpr};
-use crate::plan::{AggMode, Plan};
+use crate::plan::Plan;
 
 /// Run all rules over a plan.
 pub fn optimize(plan: Plan, ctx: &EvalCtx) -> Result<Plan, CdwError> {
     let plan = fold_constants_plan(plan, ctx)?;
     let plan = push_down_filters(plan)?;
-    let plan = prune_scan_columns(plan)?;
-    split_two_phase(plan)
+    prune_scan_columns(plan)
 }
 
 // ---------------------------------------------------------------------
@@ -293,6 +289,14 @@ fn narrow(plan: Plan, needed: &[usize]) -> Plan {
     }
 }
 
+/// Every expression is a bare column reference, none repeated.
+fn selects_each_once(exprs: &[PhysExpr]) -> bool {
+    let mut seen = std::collections::HashSet::new();
+    exprs
+        .iter()
+        .all(|e| matches!(e, PhysExpr::Col(i) if seen.insert(*i)))
+}
+
 /// Old-ordinal -> new-ordinal map induced by a normalized needed set.
 fn remap_of(needed: &[usize]) -> std::collections::HashMap<usize, usize> {
     needed
@@ -336,6 +340,22 @@ fn prune(plan: Plan, needed: Option<Vec<usize>>) -> Result<Plan, CdwError> {
                     e.remap_columns(&|i| map[&i]);
                 }
             }
+            // Stacked projections fold into one when either only selects
+            // columns: a child selection (what `narrow` puts over a
+            // boundary node) is an ordinal remap, and a parent selecting
+            // each child column at most once moves the child's
+            // expressions unchanged, so nothing evaluates differently.
+            let fold = pruned.is_column_selection()
+                || (matches!(pruned, Plan::Project { .. }) && selects_each_once(&kept_exprs));
+            let pruned = match pruned {
+                Plan::Project { input, exprs, .. } if fold => {
+                    for e in &mut kept_exprs {
+                        substitute_cols(e, &exprs);
+                    }
+                    *input
+                }
+                other => other,
+            };
             Ok(Plan::Project {
                 input: Box::new(pruned),
                 exprs: kept_exprs,
@@ -379,7 +399,6 @@ fn prune(plan: Plan, needed: Option<Vec<usize>>) -> Result<Plan, CdwError> {
             groups,
             aggs,
             schema,
-            mode,
         } => {
             let mut child_need = Vec::new();
             for g in &groups {
@@ -411,7 +430,6 @@ fn prune(plan: Plan, needed: Option<Vec<usize>>) -> Result<Plan, CdwError> {
                 groups,
                 aggs,
                 schema,
-                mode,
             };
             Ok(match needed {
                 Some(cols) => narrow(agg, &cols),
@@ -431,86 +449,16 @@ fn prune(plan: Plan, needed: Option<Vec<usize>>) -> Result<Plan, CdwError> {
 }
 
 // ---------------------------------------------------------------------
-// two-phase split
-// ---------------------------------------------------------------------
-
-/// Does the executor preserve partition structure for this subtree?
-///
-/// Scans emit one part per storage partition; Filter/Project map over
-/// parts; UnionAll concatenates its inputs' parts; a Join emits one part
-/// per probe (left) partition; a partial Distinct dedups within parts.
-/// Everything else collapses to a single batch, where a two-phase split
-/// would only add a pointless merge pass.
-fn partition_preserving(plan: &Plan) -> bool {
-    match plan {
-        Plan::Scan { .. } => true,
-        Plan::Filter { input, .. } | Plan::Project { input, .. } => partition_preserving(input),
-        Plan::UnionAll { inputs, .. } => {
-            inputs.len() > 1 || inputs.iter().any(partition_preserving)
-        }
-        Plan::Join { left, .. } => partition_preserving(left),
-        Plan::Distinct {
-            input,
-            mode: AggMode::Partial,
-        } => partition_preserving(input),
-        _ => false,
-    }
-}
-
-/// Rewrite `Single` Aggregate/Distinct nodes over partition-preserving
-/// inputs into `Final(Partial(input))` pairs. The split is decided purely
-/// by plan shape — never by the parallelism knob — so a query runs the
-/// identical plan (and produces bit-identical results) at any parallelism.
-fn split_two_phase(plan: Plan) -> Result<Plan, CdwError> {
-    Ok(match plan.map_inputs(split_two_phase)? {
-        Plan::Aggregate {
-            input,
-            groups,
-            aggs,
-            schema,
-            mode: AggMode::Single,
-        } if partition_preserving(&input) => {
-            // The Final node restates the same spec as its Partial child;
-            // the executor fuses the pair and evaluates the child's
-            // expressions against the raw input partitions.
-            Plan::Aggregate {
-                input: Box::new(Plan::Aggregate {
-                    input,
-                    groups: groups.clone(),
-                    aggs: aggs.clone(),
-                    schema: schema.clone(),
-                    mode: AggMode::Partial,
-                }),
-                groups,
-                aggs,
-                schema,
-                mode: AggMode::Final,
-            }
-        }
-        Plan::Distinct {
-            input,
-            mode: AggMode::Single,
-        } if partition_preserving(&input) => Plan::Distinct {
-            input: Box::new(Plan::Distinct {
-                input,
-                mode: AggMode::Partial,
-            }),
-            mode: AggMode::Final,
-        },
-        other => other,
-    })
-}
-
-// ---------------------------------------------------------------------
 // pipeline decomposition (EXPLAIN PIPELINES)
 // ---------------------------------------------------------------------
 
 /// Render the morsel-pipeline decomposition of an (optimized) plan: which
 /// Filter/Project chains fuse into per-morsel pipelines, where each
 /// pipeline's source and sink sit, and which operators break the flow
-/// (see [`Plan::is_pipeline_breaker`]). This mirrors exactly what the
-/// executor does at every setting — the text is derived from the same
-/// `stream_chain` decomposition it executes.
+/// (sort, window, limit, distinct and a join's build side each see their
+/// whole input first). This mirrors exactly what the executor does at
+/// every setting — the text is derived from the same `stream_chain`
+/// decomposition it executes.
 pub fn explain_pipelines(plan: &Plan) -> String {
     let mut out = String::new();
     explain_pipelines_into(plan, 0, &mut out);
@@ -550,37 +498,6 @@ fn indent_by(out: &mut String, depth: usize) {
 }
 
 fn explain_pipelines_into(plan: &Plan, depth: usize, out: &mut String) {
-    // A Final-over-Partial aggregate pair: the Final merge breaks the
-    // flow; the Partial is the sink of the pipeline covering the chain
-    // below it.
-    if let Plan::Aggregate {
-        input,
-        mode: AggMode::Final,
-        ..
-    } = plan
-    {
-        if let Plan::Aggregate {
-            input: pinput,
-            mode: AggMode::Partial,
-            ..
-        } = input.as_ref()
-        {
-            indent_by(out, depth);
-            out.push_str(&format!(
-                "break: {} [{}]\n",
-                plan.label(),
-                granularity(plan)
-            ));
-            let (chain, source) = pinput.stream_chain();
-            indent_by(out, depth + 1);
-            out.push_str(&format!(
-                "pipeline: {} [morsel]\n",
-                pipeline_line(source, &chain, Some(input))
-            ));
-            explain_pipelines_into(source, depth + 2, out);
-            return;
-        }
-    }
     // A maximal streaming chain is one fused pipeline; one that only
     // selects columns runs on whole partitions.
     if plan.is_streaming_stage() {
@@ -621,16 +538,19 @@ fn explain_pipelines_into(plan: &Plan, depth: usize, out: &mut String) {
                 explain_pipelines_into(input, depth + 1, out);
             }
         }
-        Plan::Distinct {
-            input,
-            mode: AggMode::Partial,
-        } => {
+        // An aggregate sinks the pipeline feeding it: the chain below
+        // fuses with its per-partition fold.
+        Plan::Aggregate { input, .. } => {
+            let (chain, source) = input.stream_chain();
             indent_by(out, depth);
-            out.push_str(&format!("pass: {} [{}]\n", plan.label(), granularity(plan)));
-            explain_pipelines_into(input, depth + 1, out);
+            out.push_str(&format!(
+                "pipeline: {} [{}]\n",
+                pipeline_line(source, &chain, Some(plan)),
+                granularity(plan)
+            ));
+            explain_pipelines_into(source, depth + 1, out);
         }
-        Plan::Aggregate { input, .. }
-        | Plan::Window { input, .. }
+        Plan::Window { input, .. }
         | Plan::Sort { input, .. }
         | Plan::Limit { input, .. }
         | Plan::Distinct { input, .. } => {

@@ -8,37 +8,6 @@ use sigma_value::{Batch, DataType, Schema};
 use crate::eval::PhysExpr;
 use crate::storage::StoredTable;
 
-/// Execution phase of an [`Plan::Aggregate`] or [`Plan::Distinct`] node.
-///
-/// The planner always emits `Single` (one-shot over the whole input). The
-/// optimizer's two-phase split rewrites `Single` nodes over
-/// partition-preserving inputs into a per-partition `Partial` under a
-/// merging `Final`, so the heavy hash-build work runs partition-parallel
-/// and only the (much smaller) per-partition results are combined on one
-/// thread. The executor realizes the split for the exact `Final`-over-
-/// `Partial` pairing; any other placement degrades safely to `Single`
-/// semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggMode {
-    /// One-shot aggregation over the concatenated input.
-    Single,
-    /// Per-partition pre-aggregation; output keeps partition structure.
-    Partial,
-    /// Merge per-partition partial states into the global result.
-    Final,
-}
-
-impl AggMode {
-    /// Suffix used in EXPLAIN output (empty for the default mode).
-    pub fn label(&self) -> &'static str {
-        match self {
-            AggMode::Single => "",
-            AggMode::Partial => "[partial]",
-            AggMode::Final => "[final]",
-        }
-    }
-}
-
 /// Aggregate functions the engine executes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AggFunc {
@@ -144,10 +113,6 @@ pub enum Plan {
         groups: Vec<PhysExpr>,
         aggs: Vec<AggCall>,
         schema: Arc<Schema>,
-        /// Two-phase placement (see [`AggMode`]). A `Partial` node carries
-        /// the final output schema: partial states live in executor memory
-        /// and are never materialized as columns.
-        mode: AggMode,
     },
     /// Appends one column per call to the input schema.
     Window {
@@ -180,10 +145,9 @@ pub enum Plan {
         schema: Arc<Schema>,
     },
     Distinct {
+        /// The rows to dedup: the first of each set of equal rows stays,
+        /// in input order.
         input: Box<Plan>,
-        /// `Partial` dedups within each partition (keeping partitions);
-        /// `Final`/`Single` dedup globally to one batch.
-        mode: AggMode,
     },
 }
 
@@ -303,14 +267,9 @@ impl Plan {
             Plan::Values { batch } => format!("Values ({} rows)", batch.num_rows()),
             Plan::Project { exprs, .. } => format!("Project ({} exprs)", exprs.len()),
             Plan::Filter { .. } => "Filter".to_string(),
-            Plan::Aggregate {
-                groups, aggs, mode, ..
-            } => format!(
-                "Aggregate{} (groups={}, aggs={})",
-                mode.label(),
-                groups.len(),
-                aggs.len()
-            ),
+            Plan::Aggregate { groups, aggs, .. } => {
+                format!("Aggregate (groups={}, aggs={})", groups.len(), aggs.len())
+            }
             Plan::Window { calls, .. } => format!("Window ({} calls)", calls.len()),
             Plan::Join {
                 kind, left_keys, ..
@@ -318,7 +277,7 @@ impl Plan {
             Plan::Sort { keys, .. } => format!("Sort ({} keys)", keys.len()),
             Plan::Limit { limit, offset, .. } => format!("Limit {limit:?} offset {offset}"),
             Plan::UnionAll { .. } => "UnionAll".to_string(),
-            Plan::Distinct { mode, .. } => format!("Distinct{}", mode.label()),
+            Plan::Distinct { .. } => "Distinct".to_string(),
         }
     }
 
@@ -335,28 +294,6 @@ impl Plan {
     pub fn is_column_selection(&self) -> bool {
         matches!(self, Plan::Project { exprs, .. }
             if exprs.iter().all(|e| matches!(e, PhysExpr::Col(_))))
-    }
-
-    /// Pipeline breakers must see their whole input before emitting a
-    /// row, so a pipeline ends (and its output materializes) here: sorts,
-    /// merging aggregates/distincts, windows, and limits. A `Join` breaks
-    /// only on its build (right) side; `Partial` aggregation is a pipeline
-    /// *sink* (per-partition fold), not a breaker.
-    pub fn is_pipeline_breaker(&self) -> bool {
-        matches!(
-            self,
-            Plan::Sort { .. }
-                | Plan::Window { .. }
-                | Plan::Limit { .. }
-                | Plan::Aggregate {
-                    mode: AggMode::Single | AggMode::Final,
-                    ..
-                }
-                | Plan::Distinct {
-                    mode: AggMode::Single | AggMode::Final,
-                    ..
-                }
-        )
     }
 
     /// The maximal streaming chain hanging off this node: the run of

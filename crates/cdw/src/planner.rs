@@ -17,7 +17,7 @@ use sigma_value::{Batch, ColumnBuilder, DataType, Field, Schema, Value};
 use crate::catalog::Catalog;
 use crate::error::CdwError;
 use crate::eval::{self, EvalCtx, PhysExpr};
-use crate::plan::{AggCall, AggFunc, AggMode, Plan, SortSpec, WinFunc, WindowCall};
+use crate::plan::{AggCall, AggFunc, Plan, SortSpec, WinFunc, WindowCall};
 
 /// Equi-join decomposition: (left keys, right keys, residual predicate).
 type JoinKeySplit = (Vec<PhysExpr>, Vec<PhysExpr>, Option<PhysExpr>);
@@ -440,7 +440,6 @@ impl<'a> Planner<'a> {
                 groups,
                 aggs,
                 schema: agg_schema.clone(),
-                mode: AggMode::Single,
             };
 
             // Rewrite outer expressions to reference the aggregate output.
@@ -633,7 +632,6 @@ impl<'a> Planner<'a> {
             }
             plan = Plan::Distinct {
                 input: Box::new(plan),
-                mode: AggMode::Single,
             };
         }
 

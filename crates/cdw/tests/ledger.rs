@@ -8,9 +8,9 @@ use std::sync::Arc;
 use sigma_cdw::{MorselSizing, OpStats, Warehouse};
 use sigma_value::{Batch, Column, DataType, Field, Schema};
 
-/// An aggregate whose Partial sits on a Filter chain, feeding a join and
+/// An aggregate fused with the Filter chain below it, feeding a join and
 /// a sort: every kind of operator entry (wall-clocked, fused chain node,
-/// fused Partial) and every spilling operator in one plan.
+/// fused aggregate) and every spilling operator in one plan.
 const SQL: &str = "SELECT u.lab, x.s FROM \
      (SELECT jk, SUM(v) AS s FROM t WHERE v > 2 GROUP BY jk) x \
      JOIN u ON x.jk = u.k ORDER BY x.s DESC, u.lab";
@@ -110,7 +110,7 @@ fn result_set_and_explain_analyze_read_one_ledger() {
             rendered_entries(&analyzed),
             "budget {budget:?}\n{analyzed}"
         );
-        for kind in ["Aggregate[partial]", "Filter", "Join", "Sort"] {
+        for kind in ["Aggregate", "Filter", "Join", "Sort"] {
             assert!(
                 ran.iter().any(|e| e.0.starts_with(kind)),
                 "no {kind} entry under budget {budget:?}:\n{analyzed}"

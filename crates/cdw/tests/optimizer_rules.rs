@@ -1,5 +1,5 @@
 //! Direct checks on the optimizer's three rewrites, via EXPLAIN-style
-//! plan inspection.
+//! plan inspection, and on the plan shapes the executor runs.
 
 use std::sync::Arc;
 
@@ -119,55 +119,116 @@ fn projection_pruning_narrows_scan() {
     assert_eq!(scan_project_width(&plan), Some(1), "{}", plan.explain());
 }
 
+/// Stacked projections fold into one when either side only selects
+/// columns, but not when folding would evaluate a child expression twice.
 #[test]
-fn aggregate_splits_two_phase_over_partitioned_scan() {
+fn stacked_projections_fold_when_one_only_selects() {
     let wh = wh();
+    // A parent selection over a computed child, over the narrowing
+    // selection on the scan: one Project is left.
     let plan = wh
-        .plan_sql("SELECT c, SUM(a) AS s FROM t GROUP BY c")
+        .plan_sql("SELECT x, y FROM (SELECT a + 1 AS x, b * 2 AS y, c FROM t) s")
         .unwrap();
-    let explain = plan.explain();
-    let final_pos = explain.find("Aggregate[final]").expect("final half");
-    let partial_pos = explain.find("Aggregate[partial]").expect("partial half");
-    assert!(final_pos < partial_pos, "{explain}");
+    assert_eq!(plan.explain(), "Project (2 exprs)\n  Scan t\n");
+    // Picking `x` twice would evaluate `a + 1` twice: the pair stays.
+    let plan = wh
+        .plan_sql("SELECT x AS p, x AS q FROM (SELECT a + 1 AS x FROM t) s")
+        .unwrap();
+    assert_eq!(
+        plan.explain(),
+        "Project (2 exprs)\n  Project (1 exprs)\n    Scan t\n"
+    );
+    let batch = wh
+        .execute_sql("SELECT x AS p, x AS q FROM (SELECT a + 1 AS x FROM t) s")
+        .unwrap()
+        .batch;
+    assert_eq!(batch.value(99, 1), sigma_value::Value::Int(100));
 }
 
-#[test]
-fn distinct_splits_two_phase_over_partitioned_scan() {
+/// `t` again as four 25-row partitions, so the scan emits four parts.
+fn partitioned_wh() -> Warehouse {
     let wh = wh();
-    let plan = wh.plan_sql("SELECT DISTINCT c FROM t").unwrap();
-    let explain = plan.explain();
-    let final_pos = explain.find("Distinct[final]").expect("final half");
-    let partial_pos = explain.find("Distinct[partial]").expect("partial half");
-    assert!(final_pos < partial_pos, "{explain}");
+    let t = wh.execute_sql("SELECT * FROM t").unwrap().batch;
+    wh.load_table_partitioned("tp", t, 25).unwrap();
+    wh
 }
 
-#[test]
-fn no_split_over_collapsing_input() {
-    let wh = wh();
-    // Limit collapses to one batch, so a two-phase split above it would
-    // only add a pointless merge pass — the aggregate stays Single.
-    let plan = wh
-        .plan_sql("SELECT SUM(x) AS s FROM (SELECT a AS x FROM t ORDER BY a LIMIT 10) s")
-        .unwrap();
-    let explain = plan.explain();
-    assert!(!explain.contains("Aggregate[final]"), "{explain}");
-    assert!(!explain.contains("Aggregate[partial]"), "{explain}");
-    assert!(explain.contains("Aggregate"), "{explain}");
+/// The executed entries whose label starts with `prefix`.
+fn entries(wh: &Warehouse, sql: &str, prefix: &str) -> Vec<sigma_cdw::OpStats> {
+    wh.execute_sql(sql)
+        .unwrap()
+        .operators
+        .into_iter()
+        .filter(|o| o.op.starts_with(prefix))
+        .collect()
 }
 
+/// An aggregate is one plan node and one executed entry over a
+/// partitioned scan: it folds each of the scan's four parts into its own
+/// group table (one morsel each, uncut at one worker) and merges them.
 #[test]
-fn aggregate_over_join_splits_on_probe_partitions() {
-    let wh = wh();
-    // The join emits one part per probe (left) partition, so the
-    // aggregate above it still splits two-phase.
-    let plan = wh
-        .plan_sql(
-            "SELECT dim.label, COUNT(*) AS n FROM t JOIN dim ON t.a = dim.k GROUP BY dim.label",
-        )
-        .unwrap();
-    let explain = plan.explain();
-    assert!(explain.contains("Aggregate[final]"), "{explain}");
-    assert!(explain.contains("Aggregate[partial]"), "{explain}");
+fn aggregate_is_one_node_over_partitioned_scan() {
+    let wh = partitioned_wh();
+    let sql = "SELECT c, SUM(a) AS s FROM tp GROUP BY c";
+    let explain = wh.plan_sql(sql).unwrap().explain();
+    assert_eq!(explain.matches("Aggregate").count(), 1, "{explain}");
+    assert!(
+        explain.contains("Aggregate (groups=1, aggs=1)\n"),
+        "{explain}"
+    );
+    let aggs = entries(&wh, sql, "Aggregate");
+    assert_eq!(aggs.len(), 1, "{aggs:?}");
+    assert_eq!((aggs[0].morsels, aggs[0].partitions), (4, 1), "{aggs:?}");
+}
+
+/// DISTINCT is one plan node and one executed entry over a partitioned
+/// scan: each part dedups, then the survivors dedup across parts.
+#[test]
+fn distinct_is_one_node_over_partitioned_scan() {
+    let wh = partitioned_wh();
+    let sql = "SELECT DISTINCT b % 7 AS r FROM tp";
+    let explain = wh.plan_sql(sql).unwrap().explain();
+    assert_eq!(explain.matches("Distinct").count(), 1, "{explain}");
+    let result = wh.execute_sql(sql).unwrap();
+    assert_eq!(result.batch.num_rows(), 7);
+    let distinct: Vec<_> = result
+        .operators
+        .iter()
+        .filter(|o| o.op == "Distinct")
+        .collect();
+    assert_eq!(distinct.len(), 1, "{distinct:?}");
+    assert_eq!(
+        (distinct[0].rows_in, distinct[0].rows_out),
+        (100, 7),
+        "{distinct:?}"
+    );
+}
+
+/// Over an input that collapses to one batch (a LIMIT), the aggregate is
+/// the same node and folds that one part.
+#[test]
+fn aggregate_over_collapsing_input_folds_one_part() {
+    let wh = partitioned_wh();
+    let sql = "SELECT SUM(x) AS s FROM (SELECT a AS x FROM tp ORDER BY a LIMIT 10) s";
+    let explain = wh.plan_sql(sql).unwrap().explain();
+    assert_eq!(explain.matches("Aggregate").count(), 1, "{explain}");
+    let aggs = entries(&wh, sql, "Aggregate");
+    assert_eq!(aggs.len(), 1, "{aggs:?}");
+    assert_eq!(aggs[0].morsels, 1, "{aggs:?}");
+}
+
+/// The join emits one part per probe (left) partition, so the aggregate
+/// above it folds four parts.
+#[test]
+fn aggregate_over_join_folds_each_probe_partition() {
+    let wh = partitioned_wh();
+    let sql = "SELECT dim.label, COUNT(*) AS n FROM tp JOIN dim ON tp.a = dim.k GROUP BY dim.label";
+    let explain = wh.plan_sql(sql).unwrap().explain();
+    assert_eq!(explain.matches("Aggregate").count(), 1, "{explain}");
+    let aggs = entries(&wh, sql, "Aggregate");
+    assert_eq!(aggs.len(), 1, "{aggs:?}");
+    assert_eq!(aggs[0].morsels, 4, "{aggs:?}");
+    assert_eq!(aggs[0].rows_out, 10, "{aggs:?}");
 }
 
 #[test]
@@ -197,30 +258,31 @@ fn left_join_right_filter_not_pushed() {
 
 /// Pipeline decomposition is derived purely from plan shape: streaming
 /// Filter/Project chains fuse into one pipeline line, breakers (sort,
-/// final aggregation, join build) start new ones, and the partial
-/// aggregate is marked as the fused pipeline's sink.
+/// join build) start new ones, and an aggregate is the sink of the fused
+/// pipeline feeding it.
 #[test]
 fn explain_pipelines_shows_fused_chains_and_breakers() {
     let wh = wh();
     let agg = wh
         .explain_pipelines("SELECT c, SUM(b) AS s FROM t WHERE a > 10 GROUP BY c ORDER BY s")
         .unwrap();
-    assert!(agg.contains("break: Sort"), "{agg}");
-    assert!(agg.contains("break: Aggregate[final]"), "{agg}");
     // Granularity annotations: sort takes whole partitions, the fused
-    // two-phase aggregate runs morsel-driven.
+    // aggregate runs morsel-driven.
     assert!(agg.contains("break: Sort (1 keys) [partition]"), "{agg}");
-    assert!(
-        agg.contains("Aggregate[partial]") && agg.contains("[sink] [morsel]"),
-        "{agg}"
-    );
     // The scan-side chain fuses scan, filter, and projections into one
-    // pipeline that sinks into the partial aggregate.
+    // pipeline that sinks into the aggregate, the aggregate's one line.
+    assert_eq!(agg.matches("Aggregate").count(), 2, "{agg}");
     assert!(
-        agg.contains("=> Filter ") && agg.contains("=> Aggregate[partial]"),
+        agg.contains("pipeline: Scan t => ")
+            && agg.contains("=> Filter => ")
+            && agg.contains("=> Aggregate (groups=1, aggs=1) [sink] [morsel]\n"),
         "{agg}"
     );
-    assert!(agg.contains("[sink]"), "{agg}");
+    // Above it, the projection of the aggregate's output.
+    assert!(
+        agg.contains("pipeline: Aggregate (groups=1, aggs=1) => Project (2 exprs) [partition]"),
+        "{agg}"
+    );
     assert!(agg.contains("source: Scan t"), "{agg}");
 
     let join = wh
@@ -244,7 +306,23 @@ fn explain_pipelines_shows_fused_chains_and_breakers() {
         join.contains("pipeline: Scan t => Filter [morsel]"),
         "{join}"
     );
-    assert!(join.contains("=> Project (2 exprs) [partition]"), "{join}");
+    assert!(
+        join.contains("pipeline: Join Inner (1 keys) => Project (2 exprs) [partition]\n"),
+        "{join}"
+    );
+
+    // The column selection `narrow` puts over a LEFT join folds into the
+    // projection above it: one Project, not a pair.
+    let left = wh
+        .explain_pipelines("SELECT t.b, t.d, dim.label FROM t LEFT JOIN dim ON t.a = dim.k")
+        .unwrap();
+    assert_eq!(
+        left.matches("Join Left (1 keys) => Project (3 exprs)")
+            .count(),
+        1,
+        "{left}"
+    );
+    assert_eq!(left.matches("Project").count(), 1, "{left}");
 
     // Window work items take the morsel height; LIMIT still collapses
     // partition-granular.
@@ -256,6 +334,10 @@ fn explain_pipelines_shows_fused_chains_and_breakers() {
         "{win}"
     );
     assert!(win.contains("break: Window (1 calls) [morsel]"), "{win}");
+    assert!(
+        win.contains("pipeline: Window (1 calls) => Project (2 exprs) [partition]\n"),
+        "{win}"
+    );
 }
 
 /// `OpStats::op` is `Plan::label`: executed operators with their depths

@@ -1,10 +1,10 @@
-//! The two-phase split's safety net: for generated GROUP BY / JOIN /
-//! DISTINCT queries over randomly partitioned tables, `parallelism = 1`
-//! and `parallelism = 4` must produce **bit-identical** batches (same
-//! rows, same order, same float bit patterns). The optimizer decides the
-//! partial/final placement purely from plan shape and the executor merges
-//! partial states in partition-index order, so thread count can never
-//! change a result — this test pins that invariant.
+//! The partition-parallel executor's safety net: for generated GROUP BY /
+//! JOIN / DISTINCT queries over randomly partitioned tables,
+//! `parallelism = 1` and `parallelism = 4` must produce **bit-identical**
+//! batches (same rows, same order, same float bit patterns). An aggregate
+//! folds each input partition into its own group table and merges the
+//! tables in partition-index order, so thread count can never change a
+//! result — this test pins that invariant.
 //!
 //! The skew suite extends the pin to how input is cut: pathological
 //! partition layouts (one ~90% partition, empties, 1-row tails) at
@@ -42,7 +42,7 @@ fn open_pool() {
     sigma_cdw::grow_worker_pool_target(16);
 }
 
-/// Queries covering the operators the two-phase refactor touches.
+/// Queries covering the partition-parallel operators.
 const QUERIES: &[&str] = &[
     // Grouped aggregation across every mergeable state.
     "SELECT g, COUNT(*) AS c, COUNT(v) AS cv, COUNT(DISTINCT v) AS cd, \
@@ -52,16 +52,18 @@ const QUERIES: &[&str] = &[
     // Global aggregate (one row even over empty filters).
     "SELECT COUNT(*) AS c, SUM(d) AS s, AVG(d) AS a, STDDEV(d) AS sd FROM t",
     "SELECT COUNT(*) AS c, SUM(v) AS s FROM t WHERE v > 1000",
-    // DISTINCT: partial dedup per partition + global merge.
+    // DISTINCT: dedup per partition + global dedup in partition order.
     "SELECT DISTINCT g, v FROM t",
+    // DISTINCT over an input that collapses to one part.
+    "SELECT DISTINCT g FROM (SELECT g, v FROM t ORDER BY v, d, g LIMIT 9) x",
     // Partitioned hash join (shared build side).
     "SELECT t.g, t.v, u.lab FROM t JOIN u ON t.jk = u.k",
     "SELECT t.g, u.lab FROM t LEFT JOIN u ON t.jk = u.k",
     // WHERE pushed below the join: a filter-only chain, whose cut
     // partitions regroup by concatenating per-morsel selections.
     "SELECT t.g, t.v, u.lab FROM t JOIN u ON t.jk = u.k WHERE t.v > 3 AND u.k < 5",
-    // Aggregation over a join: the join's per-partition output feeds a
-    // two-phase aggregate.
+    // Aggregation over a join: each of the join's per-partition outputs
+    // folds into its own group table.
     "SELECT u.lab, COUNT(*) AS n, SUM(t.v) AS s \
      FROM t LEFT JOIN u ON t.jk = u.k GROUP BY u.lab",
     // Aggregation over UNION ALL (parts from both inputs retained).
@@ -76,6 +78,12 @@ const QUERIES: &[&str] = &[
     // join whose residual also decides which right rows go unmatched.
     "SELECT t.g, t.v, u.lab FROM t LEFT JOIN u ON t.jk = u.k AND t.v > u.k",
     "SELECT t.g, t.v, u.k, u.lab FROM t FULL JOIN u ON t.jk = u.k AND t.v < u.k + 3",
+    // A FULL join whose left input collapses to one part still emits two:
+    // the matched part and the unmatched-right tail, whose groups the
+    // aggregate above merges (float SUM/AVG across both parts).
+    "SELECT u.k % 2 AS p, SUM(a.d) AS s, AVG(u.k / 3.0) AS m, COUNT(*) AS n \
+     FROM (SELECT g, d, jk FROM t ORDER BY v, d, g LIMIT 7) a FULL JOIN u ON a.jk = u.k \
+     GROUP BY u.k % 2",
     // ORDER BY: one stable sort by the keys (ties keep row order).
     "SELECT g, v, d FROM t ORDER BY v DESC, d, g",
     "SELECT g, v FROM t ORDER BY g",
@@ -324,13 +332,15 @@ fn skewed_layout_morsel_stats_and_equivalence() {
     wh.set_morsel_sizing(MorselSizing::Fixed(3));
     let result = wh.execute_sql(sql).unwrap();
     assert_bit_identical(&oracle, &result.batch, sql);
-    let partial = result
+    let scan = result.operators.iter().find(|o| o.op == "Scan t").unwrap();
+    assert_eq!(scan.partitions, 8, "{scan:?}");
+    let agg = result
         .operators
         .iter()
-        .find(|o| o.op.starts_with("Aggregate[partial]"))
+        .find(|o| o.op.starts_with("Aggregate"))
         .unwrap();
-    assert_eq!(partial.partitions, 8, "{partial:?}");
-    assert_eq!(partial.morsels, 19, "{partial:?}");
+    assert_eq!(agg.partitions, 1, "{agg:?}");
+    assert_eq!(agg.morsels, 19, "{agg:?}");
     let analyzed = wh.explain_analyze(sql).unwrap();
     assert!(analyzed.contains("morsels=19"), "{analyzed}");
 
@@ -410,45 +420,45 @@ fn long_tail_operators_report_morsels() {
     }
 }
 
-/// The split must actually engage: a grouped aggregate over a partitioned
-/// scan plans as Final-over-Partial and reports per-operator stats.
+/// A grouped aggregate over a partitioned scan is one operator: one plan
+/// node and one executed entry, which counts one morsel per input
+/// partition when nothing cuts them and matches the uncut serial
+/// reference bit for bit when 3-row morsels do.
 #[test]
-fn two_phase_split_visible_in_plan_and_stats() {
+fn aggregate_folds_each_partition_in_one_entry() {
     let rows: Vec<(i64, Option<i64>, i64)> = (0..40).map(|i| (i % 4, Some(i), i % 8)).collect();
     let wh = load(&rows, 8); // 5 partitions
-    let plan = wh
-        .plan_sql("SELECT g, SUM(v) AS s FROM t GROUP BY g")
-        .unwrap();
-    let explain = plan.explain();
-    assert!(explain.contains("Aggregate[final]"), "{explain}");
-    assert!(explain.contains("Aggregate[partial]"), "{explain}");
+    let sql = "SELECT g, SUM(v) AS s, AVG(d) AS a FROM t GROUP BY g";
+    let explain = wh.plan_sql(sql).unwrap().explain();
+    assert_eq!(explain.matches("Aggregate").count(), 1, "{explain}");
 
-    wh.set_parallelism(4);
-    let result = wh
-        .execute_sql("SELECT g, SUM(v) AS s FROM t GROUP BY g")
-        .unwrap();
-    assert_eq!(result.batch.num_rows(), 4);
-    assert_eq!(result.partitions_scanned, 5);
-    let ops: Vec<&str> = result.operators.iter().map(|o| o.op.as_str()).collect();
-    assert!(
-        ops.iter().any(|o| o.starts_with("Aggregate[final]")),
-        "{ops:?}"
-    );
-    assert!(
-        ops.iter().any(|o| o.starts_with("Aggregate[partial]")),
-        "{ops:?}"
-    );
-    let partial = result
-        .operators
-        .iter()
-        .find(|o| o.op.starts_with("Aggregate[partial]"))
-        .unwrap();
-    // 5 partitions × up to 4 groups each, merged down to 4 final groups.
-    assert_eq!(partial.partitions, 5);
-    assert!(partial.rows_out >= 4, "{partial:?}");
-    let analyzed = wh
-        .explain_analyze("SELECT g, SUM(v) AS s FROM t GROUP BY g")
-        .unwrap();
-    assert!(analyzed.contains("Aggregate[partial]"), "{analyzed}");
+    reference_lane(&wh);
+    let oracle = wh.execute_sql(sql).unwrap();
+    for (sizing, morsels) in [
+        (MorselSizing::WholePartition, 5),
+        (MorselSizing::Fixed(3), 5 * 3),
+    ] {
+        wh.set_parallelism(4);
+        wh.set_morsel_sizing(sizing);
+        let result = wh.execute_sql(sql).unwrap();
+        assert_bit_identical(&oracle.batch, &result.batch, &format!("{sql} [{sizing:?}]"));
+        assert_eq!(result.batch.num_rows(), 4);
+        assert_eq!(result.partitions_scanned, 5);
+        let aggs: Vec<&OpStats> = result
+            .operators
+            .iter()
+            .filter(|o| o.op.starts_with("Aggregate"))
+            .collect();
+        assert_eq!(aggs.len(), 1, "{aggs:?}");
+        assert_eq!(aggs[0].op, "Aggregate (groups=1, aggs=2)");
+        assert_eq!(
+            (aggs[0].rows_in, aggs[0].rows_out, aggs[0].partitions),
+            (40, 4, 1),
+            "{aggs:?}"
+        );
+        assert_eq!(aggs[0].morsels, morsels, "{sizing:?} {aggs:?}");
+    }
+    let analyzed = wh.explain_analyze(sql).unwrap();
+    assert_eq!(analyzed.matches("Aggregate").count(), 1, "{analyzed}");
     assert!(analyzed.contains("rows_out="), "{analyzed}");
 }

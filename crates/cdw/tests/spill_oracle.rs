@@ -25,8 +25,8 @@ use std::sync::Arc;
 
 /// Pipelines covering every spill-capable operator (and their fusions).
 const QUERIES: &[&str] = &[
-    // Grouped aggregation across every mergeable state (two-phase over
-    // partitioned scans).
+    // Grouped aggregation across every mergeable state (one group table
+    // per scanned partition, merged in order).
     "SELECT g, COUNT(*) AS c, COUNT(v) AS cv, COUNT(DISTINCT v) AS cd, \
             SUM(v) AS s, AVG(v) AS a, MIN(v) AS mn, MAX(v) AS mx, \
             STDDEV(v) AS sd, MEDIAN(v) AS md \
@@ -50,11 +50,19 @@ const QUERIES: &[&str] = &[
     // decides which right rows go unmatched.
     "SELECT t.g, t.v, u.lab FROM t LEFT JOIN u ON t.jk = u.k AND t.v > u.k",
     "SELECT t.g, t.v, u.k, u.lab FROM t FULL JOIN u ON t.jk = u.k AND t.v < u.k + 3",
-    // Aggregation over a join (spilled join feeding two-phase aggregate).
+    // Aggregation over a join (spilled join feeding the spilled aggregate).
     "SELECT u.lab, COUNT(*) AS n, SUM(t.v) AS s \
      FROM t LEFT JOIN u ON t.jk = u.k GROUP BY u.lab",
     // Aggregation over UNION ALL (partition structure preserved).
     "SELECT g, SUM(v) AS s FROM (SELECT g, v FROM t UNION ALL SELECT g, v FROM t) x GROUP BY g",
+    // A FULL join over a left input collapsed to one part: the matched
+    // part and the unmatched-right tail are two parts, whose groups the
+    // aggregate above merges (float SUM/AVG across both).
+    "SELECT u.k % 2 AS p, SUM(a.d) AS s, AVG(u.k / 3.0) AS m, COUNT(*) AS n \
+     FROM (SELECT g, d, jk FROM t ORDER BY v, d, g LIMIT 7) a FULL JOIN u ON a.jk = u.k \
+     GROUP BY u.k % 2",
+    // DISTINCT over an input that collapses to one part.
+    "SELECT DISTINCT g FROM (SELECT g, v FROM t ORDER BY v, d, g LIMIT 9) x",
 ];
 
 fn load(rows: &[(i64, Option<i64>, i64)], partition_rows: usize) -> Warehouse {
@@ -267,7 +275,7 @@ fn morselized_spilling_spills_and_counts_morsels() {
     let wh = load(&rows, 64); // 7 partitions
     let cases = [
         (
-            "Aggregate[partial]",
+            "Aggregate",
             "SELECT g, SUM(v) AS s, AVG(d) AS a FROM t GROUP BY g",
             7,
         ),
@@ -330,31 +338,40 @@ fn ctas_and_insert_report_spill_stats() {
     assert_eq!(cold.spill_rounds, 0);
 }
 
-/// The two-phase partial/final split keeps working under spill: the plan
-/// still shows the split, per-operator stats still report the partial
-/// phase, and partition structure reaches the spilled aggregate.
+/// Under spill the aggregate is still one operator over its input's
+/// partitions: one executed entry that counts one morsel per partition
+/// (cut into 3-row morsels or not), spills exactly what the uncut lane
+/// spills, and matches the unbudgeted reference bit for bit.
 #[test]
-fn two_phase_split_survives_spilling() {
+fn aggregate_spills_over_each_partition_in_one_entry() {
     let rows: Vec<(i64, Option<i64>, i64)> = (0..40).map(|i| (i % 4, Some(i), i % 8)).collect();
     let wh = load(&rows, 8); // 5 partitions
+    let sql = "SELECT g, SUM(v) AS s, AVG(d) AS a FROM t GROUP BY g";
+    wh.set_parallelism(1);
+    wh.set_morsel_sizing(MorselSizing::WholePartition);
+    let oracle = wh.execute_sql(sql).unwrap();
+
     wh.set_parallelism(4);
     wh.set_memory_budget(Some(1));
-    let result = wh
-        .execute_sql("SELECT g, SUM(v) AS s FROM t GROUP BY g")
-        .unwrap();
-    assert_eq!(result.batch.num_rows(), 4);
-    assert!(result.spilled_bytes > 0);
-    let ops: Vec<&str> = result.operators.iter().map(|o| o.op.as_str()).collect();
-    assert!(
-        ops.iter().any(|o| o.starts_with("Aggregate[final]")),
-        "{ops:?}"
-    );
-    let partial = result
-        .operators
-        .iter()
-        .find(|o| o.op.starts_with("Aggregate[partial]"))
-        .unwrap_or_else(|| panic!("no partial stats under spill: {ops:?}"));
-    assert_eq!(partial.partitions, 5);
-    // 5 partitions × up to 4 groups each, merged down to 4 final groups.
-    assert!(partial.rows_out >= 4, "{partial:?}");
+    let uncut = wh.execute_sql(sql).unwrap();
+    wh.set_morsel_sizing(MorselSizing::Fixed(3));
+    let cut = wh.execute_sql(sql).unwrap();
+    wh.set_memory_budget(None);
+    for (lane, result) in [("uncut", &uncut), ("3-row", &cut)] {
+        assert!(result.spilled_bytes > 0, "{lane}");
+        assert_eq!(result.spilled_bytes, uncut.spilled_bytes, "{lane}");
+        assert_eq!(result.spill_rounds, uncut.spill_rounds, "{lane}");
+        assert_bit_identical(&oracle.batch, &result.batch, &format!("{sql} [{lane}]"));
+        let aggs: Vec<_> = result
+            .operators
+            .iter()
+            .filter(|o| o.op.starts_with("Aggregate"))
+            .collect();
+        assert_eq!(aggs.len(), 1, "{lane}: {aggs:?}");
+        assert_eq!(
+            (aggs[0].rows_out, aggs[0].partitions, aggs[0].morsels),
+            (4, 1, 5),
+            "{lane}: {aggs:?}"
+        );
+    }
 }

@@ -6,7 +6,7 @@
 //! requested. It also tracks in-flight query requests, enabling multiple
 //! browsers to share results when collaboratively editing a document."
 //!
-//! Entries hold only `(key -> query id [+ table deps])` — never warehouse
+//! Entries hold only `(key -> query id + table deps)` — never warehouse
 //! data, honoring the constraint that "user warehouse data is never stored
 //! within the Sigma service cloud".
 //!
@@ -20,8 +20,7 @@
 //!   promote in O(log n).
 //! * **Precise invalidation.** Entries carry the set of warehouse tables
 //!   their results were computed from; a table change invalidates only the
-//!   entries that read it (entries with unknown dependencies are dropped
-//!   conservatively).
+//!   entries that read it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -81,9 +80,8 @@ struct InFlight {
 
 struct Entry {
     query_id: String,
-    /// Warehouse tables (lower-cased) the result was computed from;
-    /// `None` = unknown, treated pessimistically by table invalidation.
-    deps: Option<Arc<[String]>>,
+    /// Warehouse tables (lower-cased) the result was computed from.
+    deps: Arc<[String]>,
 }
 
 /// Directory of recent query keys, pointing at CDW-persisted result sets
@@ -156,26 +154,15 @@ impl QueryDirectory {
             .map(|e| e.query_id.clone())
     }
 
-    /// Record a completed query with unknown table dependencies (table
-    /// invalidation will drop it conservatively). Re-inserting a known key
-    /// refreshes its recency (and its query id).
-    pub fn insert(&self, key: impl Into<DirKey>, query_id: &str) {
-        self.insert_entry(key.into(), query_id, None)
-    }
-
     /// Record a completed query together with the warehouse tables its
-    /// result set was computed from.
+    /// result set was computed from. Re-inserting a known key refreshes
+    /// its recency, query id and tables.
     pub fn insert_with_deps(&self, key: impl Into<DirKey>, query_id: &str, deps: Arc<[String]>) {
-        self.insert_entry(key.into(), query_id, Some(deps))
-    }
-
-    fn insert_entry(&self, key: DirKey, query_id: &str, deps: Option<Arc<[String]>>) {
+        let key = key.into();
         let mut entries = self.entries.lock();
         if let Some(e) = entries.get_mut(&key) {
             e.query_id = query_id.to_string();
-            if deps.is_some() {
-                e.deps = deps;
-            }
+            e.deps = deps;
             return;
         }
         let entry = Entry {
@@ -185,40 +172,31 @@ impl QueryDirectory {
         entries.insert(key, entry, 1);
     }
 
-    /// Attach/replace the table-dependency set of an existing entry,
-    /// promoting it.
-    pub fn set_deps(&self, key: impl Into<DirKey>, deps: Arc<[String]>) {
-        if let Some(e) = self.entries.lock().get_mut(&key.into()) {
-            e.deps = Some(deps);
-        }
-    }
-
     /// Drop one entry (e.g. its persisted result was evicted from the CDW).
     pub fn invalidate_key(&self, key: impl Into<DirKey>) -> bool {
         self.entries.lock().remove(&key.into()).is_some()
     }
 
     /// Targeted invalidation: drop entries whose results read any of the
-    /// given warehouse tables — plus entries with *unknown* dependencies,
-    /// which must be dropped conservatively. Table names are compared
-    /// case-insensitively.
+    /// given warehouse tables. Table names are compared case-insensitively.
     pub fn invalidate_tables<S: AsRef<str>>(&self, tables: &[S]) -> usize {
-        let n = self.entries.lock().retain(|_, e| match &e.deps {
-            None => false,
-            Some(deps) => !deps
+        let n = self.entries.lock().retain(|_, e| {
+            !e.deps
                 .iter()
-                .any(|d| tables.iter().any(|t| d.eq_ignore_ascii_case(t.as_ref()))),
+                .any(|d| tables.iter().any(|t| d.eq_ignore_ascii_case(t.as_ref())))
         });
         self.stats.lock().invalidated += n as u64;
         n
     }
 
     /// Run `execute` once per key even under concurrency: the first caller
-    /// executes; identical concurrent requests block and share the
+    /// executes and records the query id with `deps`, the tables its
+    /// result reads; identical concurrent requests block and share the
     /// resulting query id (collaborative editing, §4).
     pub fn run_coalesced<E>(
         &self,
         key: impl Into<DirKey>,
+        deps: Arc<[String]>,
         execute: impl FnOnce() -> Result<String, E>,
     ) -> Result<(String, bool), E> {
         let key = key.into();
@@ -241,7 +219,7 @@ impl QueryDirectory {
             let outcome = execute();
             match &outcome {
                 Ok(qid) => {
-                    self.insert(key, qid);
+                    self.insert_with_deps(key, qid, deps);
                     *flight.done.lock() = Some(qid.clone());
                 }
                 Err(_) => {
@@ -261,7 +239,7 @@ impl QueryDirectory {
             drop(done);
             if qid.is_empty() {
                 // Leader failed: retry as a new leader.
-                return self.run_coalesced(key, execute);
+                return self.run_coalesced(key, deps, execute);
             }
             self.stats.lock().coalesced += 1;
             Ok((qid, true))
@@ -282,9 +260,9 @@ mod tests {
     fn lookup_insert_evict() {
         let dir = QueryDirectory::new(2);
         assert_eq!(dir.lookup("a"), None);
-        dir.insert("a", "q-1");
-        dir.insert("b", "q-2");
-        dir.insert("c", "q-3"); // evicts "a", the least recently used
+        dir.insert_with_deps("a", "q-1", deps(&["t"]));
+        dir.insert_with_deps("b", "q-2", deps(&["t"]));
+        dir.insert_with_deps("c", "q-3", deps(&["t"])); // evicts "a", the least recently used
         assert_eq!(dir.lookup("a"), None);
         assert_eq!(dir.lookup("c"), Some("q-3".into()));
         let stats = dir.stats();
@@ -295,11 +273,11 @@ mod tests {
     #[test]
     fn lookup_promotes_entry_to_most_recent() {
         let dir = QueryDirectory::new(2);
-        dir.insert("a", "q-1");
-        dir.insert("b", "q-2");
+        dir.insert_with_deps("a", "q-1", deps(&["t"]));
+        dir.insert_with_deps("b", "q-2", deps(&["t"]));
         // Re-reading "a" promotes it, so the next eviction takes "b".
         assert_eq!(dir.lookup("a"), Some("q-1".into()));
-        dir.insert("c", "q-3");
+        dir.insert_with_deps("c", "q-3", deps(&["t"]));
         assert_eq!(dir.lookup("a"), Some("q-1".into()));
         assert_eq!(dir.lookup("b"), None);
         assert_eq!(dir.lookup("c"), Some("q-3".into()));
@@ -308,10 +286,10 @@ mod tests {
     #[test]
     fn reinsert_refreshes_recency() {
         let dir = QueryDirectory::new(2);
-        dir.insert("a", "q-1");
-        dir.insert("b", "q-2");
-        dir.insert("a", "q-9"); // refresh id and recency
-        dir.insert("c", "q-3"); // evicts "b"
+        dir.insert_with_deps("a", "q-1", deps(&["t"]));
+        dir.insert_with_deps("b", "q-2", deps(&["t"]));
+        dir.insert_with_deps("a", "q-9", deps(&["t"])); // refresh id and recency
+        dir.insert_with_deps("c", "q-3", deps(&["t"])); // evicts "b"
         assert_eq!(dir.lookup("a"), Some("q-9".into()));
         assert_eq!(dir.lookup("b"), None);
     }
@@ -322,7 +300,7 @@ mod tests {
         // re-inserts must keep strict LRU order at any size.
         let dir = QueryDirectory::new(64);
         for i in 0..64 {
-            dir.insert(format!("k{i}").as_str(), &format!("q-{i}"));
+            dir.insert_with_deps(format!("k{i}").as_str(), &format!("q-{i}"), deps(&["t"]));
         }
         // Touch the even keys, making the odd keys the LRU half.
         for i in (0..64).step_by(2) {
@@ -330,7 +308,7 @@ mod tests {
         }
         // Inserting 32 new keys evicts exactly the 32 odd (untouched) keys.
         for i in 64..96 {
-            dir.insert(format!("k{i}").as_str(), &format!("q-{i}"));
+            dir.insert_with_deps(format!("k{i}").as_str(), &format!("q-{i}"), deps(&["t"]));
         }
         for i in (1..64).step_by(2) {
             assert_eq!(dir.lookup(format!("k{i}").as_str()), None, "odd k{i}");
@@ -346,22 +324,20 @@ mod tests {
         dir.insert_with_deps("flights-agg", "q-1", deps(&["flights"]));
         dir.insert_with_deps("joined", "q-2", deps(&["flights", "airports"]));
         dir.insert_with_deps("airports-only", "q-3", deps(&["airports"]));
-        dir.insert("unknown-deps", "q-4"); // no dep info: dropped conservatively
         dir.insert_with_deps("mixed-case", "q-5", deps(&["Flights"]));
-        assert_eq!(dir.invalidate_tables(&["flights"]), 4);
+        assert_eq!(dir.invalidate_tables(&["flights"]), 3);
         assert_eq!(dir.lookup("airports-only"), Some("q-3".into()));
         assert_eq!(dir.lookup("flights-agg"), None);
         assert_eq!(dir.lookup("joined"), None);
-        assert_eq!(dir.lookup("unknown-deps"), None);
         assert_eq!(dir.lookup("mixed-case"), None);
-        assert_eq!(dir.stats().invalidated, 4);
+        assert_eq!(dir.stats().invalidated, 3);
     }
 
     #[test]
     fn invalidate_key() {
         let dir = QueryDirectory::new(10);
-        dir.insert("a", "q-1");
-        dir.insert("b", "q-2");
+        dir.insert_with_deps("a", "q-1", deps(&["t"]));
+        dir.insert_with_deps("b", "q-2", deps(&["t"]));
         assert!(dir.invalidate_key("a"));
         assert!(!dir.invalidate_key("a"));
         assert_eq!(dir.lookup("b"), Some("q-2".into()));
@@ -370,7 +346,7 @@ mod tests {
     #[test]
     fn stage_lookups_count_separately() {
         let dir = QueryDirectory::new(10);
-        dir.insert(DirKey(7), "q-1");
+        dir.insert_with_deps(DirKey(7), "q-1", deps(&["t"]));
         // lookup_stage is uncounted; the caller reports the verified
         // outcome (a directory pointer whose result was evicted is a miss).
         assert_eq!(dir.lookup_stage(DirKey(7)), Some("q-1".into()));
@@ -392,7 +368,7 @@ mod tests {
             let dir = dir.clone();
             let executions = executions.clone();
             handles.push(std::thread::spawn(move || {
-                dir.run_coalesced("same-query", || {
+                dir.run_coalesced("same-query", deps(&["t"]), || {
                     executions.fetch_add(1, Ordering::SeqCst);
                     std::thread::sleep(std::time::Duration::from_millis(20));
                     Ok::<_, ()>("q-77".to_string())
@@ -410,11 +386,11 @@ mod tests {
     #[test]
     fn failed_leader_retries() {
         let dir = QueryDirectory::new(10);
-        let r: Result<(String, bool), &str> = dir.run_coalesced("f", || Err("boom"));
+        let r: Result<(String, bool), &str> = dir.run_coalesced("f", deps(&["t"]), || Err("boom"));
         assert!(r.is_err());
         // A later attempt can succeed.
         let ok = dir
-            .run_coalesced("f", || Ok::<_, &str>("q-9".into()))
+            .run_coalesced("f", deps(&["t"]), || Ok::<_, &str>("q-9".into()))
             .unwrap();
         assert_eq!(ok.0, "q-9");
     }

@@ -341,28 +341,28 @@ impl SigmaService {
             stages_executed: 0,
             rows_scanned: 0,
         };
-        let (mut query_id, cached) = directory.run_coalesced(root_key, || {
-            if self.stage_caching() && plan.nodes.len() > 1 {
-                match plan.walk(&mut host) {
-                    Ok(Some(walk)) => return Ok(host.adopt(walk)),
-                    // Admission rejections are backpressure, not cache
-                    // staleness: retrying flattened would *add* load to an
-                    // already saturated warehouse. Propagate immediately.
-                    Err(e @ ServiceError::Overloaded { .. })
-                    | Err(e @ ServiceError::DeadlineExceeded { .. }) => return Err(e),
-                    // A reused stage's persisted result can be evicted
-                    // between the walk's liveness check and the execution
-                    // that RESULT_SCANs it (the directory promotes but
-                    // cannot pin). Fall back to one flattened query rather
-                    // than failing a request that would succeed with
-                    // caching off; a genuine query error surfaces from the
-                    // flattened run too.
-                    Ok(None) | Err(_) => {}
+        let (mut query_id, cached) =
+            directory.run_coalesced(root_key, all_tables.clone(), || {
+                if self.stage_caching() && plan.nodes.len() > 1 {
+                    match plan.walk(&mut host) {
+                        Ok(Some(walk)) => return Ok(host.adopt(walk)),
+                        // Admission rejections are backpressure, not cache
+                        // staleness: retrying flattened would *add* load to an
+                        // already saturated warehouse. Propagate immediately.
+                        Err(e @ ServiceError::Overloaded { .. })
+                        | Err(e @ ServiceError::DeadlineExceeded { .. }) => return Err(e),
+                        // A reused stage's persisted result can be evicted
+                        // between the walk's liveness check and the execution
+                        // that RESULT_SCANs it (the directory promotes but
+                        // cannot pin). Fall back to one flattened query rather
+                        // than failing a request that would succeed with
+                        // caching off; a genuine query error surfaces from the
+                        // flattened run too.
+                        Ok(None) | Err(_) => {}
+                    }
                 }
-            }
-            host.run_flattened(&sql).map(|r| r.query_id)
-        })?;
-        directory.set_deps(root_key, all_tables.clone());
+                host.run_flattened(&sql).map(|r| r.query_id)
+            })?;
         // 6. Fetch the result set (fresh executions persist it; directory
         // hits re-fetch by query id).
         let (batch, served_from) = match warehouse.persisted_result(&query_id) {

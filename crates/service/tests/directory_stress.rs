@@ -73,7 +73,8 @@ fn directory_single_flight_and_stats_under_contention() {
                         // Mostly coalesced execution (the hot path).
                         0..=4 => {
                             coalesced_lookups.fetch_add(1, Ordering::SeqCst);
-                            let result: Result<_, ()> = dir.run_coalesced(key(k), || {
+                            let deps = vec![table(k)].into();
+                            let result: Result<_, ()> = dir.run_coalesced(key(k), deps, || {
                                 let live = in_flight[k].fetch_add(1, Ordering::SeqCst) + 1;
                                 max_seen.fetch_max(live, Ordering::SeqCst);
                                 assert!(
@@ -101,9 +102,8 @@ fn directory_single_flight_and_stats_under_contention() {
                             dir.record_stage(hit);
                             stage_records.fetch_add(1, Ordering::SeqCst);
                         }
-                        // Dependency writes + targeted invalidation.
+                        // Targeted invalidation.
                         8 => {
-                            dir.set_deps(key(k), vec![table(k)].into());
                             let n = dir.invalidate_tables(&[table(k)]);
                             invalidated.fetch_add(n, Ordering::SeqCst);
                         }

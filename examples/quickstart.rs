@@ -71,8 +71,9 @@ fn main() {
         result.rows_scanned, result.partitions_scanned, result.elapsed
     );
 
-    // Per-operator attribution: where did the time go? (Two-phase
-    // aggregation shows up as Aggregate[final] over Aggregate[partial].)
+    // Per-operator attribution: where did the time go? (The aggregate is
+    // one entry: it folds each scanned partition and merges them in order,
+    // and its `morsels` counts the units it folded.)
     warehouse.set_parallelism(4);
     let analyzed = warehouse
         .explain_analyze(&compiled.sql)
